@@ -121,14 +121,6 @@ class FSequence:
         """log sup f_0(x)/f_0(y) over x = y on [-n, inf): symmetric, beta * T(n+1)."""
         return self.log_ratio_left(n)
 
-    def log_ratio_window(self, past: int, future: int) -> Interval:
-        """log sup-ratio of f_0 over agreement on [-past, future]."""
-        if past < 0 or future < 0:
-            raise ValueError("window extents must be >= 0")
-        p = self.potential
-        t = p.coupling_tail(future + 1, self.rel_width) + p.coupling_tail(past + 1, self.rel_width)
-        return Interval.point(p.beta) * t
-
     def berbee_log_rbar(self, index: int) -> Interval:
         """log inf-ratio of f_0 over the symmetric window enumeration.
 

@@ -14,6 +14,17 @@ from dataclasses import dataclass
 
 LIBM_GUARD_ULPS = 2
 
+# Outward factors for float64 arrays, where nextafter per element is slow.  A
+# rounding errs by at most half an eps relative, so scaling by UP / DOWN moves
+# a value computed with up to three roundings (the scaling included) past the
+# true one; UP_EXP / DOWN_EXP do the same after exp or expm1 (LIBM_GUARD_ULPS
+# ulps).  Underflowing results err by subnormal ulps instead; FLOOR is a
+# normal number above any sum of those arising here.
+EPS = 2.0**-52
+UP, DOWN = 1.0 + 2.0 * EPS, 1.0 - 2.0 * EPS
+UP_EXP, DOWN_EXP = 1.0 + (2 * LIBM_GUARD_ULPS + 2) * EPS, 1.0 - (2 * LIBM_GUARD_ULPS + 2) * EPS
+FLOOR = 2.0**-1000
+
 _INF = math.inf
 
 
@@ -147,6 +158,13 @@ class Interval:
         hi = _INF if math.isinf(self.hi) else _up(math.log(self.hi), LIBM_GUARD_ULPS)
         return Interval(_down(math.log(self.lo), LIBM_GUARD_ULPS), hi)
 
+    def expm1(self) -> "Interval":
+        """exp(x) - 1, accurate where x is near 0 (so 1 - exp(-x) keeps its digits)."""
+        return Interval(
+            max(-1.0, _down(math.expm1(self.lo), LIBM_GUARD_ULPS)),
+            _up(math.expm1(self.hi), LIBM_GUARD_ULPS) if not math.isinf(self.hi) else _INF,
+        )
+
     def log1p(self) -> "Interval":
         if self.lo <= -1.0:
             raise ValueError("log1p needs lo > -1")
@@ -190,32 +208,25 @@ ZERO = Interval.point(0.0)
 ONE = Interval.point(1.0)
 
 
-def sum_enclosure(values) -> Interval:
-    """Interval sum of an iterable of Interval or float terms."""
-    acc = ZERO
-    for v in values:
-        acc = acc + v
-    return acc
+def float_sum_enclosure(terms, term_ulps: int = 0) -> Interval:
+    """Sound enclosure of a sum of float terms, each within ``term_ulps`` ulps
+    of the true term it stands for (0: exact terms).
 
-
-def float_sum_enclosure(terms) -> Interval:
-    """Sound enclosure of a sum of exact float terms.
-
-    The terms themselves are exact; only the accumulation may round.  Pairwise
-    summation in numpy keeps the error below ``ceil(log2 n) + 1`` ulps of the
-    absolute-value sum, and we widen by that much.
+    Pairwise summation in numpy keeps the error below ``ceil(log2 n) + 1``
+    ulps of the absolute-value sum, and we widen by that much plus the term
+    errors (``term_ulps`` eps of that sum and subnormal ulps per term).
     """
     import numpy as np
 
     arr = np.asarray(terms, dtype=np.float64)
     if arr.size == 0:
         return ZERO
-    if arr.size == 1:
+    if arr.size == 1 and not term_ulps:
         return Interval.point(float(arr[0]))
     s = float(np.sum(arr))
     a = float(np.sum(np.abs(arr)))
-    if a == 0.0:
+    if a == 0.0 and not term_ulps:
         return ZERO
     eps = math.ulp(max(a, abs(s)))
-    guard = (int(arr.size).bit_length() + 2) * eps
+    guard = (int(arr.size).bit_length() + 2) * eps + term_ulps * (math.ulp(1.0) * a + arr.size * math.ulp(0.0))
     return Interval(s - guard, s + guard)

@@ -35,8 +35,7 @@ import numpy as np
 from scipy.special import expit
 
 from .fseq import FSequence, Word
-from .intervals import Interval
-from .potential import DEFAULT_REL_WIDTH, PairPotential, SPINS
+from .potential import PairPotential, SPINS
 
 ENUMERATION_MAX_WINDOW = 12
 APPLY_MAX_WIDTH = 14
@@ -223,19 +222,6 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     num = window_weight(p, past, fut, n, {0: s})
     den = window_weight(p, past, fut, n)
     return KernelResult(value=num / den, dependency_window=(-R, n + R))
-
-
-def truncation_log_slack(
-    p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDTH
-) -> Interval:
-    """Enclosure of the log-kernel error from truncating a long-range law.
-
-    Each of the 2(n+1) ordered (site, side) incidences of the window [0, n]
-    couples to the discarded tail with mass at most beta * tail(R+1).
-    Exactly zero for genuinely finite-range inputs.
-    """
-    slack = Interval.point(2.0 * (n + 1) * p.beta) * p.beyond_range_tail(rel_width)
-    return Interval(-slack.hi, slack.hi)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Translation-invariant spin pair interactions and their tail-sum enclosures.
+"""Translation-invariant spin pair interactions and one engine for their tail sums.
 
 A pair interaction is specified by a coupling law J on distances 1, 2, ... ,
 an inverse temperature beta, and an optional truncation range.  The letter
@@ -6,10 +6,23 @@ alphabet is {-1, +1}.  The pair energy of sites i != j is
 ``-(beta / 2) * J(|i - j|) * x_i * x_j``, so the oscillation contributed by a
 single pair is exactly ``beta * J(|i - j|)``.
 
-All series over distances are returned as Interval enclosures: a finite
-partial sum accumulated exactly plus a bracketing correction for the cut-off
-tail (an integral bracket for power laws, a closed form for exponentials,
-nothing for finite tables).
+Every certified quantity is a function of the coupling tails T(m) =
+sum_{m <= j <= R} J(j) (R the truncation range, or infinity).  One engine
+encloses them, a few ulps wide, for point queries and for tables:
+
+* Point tails.  A power law sums j = m .. N-1 directly, N a fixed small count
+  past m, and the rest by Euler-Maclaurin at N, in O(1) time and memory:
+
+      sum_{j >= N} j^-q = N^(1-q)/(q-1) + N^-q/2
+                          + sum_{k=1}^{K} B_2k/(2k)! (q)_(2k-1) N^(1-q-2k) + R_K.
+
+  Every even derivative of x^-q is positive, so R_K lies between 0 and the
+  first neglected term (DLMF 2.10.iii), which is added as a one-sided pad.
+  Exponential laws use the closed form A e^{-rm} (1 - e^{-r(R+1-m)}) /
+  (1 - e^{-r}) with enclosed exponents; finite tables sum their entries.
+* Tables (``TailEnclosureTable``).  One point tail anchors T(H+1), then the
+  exact recurrence T(m) = T(m+1) + J(m) runs back to m = 1 in one numpy pass
+  with an outward rounding budget; exponential tables use the closed form.
 """
 
 from __future__ import annotations
@@ -17,16 +30,77 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .intervals import Interval, ZERO, float_sum_enclosure
+from .intervals import (
+    DOWN, DOWN_EXP, EPS, FLOOR, LIBM_GUARD_ULPS, ONE, UP, UP_EXP, Interval, ZERO, float_sum_enclosure,
+)
 
 DEFAULT_REL_WIDTH = 1e-10
 
 SPINS = (-1, 1)
+
+
+def fraction_interval(x: Fraction) -> Interval:
+    """Tightest Interval around an exact rational (a point when representable)."""
+    f = float(x)
+    g = Fraction(f)
+    if g == x:
+        return Interval.point(f)
+    if g < x:
+        return Interval(f, math.nextafter(f, math.inf))
+    return Interval(math.nextafter(f, -math.inf), f)
+
+
+# Euler-Maclaurin coefficients B_2k / (2k)! for k = 1 .. 12.
+_BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
+    Fraction(-236364091, 2730),
+)
+_EM_COEFFS = tuple(
+    fraction_interval(b / math.factorial(2 * k)) for k, b in enumerate(_BERNOULLI, start=1)
+)
+# Correction terms below this fraction of the tail end the expansion.
+_EM_STOP = 2.0**-56
+# The cutoff N sits this many terms (plus ceil(q)) past the first index.
+_EM_OFFSET = 12
+# A power-law term A * j**-q rounds in pow (libm guard) and the product.
+_POWER_TERM_ULPS = LIBM_GUARD_ULPS + 1
+
+
+def _em_tail(q: float, N: int) -> Interval:
+    """Enclosure of sum_{j >= N} j**-q by Euler-Maclaurin at N (module docstring)."""
+    Nq, qi = Interval.point(float(N)), Interval.point(q)
+    x = Nq.pow(1.0 - q)  # N^(1-q); 1 - q and q - 1 are exact for q > 1
+    out = x / (q - 1.0) + x / Nq * 0.5
+    inv_n2 = ONE / (Nq * Nq)
+    y = x * inv_n2  # N^(1-q-2k) at k = 1
+    rising = qi  # (q)_(2k-1) at k = 1
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
+        term = coeff * rising * y
+        if k == len(_EM_COEFFS) or max(-term.lo, term.hi) <= _EM_STOP * out.lo:
+            break
+        out = out + term
+        y = y * inv_n2
+        rising = rising * (qi + float(2 * k - 1)) * (qi + float(2 * k))
+    # the remainder lies between 0 and the first neglected term
+    return out + Interval(min(term.lo, 0.0), max(term.hi, 0.0))
+
+
+def _power_sum(q: float, n: int, last: Optional[int] = None) -> Interval:
+    """Enclosure of sum_{n <= j <= last} j**-q for q > 1 (``last`` None: no end)."""
+    N = n + _EM_OFFSET + math.ceil(q)
+    stop = N if last is None else min(N, last + 1)
+    out = float_sum_enclosure(np.arange(n, stop, dtype=np.float64) ** -q, LIBM_GUARD_ULPS)
+    if stop == N:
+        out = out + _em_tail(q, N)
+        if last is not None:
+            out = out - _em_tail(q, last + 1)
+    return Interval(max(0.0, out.lo), out.hi)
 
 
 @dataclass(frozen=True)
@@ -100,24 +174,47 @@ class CouplingLaw:
             return 0
         return None
 
-    def is_zero(self) -> bool:
-        return self.finite_range == 0
+    def tail(self, n: int, rel_width: float = DEFAULT_REL_WIDTH, last: Optional[int] = None) -> Interval:
+        """Enclosure of sum_{n <= j <= last} J(j) (``last`` None: to infinity).
 
-    def tail(self, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:
-        """Enclosure of sum_{j >= n} J(j)."""
+        The enclosure is a few ulps wide whatever ``rel_width`` asks for; the
+        argument stays for callers that thread one target width through.
+        """
         if n < 1:
             raise ValueError("tail index starts at 1")
+        if last is not None and n > last:
+            return ZERO
         if self.kind == "finite_table":
-            return float_sum_enclosure([v for j, v in enumerate(self.values, 1) if j >= n])
+            return float_sum_enclosure(self.values[n - 1 : last])
         if self.amplitude == 0.0:
             return ZERO
         if self.kind == "exponential":
-            # sum_{j>=n} e^{-r j} = e^{-r n} / (1 - e^{-r}), evaluated in intervals
-            r = self.rate
-            num = Interval.point(-r * n).exp()
-            den = 1.0 - Interval.point(-r).exp()
-            return Interval.point(self.amplitude) * (num / den)
-        return Interval.point(self.amplitude) * _power_tail(self.q, n, rel_width)
+            lo, hi = self._exponential_tails(np.array([float(n)]), last)
+            return Interval(float(lo[0]), float(hi[0]))
+        return Interval.point(self.amplitude) * _power_sum(self.q, n, last)
+
+    def _exponential_tails(self, m: np.ndarray, last: Optional[int]):
+        """Endpoint arrays of A e^{-rm} (1 - e^{-r(last+1-m)}) / (1 - e^{-r}) at each m.
+
+        The products r * m round, so each exponent is pushed outward before
+        exp (``intervals.UP``); the truncation factor is 1 without ``last``
+        and exactly 0 beyond it.
+        """
+        if self.amplitude == 0.0:
+            return np.zeros(m.size), np.zeros(m.size)
+        scale = Interval.point(self.amplitude) / -Interval.point(-self.rate).expm1()
+        rm = self.rate * m
+        lo = np.exp(rm * -UP) * (scale.lo * DOWN_EXP)
+        hi = np.exp(rm * -DOWN) * (scale.hi * UP_EXP)
+        if last is not None:
+            d = self.rate * np.maximum(last + 1.0 - m, 0.0)
+            lo *= -np.expm1(d * -DOWN) * DOWN_EXP
+            hi *= np.minimum(-np.expm1(d * -UP) * UP_EXP, 1.0)
+        pad = FLOOR * scale.hi
+        lo, hi = np.maximum(lo * DOWN - pad, 0.0), hi * UP + pad
+        if last is not None:
+            lo[m > last] = hi[m > last] = 0.0
+        return lo, hi
 
     def weighted_total(self, rel_width: float = DEFAULT_REL_WIDTH):
         """Enclosure of sum_{j >= 1} j * J(j), or None when the series diverges.
@@ -134,129 +231,83 @@ class CouplingLaw:
         if self.kind == "exponential":
             # sum j e^{-rj} = e^{-r} / (1 - e^{-r})^2
             e = Interval.point(-self.rate).exp()
-            return Interval.point(self.amplitude) * (e / ((1.0 - e) * (1.0 - e)))
+            d = -Interval.point(-self.rate).expm1()
+            return Interval.point(self.amplitude) * (e / (d * d))
         if self.q <= 2.0:
             return None
-        return Interval.point(self.amplitude) * _power_tail(self.q - 1.0, 1, rel_width)
+        return Interval.point(self.amplitude) * _power_sum(self.q - 1.0, 1)
 
 
-@lru_cache(maxsize=4096)
-def _power_tail(q: float, n: int, rel_width: float) -> Interval:
-    """Enclosure of sum_{j >= n} j**(-q) by partial sum plus integral bracket.
+_LD_EPS = float(np.finfo(np.longdouble).eps)  # accumulator precision
 
-    The cutoff M grows until the bracket width [integral, first-term + integral]
-    is below ``rel_width`` relative to the sum.  The partial sum is accumulated
-    in exact doubles with a pairwise-summation error bound.
+
+def _suffix_enclosures(terms: np.ndarray, anchor: Interval, term_ulps: int):
+    """Endpoint arrays of anchor + sum_{i >= m} terms[i] for m = 0 .. len(terms).
+
+    ``terms`` are nonnegative floats, each within ``term_ulps`` ulps of its
+    true value.  Suffix sums accumulate in extended precision from the far
+    end, so the sum at m takes len(terms) - m additions, each off by at most
+    half an accumulator eps of that sum (suffix sums only grow toward m = 0).
+    The budget charges a full eps per addition, four float64 roundings (the
+    conversion, the anchor and the budget itself), the term errors and
+    FLOOR, so the float64 endpoints need no further rounding.
     """
-    M = max(n + 16, 64)
-    while True:
-        j = np.arange(n, M + 1, dtype=np.float64)
-        partial = float_sum_enclosure(j ** (-q))
-        integral = (M + 1.0) ** (1.0 - q) / (q - 1.0)
-        first = (M + 1.0) ** (-q)
-        tail_lo = math.nextafter(integral, 0.0)
-        tail_hi = math.nextafter(first + integral, math.inf)
-        out = partial + Interval(tail_lo, tail_hi)
-        if out.rel_width() <= rel_width or M > 5 * 10**7:
-            return out
-        M *= 4
-
-
-_LD_EPS = float(np.finfo(np.longdouble).eps)
-_TABLE_CHUNK = 2_000_000
-_TABLE_ANCHOR_CAP = 240_000_000
+    H = terms.size
+    s = np.zeros(H + 1)
+    s[:H] = np.cumsum(terms[::-1], dtype=np.longdouble)[::-1]
+    steps = np.arange(H + 3, 2, -1, dtype=np.float64)  # additions at m, plus 3
+    top = s + anchor.hi
+    budget = top * (steps * _LD_EPS + (term_ulps + 4) * EPS) + FLOOR
+    return np.maximum(s + anchor.lo - budget, 0.0), np.where(top > 0.0, top + budget, 0.0)
 
 
 class TailEnclosureTable:
-    """Enclosures of sum_{j >= m} J(j) for every m up to a fixed horizon.
+    """Enclosures of the effective tails T(m) for every m = 1 .. horizon + 1.
 
-    Point queries via ``tail`` re-sum the series per call, which is wasteful
-    when a contraction profile needs thousands of consecutive tails.  This
-    table makes one backward pass: an integral bracket anchors the series at
-    a far cutoff M, then suffix sums accumulate toward m = 1 in extended
-    precision, with the accumulated rounding budget tracked explicitly and
-    added to both endpoints.
+    A contraction profile needs thousands of consecutive tails, so they come
+    from one bulk pass: the closed form for exponential laws, otherwise one
+    point tail anchored at horizon + 1 and the exact recurrence T(m) = T(m+1)
+    + J(m) (``_suffix_enclosures``).  Entries beyond a truncation are exactly 0.
     """
 
-    def __init__(self, law: CouplingLaw, horizon: int, rel_width: float = DEFAULT_REL_WIDTH):
+    def __init__(self, potential: "PairPotential", horizon: int, rel_width: float = DEFAULT_REL_WIDTH):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.law = law
+        self.potential = potential
         self.horizon = horizon
         self.rel_width = rel_width
-        self._lo = None
-        self._hi = None
-        if law.kind == "power_law" and law.amplitude > 0.0:
-            self._lo, self._hi = _power_suffix_arrays(law.q, horizon, rel_width)
+        law, R = potential.coupling, potential.truncation_range
+        if law.kind == "exponential":
+            self._lo, self._hi = law._exponential_tails(np.arange(1.0, horizon + 2.0), R)
+        else:
+            if law.kind == "power_law":
+                J = law.amplitude * np.arange(1.0, horizon + 1.0) ** -law.q
+            else:
+                J = np.zeros(horizon)
+                J[: min(horizon, len(law.values))] = law.values[:horizon]
+            if R is not None:
+                J[R:] = 0.0
+            anchor = potential.coupling_tail(horizon + 1, rel_width)
+            ulps = _POWER_TERM_ULPS if law.kind == "power_law" else 0
+            self._lo, self._hi = _suffix_enclosures(J, anchor, ulps)
+        # tables are shared between callers; the views handed out stay read-only
+        self._lo.flags.writeable = self._hi.flags.writeable = False
 
     def at(self, m: int) -> Interval:
         if not 1 <= m <= self.horizon + 1:
             raise ValueError(f"m = {m} outside table horizon {self.horizon}")
-        if self._lo is None:
-            return self.law.tail(m, self.rel_width)
-        base = Interval(float(self._lo[m - 1]), float(self._hi[m - 1]))
-        return Interval.point(self.law.amplitude) * base
+        return Interval(float(self._lo[m - 1]), float(self._hi[m - 1]))
 
     def midpoints(self, m_max: int) -> np.ndarray:
         """Float midpoints of the tails at m = 1 .. m_max, for diagnostics."""
-        if m_max > self.horizon + 1:
-            raise ValueError("m_max beyond table horizon")
-        if self._lo is None:
-            return np.array([self.at(m).mid for m in range(1, m_max + 1)])
-        return self.law.amplitude * 0.5 * (self._lo[:m_max] + self._hi[:m_max])
+        lo, hi = self.enclosures(m_max)
+        return 0.5 * (lo + hi)
 
     def enclosures(self, m_max: int):
         """Endpoint arrays (lo, hi) of the tails at m = 1 .. m_max."""
         if m_max > self.horizon + 1:
             raise ValueError("m_max beyond table horizon")
-        if self._lo is None:
-            pairs = [self.at(m) for m in range(1, m_max + 1)]
-            return (
-                np.array([iv.lo for iv in pairs]),
-                np.array([iv.hi for iv in pairs]),
-            )
-        A = self.law.amplitude
-        lo = np.nextafter(A * self._lo[:m_max], -np.inf)
-        hi = np.nextafter(A * self._hi[:m_max], np.inf)
-        return np.maximum(lo, 0.0), hi
-
-
-@lru_cache(maxsize=16)
-def _power_suffix_arrays(q: float, horizon: int, rel_width: float):
-    """Suffix sums of j**(-q) for m = 1 .. horizon+1 as (lo, hi) arrays.
-
-    The anchor cutoff M is chosen so the integral bracket at M is below
-    ``rel_width`` relative to the smallest tail in the table, capped for
-    memory; the cap only widens enclosures, never breaks them.
-    """
-    deepest = float(horizon + 1) ** (1.0 - q) / (q - 1.0)
-    M = int(min(max(4.0 * horizon, (rel_width * deepest) ** (-1.0 / q)), _TABLE_ANCHOR_CAP))
-    integral = (M + 1.0) ** (1.0 - q) / (q - 1.0)
-    anchor_lo = math.nextafter(integral, 0.0)
-    anchor_hi = math.nextafter((M + 1.0) ** (-q) + integral, math.inf)
-
-    keep = horizon + 1
-    suffix = np.empty(keep, dtype=np.float64)
-    acc = np.longdouble(0.0)        # sum over already-processed far terms
-    err_int = np.longdouble(0.0)    # sum of |partial sums| seen by the accumulation
-    hi_edge = M
-    while hi_edge > keep:
-        lo_edge = max(keep + 1, hi_edge - _TABLE_CHUNK + 1)
-        js = np.arange(hi_edge, lo_edge - 1, -1, dtype=np.float64)
-        partial = np.cumsum(js ** (-q), dtype=np.longdouble) + acc
-        err_int += partial.sum()
-        acc = partial[-1]
-        hi_edge = lo_edge - 1
-    js = np.arange(keep, 0, -1, dtype=np.float64)
-    partial = np.cumsum(js ** (-q), dtype=np.longdouble) + acc
-    err_int += partial.sum()
-    suffix[:] = partial[::-1].astype(np.float64)
-
-    # sequential-summation error: eps per add, each bounded by the running sum
-    err = float(_LD_EPS * err_int) * 4.0 + float(np.finfo(np.float64).eps) * float(partial[-1])
-    lo = np.nextafter(suffix + (anchor_lo - err), -np.inf)
-    hi = np.nextafter(suffix + (anchor_hi + err), np.inf)
-    return lo, hi
+        return self._lo[:m_max], self._hi[:m_max]
 
 
 @dataclass(frozen=True)
@@ -264,7 +315,8 @@ class PairPotential:
     """A coupling law at inverse temperature beta, optionally truncated.
 
     ``truncation_range = R`` zeroes every coupling at distance > R, giving a
-    finite-range interaction whose kernels are exactly computable.
+    finite-range interaction whose kernels are exactly computable.  At
+    beta = 0 every interaction vanishes, so the range is 0 whatever the law.
     """
 
     coupling: CouplingLaw
@@ -284,6 +336,8 @@ class PairPotential:
 
     @property
     def finite_range(self) -> Optional[int]:
+        if self.beta == 0.0:
+            return 0
         base = self.coupling.finite_range
         if self.truncation_range is None:
             return base
@@ -296,12 +350,7 @@ class PairPotential:
 
     def coupling_tail(self, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:
         """Enclosure of sum_{j >= n} of the effective (possibly truncated) J."""
-        R = self.truncation_range
-        if R is None:
-            return self.coupling.tail(n, rel_width)
-        if n > R:
-            return ZERO
-        return float_sum_enclosure([self.coupling.strength(j) for j in range(n, R + 1)])
+        return self.coupling.tail(n, rel_width, self.truncation_range)
 
     def beyond_range_tail(self, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:
         """Mass of the raw law beyond the truncation range (zero when untruncated)."""
@@ -312,37 +361,16 @@ class PairPotential:
 
     def tail_enclosure_table(self, horizon: int, rel_width: float = DEFAULT_REL_WIDTH):
         """Bulk effective-tail enclosures; see TailEnclosureTable."""
-        if self.truncation_range is None:
-            return TailEnclosureTable(self.coupling, horizon, rel_width)
-        return _TruncatedTailTable(self, horizon, rel_width)
+        return TailEnclosureTable(self, horizon, rel_width)
 
-
-class _TruncatedTailTable:
-    """Per-query effective tails for truncated couplings (at most R terms each)."""
-
-    def __init__(self, potential: "PairPotential", horizon: int, rel_width: float):
-        self.potential = potential
-        self.horizon = horizon
-        self.rel_width = rel_width
-
-    def at(self, m: int) -> Interval:
-        if not 1 <= m <= self.horizon + 1:
-            raise ValueError(f"m = {m} outside table horizon {self.horizon}")
-        return self.potential.coupling_tail(m, self.rel_width)
-
-    def midpoints(self, m_max: int) -> np.ndarray:
-        if m_max > self.horizon + 1:
-            raise ValueError("m_max beyond table horizon")
-        return np.array([self.at(m).mid for m in range(1, m_max + 1)])
-
-    def enclosures(self, m_max: int):
-        if m_max > self.horizon + 1:
-            raise ValueError("m_max beyond table horizon")
-        pairs = [self.at(m) for m in range(1, m_max + 1)]
-        return (
-            np.array([iv.lo for iv in pairs]),
-            np.array([iv.hi for iv in pairs]),
-        )
+    def weighted_total(self, rel_width: float = DEFAULT_REL_WIDTH):
+        """Enclosure of sum_j j * J(j) for the effective J, or None when it diverges."""
+        if self.finite_range == 0:
+            return ZERO
+        R = self.truncation_range
+        if R is None:
+            return self.coupling.weighted_total(rel_width)
+        return float_sum_enclosure([j * self.strength(j) for j in range(1, R + 1)])
 
 
 def tail_variation(p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:
@@ -376,35 +404,23 @@ def ruelle_sum(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> Series
     j, so the total is beta * sum_j j * J(j).  Divergence (power law with
     q <= 2) is certified by harmonic comparison, never from partial sums.
     """
-    total = _effective_weighted_total(p, rel_width)
-    if total is None:
-        return SeriesValue(
-            None,
-            True,
-            f"j * J(j) ~ j**(1 - {p.coupling.q}) with exponent >= -1 majorizes a harmonic series",
-        )
-    return SeriesValue(Interval.point(p.beta) * total, False, "finite weighted coupling sum")
+    return _weighted_series(p, p.beta, rel_width)
 
 
 def coelho_quas_sum(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> SeriesValue:
     """One-sided variant: only sets whose leftmost site is 0, half of ruelle_sum."""
-    total = _effective_weighted_total(p, rel_width)
+    return _weighted_series(p, 0.5 * p.beta, rel_width)
+
+
+def _weighted_series(p: PairPotential, factor: float, rel_width: float) -> SeriesValue:
+    total = p.weighted_total(rel_width)
     if total is None:
         return SeriesValue(
             None,
             True,
             f"j * J(j) ~ j**(1 - {p.coupling.q}) with exponent >= -1 majorizes a harmonic series",
         )
-    return SeriesValue(Interval.point(0.5 * p.beta) * total, False, "finite weighted coupling sum")
-
-
-def _effective_weighted_total(p: PairPotential, rel_width: float):
-    R = p.truncation_range
-    if R is None:
-        return p.coupling.weighted_total(rel_width)
-    return float_sum_enclosure(
-        [j * p.coupling.strength(j) for j in range(1, R + 1)]
-    )
+    return SeriesValue(Interval.point(factor) * total, False, "finite weighted coupling sum")
 
 
 @dataclass(frozen=True)
@@ -478,17 +494,6 @@ def strength_fraction(p: PairPotential) -> Fraction:
     enclosure pad would turn an exact boundary case into a straddle.
     """
     return Fraction(p.beta) * Fraction(p.coupling.amplitude)
-
-
-def fraction_interval(x: Fraction) -> Interval:
-    """Tightest Interval around an exact rational (a point when representable)."""
-    f = float(x)
-    g = Fraction(f)
-    if g == x:
-        return Interval.point(f)
-    if g < x:
-        return Interval(f, math.nextafter(f, math.inf))
-    return Interval(math.nextafter(f, -math.inf), f)
 
 
 def strength_interval(p: PairPotential) -> Interval:

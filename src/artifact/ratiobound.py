@@ -14,18 +14,21 @@ growth exponents of the related partial-sum diagnostics.
 Certification policy: divergence of R_n is declared only structurally (all
 v_j equal to 1 beyond a finite index), never from the size of a partial sum.
 Finite enclosures carry a geometric tail majorant whenever one exists; when
-it does not, the result is a lower enclosure flagged unbounded above.
+the window tail underflows it cannot be formed, and the enclosure is a lower
+bound with upper endpoint +inf.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .intervals import Interval, ONE, ZERO
+from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, UP, UP_EXP, Interval, ONE, ZERO
 from .fseq import FSequence
 from .potential import DEFAULT_REL_WIDTH
 
@@ -151,22 +154,17 @@ def rb_limit_lower_bound(v: Sequence[float], N: int) -> float:
 
 @dataclass(frozen=True)
 class RnSeries:
-    """Outcome of summing R_n: an enclosure, or a certified divergence.
-
-    ``unbounded_above`` marks the inconclusive case: summation stopped
-    without a geometric majorant, so only the lower endpoint is meaningful
-    and the upper endpoint is +inf.
-    """
+    """Outcome of summing R_n: an enclosure (upper endpoint +inf only when the
+    window tail underflows), or a certified divergence."""
 
     window: int
     enclosure: Optional[Interval]
     divergent: bool
     certificate: str
     terms_used: int = 0
-    unbounded_above: bool = False
 
     def is_finite(self) -> bool:
-        return not self.divergent and not self.unbounded_above
+        return not self.divergent and math.isfinite(self.enclosure.hi)
 
 
 def rn_series(
@@ -179,9 +177,12 @@ def rn_series(
 
     Divergence requires v_j = 1 exactly for all j beyond a finite index,
     which happens precisely when the interaction has finite range R and the
-    agreement window covers it (n >= R).  Otherwise every v_j is capped by
-    exp(-beta * T(n+1)) < 1 and the remainder after k terms is bounded by a
-    geometric series in that cap.
+    agreement window covers it (n >= R).  Otherwise v_j = c * a_j with
+    c = exp(-beta * T(n+1)) < 1 and a_j = exp(-beta * T(j+1)), so the
+    remainder after k terms is at most u_k * c / (1 - c), with 1 - c taken
+    as -expm1(-beta * T(n+1)).  When W = sum_j j J(j) is finite, every
+    product a_0 ... a_k exceeds P_inf = exp(-beta * W), so the remainder is
+    at least P_inf * c^(k+2) / (1 - c), and the bounds meet whatever c is.
     """
     if n < 0:
         raise ValueError("window must be >= 0")
@@ -203,82 +204,84 @@ def rn_series(
             terms_used=settles,
         )
 
-    win_log = F.log_ratio_left(n)
-    cap_iv = Interval.point(-win_log.lo).exp()
-    vcap = cap_iv.hi
-    if not vcap < 1.0:
-        # no usable contraction; sum a fixed number of terms, lower bound only
-        S = ZERO
-        u = ONE
-        for k in range(max_terms):
-            u = u * vp.v(k)
-            S = S + u
-        return RnSeries(
-            window=n,
-            enclosure=Interval(S.lo, math.inf),
-            divergent=False,
-            certificate="no geometric majorant available; truncated lower enclosure",
-            terms_used=max_terms,
-            unbounded_above=True,
-        )
-
     win_tail = p.coupling_tail(n + 1, rel_width)
-    geom_factor = (cap_iv / (1.0 - cap_iv)).hi
-    horizon = 8192
+    win_log = Interval.point(p.beta) * win_tail
+    c = (-win_log).exp()
+    one_minus_c = -(-win_log).expm1()
+    W = p.weighted_total(rel_width)
+    p_inf = 0.0 if W is None else (-(Interval.point(p.beta) * W)).exp().lo
+    if not one_minus_c.lo > 0.0:
+        # beta * T(n+1) underflows: only R_n >= P_inf * c / (1 - c) is known
+        floor = min(p_inf * c.lo / one_minus_c.hi * DOWN, sys.float_info.max)
+        return RnSeries(n, Interval(floor, math.inf), False, "window tail underflows; lower enclosure only")
+
+    geom_factor = (c / one_minus_c).hi
+    floor_factor = (Interval.point(p_inf) / one_minus_c).lo
+    carry = (1.0, 1.0, 0.0, 0.0, 1.0)
+    start, block = 0, _FIRST_BLOCK
     while True:
-        horizon = min(horizon, max_terms)
-        table = p.tail_enclosure_table(horizon, rel_width)
-        t_lo, t_hi = table.enclosures(horizon)
-        lo, hi, tails = _series_partials(p.beta, t_lo, t_hi, win_tail, geom_factor)
-        hit = np.nonzero(tails <= rel_width * lo)[0]
-        if hit.size or horizon >= max_terms:
-            k = int(hit[0]) if hit.size else horizon - 1
+        stop = min(start + block, max_terms)
+        t_lo, t_hi = _tail_table(p, 1 << (stop - 1).bit_length(), rel_width).enclosures(stop)
+        lo, hi, gap, carry = _series_block(
+            p.beta, t_lo[start:], t_hi[start:], start, carry, win_tail, c.lo, geom_factor, floor_factor
+        )
+        hit = np.nonzero(gap <= rel_width * lo)[0]
+        if hit.size or stop >= max_terms:
             break
-        horizon *= 4
-    out = Interval(lo[k], math.nextafter(hi[k] + tails[k], math.inf))
-    truncated = not hit.size
-    return RnSeries(
-        window=n,
-        enclosure=out,
-        divergent=False,
-        certificate=(
-            f"geometric tail majorant with ratio <= {vcap:.12g} after {k + 1} terms"
-            + ("; stopped at the term cap" if truncated else "")
-        ),
-        terms_used=k + 1,
-        unbounded_above=False,
-    )
+        start, block = stop, min(2 * block, _MAX_BLOCK)
+    i = int(hit[0]) if hit.size else stop - start - 1
+    certificate = f"geometric tail majorant with ratio <= {min(c.hi, 1.0):.12g} after {start + i + 1} terms"
+    if not hit.size:
+        certificate += "; stopped at the term cap"
+    return RnSeries(n, Interval(lo[i], hi[i]), False, certificate, terms_used=start + i + 1)
 
 
-_EPS = float(np.finfo(np.float64).eps)
+# Terms summed per block: the first block, doubling up to the last size.
+_FIRST_BLOCK = 1024
+_MAX_BLOCK = 8192
 
 
-def _series_partials(
-    beta: float,
-    tail_lo: np.ndarray,
-    tail_hi: np.ndarray,
-    win_tail: Interval,
-    geom_factor: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint arrays for the partial sums of R_n, plus tail majorants.
+@lru_cache(maxsize=16)
+def _tail_table(p, horizon: int, rel_width: float):
+    """Tail tables shared by the rows of one potential, at power-of-2 horizons."""
+    return p.tail_enclosure_table(horizon, rel_width)
 
-    Works in plain float64 with outward compensation: a cumulative product
-    or sum of length k accrues at most k roundings, each a relative eps, so
-    scaling by (1 -+ 1.01 * k * eps) restores a rigorous enclosure as long
-    as k * eps stays far below 1 (always, for the term caps used here).
+
+def _series_block(beta, tail_lo, tail_hi, start, carry, win_tail, c_lo, geom_factor, floor_factor):
+    """Enclosures of R_n from its first k + 1 terms, for k = start .. start + len(tail_lo) - 1.
+
+    tail_lo[i] and tail_hi[i] bracket T(k + 1).  Each entry is a partial sum
+    plus a remainder bracket: at least floor_factor * c_lo^(k+2) and at most
+    u_k * geom_factor.  Also returns each bracket's width, which more terms
+    would shrink, and the raw running products and sums the next block
+    continues from.  Plain float64 with outward factors (``intervals.UP`` and
+    kin): a running product or sum over k + 1 entries, continued across
+    blocks, accrues at most k roundings, so scaling by (1 -+ 1.01 * k * eps)
+    restores a rigorous enclosure while k * eps stays far below 1 (always,
+    for the term caps used here), and FLOOR covers underflowing entries.
     """
-    v_lo = np.exp(-np.nextafter(beta * np.nextafter(tail_hi + win_tail.hi, np.inf), np.inf))
-    v_lo = np.nextafter(np.nextafter(v_lo, -np.inf), -np.inf)
-    arg = np.maximum(np.nextafter(beta * np.nextafter(tail_lo + win_tail.lo, -np.inf), -np.inf), 0.0)
-    v_hi = np.minimum(np.nextafter(np.nextafter(np.exp(-arg), np.inf), np.inf), 1.0)
-    k = np.arange(tail_lo.size, dtype=np.float64)
-    drift = 1.01 * _EPS * k
-    u_lo = np.maximum(np.cumprod(v_lo) * (1.0 - drift), 0.0)
-    u_hi = np.cumprod(v_hi) * (1.0 + drift)
-    s_lo = np.maximum(np.cumsum(u_lo) * (1.0 - drift), 0.0)
-    s_hi = np.nextafter(np.cumsum(u_hi) * (1.0 + drift), np.inf)
-    tails = np.nextafter(u_hi * geom_factor, np.inf)
-    return s_lo, s_hi, tails
+    p_lo0, p_hi0, s_lo0, s_hi0, c0 = carry
+    v_lo = np.exp((tail_hi + win_tail.hi) * (-beta * UP)) * DOWN_EXP
+    v_hi = np.minimum(np.exp((tail_lo + win_tail.lo) * (-beta * DOWN)) * UP_EXP, 1.0)
+    drift = np.arange(start, start + tail_lo.size, dtype=np.float64) * (1.01 * EPS)
+    down, up = 1.0 - drift, 1.0 + drift
+    p_lo = np.cumprod(v_lo) * p_lo0
+    p_hi = np.cumprod(v_hi) * p_hi0
+    u_hi = p_hi * up
+    s_lo = np.cumsum(p_lo * down) + s_lo0
+    s_hi = np.cumsum(u_hi) + s_hi0
+    rem_hi = (u_hi + FLOOR) * (geom_factor * UP)
+    lo = s_lo * down
+    gap = rem_hi
+    if floor_factor > 0.0:
+        c_pow = np.cumprod(np.full(drift.size, c_lo)) * c0  # c^(k+1), raw
+        rem_lo = c_pow * (c_lo * DOWN * floor_factor * DOWN) * down
+        lo += rem_lo
+        gap = rem_hi - rem_lo
+        c0 = c_pow[-1]
+    lo = np.maximum(lo * DOWN - FLOOR, 0.0)
+    hi = (s_hi * up + rem_hi) * UP + FLOOR
+    return lo, hi, gap, (p_lo[-1], p_hi[-1], s_lo[-1], s_hi[-1], c0)
 
 
 @dataclass(frozen=True)
