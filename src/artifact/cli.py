@@ -63,11 +63,11 @@ import yaml
 
 from . import __version__
 from .criteria import (
-    INCONCLUSIVE,
     UNIQUE_GIBBS_BERNOULLI,
     UNIQUE_TINV_GIBBS,
     CriteriaReport,
     Verdict,
+    _guarded,
     check_jop_blocksum,
     check_product_blocksum,
     check_scaled_limsup,
@@ -412,13 +412,6 @@ def _verdict_doc(v: Verdict) -> dict:
     }
 
 
-def _override(name: str, strength: str, thunk) -> Verdict:
-    try:
-        return thunk()
-    except ValueError as exc:
-        return Verdict(name, INCONCLUSIVE, None, f"not evaluated: {exc}", strength)
-
-
 def _run_criteria(cfg: RunConfig, p: PairPotential) -> dict:
     report = evaluate_all(p, cfg.rel_width)
     verdicts = {v.criterion: v for v in report.verdicts}
@@ -427,12 +420,12 @@ def _run_criteria(cfg: RunConfig, p: PairPotential) -> dict:
         F = FSequence.from_potential(p, cfg.rel_width)
         if cfg.alpha is not None:
             knobs["alpha"] = cfg.alpha
-            verdicts["product_blocksum"] = _override(
+            verdicts["product_blocksum"] = _guarded(
                 "product_blocksum",
                 UNIQUE_GIBBS_BERNOULLI,
                 lambda: check_product_blocksum(F, cfg.alpha),
             )
-            verdicts["scaled_limsup"] = _override(
+            verdicts["scaled_limsup"] = _guarded(
                 "scaled_limsup",
                 UNIQUE_TINV_GIBBS,
                 lambda: check_scaled_limsup(F, cfg.alpha, cfg.budget, cfg.rel_width),
@@ -444,7 +437,7 @@ def _run_criteria(cfg: RunConfig, p: PairPotential) -> dict:
             rank = {"Holds": 2, "Inconclusive": 1, "Fails": 0}
             best = None
             for a in cfg.alpha_grid:
-                cand = _override(
+                cand = _guarded(
                     "product_blocksum",
                     UNIQUE_GIBBS_BERNOULLI,
                     lambda a=a: check_product_blocksum(F, a),
@@ -455,7 +448,7 @@ def _run_criteria(cfg: RunConfig, p: PairPotential) -> dict:
         if cfg.block_lambda != 2.0:
             knobs["block_lambda"] = cfg.block_lambda
             logr = LogRProfile.from_fsequence(F, cfg.rel_width)
-            verdicts["jop_blocksum"] = _override(
+            verdicts["jop_blocksum"] = _guarded(
                 "jop_blocksum",
                 UNIQUE_TINV_GIBBS,
                 lambda: check_jop_blocksum(logr, cfg.block_lambda),

@@ -1,7 +1,7 @@
 """Exact kernels for finite-range interactions and exhaustive cross-checks.
 
 This module is the exact side of the package: window kernels by explicit
-normalization, their conditional laws by sliding-block contraction, the
+normalization, their conditional laws by scaled sliding-block passes, the
 stationary Markov conditional from Perron eigendata, and brute-force
 oscillation measurements.  Certified bounds from the analytic modules are
 validated against these values on desk-scale instances.
@@ -18,6 +18,19 @@ window; those are fixed by the boundary and cancel from every normalized
 kernel, so enumeration over factors and contraction over all interacting
 pairs yield identical conditionals.
 
+Contraction walks the 2^R sliding-block states (the last R letters) site by
+site, as the forward-backward recursion of a hidden Markov chain (Rabiner
+1989).  The forward vector alpha_t holds the weight of every word up to
+site t-1 ending in each state, the backward vector beta_t the weight of
+every continuation from site t to the future boundary; the window weight
+is alpha_t . beta_t at any t, and a letter's conditional at site t is a
+ratio of two such products at one step.  Both passes rescale their vectors
+by powers of two and keep the integer log2 scales apart: scaling adds no
+rounding error, and the weights themselves, which grow exponentially in
+the window length, never have to fit in a double.  One backward pass can
+carry many futures as columns.  A non-finite or vanishing intermediate
+raises ArithmeticError instead of returning NaN.
+
 Window-size guards are hard errors, never silent fallbacks: an exact
 routine that quietly approximates would poison every validation built on
 top of it.
@@ -32,7 +45,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .fseq import FSequence, Word
 from .potential import PairPotential, SPINS
@@ -173,43 +185,152 @@ def _encode_state(letters) -> int:
     return int(idx)
 
 
+def _rescale(x: np.ndarray, scale):
+    """Scale each column of x by the power of two that brings its maximum
+    into [1/2, 1), adding the exponents to ``scale``.
+
+    Powers of two scale exactly, so rescaling adds no rounding error and the
+    integer log2 scales add up without error.
+    """
+    e = np.frexp(x.max(axis=0))[1]
+    return np.ldexp(x, -e), scale + e
+
+
+def _require_finite(x: np.ndarray) -> None:
+    # NaN and inf spread through every later step and a zero column stays
+    # zero, so the last vector of a pass shows any earlier failure.
+    if not (np.all(np.isfinite(x)) and np.all(x.max(axis=0) > 0.0)):
+        raise ArithmeticError("sliding-block pass left the double range")
+
+
+class _Walk:
+    """The sliding-block walk of one finite-range potential, for scaled passes.
+
+    A state holds the R letters before the current site, bit d-1 for site
+    t-d.  Viewing state u as (h, l) = (top bit, low R-1 bits), a step with
+    letter bit b (letter 2b-1) moves u to 2l + b with weight w[b, h, l].
+    Range 0 walks as range 1 with a zero coupling, whose weights are all 1;
+    its empty pasts and futures encode as state 0 and weight 1.
+    """
+
+    def __init__(self, p: PairPotential) -> None:
+        J = tuple(p.strength(d) for d in range(1, required_range(p) + 1)) or (0.0,)
+        self.nxt, self.wts = _sliding_tables((p.beta, J))
+        self.size = 1 << len(J)
+        self.half = self.size >> 1
+        w = np.stack([self.wts[-1], self.wts[1]]).reshape(2, 2, self.half)
+        self.step = {None: w, -1: w * [[[1.0]], [[0.0]]], 1: w * [[[0.0]], [[1.0]]]}
+        # A free step moves the largest entry by a factor in [min w, 2 max w],
+        # so rescaling every `every` steps keeps it within 2^-256 .. 2^256.
+        lo, hi = float(w.min()), float(w.max())
+        growth = max(math.log2(2.0 * hi), -math.log2(lo)) if lo > 0.0 else math.inf
+        self.every = max(1, int(256 / growth))
+
+    def clamped(self, letters):
+        """End state and scaled weight (w, log2 scale) of walking ``letters``
+        from every start state."""
+        u = np.arange(self.size)
+        w, scale = np.ones(self.size), 0
+        for c in letters:
+            w, scale = _rescale(w * self.wts[c][u], scale)
+            u = self.nxt[c][u]
+        return u, w, scale
+
+    def _terms(self, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """w[b', h, l] * b[2l + b', k]: the weight of leaving state (h, l) by
+        letter bit b' and going on as column k of b, shape (2, 2, half, K)."""
+        K = b.shape[1]
+        return w[..., None] * b.reshape(self.half, 2, K).transpose(1, 0, 2)[:, None]
+
+    def forward(self, start: int, n: int):
+        """Scaled forward vectors alpha_t, t = 0 .. n+1, of the free walk on
+        [0, n] from state ``start``: rows of (vectors, log2 scales)."""
+        rows = np.zeros((n + 2, self.size))
+        scales = np.zeros(n + 2, dtype=np.int64)
+        a, scale = rows[0], 0
+        a[start] = 1.0
+        w = self.step[None]
+        for t in range(1, n + 2):
+            a = (w * a.reshape(2, self.half)).sum(axis=1).T.reshape(-1)
+            if t % self.every == 0:
+                a, scale = _rescale(a, scale)
+            rows[t], scales[t] = a, scale
+        _require_finite(a)
+        return rows, scales
+
+    def backward(self, futures, n: int, clamp=None, stop: int = 0, keep: bool = False):
+        """Scaled backward vectors beta_t of the walk on [0, n], one column per future.
+
+        beta_t[u, k] is the weight of steps t .. n+R from state u with the
+        future letters of column k on [n+1, n+R] and the letters of
+        ``clamp`` pinned.  Returns (vectors, log2 scales) at step ``stop``,
+        or with ``keep`` at every step from ``stop`` to n+1, stacked.
+        """
+        clamp = clamp or {}
+        K = len(futures)
+        b = np.empty((self.size, K))
+        scale = np.zeros(K, dtype=np.int64)
+        for k, fut in enumerate(futures):
+            _, b[:, k], scale[k] = self.clamped(fut)
+        if keep:
+            rows = np.empty((n + 2 - stop, self.size, K))
+            scales = np.empty((n + 2 - stop, K), dtype=np.int64)
+            rows[-1], scales[-1] = b, scale
+        for t in range(n, stop - 1, -1):
+            b = self._terms(b, self.step[clamp.get(t)]).sum(axis=0).reshape(self.size, K)
+            # a pinned letter can drop the largest entry by more than one free step
+            if t % self.every == 0 or t in clamp:
+                b, scale = _rescale(b, scale)
+            if keep:
+                rows[t - stop], scales[t - stop] = b, scale
+        _require_finite(b)
+        return (rows, scales) if keep else (b, scale)
+
+    def site_zero_laws(self, futures, n: int) -> np.ndarray:
+        """P(letter at site 0 | past state u, future k) under the [0, n] kernel,
+        shape (2, size, K) with letters in order (-1, +1).
+
+        Both letter weights share the scale of beta_1, which cancels.
+        """
+        b = self.backward(futures, n, stop=1)[0]
+        num = self._terms(b, self.step[None]).reshape(2, self.size, -1)
+        return num / num.sum(axis=0)
+
+
+@lru_cache(maxsize=64)
+def _walk(p: PairPotential) -> _Walk:
+    return _Walk(p)
+
+
 def window_weight(
     p: PairPotential, past, fut, n: int, clamp: Optional[dict] = None
 ) -> float:
     """Total Boltzmann weight of window words on [0, n], some sites clamped.
 
-    Accumulated by the sliding-block walk: the past letters fix the initial
-    state, interior sites branch over the alphabet unless ``clamp`` pins
-    them, and the future letters drive the final R steps.  Ratios of these
-    weights are the window conditionals.
+    One scaled backward pass: interior sites branch over the alphabet unless
+    ``clamp`` pins them, the future letters drive the final R steps, and the
+    past letters pick the start state.  The weight itself grows
+    exponentially in n, so it raises ArithmeticError once it leaves the
+    double range; ratios of weights come from the scaled passes instead.
     """
-    R = required_range(p)
-    clamp = clamp or {}
-    if R == 0:
-        free = n + 1 - len(clamp)
-        return float(2.0**free)
-    key = (p.beta, tuple(p.strength(d) for d in range(1, R + 1)))
-    nxt, wts = _sliding_tables(key)
-    vec = np.zeros(1 << R)
-    vec[_encode_state(past)] = 1.0
-    for t in range(0, n + R + 1):
-        if t <= n:
-            choices = (clamp[t],) if t in clamp else SPINS
-        else:
-            choices = (fut[t - n - 1],)
-        new = np.zeros_like(vec)
-        for c in choices:
-            new += np.bincount(nxt[c], weights=vec * wts[c], minlength=len(vec))
-        vec = new
-    return float(vec.sum())
+    walk = _walk(p)
+    b, scale = walk.backward([tuple(fut)], n, clamp)
+    try:
+        out = math.ldexp(float(b[_encode_state(past), 0]), int(scale[0]))
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise ArithmeticError(f"window weight 2^{int(scale[0])} does not fit in a double")
+    return out
 
 
 def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> KernelResult:
     """Conditional probability of letter s at site 0 under the [0, n] kernel.
 
-    Contraction over sliding-block states costs O(n * 2^R) instead of the
-    2^(n+1) of raw enumeration; the two paths agree to 1e-12 on every case
-    small enough to enumerate.
+    One scaled backward pass from the future boundary to site 1 gives the
+    weights of both letters at site 0 with the same scale, which cancels:
+    O(n * 2^R) instead of the 2^(n+1) of raw enumeration, finite at every n,
+    and equal to enumeration to 1e-12 wherever that is small enough to run.
     """
     if n < 0:
         raise ValueError("window end must be >= 0")
@@ -219,9 +340,9 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     env = _site_env(boundary, _boundary_sites(R, n))
     past = tuple(int(env[i]) for i in range(-R, 0))
     fut = tuple(int(env[i]) for i in range(n + 1, n + R + 1))
-    num = window_weight(p, past, fut, n, {0: s})
-    den = window_weight(p, past, fut, n)
-    return KernelResult(value=num / den, dependency_window=(-R, n + R))
+    laws = _walk(p).site_zero_laws([fut], n)
+    value = float(laws[(s + 1) // 2, _encode_state(past), 0])
+    return KernelResult(value=value, dependency_window=(-R, n + R))
 
 
 @dataclass(frozen=True)
@@ -423,6 +544,11 @@ def rho_bruteforce(
     return best
 
 
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic function by the formula scipy.special.expit uses for doubles."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def dobrushin_sum(p: PairPotential) -> float:
     """Total single-site interdependence sum_s sum_{j != 0} sup |delta_j phi|.
 
@@ -446,9 +572,7 @@ def dobrushin_sum(p: PairPotential) -> float:
         J_other = np.delete(J, d - 1)
         base = others @ J_other if R > 1 else np.zeros(1)
         base = np.concatenate([base + J[d - 1], base - J[d - 1]])
-        gap = np.abs(
-            expit(p.beta * (base + J[d - 1])) - expit(p.beta * (base - J[d - 1]))
-        )
+        gap = np.abs(_expit(p.beta * (base + J[d - 1])) - _expit(p.beta * (base - J[d - 1])))
         total += float(np.max(gap))
     return 4.0 * total
 
@@ -461,7 +585,8 @@ def empirical_g_variation(p: PairPotential, m: int, n: int) -> float:
 
 
 def empirical_g_variation_profile(p: PairPotential, m_values, n: int) -> list:
-    """empirical_g_variation for several depths, sharing one kernel sweep."""
+    """empirical_g_variation for several depths, from one backward pass that
+    carries all 2^R futures as columns."""
     R = required_range(p)
     if R > VARIATION_MAX_RANGE:
         raise ValueError(f"enumeration guard: R <= {VARIATION_MAX_RANGE}")
@@ -470,27 +595,14 @@ def empirical_g_variation_profile(p: PairPotential, m_values, n: int) -> list:
     if all(m >= R for m in m_values):
         return [0.0 for _ in m_values]
 
-    pasts = list(itertools.product(SPINS, repeat=R))
-    futs = list(itertools.product(SPINS, repeat=R))
-    cond = {}
-    for fut in futs:
-        for past in pasts:
-            den = window_weight(p, past, fut, n)
-            for s in SPINS:
-                cond[(fut, past, s)] = window_weight(p, past, fut, n, {0: s}) / den
-
+    # laws[letter, past state, future]
+    laws = _walk(p).site_zero_laws(list(itertools.product(SPINS, repeat=R)), n)
     out = []
     for m in m_values:
         if m >= R:
             out.append(0.0)
             continue
-        best = 0.0
-        for fut in futs:
-            for pa, pb in itertools.product(pasts, repeat=2):
-                if m > 0 and pa[R - m :] != pb[R - m :]:
-                    continue
-                for s in SPINS:
-                    ratio = math.log(cond[(fut, pa, s)] / cond[(fut, pb, s)])
-                    best = max(best, ratio)
-        out.append(best)
+        # pasts agreeing on their last m letters share the low m bits of the state
+        grouped = laws.reshape(2, 1 << (R - m), 1 << m, -1)
+        out.append(float(np.log(np.max(grouped.max(axis=1) / grouped.min(axis=1)))))
     return out

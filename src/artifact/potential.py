@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -70,6 +71,8 @@ _EM_STOP = 2.0**-56
 _EM_OFFSET = 12
 # A power-law term A * j**-q rounds in pow (libm guard) and the product.
 _POWER_TERM_ULPS = LIBM_GUARD_ULPS + 1
+# Terms per numpy block of a truncated weighted total.
+_WEIGHTED_CHUNK = 1 << 20
 
 
 def _em_tail(q: float, N: int) -> Interval:
@@ -216,26 +219,43 @@ class CouplingLaw:
             lo[m > last] = hi[m > last] = 0.0
         return lo, hi
 
-    def weighted_total(self, rel_width: float = DEFAULT_REL_WIDTH):
-        """Enclosure of sum_{j >= 1} j * J(j), or None when the series diverges.
+    def weighted_total(self, rel_width: float = DEFAULT_REL_WIDTH, last: Optional[int] = None):
+        """Enclosure of sum_{1 <= j <= last} j * J(j) (``last`` None: to
+        infinity), or None when that series diverges.
 
         Divergence is structural: a power law with q <= 2 majorizes a harmonic
-        series after weighting, so no partial sum is consulted.
+        series after weighting, so no partial sum is consulted.  Totals are
+        cached per (law, last), so callers may ask once per row.
         """
-        if self.kind == "finite_table":
-            return float_sum_enclosure(
-                [j * v for j, v in enumerate(self.values, 1)]
-            )
-        if self.amplitude == 0.0:
-            return ZERO
-        if self.kind == "exponential":
-            # sum j e^{-rj} = e^{-r} / (1 - e^{-r})^2
-            e = Interval.point(-self.rate).exp()
-            d = -Interval.point(-self.rate).expm1()
-            return Interval.point(self.amplitude) * (e / (d * d))
-        if self.q <= 2.0:
-            return None
-        return Interval.point(self.amplitude) * _power_sum(self.q - 1.0, 1)
+        return _weighted_total(self, last)
+
+
+@lru_cache(maxsize=32)
+def _weighted_total(law: CouplingLaw, last: Optional[int]) -> Optional[Interval]:
+    if law.kind == "finite_table":
+        # exact rational sum of the products j * J(j), rounded once
+        return fraction_interval(sum(j * Fraction(v) for j, v in enumerate(law.values[:last], 1)))
+    if law.amplitude == 0.0:
+        return ZERO
+    amp = Interval.point(law.amplitude)
+    if law.kind == "exponential":
+        # sum_{j <= R} j x^j = x (1 - x^R (1 + R (1 - x))) / (1 - x)^2 at x = e^{-r};
+        # the bracket is 1 for R = infinity
+        e = Interval.point(-law.rate).exp()
+        d = -Interval.point(-law.rate).expm1()
+        total = e / (d * d)
+        if last is not None:
+            x_last = (Interval.point(-law.rate) * float(last)).exp()
+            total = total * (ONE - x_last * (ONE + d * float(last)))
+        return amp * total
+    if last is None:
+        return None if law.q <= 2.0 else amp * _power_sum(law.q - 1.0, 1)
+    # j * j**-q is summed as j**(1 - q), one pow per term; 1 - q is exact for q > 1
+    total = ZERO
+    for start in range(1, last + 1, _WEIGHTED_CHUNK):
+        j = np.arange(start, min(start + _WEIGHTED_CHUNK, last + 1), dtype=np.float64)
+        total = total + float_sum_enclosure(j ** (1.0 - law.q), LIBM_GUARD_ULPS)
+    return amp * total
 
 
 _LD_EPS = float(np.finfo(np.longdouble).eps)  # accumulator precision
@@ -367,10 +387,7 @@ class PairPotential:
         """Enclosure of sum_j j * J(j) for the effective J, or None when it diverges."""
         if self.finite_range == 0:
             return ZERO
-        R = self.truncation_range
-        if R is None:
-            return self.coupling.weighted_total(rel_width)
-        return float_sum_enclosure([j * self.strength(j) for j in range(1, R + 1)])
+        return self.coupling.weighted_total(rel_width, self.truncation_range)
 
 
 def tail_variation(p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:

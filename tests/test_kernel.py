@@ -357,3 +357,92 @@ def test_empirical_variation_decreases_with_agreement():
     p = table((1.0, 0.6, 0.3, 0.1), 0.9)
     vals = [empirical_g_variation(p, m, 10) for m in range(0, 4)]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+# -- the scaled sliding-block passes -----------------------------------------------
+
+
+def plain_weight(p, past, fut, n, clamp=None):
+    """Unscaled sliding-block sum over the words on [0, n]: ``past`` fixes
+    sites -R..-1, ``fut`` sites n+1..n+R, ``clamp`` pins interior sites."""
+    clamp = clamp or {}
+    R = p.finite_range
+    J = [p.strength(d) for d in range(1, R + 1)]
+    mass = {tuple(past): 1.0}
+    for t in range(n + R + 1):
+        if t > n:
+            letters = (fut[t - n - 1],)
+        else:
+            letters = (clamp[t],) if t in clamp else (-1, 1)
+        new = {}
+        for hist, m in mass.items():
+            field = sum(J[d - 1] * hist[-d] for d in range(1, R + 1))
+            for c in letters:
+                key = (hist + (c,))[1:]
+                new[key] = new.get(key, 0.0) + m * math.exp(0.5 * p.beta * c * field)
+        mass = new
+    return sum(mass.values())
+
+
+def test_long_windows_converge_to_the_exact_conditional():
+    # the unscaled walk overflowed from 872 sites on and returned NaN
+    p = nn(1.0)
+    g = g_exact_markov(p)
+    for n in (1024, 2048, 4096):
+        boundary = Word(-1, (-1,) + (1,) * (n + 2))
+        for s in (-1, 1):
+            got = pi_window_at_zero(p, boundary, n, s)
+            assert math.isfinite(got.value)
+            assert abs(got.value - g.prob((-1,), s)) <= 1e-12
+
+
+def test_scaled_passes_match_the_plain_walk():
+    # weights stay inside the double range up to n = 512, so the plain walk is exact enough
+    rng = np.random.default_rng(16)
+    for trial in range(8):
+        R = int(rng.integers(1, 5))
+        p = table(tuple(rng.uniform(0.0, 0.5, size=R)), float(rng.uniform(0.1, 0.6)))
+        n = (0, 1, 5, 33, 128, 256, 400, 512)[trial]
+        past = tuple(int(x) for x in rng.choice((-1, 1), size=R))
+        fut = tuple(int(x) for x in rng.choice((-1, 1), size=R))
+        boundary = Word(-R, past + (1,) * (n + 1) + fut)
+        den = plain_weight(p, past, fut, n)
+        assert window_weight(p, past, fut, n) == pytest.approx(den, rel=1e-12)
+        for s in (-1, 1):
+            want = plain_weight(p, past, fut, n, {0: s}) / den
+            assert abs(pi_window_at_zero(p, boundary, n, s).value - want) <= 1e-12
+        site = int(rng.integers(0, n + 1))
+        clamp = {site: 1, n // 2: -1} if n // 2 != site else {site: 1}
+        want = plain_weight(p, past, fut, n, clamp)
+        assert window_weight(p, past, fut, n, clamp) == pytest.approx(want, rel=1e-12)
+
+
+def test_scaled_passes_match_enumeration_up_to_the_guard():
+    rng = np.random.default_rng(17)
+    for R in (1, 2, 3):
+        p = table(tuple(rng.uniform(0.1, 1.0, size=R)), 0.9)
+        for n in (2, 9, 12):
+            boundary = random_word(rng, -R, n + R)
+            for s in (-1, 1):
+                enum = pi_window_enumeration(p, boundary, n, s)
+                assert abs(pi_window_at_zero(p, boundary, n, s).value - enum) <= 1e-12
+
+
+def test_window_weight_raises_outside_the_double_range():
+    p = nn(1.0)
+    # the weight grows like (2 cosh(1/2))^n and passes 2^1024 near n = 872
+    assert math.isfinite(window_weight(p, (1,), (1,), 800))
+    with pytest.raises(ArithmeticError):
+        window_weight(p, (1,), (1,), 1000)
+    with pytest.raises(ArithmeticError):
+        window_weight(zero(), (), (), 1024)  # 2^1025 words of weight one
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_weights_raise():
+    # beta * J so large that the step weights themselves overflow
+    p = nn(2000.0)
+    with pytest.raises(ArithmeticError):
+        pi_window_at_zero(p, all_plus(-1, 5), 4, 1)
+    with pytest.raises(ArithmeticError):
+        empirical_g_variation(p, 0, 4)

@@ -181,6 +181,40 @@ def test_exponential_weighted_total(rate):
         assert contains(total, e / (1 - e) ** 2)
 
 
+@given(laws, st.integers(min_value=1, max_value=300))
+@settings(max_examples=150, deadline=None)
+def test_truncated_weighted_total_contains_exact_sum(law, R):
+    p = PairPotential(beta=1.0, coupling=law, truncation_range=R)
+    total = p.weighted_total()
+    if p.finite_range == 0:
+        assert total == Interval.point(0.0)
+        return
+    with mpmath.workdps(DPS):
+        A = mpmath.mpf(law.amplitude)
+        if law.kind == "power_law":
+            exact = A * mpmath.fsum(mpmath.mpf(j) ** (1 - mpmath.mpf(law.q)) for j in range(1, R + 1))
+        elif law.kind == "exponential":
+            r = mpmath.mpf(law.rate)
+            exact = A * mpmath.fsum(j * mpmath.exp(-r * j) for j in range(1, R + 1))
+        else:
+            exact = mpmath.fsum(j * mpmath.mpf(v) for j, v in enumerate(law.values[:R], 1))
+        assert contains(total, exact)
+
+
+def test_long_truncated_weighted_total_is_fast_and_cached():
+    p = PairPotential(beta=0.3, coupling=CouplingLaw.power_law(2.0), truncation_range=10**7)
+    start = time.perf_counter()
+    total = p.weighted_total()
+    assert time.perf_counter() - start < 1.0
+    # sum_{j <= R} 1/j = log R + gamma + 1/(2R) - ...
+    with mpmath.workdps(DPS):
+        assert contains(total, mpmath.harmonic(10**7))
+    assert total.rel_width() <= 1e-13
+    start = time.perf_counter()
+    assert p.weighted_total() == total
+    assert time.perf_counter() - start < 0.01
+
+
 # -- beta = 0 is the zero interaction ----------------------------------------------
 
 
