@@ -1,6 +1,7 @@
 """Finite-range window kernels, transfer-matrix conditionals, and their oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,50 @@ def test_dobrushin_guard():
         dobrushin_sum(truncated(2.0, 0.2, 13))
     with pytest.raises(ValueError):
         dobrushin_sum(PairPotential(beta=0.2, coupling=CouplingLaw.power_law(2.0)))
+
+
+def _dobrushin_oracle(values, beta):
+    """sum_s sum_{j != 0} sup |phi(s|x) - phi(s|x')| over all environments x
+    on [-R, R] minus {0} and their flips x' at j, phi from the Boltzmann
+    weights exp(0.5 beta J(|j|) s x_j) of the tagged letter s."""
+    R = len(values)
+    J = np.array(values + values[::-1])  # couplings of sites -1 .. -R, then 1 .. R
+    envs = np.array([[1.0 if (e >> k) & 1 else -1.0 for k in range(2 * R)] for e in range(1 << (2 * R))])
+
+    def phi(s, x):
+        w = {t: np.exp(0.5 * beta * t * (x @ J)) for t in (-1, 1)}
+        return w[s] / (w[-1] + w[1])
+
+    total = 0.0
+    for s in (-1, 1):
+        for j in range(2 * R):
+            flipped = envs.copy()
+            flipped[:, j] *= -1.0
+            total += float(np.max(np.abs(phi(s, envs) - phi(s, flipped))))
+    return total
+
+
+def test_dobrushin_matches_sup_over_environments():
+    rng = np.random.default_rng(20261018)
+    for case in range(40):
+        R = int(rng.integers(1, 6))
+        values = [0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 2.0)) for _ in range(R)]
+        beta = 0.0 if case % 8 == 0 else float(3.0 - rng.uniform(0.0, 3.0))  # (0, 3]
+        want = _dobrushin_oracle(values, beta)
+        assert dobrushin_sum(table(values, beta)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_dobrushin_regression_values_and_memory():
+    assert dobrushin_sum(truncated(2.0, 0.3, 6)) == 0.8902913649104236
+    p = truncated(2.0, 0.3, 12)
+    tracemalloc.start()
+    try:
+        got = dobrushin_sum(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 0.9344481167007079
+    assert peak < 8 * 2**20
 
 
 # -- window-sum operator and the two-environment ratio ----------------------------
