@@ -709,7 +709,7 @@ def main(argv=None) -> int:
     out_dir = args.out if args.out is not None else cfg.out
     report, errors = run(cfg, out_dir, command=args.command, config_digest=digest)
 
-    if args.command == "check":
+    if args.command == "check" and "error" not in report["results"]["criteria"]:
         _print_criteria(report["results"]["criteria"])
     for name in cfg.experiments:
         doc = report["results"][name]

@@ -8,20 +8,34 @@ long before a referee does.  Verdicts never cite these runs.
 Randomness is counter-based so that every run is replayable bit for bit:
 the generator is numpy's Philox (4x64, 10 rounds) keyed by
 (seed, chain_id), and each run reads one stream of uniform rows of three,
-row t serving site t.  The rows are drawn a few thousand at a time from
+row t serving site t.  The rows are drawn in blocks of 2^16 (1.5 MiB) from
 one generator, which yields exactly the rows of a single (N, 3) draw.
 Column 0 decides the letter of a plain chain or the couple/split event of
 a coupled pair; columns 1 and 2 feed the shared draw and the two residual
 draws.  Identical seeds therefore give identical paths on every platform
-numpy supports.  The per-site loops compare Python floats taken from each
-chunk, the same doubles with the same comparisons as on numpy scalars.
+numpy supports.
+
+A plain chain is a threshold chain: with u_t the last R letters as bits,
+letter t is +1 exactly when x_t >= P(-1 | u_t), x_t from column 0.  A block
+runs as 256 lanes of 256 sites side by side, each lane from a guessed start
+state; the lanes are then checked in order, and a lane that started wrong is
+walked again from its true start, one site at a time, only until its state
+meets the guessed path, which it follows from there on (``_threshold_chain``).
+The paths are the ones a site-by-site loop takes, bit for bit.
+
+A coupled pair is looped over site by site only until its two states are
+equal.  From then on both conditionals are the same p, and the overlap
+p + (1 - p) rounds to exactly 1.0 for every double p in [0, 1] (1 - p is
+within 2^-54 of its true value, and a tie at 1 - 2^-54 rounds to the even
+1.0).  Since x_0 < 1 the pair always takes the shared draw, letter -1 when
+x_1 * 1.0 = x_1 < p: the coalesced pair is the plain chain on column 1.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -34,8 +48,12 @@ SAMPLER_MAX_DEPTH = 12
 CESARO_MAX_WINDOW = 1 << 15
 # cesaro_estimate keeps both passes, (n + 1) * 2^R doubles each
 CESARO_MAX_CELLS = 1 << 23
-# rows of uniforms drawn, looped over and written at a time
-_CHUNK = 4096
+# rows of uniforms drawn at a time (three doubles each, 1.5 MiB), which the
+# sampler's kernel runs as 256 lanes of _LANE sites
+_BLOCK = 1 << 16
+_LANE = 256
+# sites a lane's start state is guessed from, at the end of the lane before
+_WARM = 32
 
 
 @dataclass(frozen=True)
@@ -78,18 +96,20 @@ class WindowConditional:
         return float(laws[(s + 1) // 2, _encode_state(letters)])
 
 
-def _conditional_table(g) -> np.ndarray:
-    """P(letter -1 | state) for every sliding-block state of the sampler."""
+def _chain_tables(g):
+    """The sampler's tables over sliding-block states: P(letter -1 | state)
+    and the state after a letter bit 0 (the bit 1 state is one more).  A law
+    of depth 0 is served on one-letter states, the same value for both."""
     R = g.dependency_depth
     if R > SAMPLER_MAX_DEPTH:
         raise ValueError(f"sampler guard: dependency depth <= {SAMPLER_MAX_DEPTH}")
     if R == 0:
-        return np.array([g.prob((), -1)])
+        return np.full(2, g.prob((), -1)), np.zeros(2, dtype=np.intp)
     table = np.empty(1 << R)
     for u in range(1 << R):
         letters = tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R))
         table[u] = g.prob(letters, -1)
-    return table
+    return table, (np.arange(1 << R) << 1) & ((1 << R) - 1)
 
 
 def _initial_state(past: Word, R: int) -> int:
@@ -102,20 +122,80 @@ def _initial_state(past: Word, R: int) -> int:
 
 
 def _uniform_chunks(seed: int, chain_id: int, N: int):
-    """Rows 0 .. N-1 of the run's (N, 3) uniform block, drawn _CHUNK rows at a
+    """Rows 0 .. N-1 of the run's (N, 3) uniform block, drawn _BLOCK rows at a
     time from one generator; the rows equal those of a single (N, 3) draw."""
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
     bits = np.random.Philox(key=np.array([seed, chain_id], dtype=np.uint64))
     gen = np.random.Generator(bits)
-    return (gen.random((min(_CHUNK, N - start), 3)) for start in range(0, N, _CHUNK))
+    return (gen.random((min(_BLOCK, N - start), 3)) for start in range(0, N, _BLOCK))
 
 
-def _letters(bits: bytearray) -> np.ndarray:
-    """Read-only int8 letters from letter bits (0 for -1, 1 for +1)."""
-    out = 2 * np.frombuffer(bits, dtype=np.int8) - 1
+def _letters(bits: np.ndarray) -> np.ndarray:
+    """Read-only int8 letters from uint8 letter bits (0 for -1, 1 for +1),
+    converted in place."""
+    out = bits.view(np.int8)
+    out *= 2
+    out -= 1
     out.flags.writeable = False
     return out
+
+
+def _walk_lane(table: list, steps: list, u: int, xs: list, refs: list):
+    """Walk the chain from state u over the uniforms xs, one site at a time,
+    until the state after a site equals refs at that site.  Returns the bits
+    walked before the meeting site, the state reached, and whether it met."""
+    walked = bytearray()
+    for x, ref in zip(xs, refs):
+        bit = x >= table[u]
+        u = steps[u] + bit
+        if u == ref:
+            return walked, u, True
+        walked.append(bit)
+    return walked, u, False
+
+
+def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray, out: np.ndarray) -> int:
+    """Run bit_t = [x_t >= table[u_t]], u_(t+1) = steps[u_t] + bit_t over the
+    uniforms x from state u; write the bits to out and return the last state.
+
+    Pass one runs the full lanes of _LANE sites side by side.  Lane 0 starts
+    from u, lane k > 0 from a guess: the state reached over the last _WARM
+    sites of lane k - 1 from u.  Pass two goes through the lanes in order: a
+    lane whose true start, the end state of the lane before, is not its guess
+    is walked again from that start until its state equals pass one's at the
+    same site.  Both paths read the same uniforms from there on, so they
+    agree to the lane's end.  Sites past the last full lane are walked one at
+    a time.
+    """
+    lanes = len(x) // _LANE
+    done = lanes * _LANE
+    tl, sl = table.tolist(), steps.tolist()
+    if lanes:
+        xs = x[:done].reshape(lanes, _LANE).T
+        states = np.empty((_LANE + 1, lanes), dtype=np.intp)
+        states[0] = u
+        guess = states[0, 1:]
+        for s in range(_LANE - _WARM, _LANE):
+            np.add(steps[guess], xs[s, :-1] >= table[guess], out=guess)
+        bits = np.empty((_LANE, lanes), dtype=bool)
+        for s in range(_LANE):
+            np.greater_equal(xs[s], table[states[s]], out=bits[s])
+            np.add(steps[states[s]], bits[s], out=states[s + 1])
+        out[:done].reshape(lanes, _LANE)[:] = bits.T
+        starts, ends = states[0].tolist(), states[_LANE].tolist()
+        for k in range(lanes):
+            if u != starts[k]:
+                lo = k * _LANE
+                walked, u, met = _walk_lane(tl, sl, u, x[lo:lo + _LANE].tolist(), states[1:, k].tolist())
+                out[lo:lo + len(walked)] = np.frombuffer(walked, dtype=np.uint8)
+                if not met:
+                    continue
+            u = ends[k]
+    if done < len(x):
+        walked, u, _ = _walk_lane(tl, sl, u, x[done:].tolist(), itertools.repeat(-1))
+        out[done:] = np.frombuffer(walked, dtype=np.uint8)
+    return u
 
 
 @dataclass(frozen=True)
@@ -161,16 +241,14 @@ def sample_chain(g, past: Word, N: int, seed: int, chain_id: int = 0) -> ChainRu
     if N < 1:
         raise ValueError("need at least one site")
     R = g.dependency_depth
-    table = _conditional_table(g).tolist()
-    mask = (1 << R) - 1
+    table, steps = _chain_tables(g)
     u = _initial_state(past, R)
-    bits = bytearray()
-    add = bits.append
+    bits = np.empty(N, dtype=np.uint8)
+    start = 0
     for block in _uniform_chunks(seed, chain_id, N):
-        for x in block[:, 0].tolist():
-            bit = 0 if x < table[u] else 1
-            add(bit)
-            u = ((u << 1) | bit) & mask
+        stop = start + len(block)
+        u = _threshold_chain(table, steps, u, block[:, 0], bits[start:stop])
+        start = stop
     return ChainRun(seed=seed, past=past, samples=_letters(bits), g_source=g.source_label)
 
 
@@ -180,37 +258,54 @@ def couple_two_pasts(g, past_a: Word, past_b: Word, N: int, seed: int) -> Coupli
     At each site the overlap mass of the two conditionals is served by one
     shared draw; with the complementary probability (their total-variation
     distance) the chains split and draw from their normalized residuals,
-    letters in canonical order (-1, +1) throughout.
+    letters in canonical order (-1, +1) throughout.  Once the two states are
+    equal the pair is the plain chain on column 1 (see the module notes).
     """
     if N < 1:
         raise ValueError("need at least one site")
     R = g.dependency_depth
-    table = _conditional_table(g).tolist()
-    mask = (1 << R) - 1
+    table, steps = _chain_tables(g)
+    tl, sl = table.tolist(), steps.tolist()
     ua = _initial_state(past_a, R)
     ub = _initial_state(past_b, R)
-    bits_a, bits_b = bytearray(), bytearray()
-    add_a, add_b = bits_a.append, bits_b.append
+    # letters of the pair before its states meet, then of the coalesced pair
+    pair_a, pair_b = bytearray(), bytearray()
+    add_a, add_b = pair_a.append, pair_b.append
+    bits = np.empty(N, dtype=np.uint8)
+    start = 0
     for block in _uniform_chunks(seed, 0, N):
-        for x0, x1, x2 in block.tolist():
-            pa = table[ua]
-            pb = table[ub]
-            # o_minus = min(pa, pb), overlap = o_minus + min(1 - pa, 1 - pb)
-            if pa < pb:
-                o_minus, overlap = pa, pa + (1.0 - pb)
-            else:
-                o_minus, overlap = pb, pb + (1.0 - pa)
-            if x0 < overlap:
-                bit_a = bit_b = 0 if x1 * overlap < o_minus else 1
-            else:
-                split = 1.0 - overlap
-                bit_a = 0 if x1 * split < pa - o_minus else 1
-                bit_b = 0 if x2 * split < pb - o_minus else 1
-            add_a(bit_a)
-            add_b(bit_b)
-            ua = ((ua << 1) | bit_a) & mask
-            ub = ((ub << 1) | bit_b) & mask
-    letters_a, letters_b = _letters(bits_a), _letters(bits_b)
+        stop = start + len(block)
+        i = 0
+        while ua != ub and i < len(block):
+            for x0, x1, x2 in block[i:i + _LANE].tolist():
+                if ua == ub:
+                    break
+                pa = tl[ua]
+                pb = tl[ub]
+                # o_minus = min(pa, pb), overlap = o_minus + min(1 - pa, 1 - pb)
+                if pa < pb:
+                    o_minus, overlap = pa, pa + (1.0 - pb)
+                else:
+                    o_minus, overlap = pb, pb + (1.0 - pa)
+                if x0 < overlap:
+                    bit_a = bit_b = 0 if x1 * overlap < o_minus else 1
+                else:
+                    split = 1.0 - overlap
+                    bit_a = 0 if x1 * split < pa - o_minus else 1
+                    bit_b = 0 if x2 * split < pb - o_minus else 1
+                add_a(bit_a)
+                add_b(bit_b)
+                ua = sl[ua] + bit_a
+                ub = sl[ub] + bit_b
+            i = len(pair_a) - start
+        if ua == ub:
+            ua = ub = _threshold_chain(table, steps, ua, block[i:, 1], bits[start + i:stop])
+        start = stop
+    met = len(pair_a)
+    bits_b = bits.copy()
+    bits[:met] = np.frombuffer(pair_a, dtype=np.uint8)
+    bits_b[:met] = np.frombuffer(pair_b, dtype=np.uint8)
+    letters_a, letters_b = _letters(bits), _letters(bits_b)
     run_a = ChainRun(seed=seed, past=past_a, samples=letters_a, g_source=g.source_label)
     run_b = ChainRun(seed=seed, past=past_b, samples=letters_b, g_source=g.source_label)
     return CouplingRun(chain_a=run_a, chain_b=run_b, disagree=letters_a != letters_b)
@@ -289,30 +384,68 @@ def cesaro_gap(p: PairPotential, f: Optional[Word], n: int, boundary_a: Word, bo
     return abs(cesaro_estimate(p, f, n, boundary_a) - cesaro_estimate(p, f, n, boundary_b))
 
 
-# Row tails after the site number, as csv.writer writes them (CRLF line ends):
-# for a coupling at index 4a + 2b + d from the letter bits a, b and the
-# disagree flag d, for one chain at the letter bit.
+# Rows of the CSV writers: the site number, then a tail as csv.writer writes
+# it (CRLF line ends), picked by the row code: for a coupling 4a + 2b + d from
+# the letter bits a, b and the disagree flag d, for one chain the letter bit.
 _COUPLING_TAILS = [f",{2 * i - 1},{2 * j - 1},{k}\r\n" for i in (0, 1) for j in (0, 1) for k in (0, 1)]
 _CHAIN_TAILS = [",-1\r\n", ",1\r\n"]
+# rows built and written at a time: the sites 10^4 h .. 10^4 h + 9999
+_CSV_ROWS = 10000
+
+
+@lru_cache(maxsize=2)
+def _four_digits(leading: bool) -> np.ndarray:
+    """ASCII digits of 0000 .. 9999 as one uint32 word each; unless leading,
+    leading zeros are zero bytes (0 keeps one digit)."""
+    n = np.arange(10000)[:, None]
+    digits = (n // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    if not leading:
+        digits *= n >= np.array([1000, 100, 10, 0])
+    words = digits.view(np.uint32).ravel()
+    words.flags.writeable = False  # one cached table serves every writer
+    return words
+
+
+def _write_rows(fh, header: str, codes, tails: list, N: int) -> None:
+    """Write the header, then the row ``t`` + ``tails[c]`` for each site t in
+    0 .. N-1, with c from ``codes(start, stop)``.
+
+    A row is a fixed run of uint32 words: the site in groups of four digits,
+    then the tail, with zero bytes where the text is shorter; one compress
+    drops the zero bytes.  Inside a block only the last group varies, and it
+    comes from a table of four-digit words; the groups before it are the
+    digits of the block number.
+    """
+    fh.write(header.encode())
+    groups = -(-len(str(N - 1)) // 4)
+    width = 4 * -(-max(len(t) for t in tails) // 4)
+    words = np.stack([np.frombuffer(t.encode().ljust(width, b"\0"), dtype=np.uint32) for t in tails])
+    rows = np.empty((min(_CSV_ROWS, N), groups + width // 4), dtype=np.uint32)
+    for start in range(0, N, _CSV_ROWS):
+        stop = min(start + _CSV_ROWS, N)
+        block = rows[:stop - start]
+        h = start // _CSV_ROWS
+        lead = (str(h) if h else "").encode().rjust(4 * groups - 4, b"\0")
+        block[:, :groups - 1] = np.frombuffer(lead, dtype=np.uint32)
+        block[:, groups - 1] = _four_digits(h > 0)[:stop - start]
+        block[:, groups:] = np.take(words, codes(start, stop), axis=0)
+        data = block.view(np.uint8)
+        fh.write(data[data != 0].tobytes())
 
 
 def write_coupling_csv(run: CouplingRun, path) -> None:
     """Time series (site, letter_a, letter_b, disagree) for plotting."""
     a, b, d = run.chain_a.samples, run.chain_b.samples, run.disagree
-    with open(path, "w", newline="") as fh:
-        fh.write("site,letter_a,letter_b,disagree\r\n")
-        for start in range(0, len(d), _CHUNK):
-            stop = start + _CHUNK
-            codes = (4 * (a[start:stop] > 0) + 2 * (b[start:stop] > 0) + d[start:stop]).tolist()
-            fh.write("".join([f"{t}{_COUPLING_TAILS[c]}" for t, c in zip(range(start, stop), codes)]))
+
+    def codes(start, stop):
+        return 4 * (a[start:stop] > 0) + 2 * (b[start:stop] > 0) + d[start:stop]
+
+    with open(path, "wb") as fh:
+        _write_rows(fh, "site,letter_a,letter_b,disagree\r\n", codes, _COUPLING_TAILS, len(d))
 
 
 def write_chain_csv(run: ChainRun, path) -> None:
     """Time series (site, letter) of one sampled chain."""
     samples = run.samples
-    with open(path, "w", newline="") as fh:
-        fh.write("site,letter\r\n")
-        for start in range(0, len(samples), _CHUNK):
-            stop = start + _CHUNK
-            codes = (samples[start:stop] > 0).tolist()
-            fh.write("".join([f"{t}{_CHAIN_TAILS[c]}" for t, c in zip(range(start, stop), codes)]))
+    with open(path, "wb") as fh:
+        _write_rows(fh, "site,letter\r\n", lambda start, stop: samples[start:stop] > 0, _CHAIN_TAILS, len(samples))

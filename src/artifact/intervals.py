@@ -40,6 +40,13 @@ def _up(x: float, ulps: int = 1) -> float:
     return x
 
 
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return _INF
+
+
 @dataclass(frozen=True)
 class Interval:
     """Closed interval [lo, hi]; ``hi`` may be +inf for quantities unbounded above."""
@@ -147,9 +154,12 @@ class Interval:
     # -- elementary functions ----------------------------------------------
 
     def exp(self) -> "Interval":
+        """Past about 709.78 exp overflows: the upper end is then +inf and the
+        lower end a double just below the largest finite one, which the true
+        value exceeds."""
         return Interval(
-            max(0.0, _down(math.exp(self.lo), LIBM_GUARD_ULPS)),
-            _up(math.exp(self.hi), LIBM_GUARD_ULPS) if not math.isinf(self.hi) else _INF,
+            max(0.0, _down(_exp(self.lo), LIBM_GUARD_ULPS)),
+            _up(_exp(self.hi), LIBM_GUARD_ULPS),
         )
 
     def log(self) -> "Interval":

@@ -422,8 +422,7 @@ def log_r_bound_envelope(
         W = c.weighted_total(rel_width)
         c0 = (-(beta * W)).exp()
         c1 = (-(beta * amp * (Interval.point(2.0) / Interval.point(c.q - 1.0)))).exp()
-        coeff = (Interval.point(2.0) / (c0 * c1)).hi
-        return DecayEnvelope(coeff, 1.0, 1, "summable weighted couplings, power tail")
+        return _summable_envelope(c0 * c1, "summable weighted couplings, power tail")
     if c.kind == "exponential":
         W = c.weighted_total(rel_width)
         c0 = (-(beta * W)).exp()
@@ -431,9 +430,17 @@ def log_r_bound_envelope(
         e_r = (-r).exp()
         peak = amp / (Interval.point(math.e) * r * (ONE - e_r))
         c1 = (-(beta * peak)).exp()
-        coeff = (Interval.point(2.0) / (c0 * c1)).hi
-        return DecayEnvelope(coeff, 1.0, 1, "summable weighted couplings, exponential tail")
+        return _summable_envelope(c0 * c1, "summable weighted couplings, exponential tail")
     return None
+
+
+def _summable_envelope(floor: Interval, derivation: str) -> Optional[DecayEnvelope]:
+    """The 2 / (c0 c1) n^-1 majorant from the product-term floor c0 c1, or
+    None when the floor's lower end underflows to 0 (once beta W passes about
+    745); no majorant is claimed then."""
+    if floor.lo <= 0.0:
+        return None
+    return DecayEnvelope((Interval.point(2.0) / floor).hi, 1.0, 1, derivation)
 
 
 # -- growth diagnostics --------------------------------------------------------

@@ -460,6 +460,22 @@ def test_main_guard_error_exits_one(tmp_path, capsys):
     assert "sample failed" in capsys.readouterr().err
 
 
+def test_main_check_guard_error_prints_the_message(tmp_path, capsys, monkeypatch):
+    # a guarded criteria error has no verdicts to print: check reports the
+    # guard and exits 1 instead of failing on the missing verdict list
+    def refuse(p, rel_width):
+        raise ValueError("criteria guard: refused")
+
+    monkeypatch.setattr("artifact.cli.evaluate_all", refuse)
+    path = write_config(tmp_path, small_doc(out=str(tmp_path / "out")))
+    assert main(["check", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "criteria failed: criteria guard: refused" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"]["criteria"] == {"error": "criteria guard: refused"}
+
+
 def test_main_report_keeps_going_past_guards(tmp_path, capsys):
     doc = power_doc(
         q=2.0, beta=0.3, experiments=["criteria", "sample"], out=str(tmp_path / "out")

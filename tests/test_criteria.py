@@ -29,6 +29,7 @@ from artifact import (
     check_scaled_limsup,
     check_variation_slope,
     evaluate_all,
+    log_r_bound_envelope,
 )
 from artifact.kernel import dobrushin_sum
 
@@ -380,6 +381,28 @@ def test_report_heavy_tails_certify_nothing():
     assert out["berbee"] == FAILS
     assert out["scaled_limsup"] == FAILS
     assert out["jop_blocksum"] == INCONCLUSIVE
+
+
+# summable laws whose product-term floor exp(-beta W) exp(-beta peak) underflows
+# to 0 (beta W past about 745): the envelope and Ruelle's exp(beta W) overflow
+UNDERFLOWING_FLOORS = [
+    PairPotential(beta=1.0, coupling=CouplingLaw.exponential(0.03)),
+    PairPotential(beta=800.0, coupling=CouplingLaw.exponential(1.0)),
+    power(2.5, 200.0),
+    power(3.0, 500.0),
+]
+
+
+def test_report_decides_all_nine_criteria_when_the_floor_underflows():
+    names = [v.criterion for v in evaluate_all(zero()).verdicts]
+    for p in UNDERFLOWING_FLOORS:
+        assert log_r_bound_envelope(fseq(p)) is None  # no majorant claimed
+        rep = evaluate_all(p)
+        assert [v.criterion for v in rep.verdicts] == names
+        assert all(v.outcome in (HOLDS, FAILS, INCONCLUSIVE) for v in rep.verdicts)
+        out = rep.outcomes()
+        assert out["ruelle"] == HOLDS and out["product_blocksum"] == HOLDS
+        assert rep.strongest == UNIQUE_GIBBS_BERNOULLI
 
 
 def test_report_lookup_raises_on_unknown_name():

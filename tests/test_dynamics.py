@@ -20,7 +20,7 @@ from artifact import (
     write_chain_csv,
     write_coupling_csv,
 )
-from artifact.dynamics import WindowConditional, _uniform_chunks
+from artifact.dynamics import _BLOCK, WindowConditional, _uniform_chunks
 
 GOLDEN_SEED_42 = [1, 1, -1, 1, -1, -1, -1, -1, 1, -1,
                   -1, -1, -1, -1, -1, -1, 1, 1, -1, -1]
@@ -288,44 +288,102 @@ def test_chunked_uniforms_are_the_rows_of_one_block():
     assert np.array_equal(got, one_block(7, 3, STREAM_N))
 
 
+# two blocks of uniforms and a short one
+TWO_BLOCKS_N = 2 * _BLOCK + 5
+
+# (law, depth, sites): block edges, one site, depths 0, 1, 3 and 6, and the
+# nearest-neighbour chain at beta 4 and 8, whose lanes started from a wrong
+# state walk tens of sites (beta 4) or the whole lane (beta 8) before meeting
+SAMPLER_CASES = [
+    (nn(1.0), 1, STREAM_N),
+    (truncated(0.4, 3), 3, STREAM_N),
+    (zero(), 0, STREAM_N),
+    (truncated(0.3, 6), 6, TWO_BLOCKS_N),
+    (nn(4.0), 1, TWO_BLOCKS_N),
+    (nn(8.0), 1, _BLOCK + 1),
+    (zero(), 0, _BLOCK - 1),
+    (truncated(1.2, 3), 3, _BLOCK - 1),
+    (truncated(0.3, 6), 6, _BLOCK + 1),
+] + [(p, R, 1) for p, R in ((zero(), 0), (nn(1.0), 1), (truncated(0.4, 3), 3), (truncated(0.3, 6), 6))]
+
+
 def test_streamed_sampler_matches_the_one_block_path():
-    for p, R in ((nn(1.0), 1), (truncated(0.4, 3), 3), (zero(), 0)):
+    for p, R, N in SAMPLER_CASES:
         g = g_exact_markov(p)
         past = plus_past(R)
-        run = sample_chain(g, past, STREAM_N, seed=31, chain_id=2)
-        want = oracle_chain(g, (1,) * R, STREAM_N, 31, 2)
+        run = sample_chain(g, past, N, seed=31, chain_id=2)
+        want = oracle_chain(g, (1,) * R, N, 31, 2)
         assert run.samples.dtype == np.int8 and not run.samples.flags.writeable
         assert np.array_equal(run.samples, want)
 
 
+# (law, depth, sites, seed), all from opposite pasts: the nearest-neighbour
+# pair at beta 12 meets only at site 97 999, in the second block, with seed 1
+# and not within the run with seed 6
+COUPLER_CASES = [
+    (truncated(1.2, 3), 3, STREAM_N, 8),  # strong coupling: long disagreement runs
+    (nn(12.0), 1, TWO_BLOCKS_N, 1),
+    (nn(12.0), 1, TWO_BLOCKS_N, 6),
+    (truncated(0.3, 6), 6, _BLOCK + 1, 8),
+    (nn(4.0), 1, _BLOCK - 1, 8),
+    (nn(8.0), 1, 1, 8),
+]
+
+
 def test_streamed_coupler_matches_the_one_block_path():
-    R = 3
-    g = g_exact_markov(truncated(1.2, R))  # strong coupling: long disagreement runs
-    run = couple_two_pasts(g, plus_past(R), minus_past(R), STREAM_N, seed=8)
-    want_a, want_b = oracle_couple(g, (1,) * R, (-1,) * R, STREAM_N, 8)
-    assert np.array_equal(run.chain_a.samples, want_a)
-    assert np.array_equal(run.chain_b.samples, want_b)
-    assert np.array_equal(run.disagree, want_a != want_b)
-    assert run.disagree.any()
+    for p, R, N, seed in COUPLER_CASES:
+        g = g_exact_markov(p)
+        run = couple_two_pasts(g, plus_past(R), minus_past(R), N, seed=seed)
+        want_a, want_b = oracle_couple(g, (1,) * R, (-1,) * R, N, seed)
+        assert np.array_equal(run.chain_a.samples, want_a)
+        assert np.array_equal(run.chain_b.samples, want_b)
+        assert np.array_equal(run.disagree, want_a != want_b)
+        assert run.disagree.any()
+
+
+def test_chunked_uniforms_span_blocks():
+    got = np.concatenate(list(_uniform_chunks(7, 3, TWO_BLOCKS_N)))
+    assert got.shape == (TWO_BLOCKS_N, 3)
+    assert np.array_equal(got, one_block(7, 3, TWO_BLOCKS_N))
+
+
+def test_coupler_pair_phase_crosses_a_block():
+    # the premise of the beta 12 coupler cases above
+    g = g_exact_markov(nn(12.0))
+    first = [couple_two_pasts(g, plus_past(1), minus_past(1), TWO_BLOCKS_N, seed=s).first_coalescence() for s in (1, 6)]
+    assert first == [97999, None]
+
+
+def test_coupler_of_equal_states_matches_the_one_block_path():
+    # depth 0, or equal pasts: the pair is the plain chain on column 1 throughout
+    for p, R, N in ((zero(), 0, _BLOCK + 1), (truncated(0.4, 3), 3, 1), (truncated(0.4, 3), 3, TWO_BLOCKS_N)):
+        g = g_exact_markov(p)
+        run = couple_two_pasts(g, plus_past(R), plus_past(R), N, seed=4)
+        want_a, want_b = oracle_couple(g, (1,) * R, (1,) * R, N, 4)
+        assert np.array_equal(run.chain_a.samples, want_a)
+        assert np.array_equal(run.chain_b.samples, want_b)
+        assert not run.disagree.any()
 
 
 def test_csv_writers_write_the_bytes_of_csv_writer(tmp_path):
     g = g_exact_markov(truncated(1.2, 3))
-    run = couple_two_pasts(g, plus_past(3), minus_past(3), STREAM_N, seed=8)
-    write_coupling_csv(run, tmp_path / "couple.csv")
-    write_chain_csv(run.chain_b, tmp_path / "chain.csv")
-    with open(tmp_path / "couple_ref.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site", "letter_a", "letter_b", "disagree"])
-        for t in range(STREAM_N):
-            w.writerow([t, int(run.chain_a.samples[t]), int(run.chain_b.samples[t]), int(run.disagree[t])])
-    with open(tmp_path / "chain_ref.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site", "letter"])
-        for t, letter in enumerate(run.chain_b.samples):
-            w.writerow([t, int(letter)])
-    for name in ("couple", "chain"):
-        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+    # one row, the edges of the rows built at a time, site numbers past 10^5
+    for N in (STREAM_N, 1, 9999, 10001, 100_003):
+        run = couple_two_pasts(g, plus_past(3), minus_past(3), N, seed=8)
+        write_coupling_csv(run, tmp_path / "couple.csv")
+        write_chain_csv(run.chain_b, tmp_path / "chain.csv")
+        with open(tmp_path / "couple_ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["site", "letter_a", "letter_b", "disagree"])
+            for t in range(N):
+                w.writerow([t, int(run.chain_a.samples[t]), int(run.chain_b.samples[t]), int(run.disagree[t])])
+        with open(tmp_path / "chain_ref.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["site", "letter"])
+            for t, letter in enumerate(run.chain_b.samples):
+                w.writerow([t, int(letter)])
+        for name in ("couple", "chain"):
+            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
 
 
 # -- Cesàro averages against enumeration ------------------------------------------------

@@ -94,6 +94,16 @@ def test_exp_contains_reference_value_strictly(x):
     assert iv.lo > 0.0
 
 
+def test_exp_past_the_double_range_is_unbounded_above():
+    # exp(709.79) no longer fits in a double: the enclosure runs from the
+    # largest doubles to +inf instead of raising OverflowError
+    big = Interval.point(1000.0).exp()
+    assert math.isinf(big.hi) and 1e308 < big.lo < math.inf
+    wide = Interval(700.0, 800.0).exp()
+    assert wide.lo <= math.exp(700.0) and math.isinf(wide.hi)
+    assert Interval(-math.inf, 0.0).exp() == Interval(0.0, Interval.point(0.0).exp().hi)
+
+
 @given(positive)
 def test_log_contains_reference_value(x):
     iv = Interval.point(x).log()
