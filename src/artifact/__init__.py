@@ -7,142 +7,56 @@ rounding all the way from coupling tails to Holds/Fails verdicts, so every
 inequality they assert holds for the true real quantities.  ``kernel`` and
 ``dynamics`` compute exact finite-range conditionals and sample from them;
 they exist to corroborate the certified half, never to replace it.
+
+Nothing is loaded before it is used.  The public names below resolve on
+first access, so ``import artifact`` imports no submodule, and the command
+line imports ``dynamics`` only to sample or couple.  NumPy is found at
+import but executed on the first array operation: in ``potential``
+(exponential tails, power-law point tails for q > 2, tail tables and
+truncated totals), ``intervals.float_sum_enclosure`` on a non-empty sum,
+``ratiobound`` (the R_n series and its fits), ``kernel`` and ``dynamics``.
+The criteria of an untruncated power law with q <= 2 and of the zero
+interaction are scalar interval arithmetic and never load it.
 """
 
-from .criteria import (
-    DEFAULT_ALPHA_GRID,
-    FAILS,
-    HOLDS,
-    INCONCLUSIVE,
-    UNIQUE_GIBBS,
-    UNIQUE_GIBBS_BERNOULLI,
-    UNIQUE_TINV_GIBBS,
-    CriteriaReport,
-    Verdict,
-    check_bcjo,
-    check_berbee,
-    check_coelho_quas,
-    check_dobrushin,
-    check_jop_blocksum,
-    check_product_blocksum,
-    check_ruelle,
-    check_scaled_limsup,
-    check_variation_slope,
-    evaluate_all,
-)
-from .dynamics import (
-    ChainRun,
-    CouplingRun,
-    cesaro_estimate,
-    cesaro_gap,
-    couple_two_pasts,
-    sample_chain,
-    write_chain_csv,
-    write_coupling_csv,
-)
-from .fseq import FSequence, Word
-from .intervals import Interval
-from .kernel import (
-    MarkovConditional,
-    TransferMatrix,
-    dobrushin_sum,
-    empirical_g_variation,
-    empirical_g_variation_profile,
-    g_exact_markov,
-    phi_window,
-    pi_window_at_zero,
-    pi_window_enumeration,
-    rho_bruteforce,
-    window_weight,
-)
-from .potential import (
-    DEFAULT_REL_WIDTH,
-    CouplingLaw,
-    PairPotential,
-    SeriesValue,
-    VariationProfile,
-    coelho_quas_sum,
-    ruelle_sum,
-    tail_variation,
-)
-from .ratiobound import (
-    DecayEnvelope,
-    LogRProfile,
-    RatioTable,
-    RnSeries,
-    berbee_series_partial_sums,
-    fit_growth_exponent,
-    g_variation_bound,
-    log_r_bound_envelope,
-    rb_limit_lower_bound,
-    rb_recursion,
-    rn_series,
-    tauberian_diagnostic,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Interval",
-    "CouplingLaw",
-    "PairPotential",
-    "SeriesValue",
-    "VariationProfile",
-    "DEFAULT_REL_WIDTH",
-    "ruelle_sum",
-    "coelho_quas_sum",
-    "tail_variation",
-    "Word",
-    "FSequence",
-    "RatioTable",
-    "RnSeries",
-    "DecayEnvelope",
-    "LogRProfile",
-    "rb_recursion",
-    "rb_limit_lower_bound",
-    "rn_series",
-    "g_variation_bound",
-    "log_r_bound_envelope",
-    "berbee_series_partial_sums",
-    "fit_growth_exponent",
-    "tauberian_diagnostic",
-    "TransferMatrix",
-    "MarkovConditional",
-    "g_exact_markov",
-    "dobrushin_sum",
-    "phi_window",
-    "pi_window_enumeration",
-    "pi_window_at_zero",
-    "window_weight",
-    "rho_bruteforce",
-    "empirical_g_variation",
-    "empirical_g_variation_profile",
-    "ChainRun",
-    "CouplingRun",
-    "sample_chain",
-    "couple_two_pasts",
-    "cesaro_estimate",
-    "cesaro_gap",
-    "write_chain_csv",
-    "write_coupling_csv",
-    "Verdict",
-    "CriteriaReport",
-    "HOLDS",
-    "FAILS",
-    "INCONCLUSIVE",
-    "UNIQUE_GIBBS",
-    "UNIQUE_GIBBS_BERNOULLI",
-    "UNIQUE_TINV_GIBBS",
-    "DEFAULT_ALPHA_GRID",
-    "check_dobrushin",
-    "check_ruelle",
-    "check_coelho_quas",
-    "check_berbee",
-    "check_variation_slope",
-    "check_product_blocksum",
-    "check_jop_blocksum",
-    "check_bcjo",
-    "check_scaled_limsup",
-    "evaluate_all",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("intervals", "Interval"),
+        ("potential", "CouplingLaw PairPotential SeriesValue VariationProfile DEFAULT_REL_WIDTH "
+                      "ruelle_sum coelho_quas_sum tail_variation"),
+        ("fseq", "Word FSequence"),
+        ("ratiobound", "RatioTable RnSeries DecayEnvelope LogRProfile rb_recursion rb_limit_lower_bound "
+                       "rn_series g_variation_bound log_r_bound_envelope berbee_series_partial_sums "
+                       "fit_growth_exponent tauberian_diagnostic"),
+        ("kernel", "TransferMatrix MarkovConditional g_exact_markov dobrushin_sum phi_window "
+                   "pi_window_enumeration pi_window_at_zero window_weight rho_bruteforce "
+                   "empirical_g_variation empirical_g_variation_profile"),
+        ("dynamics", "ChainRun CouplingRun sample_chain couple_two_pasts cesaro_estimate cesaro_gap "
+                     "write_chain_csv write_coupling_csv"),
+        ("criteria", "Verdict CriteriaReport HOLDS FAILS INCONCLUSIVE UNIQUE_GIBBS UNIQUE_GIBBS_BERNOULLI "
+                     "UNIQUE_TINV_GIBBS DEFAULT_ALPHA_GRID check_dobrushin check_ruelle check_coelho_quas "
+                     "check_berbee check_variation_slope check_product_blocksum check_jop_blocksum "
+                     "check_bcjo check_scaled_limsup evaluate_all"),
+    )
+    for name in names.split()
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name in _EXPORTS.values():  # a submodule not imported yet
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -73,7 +73,6 @@ from .criteria import (
     check_scaled_limsup,
     evaluate_all,
 )
-from .dynamics import couple_two_pasts, sample_chain, write_chain_csv, write_coupling_csv
 from .fseq import FSequence, Word
 from .kernel import ENUMERATION_MAX_WINDOW, empirical_g_variation_profile, g_exact_markov
 from .potential import (
@@ -552,6 +551,8 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
+    from .dynamics import sample_chain, write_chain_csv
+
     g = g_exact_markov(p)
     depth = max(g.dependency_depth, 1)
     past = Word.constant(-depth, depth, 1)
@@ -570,6 +571,8 @@ def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_couple(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
+    from .dynamics import couple_two_pasts, write_coupling_csv
+
     g = g_exact_markov(p)
     depth = max(g.dependency_depth, 1)
     past_a = Word.constant(-depth, depth, 1)

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
-import numpy as np
-
 from .fseq import FSequence
 from .intervals import Interval, ZERO
 from .kernel import dobrushin_sum
@@ -129,7 +127,7 @@ def _gamma_interval(a: float) -> Interval:
     return _pad(math.gamma(a))
 
 
-_EULER_GAMMA = _pad(float(np.euler_gamma))
+_EULER_GAMMA = _pad(0.5772156649015329)  # float(numpy.euler_gamma)
 
 
 # -- single-site influence ------------------------------------------------------
@@ -233,13 +231,18 @@ def check_berbee(F: FSequence, rel_width: float = DEFAULT_REL_WIDTH) -> Verdict:
     if fam in ("finite", "exponential", "power_summable"):
         rs = ruelle_sum(p, rel_width)
         t1 = Interval.point(p.beta) * p.coupling_tail(1, rel_width)
-        floor = (t1 - rs.enclosure * 4.0).exp()
+        log_floor = t1 - rs.enclosure * 4.0
+        floor = log_floor.exp()
+        what = "beta*T(1) minus four times the weighted total"
+        if floor.lo > 0.0:
+            bound, margin = f"{floor.lo:.10g} > 0 (exp of {what})", floor
+        else:  # exp(L) underflows a double: the floor is stated through L
+            bound, margin = f"exp(L) > 0, with L = {what} in [{log_floor.lo:.10g}, {log_floor.hi:.10g}]", None
         certificate = (
-            f"product terms decrease to a limit at least {floor.lo:.10g} > 0 "
-            "(exp of beta*T(1) minus four times the weighted total), so the "
-            "series diverges term-by-term"
+            f"product terms decrease to a limit at least {bound}, so the series "
+            "diverges term-by-term"
         )
-        return Verdict("berbee", HOLDS, floor, certificate, UNIQUE_GIBBS)
+        return Verdict("berbee", HOLDS, margin, certificate, UNIQUE_GIBBS)
     if fam == "power_critical":
         c = strength_fraction(p)
         margin = fraction_interval(1 - 4 * c)
@@ -552,13 +555,13 @@ class _ScaledFamily:
 
     def __init__(self, kind: str, c_lo: Optional[Fraction] = None,
                  c_hi: Optional[Fraction] = None, q: Optional[float] = None,
-                 prod_cap: Optional[Interval] = None,
+                 log_cap: Optional[Interval] = None,
                  tail_amp: Optional[Interval] = None):
         self.kind = kind  # "critical", "hyperbolic", "summable", "heavy"
         self.c_lo = c_lo
         self.c_hi = c_hi
         self.q = q
-        self.prod_cap = prod_cap
+        self.log_cap = log_cap  # log of the summable families' product limsup
         self.tail_amp = tail_amp
 
     @property
@@ -570,7 +573,7 @@ class _ScaledFamily:
         if self.kind == "summable":
             if alpha < 1:
                 return _Limsup.finite(ZERO)
-            return _Limsup.finite(self.prod_cap)
+            return _Limsup.finite(self.log_cap.exp())
         if alpha - 1 + self.c_hi < 0:
             return _Limsup.finite(ZERO)
         if alpha - 1 + self.c_lo > 0:
@@ -615,13 +618,12 @@ def _scaled_family(source: Union[FSequence, VariationProfile],
         return _ScaledFamily("critical", c_lo=c, c_hi=c)
     if fam == "power_heavy":
         return _ScaledFamily("heavy")
-    rs = ruelle_sum(p, rel_width)
-    cap = rs.enclosure.exp()
+    log_cap = ruelle_sum(p, rel_width).enclosure
     if fam == "power_summable":
         cc = p.coupling
         amp = Interval.point(p.beta) * Interval.point(cc.amplitude) / (cc.q - 1.0)
-        return _ScaledFamily("summable", q=cc.q, prod_cap=cap, tail_amp=amp)
-    return _ScaledFamily("summable", prod_cap=cap)
+        return _ScaledFamily("summable", q=cc.q, log_cap=log_cap, tail_amp=amp)
+    return _ScaledFamily("summable", log_cap=log_cap)
 
 
 def check_scaled_limsup(
@@ -640,6 +642,8 @@ def check_scaled_limsup(
     at the boundary, alpha = 1 for summable couplings) and the smallest
     certified K.  Both strict inequalities are evaluated on enclosures;
     an enclosure straddling equality yields Inconclusive, never a verdict.
+    A certified K past the double range is quoted as exp(log K); against it
+    only a tail limsup of exactly 0 is decided.
 
     Accepts an FSequence (family closed forms) or an exact hyperbolic
     VariationProfile; other profiles have no certified asymptotics and come
@@ -650,8 +654,8 @@ def check_scaled_limsup(
         raise ValueError("alpha is required when K is supplied")
     if alpha is not None and not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    if K is not None and not K > 0.0:
-        raise ValueError("K must be positive")
+    if K is not None and not 0.0 < K < math.inf:
+        raise ValueError("K must be positive and finite")
 
     family = _scaled_family(source, rel_width)
     if family is None:
@@ -698,6 +702,11 @@ def check_scaled_limsup(
     if K is None:
         cap = max(prod.value.hi, 1.0)
         k_note = f"K = {cap:.10g} (the certified product limsup)"
+        if math.isinf(cap):  # exp(log_cap) overflowed; K is its upper end
+            k_note = (
+                f"K = exp({family.log_cap.hi:.10g}) (the certified product limsup, "
+                "above the largest double)"
+            )
     else:
         cap = K
         if prod.value.lo > K:
@@ -721,6 +730,17 @@ def check_scaled_limsup(
             "the scaled tail limsup is infinite"
         )
         return Verdict(name, FAILS, None, certificate, UNIQUE_TINV_GIBBS)
+    if math.isinf(cap):  # Gamma(alpha)/K underflows; only a limsup of 0 is decided
+        detail = (
+            f"alpha = {float(a):.10g}, {k_note}; scaled tail limsup in "
+            f"[{tail.value.lo:.10g}, {tail.value.hi:.10g}] against Gamma(alpha)/K (strict); "
+            "uniqueness is among shift-invariant states"
+        )
+        if tail.value.hi == 0.0:
+            detail += "; a limsup of exactly 0 lies below Gamma(alpha)/K > 0"
+            return Verdict(name, HOLDS, None, detail, UNIQUE_TINV_GIBBS)
+        detail += "; a positive limsup is not compared with an overflowed K"
+        return Verdict(name, INCONCLUSIVE, None, detail, UNIQUE_TINV_GIBBS)
     rhs = _gamma_interval(float(a)) / Interval.point(cap)
     margin = rhs - tail.value
     detail = (

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-import numpy as np
-
+from ._numpy import np
 from .fseq import Word
 from .kernel import _encode_state, _walk, required_range
 from .potential import PairPotential, SPINS

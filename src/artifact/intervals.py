@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._numpy import np
+
 LIBM_GUARD_ULPS = 2
 
 # Outward factors for float64 arrays, where nextafter per element is slow.  A
@@ -226,11 +228,9 @@ def float_sum_enclosure(terms, term_ulps: int = 0) -> Interval:
     ulps of the absolute-value sum, and we widen by that much plus the term
     errors (``term_ulps`` eps of that sum and subnormal ulps per term).
     """
-    import numpy as np
-
-    arr = np.asarray(terms, dtype=np.float64)
-    if arr.size == 0:
+    if len(terms) == 0:
         return ZERO
+    arr = np.asarray(terms, dtype=np.float64)
     if arr.size == 1 and not term_ulps:
         return Interval.point(float(arr[0]))
     s = float(np.sum(arr))

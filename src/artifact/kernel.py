@@ -44,8 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .fseq import FSequence, Word
 from .potential import PairPotential, SPINS
 

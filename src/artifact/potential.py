@@ -33,8 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
+from ._numpy import np
 from .intervals import (
     DOWN, DOWN_EXP, EPS, FLOOR, LIBM_GUARD_ULPS, ONE, UP, UP_EXP, Interval, ZERO, float_sum_enclosure,
 )
@@ -258,7 +257,7 @@ def _weighted_total(law: CouplingLaw, last: Optional[int]) -> Optional[Interval]
     return amp * total
 
 
-_LD_EPS = float(np.finfo(np.longdouble).eps)  # accumulator precision
+_LD_EPS = None  # accumulator precision, np.finfo(np.longdouble).eps from the first use on
 
 
 def _suffix_enclosures(terms: np.ndarray, anchor: Interval, term_ulps: int):
@@ -272,6 +271,9 @@ def _suffix_enclosures(terms: np.ndarray, anchor: Interval, term_ulps: int):
     conversion, the anchor and the budget itself), the term errors and
     FLOOR, so the float64 endpoints need no further rounding.
     """
+    global _LD_EPS
+    if _LD_EPS is None:
+        _LD_EPS = float(np.finfo(np.longdouble).eps)
     H = terms.size
     s = np.zeros(H + 1)
     s[:H] = np.cumsum(terms[::-1], dtype=np.longdouble)[::-1]

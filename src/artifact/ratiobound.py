@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, UP, UP_EXP, Interval, ONE, ZERO
 from .fseq import FSequence
 from .potential import DEFAULT_REL_WIDTH

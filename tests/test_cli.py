@@ -2,10 +2,15 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import artifact
 from artifact.cli import (
     CONFIG_DEFAULTS,
     EXPERIMENTS,
@@ -536,3 +541,96 @@ def test_config_digest_matches_file_bytes(tmp_path):
     assert main(["gfun", "--config", str(path)]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# -- start-up: what a process loads -----------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = Path(artifact.__file__).resolve().parents[1]
+
+# runs gibbs1d's entry point, then names the heavy modules the run loaded
+CHECK_AND_LIST = """
+import sys
+from artifact.cli import main
+rc = main(sys.argv[1:])
+print(sorted(m for m in ("numpy._core", "artifact.dynamics") if m in sys.modules))
+sys.exit(rc)
+"""
+
+
+def python(code, *args):
+    """A fresh interpreter that imports the package under test."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+@pytest.mark.parametrize("config", ["inverse_square", "zero"])
+def test_check_runs_without_numpy_or_the_sampler(tmp_path, config):
+    if config == "zero":
+        path = write_config(tmp_path, base_doc())
+    else:
+        path = REPO / "demos" / "configs" / f"{config}.yaml"
+    proc = python(CHECK_AND_LIST, "check", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert "strongest conclusion: unique Gibbs + Bernoulli" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_report_with_samples_loads_numpy_and_the_sampler(tmp_path):
+    path = write_config(tmp_path, small_doc(experiments=["sample"]))
+    proc = python(CHECK_AND_LIST, "report", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(["artifact.dynamics", "numpy._core"])
+
+
+HIDE_NUMPY = {
+    "meta-path blocker": """
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+sys.meta_path.insert(0, Blocker())
+""",
+    "no spec": "sys.modules['numpy'] = None\n",
+}
+
+
+@pytest.mark.parametrize("how", sorted(HIDE_NUMPY))
+def test_missing_numpy_fails_at_import(how):
+    code = "import sys\n" + HIDE_NUMPY[how] + """
+try:
+    import artifact.cli
+except ModuleNotFoundError as exc:
+    print(exc.name)
+"""
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "numpy"
+
+
+def test_constants_match_numpy():
+    code = """
+import numpy as np
+from artifact import criteria, potential
+assert potential._LD_EPS is None
+assert criteria._EULER_GAMMA == criteria._pad(float(np.euler_gamma))
+potential.PairPotential(beta=0.3, coupling=potential.CouplingLaw.power_law(2.0)).tail_enclosure_table(8)
+assert potential._LD_EPS == float(np.finfo(np.longdouble).eps)
+"""
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_on_first_access():
+    code = """
+import sys
+import artifact
+assert [m for m in sys.modules if m.startswith("artifact.")] == [], "import artifact loaded a submodule"
+for name in artifact.__all__:
+    exec(f"from artifact import {name}")
+    assert name in dir(artifact), name
+"""
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr

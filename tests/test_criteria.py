@@ -1,9 +1,13 @@
 """Uniqueness criteria: closed-form verdicts, thresholds, and the report."""
 
 import math
+import re
+import sys
 
+import mpmath
 import pytest
 
+import artifact.criteria as criteria
 from artifact import (
     CouplingLaw,
     CriteriaReport,
@@ -283,6 +287,8 @@ def test_scaled_limsup_validation():
         check_scaled_limsup(F, alpha=1.5)
     with pytest.raises(ValueError):
         check_scaled_limsup(F, alpha=0.5, K=0.0)
+    with pytest.raises(ValueError):
+        check_scaled_limsup(F, alpha=0.5, K=math.inf)  # Gamma(alpha)/K would be 0
 
 
 # -- single-site influence ----------------------------------------------------------
@@ -403,6 +409,48 @@ def test_report_decides_all_nine_criteria_when_the_floor_underflows():
         out = rep.outcomes()
         assert out["ruelle"] == HOLDS and out["product_blocksum"] == HOLDS
         assert rep.strongest == UNIQUE_GIBBS_BERNOULLI
+
+
+def _true_logs(p):
+    """beta T(1) - 4 beta W and beta W to 30 digits, with W = sum_j j J(j)."""
+    c = p.coupling
+    with mpmath.workdps(30):
+        beta = mpmath.mpf(p.beta)
+        if c.kind == "exponential":
+            x = mpmath.exp(c.rate)
+            t1, w = 1 / (x - 1), x / (x - 1) ** 2
+        else:
+            t1, w = mpmath.zeta(c.q), mpmath.zeta(c.q - 1)
+        return beta * (t1 - 4 * w), beta * w
+
+
+def test_underflowing_floor_and_overflowing_cap_are_stated_in_log_space():
+    for p in UNDERFLOWING_FLOORS:
+        log_floor, log_cap = _true_logs(p)
+        berbee = check_berbee(fseq(p))
+        assert berbee.outcome == HOLDS and berbee.margin is None
+        assert "at least exp(L) > 0" in berbee.certificate
+        lo, hi = map(float, re.search(r"L = .* in \[(\S+), (\S+)\]", berbee.certificate).groups())
+        assert lo <= hi < -745.2  # exp(L) lies below the least subnormal double
+        assert lo * (1 + 1e-9) <= log_floor <= hi * (1 - 1e-9)
+        v = check_scaled_limsup(fseq(p))
+        assert v.outcome == HOLDS and "not evaluated" not in v.certificate
+        k = re.search(r"K = exp\((\S+)\)", v.certificate)
+        if log_cap > math.log(sys.float_info.max):
+            assert v.margin is None and "above the largest double" in v.certificate
+            assert abs(float(k.group(1)) - log_cap) <= 1e-9 * log_cap
+        else:  # q = 2.5 at beta = 200: K = exp(beta W) still fits in a double
+            assert k is None and v.margin.lo > 0.0
+
+
+def test_scaled_limsup_leaves_a_positive_tail_open_when_k_overflows(monkeypatch):
+    # unreachable from the closed forms (an overflowing K means alpha = 1 on a
+    # summable law, whose tail limsup is 0), so the tail limsup is replaced
+    positive = criteria._Limsup.finite(Interval(0.25, 0.5))
+    monkeypatch.setattr(criteria._ScaledFamily, "tail_limsup", lambda self, alpha: positive)
+    v = check_scaled_limsup(fseq(UNDERFLOWING_FLOORS[0]))
+    assert v.outcome == INCONCLUSIVE and v.margin is None
+    assert "above the largest double" in v.certificate and "overflowed K" in v.certificate
 
 
 def test_report_lookup_raises_on_unknown_name():
