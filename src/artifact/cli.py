@@ -27,6 +27,8 @@ Schema::
     budget:              float > 0 or null, default null (requires alpha)
     block_lambda:        float > 1, default 2.0
     alpha_grid:          [float in (0, 1], ...] or null, default null
+                         (product_blocksum quotes the largest admissible
+                         alpha; alpha, when set, wins over the grid)
     out:                 str, default "runs"
 
 Artifacts land in the output directory: ``report.json`` (verdicts and
@@ -49,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -62,17 +63,7 @@ from typing import Optional
 import yaml
 
 from . import __version__
-from .criteria import (
-    UNIQUE_GIBBS_BERNOULLI,
-    UNIQUE_TINV_GIBBS,
-    CriteriaReport,
-    Verdict,
-    _guarded,
-    check_jop_blocksum,
-    check_product_blocksum,
-    check_scaled_limsup,
-    evaluate_all,
-)
+from .criteria import Verdict, evaluate_all
 from .fseq import FSequence, Word
 from .kernel import ENUMERATION_MAX_WINDOW, empirical_g_variation_profile, g_exact_markov
 from .potential import (
@@ -100,6 +91,9 @@ CONFIG_DEFAULTS = {
     "alpha_grid": None,
     "out": "runs",
 }
+
+# config keys passed to evaluate_all as keywords when they differ from the default
+_CRITERIA_KNOBS = ("alpha", "budget", "alpha_grid", "block_lambda")
 
 _POTENTIAL_KEYS = {"kind", "beta", "q", "rate", "amplitude", "values", "truncation_range"}
 _KIND_REQUIRED = {
@@ -180,30 +174,14 @@ class RunConfig:
 
     def as_doc(self) -> dict:
         """The schema document this config round-trips through."""
-        pot: dict = {"kind": self.kind, "beta": self.beta, "truncation_range": self.truncation_range}
-        if self.kind == "power_law":
-            pot["q"] = self.q
-            pot["amplitude"] = self.amplitude
-        elif self.kind == "exponential":
-            pot["rate"] = self.rate
-            pot["amplitude"] = self.amplitude
-        elif self.kind == "finite_table":
-            pot["values"] = list(self.values)
-        return {
-            "potential": pot,
-            "experiments": list(self.experiments),
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "rel_width": self.rel_width,
-            "sample_length": self.sample_length,
-            "couple_length": self.couple_length,
-            "empirical_window": self.empirical_window,
-            "alpha": self.alpha,
-            "budget": self.budget,
-            "block_lambda": self.block_lambda,
-            "alpha_grid": None if self.alpha_grid is None else list(self.alpha_grid),
-            "out": self.out,
-        }
+
+        def doc(keys) -> dict:
+            values = {k: getattr(self, k) for k in keys}
+            return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+        kind = self.kind
+        pot_keys = {"kind", "beta", "truncation_range"} | _KIND_REQUIRED[kind] | _KIND_OPTIONAL[kind]
+        return {"potential": doc(pot_keys), **doc(CONFIG_DEFAULTS)}
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -412,51 +390,12 @@ def _verdict_doc(v: Verdict) -> dict:
 
 
 def _run_criteria(cfg: RunConfig, p: PairPotential) -> dict:
-    report = evaluate_all(p, cfg.rel_width)
-    verdicts = {v.criterion: v for v in report.verdicts}
-    knobs: dict = {}
-    if cfg.alpha is not None or cfg.alpha_grid is not None or cfg.block_lambda != 2.0:
-        F = FSequence.from_potential(p, cfg.rel_width)
-        if cfg.alpha is not None:
-            knobs["alpha"] = cfg.alpha
-            verdicts["product_blocksum"] = _guarded(
-                "product_blocksum",
-                UNIQUE_GIBBS_BERNOULLI,
-                lambda: check_product_blocksum(F, cfg.alpha),
-            )
-            verdicts["scaled_limsup"] = _guarded(
-                "scaled_limsup",
-                UNIQUE_TINV_GIBBS,
-                lambda: check_scaled_limsup(F, cfg.alpha, cfg.budget, cfg.rel_width),
-            )
-            if cfg.budget is not None:
-                knobs["budget"] = cfg.budget
-        elif cfg.alpha_grid is not None:
-            knobs["alpha_grid"] = list(cfg.alpha_grid)
-            rank = {"Holds": 2, "Inconclusive": 1, "Fails": 0}
-            best = None
-            for a in cfg.alpha_grid:
-                cand = _guarded(
-                    "product_blocksum",
-                    UNIQUE_GIBBS_BERNOULLI,
-                    lambda a=a: check_product_blocksum(F, a),
-                )
-                if best is None or rank[cand.outcome] > rank[best.outcome]:
-                    best = cand
-            verdicts["product_blocksum"] = best
-        if cfg.block_lambda != 2.0:
-            knobs["block_lambda"] = cfg.block_lambda
-            logr = LogRProfile.from_fsequence(F, cfg.rel_width)
-            verdicts["jop_blocksum"] = _guarded(
-                "jop_blocksum",
-                UNIQUE_TINV_GIBBS,
-                lambda: check_jop_blocksum(logr, cfg.block_lambda),
-            )
-    ordered = tuple(verdicts[v.criterion] for v in report.verdicts)
+    knobs = {k: getattr(cfg, k) for k in _CRITERIA_KNOBS if getattr(cfg, k) != CONFIG_DEFAULTS[k]}
+    report = evaluate_all(p, cfg.rel_width, **knobs)
     return {
-        "strongest_conclusion": CriteriaReport(ordered).strongest,
-        "knobs": knobs,
-        "verdicts": [_verdict_doc(v) for v in ordered],
+        "strongest_conclusion": report.strongest,
+        "knobs": report.knobs,
+        "verdicts": [_verdict_doc(v) for v in report.verdicts],
     }
 
 
@@ -691,20 +630,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
-        updates: dict = {}
-        if args.seed is not None:
-            _expect(0 <= args.seed < 1 << 64, "seed must fit in 64 bits")
-            updates["seed"] = args.seed
-        if args.rel_width is not None:
-            _expect(0.0 < args.rel_width < 1.0, "rel_width must lie in (0, 1)")
-            updates["rel_width"] = args.rel_width
-        if args.n_max is not None:
-            _expect(1 <= args.n_max <= 1 << 20, "n_max must lie in [1, 2^20]")
-            updates["n_max"] = args.n_max
+        overrides = {
+            k: getattr(args, k) for k in ("seed", "rel_width", "n_max") if getattr(args, k) is not None
+        }
         if args.command != "report":
-            updates["experiments"] = (args.command if args.command != "check" else "criteria",)
-        if updates:
-            cfg = dataclasses.replace(cfg, **updates)
+            overrides["experiments"] = ["criteria" if args.command == "check" else args.command]
+        cfg = parse_config({**cfg.as_doc(), **overrides})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

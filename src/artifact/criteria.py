@@ -24,9 +24,9 @@ case as a straddle; Fractions keep the boundary sharp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .fseq import FSequence
 from .intervals import Interval, ZERO
@@ -315,18 +315,26 @@ def _blocksum_alpha_ok(fam: str, q: float, alpha: Fraction) -> bool:
     return 2 * alpha * (Fraction(q) - 1) > 1
 
 
-def check_product_blocksum(F: FSequence, alpha: Optional[float] = None) -> Verdict:
+def check_product_blocksum(
+    F: FSequence,
+    alpha: Optional[float] = None,
+    alpha_grid: Optional[Sequence[float]] = None,
+) -> Verdict:
     """Paired growth test: polynomial ratio products plus vanishing block sums.
 
     The hypothesis pair asks for the running sup-ratio product to be
     O(n^(1-alpha)) while the dyadic block sums of the 2*alpha-th powers of the
-    right-tail log-ratios vanish, for a single alpha in (0, 1].  When alpha is
-    omitted the check searches DEFAULT_ALPHA_GRID, plus the family's natural
-    exponent 1 - c on the critical power law.  All comparisons against the
-    family closed forms are exact rational arithmetic.
+    right-tail log-ratios vanish, for a single alpha in (0, 1].  The check
+    searches one candidate list: ``alpha`` alone when given, else
+    ``alpha_grid``, else DEFAULT_ALPHA_GRID plus the family's natural
+    exponent 1 - c on the critical power law.  It holds when some candidate
+    is admissible and quotes the largest admissible alpha.  All comparisons
+    against the family closed forms are exact rational arithmetic.
     """
-    if alpha is not None and not 0.0 < alpha <= 1.0:
+    grid = (alpha,) if alpha is not None else alpha_grid
+    if grid is not None and not (grid and all(0.0 < a <= 1.0 for a in grid)):
         raise ValueError("alpha must lie in (0, 1]")
+    candidates = [Fraction(a) for a in (DEFAULT_ALPHA_GRID if grid is None else grid)]
     p = F.potential
     fam = _family(p)
     name = "product_blocksum"
@@ -341,8 +349,7 @@ def check_product_blocksum(F: FSequence, alpha: Optional[float] = None) -> Verdi
     if fam == "power_critical":
         c = strength_fraction(p)
         margin = fraction_interval(_HALF - c)
-        candidates = [Fraction(alpha)] if alpha is not None else [Fraction(a) for a in DEFAULT_ALPHA_GRID]
-        if alpha is None and c < _HALF:
+        if grid is None and c < _HALF:
             natural = 1 - c
             if natural not in candidates:
                 candidates.append(natural)
@@ -370,7 +377,6 @@ def check_product_blocksum(F: FSequence, alpha: Optional[float] = None) -> Verdi
 
     # summable families: the product converges, so alpha = 1 always serves
     q = p.coupling.q if fam == "power_summable" else math.inf
-    candidates = [Fraction(alpha)] if alpha is not None else [Fraction(a) for a in DEFAULT_ALPHA_GRID]
     admissible = [a for a in candidates if _blocksum_alpha_ok(fam, q, a)]
     margin = Interval.point(0.5)
     if admissible:
@@ -792,9 +798,14 @@ def _natural_alpha(family: _ScaledFamily):
 
 @dataclass(frozen=True)
 class CriteriaReport:
-    """All verdicts for one coupling, with the strongest certified conclusion."""
+    """All verdicts for one coupling, with the strongest certified conclusion.
+
+    ``knobs`` maps each criteria knob that moved a check off its default to
+    the value applied (see ``evaluate_all``).
+    """
 
     verdicts: tuple
+    knobs: dict = field(default_factory=dict)
 
     @property
     def strongest(self) -> Optional[str]:
@@ -822,14 +833,46 @@ def _guarded(criterion: str, strength: str, thunk: Callable[[], Verdict]) -> Ver
         return Verdict(criterion, INCONCLUSIVE, None, f"not evaluated: {exc}", strength)
 
 
-def evaluate_all(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> CriteriaReport:
-    """Run every criterion on one pair coupling.
+def evaluate_all(
+    p: PairPotential,
+    rel_width: float = DEFAULT_REL_WIDTH,
+    *,
+    alpha: Optional[float] = None,
+    budget: Optional[float] = None,
+    alpha_grid: Optional[Sequence[float]] = None,
+    block_lambda: float = 2.0,
+) -> CriteriaReport:
+    """Run every criterion on one pair coupling, each exactly once.
 
     Checks whose preconditions a given coupling cannot meet (for example the
     one-site influence sum on an untruncated infinite-range law) report as
     Inconclusive entries carrying the guard message, so the report always has
     one entry per criterion.
+
+    The knobs reach three of the nine checks:
+
+      alpha         fixes the exponent of product_blocksum and scaled_limsup;
+      budget        the scaled_limsup product cap K (requires alpha);
+      alpha_grid    product_blocksum's candidate list, searched for the
+                    largest admissible alpha; alpha wins over it when both
+                    are given;
+      block_lambda  the block growth factor of jop_blocksum, which only
+                    rescales the constants of its certificate.
+
+    ``CriteriaReport.knobs`` records the knobs that were applied: alpha and
+    budget when given, else alpha_grid, and block_lambda when not 2.
     """
+    if budget is not None and alpha is None:
+        raise ValueError("budget requires alpha")
+    knobs: dict = {}
+    if alpha is not None:
+        knobs["alpha"] = alpha
+        if budget is not None:
+            knobs["budget"] = budget
+    elif alpha_grid is not None:
+        knobs["alpha_grid"] = list(alpha_grid)
+    if block_lambda != 2.0:
+        knobs["block_lambda"] = block_lambda
     F = FSequence.from_potential(p, rel_width)
     profile = VariationProfile.from_potential(p, rel_width)
     logr = LogRProfile.from_fsequence(F, rel_width)
@@ -848,14 +891,16 @@ def evaluate_all(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> Crit
         _guarded(
             "product_blocksum",
             UNIQUE_GIBBS_BERNOULLI,
-            lambda: check_product_blocksum(F),
+            lambda: check_product_blocksum(F, alpha, alpha_grid),
         ),
-        _guarded("jop_blocksum", UNIQUE_TINV_GIBBS, lambda: check_jop_blocksum(logr)),
+        _guarded(
+            "jop_blocksum", UNIQUE_TINV_GIBBS, lambda: check_jop_blocksum(logr, block_lambda)
+        ),
         _guarded("bcjo", UNIQUE_TINV_GIBBS, lambda: check_bcjo(logr)),
         _guarded(
             "scaled_limsup",
             UNIQUE_TINV_GIBBS,
-            lambda: check_scaled_limsup(F, rel_width=rel_width),
+            lambda: check_scaled_limsup(F, alpha, budget, rel_width),
         ),
     )
-    return CriteriaReport(verdicts=verdicts)
+    return CriteriaReport(verdicts=verdicts, knobs=knobs)

@@ -435,11 +435,15 @@ def log_r_bound_envelope(
 
 def _summable_envelope(floor: Interval, derivation: str) -> Optional[DecayEnvelope]:
     """The 2 / (c0 c1) n^-1 majorant from the product-term floor c0 c1, or
-    None when the floor's lower end underflows to 0 (once beta W passes about
-    745); no majorant is claimed then."""
+    None when 2 / (c0 c1) has no finite upper end: the floor underflows to 0
+    once beta W passes about 745, and a subnormal floor already overflows the
+    quotient.  No majorant is claimed then."""
     if floor.lo <= 0.0:
         return None
-    return DecayEnvelope((Interval.point(2.0) / floor).hi, 1.0, 1, derivation)
+    coefficient = (Interval.point(2.0) / floor).hi
+    if math.isinf(coefficient):
+        return None
+    return DecayEnvelope(coefficient, 1.0, 1, derivation)
 
 
 # -- growth diagnostics --------------------------------------------------------

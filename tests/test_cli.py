@@ -393,6 +393,44 @@ def test_criteria_alpha_grid_keeps_best(tmp_path):
     assert by_name["product_blocksum"]["outcome"] == "Holds"
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"alpha": 0.75, "budget": 3.0},
+        {"alpha_grid": [0.6, 0.8, 1.0]},
+        {"block_lambda": 3.0},
+        {"alpha": 0.6, "alpha_grid": [0.55, 0.7], "block_lambda": 1.5},
+    ],
+)
+def test_check_runs_each_knobbed_criterion_once(tmp_path, monkeypatch, knobs):
+    import artifact.cli as cli
+    import artifact.criteria as criteria
+
+    names = ("check_product_blocksum", "check_scaled_limsup", "check_jop_blocksum")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        check = getattr(criteria, name)
+
+        def counted(*args, _name=name, _check=check, **kwargs):
+            calls[_name] += 1
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, name, counted)
+        monkeypatch.setattr(cli, name, counted, raising=False)
+    doc = power_doc(q=3.0, beta=0.3, out=str(tmp_path / "out"), **knobs)
+    assert main(["check", "--config", str(write_config(tmp_path, doc))]) == 0
+    assert calls == dict.fromkeys(names, 1)
+
+
+def test_alpha_wins_over_alpha_grid_in_the_report(tmp_path):
+    doc = power_doc(q=2.0, beta=0.3, experiments=["criteria"], alpha=0.75, alpha_grid=[0.6])
+    report, _ = run(parse_config(doc), tmp_path)
+    criteria_doc = report["results"]["criteria"]
+    assert criteria_doc["knobs"] == {"alpha": 0.75}
+    by_name = {v["criterion"]: v for v in criteria_doc["verdicts"]}
+    assert by_name["product_blocksum"]["outcome"] == "Inconclusive"
+
+
 def test_bounds_rows_follow_n_max(tmp_path):
     cfg = parse_config(small_doc(experiments=["bounds"], n_max=5))
     report, _ = run(cfg, tmp_path)
@@ -532,6 +570,33 @@ def test_main_bad_override_exits_two(tmp_path, capsys):
     assert main(["bounds", "--config", str(path), "--n-max", "0"]) == 2
     assert main(["bounds", "--config", str(path), "--cutoff-rel-width", "2.0"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--seed", "-1"], "seed must fit in 64 bits"),
+        (["--seed", str(1 << 64)], "seed must fit in 64 bits"),
+        (["--n-max", "0"], "n_max must lie in [1, 2^20]"),
+        (["--n-max", str((1 << 20) + 1)], "n_max must lie in [1, 2^20]"),
+        (["--cutoff-rel-width", "0"], "rel_width must lie in (0, 1)"),
+        (["--cutoff-rel-width", "1"], "rel_width must lie in (0, 1)"),
+        (["--cutoff-rel-width", "nan"], "rel_width must lie in (0, 1)"),
+    ],
+)
+def test_bad_override_names_the_schema_rule(tmp_path, capsys, flags, message):
+    path = write_config(tmp_path, small_doc(out=str(tmp_path / "out")))
+    assert main(["check", "--config", str(path), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_invalid_config_file_fails_before_the_overrides_apply(tmp_path, capsys):
+    # the file is validated on its own first: an override of the bad key
+    # does not rescue it
+    path = write_config(tmp_path, small_doc(n_max=0))
+    assert main(["check", "--config", str(path), "--n-max", "4"]) == 2
+    assert capsys.readouterr().err == "config error: n_max must lie in [1, 2^20]\n"
 
 
 def test_config_digest_matches_file_bytes(tmp_path):

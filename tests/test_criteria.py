@@ -502,3 +502,83 @@ def test_verdicts_stable_under_enclosure_width():
         tight = evaluate_all(p, rel_width=1e-12).outcomes()
         for name in wide:
             assert {wide[name], tight[name]} != {HOLDS, FAILS}, (p, name)
+
+
+# -- criteria knobs ----------------------------------------------------------------
+
+KNOBBED_CHECKS = ("check_product_blocksum", "check_scaled_limsup", "check_jop_blocksum")
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"alpha": 0.75, "budget": 3.0},
+        {"alpha_grid": (0.6, 0.8, 1.0)},
+        {"block_lambda": 3.0},
+    ],
+)
+def test_evaluate_all_runs_each_knobbed_check_once(monkeypatch, knobs):
+    calls = dict.fromkeys(KNOBBED_CHECKS, 0)
+
+    def counted(name):
+        check = getattr(criteria, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return check(*args, **kwargs)
+
+        return wrapper
+
+    for name in KNOBBED_CHECKS:
+        monkeypatch.setattr(criteria, name, counted(name))
+    report = evaluate_all(power(2.0, 0.3), **knobs)
+    assert calls == dict.fromkeys(KNOBBED_CHECKS, 1)
+    assert len(report.verdicts) == 9
+
+
+def test_knob_verdicts_match_the_direct_checks():
+    p = power(3.0, 0.3)
+    F = fseq(p)
+    logr = LogRProfile.from_fsequence(F)
+    rep = evaluate_all(p, alpha=0.75, budget=3.0, block_lambda=3.0)
+    assert rep.by_name("product_blocksum") == check_product_blocksum(F, 0.75)
+    assert rep.by_name("scaled_limsup") == check_scaled_limsup(F, 0.75, 3.0)
+    assert rep.by_name("jop_blocksum") == check_jop_blocksum(logr, 3.0)
+    assert rep.knobs == {"alpha": 0.75, "budget": 3.0, "block_lambda": 3.0}
+    default = evaluate_all(p)
+    assert default.knobs == {}
+    for name in ("dobrushin", "ruelle", "coelho_quas", "berbee", "variation_slope", "bcjo"):
+        assert rep.by_name(name) == default.by_name(name)
+
+    grid = (0.6, 0.8, 1.0)
+    rep = evaluate_all(p, alpha_grid=grid)
+    assert rep.by_name("product_blocksum") == check_product_blocksum(F, alpha_grid=grid)
+    assert rep.by_name("scaled_limsup") == default.by_name("scaled_limsup")
+    assert rep.knobs == {"alpha_grid": [0.6, 0.8, 1.0]}
+
+
+def test_alpha_grid_search_quotes_the_largest_admissible_alpha():
+    # one rule for the default and the supplied candidate lists
+    F = fseq(power(3.0, 0.3))
+    default = check_product_blocksum(F)
+    supplied = check_product_blocksum(F, alpha_grid=[0.6, 0.8, 1.0])
+    assert default == supplied
+    assert supplied.certificate.startswith("alpha = 1:")
+    v = check_product_blocksum(fseq(power(2.0, 0.3)), alpha_grid=[0.51, 0.6, 0.7, 0.75])
+    assert v.outcome == HOLDS and v.certificate.startswith("alpha = 0.7:")
+    with pytest.raises(ValueError):
+        check_product_blocksum(F, alpha_grid=[])
+    with pytest.raises(ValueError):
+        check_product_blocksum(F, alpha_grid=[0.6, 1.5])
+
+
+def test_alpha_wins_over_alpha_grid():
+    p = power(2.0, 0.3)
+    F = fseq(p)
+    both = evaluate_all(p, alpha=0.75, alpha_grid=(0.6, 0.7))
+    assert both.by_name("product_blocksum") == check_product_blocksum(F, 0.75)
+    assert both.by_name("product_blocksum").outcome == INCONCLUSIVE
+    assert evaluate_all(p, alpha_grid=(0.6, 0.7)).by_name("product_blocksum").outcome == HOLDS
+    assert both.knobs == {"alpha": 0.75}
+    with pytest.raises(ValueError, match="budget requires alpha"):
+        evaluate_all(p, budget=3.0)

@@ -274,6 +274,24 @@ def test_envelope_for_summable_tails():
     assert env is not None and env.exponent == 1.0
 
 
+def test_envelope_absent_when_the_coefficient_overflows():
+    # at beta = 480 and 490 the floor c0 c1 is subnormal but positive, so
+    # 2 / (c0 c1) overflows: no majorant may be claimed, and the two checks
+    # that read it stay Inconclusive instead of holding on "inf * n^-1"
+    from artifact import evaluate_all
+
+    for beta in (480.0, 490.0):
+        p = PairPotential(beta=beta, coupling=CouplingLaw.exponential(1.0))
+        assert log_r_bound_envelope(FSequence.from_potential(p)) is None
+        report = evaluate_all(p)
+        assert report.by_name("jop_blocksum").outcome == "Inconclusive"
+        assert report.by_name("bcjo").outcome == "Inconclusive"
+    p = PairPotential(beta=460.0, coupling=CouplingLaw.exponential(1.0))
+    env = log_r_bound_envelope(FSequence.from_potential(p))
+    assert math.isfinite(env.coefficient)
+    assert f"{env.coefficient:.10g}" == "3.116647104e+300"
+
+
 # -- growth diagnostics ----------------------------------------------------------
 
 
