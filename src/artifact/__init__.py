@@ -9,14 +9,14 @@ inequality they assert holds for the true real quantities.  ``kernel`` and
 they exist to corroborate the certified half, never to replace it.
 
 Nothing is loaded before it is used.  The public names below resolve on
-first access, so ``import artifact`` imports no submodule, and the command
-line imports ``dynamics`` only to sample or couple.  NumPy is found at
-import but executed on the first array operation: in ``potential``
-(exponential tails, power-law point tails for q > 2, tail tables and
-truncated totals), ``intervals.float_sum_enclosure`` on a non-empty sum,
-``ratiobound`` (the R_n series and its fits), ``kernel`` and ``dynamics``.
-The criteria of an untruncated power law with q <= 2 and of the zero
-interaction are scalar interval arithmetic and never load it.
+first access, so ``import artifact`` imports no submodule; the command line
+imports ``kernel`` only for ``gfun``, ``bounds``, the samplers and the
+Dobrushin sum of a finite-range law, and ``dynamics`` only to sample or
+couple.  Every enclosure ``gibbs1d check`` needs is scalar interval
+arithmetic.  NumPy is found at import but executed on the first array
+operation: tail tables (``potential``), the R_n series and its fits
+(``ratiobound``), the kernel walks and enumerations (``kernel``) and the
+sampler (``dynamics``).
 """
 
 import importlib

@@ -2,8 +2,8 @@
 
 NumPy is found when this module is imported, so a missing NumPy still fails
 at import with ``ModuleNotFoundError``, but it is executed only on the first
-attribute access.  A run whose work is all scalar interval arithmetic (the
-criteria of an untruncated inverse-square law, say) never pays for it.
+attribute access.  ``gibbs1d check``, whose work is all scalar interval
+arithmetic, never pays for it; tables, series, kernels and samplers do.
 """
 
 import importlib.util

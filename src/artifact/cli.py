@@ -65,9 +65,9 @@ import yaml
 from . import __version__
 from .criteria import Verdict, evaluate_all
 from .fseq import FSequence, Word
-from .kernel import ENUMERATION_MAX_WINDOW, empirical_g_variation_profile, g_exact_markov
 from .potential import (
     DEFAULT_REL_WIDTH,
+    ENUMERATION_MAX_WINDOW,
     CouplingLaw,
     PairPotential,
     VariationProfile,
@@ -272,7 +272,7 @@ def parse_config(doc: dict) -> RunConfig:
         _expect(budget > 0.0 and math.isfinite(budget), "budget must be positive and finite")
         _expect(alpha is not None, "budget requires alpha")
     block_lambda = _as_number(merged, "block_lambda", "config")
-    _expect(block_lambda > 1.0, "block_lambda must exceed 1")
+    _expect(block_lambda > 1.0 and math.isfinite(block_lambda), "block_lambda must exceed 1 and be finite")
     grid = merged["alpha_grid"]
     if grid is not None:
         _expect(
@@ -404,6 +404,8 @@ def _past_string(letters) -> str:
 
 
 def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
+    from .kernel import g_exact_markov
+
     g = g_exact_markov(p)
     tm = g.transfer
     path = out / "gfun.csv"
@@ -435,6 +437,8 @@ def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
+    from .kernel import empirical_g_variation_profile
+
     F = FSequence.from_potential(p, cfg.rel_width)
     logr = LogRProfile.from_fsequence(F, cfg.rel_width)
     profile = VariationProfile.from_potential(p, cfg.rel_width)
@@ -491,6 +495,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     from .dynamics import sample_chain, write_chain_csv
+    from .kernel import g_exact_markov
 
     g = g_exact_markov(p)
     depth = max(g.dependency_depth, 1)
@@ -511,6 +516,7 @@ def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 def _run_couple(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     from .dynamics import couple_two_pasts, write_coupling_csv
+    from .kernel import g_exact_markov
 
     g = g_exact_markov(p)
     depth = max(g.dependency_depth, 1)

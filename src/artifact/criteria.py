@@ -30,13 +30,13 @@ from typing import Callable, Optional, Sequence, Union
 
 from .fseq import FSequence
 from .intervals import Interval, ZERO
-from .kernel import dobrushin_sum
 from .potential import (
     DEFAULT_REL_WIDTH,
     PairPotential,
     VariationProfile,
     coelho_quas_sum,
     fraction_interval,
+    required_range,
     ruelle_sum,
     strength_fraction,
 )
@@ -146,6 +146,9 @@ def check_dobrushin(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> V
     flips add at most 2 * beta * tail in total.  Widening the achievable
     field set never lowers a max, so the slack is one-sided.
     """
+    required_range(p)  # an infinite range stops here, before the kernels load
+    from .kernel import dobrushin_sum
+
     base = dobrushin_sum(p)
     pad = 1e-12 * max(1.0, base)
     total = Interval(max(0.0, base - pad), base + pad)
@@ -387,9 +390,10 @@ def check_product_blocksum(
             "geometrically in the block index"
         )
         return Verdict(name, HOLDS, margin, certificate, UNIQUE_GIBBS_BERNOULLI)
+    a = max(candidates)
     certificate = (
-        f"supplied alpha = {float(candidates[0]):.10g} leaves block-sum exponent "
-        f"2*alpha*(q-1) = {float(2 * candidates[0] * (Fraction(q) - 1)):.10g} <= 1, "
+        f"supplied alpha = {float(a):.10g} leaves block-sum exponent "
+        f"2*alpha*(q-1) = {float(2 * a * (Fraction(q) - 1)):.10g} <= 1, "
         "so the dyadic sums do not certifiably vanish (larger alpha would work)"
     )
     return Verdict(name, INCONCLUSIVE, margin, certificate, UNIQUE_GIBBS_BERNOULLI)

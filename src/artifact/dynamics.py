@@ -40,8 +40,8 @@ from typing import Optional
 
 from ._numpy import np
 from .fseq import Word
-from .kernel import _encode_state, _walk, required_range
-from .potential import PairPotential, SPINS
+from .kernel import _encode_state, _walk
+from .potential import PairPotential, SPINS, required_range
 
 SAMPLER_MAX_DEPTH = 12
 CESARO_MAX_WINDOW = 1 << 15

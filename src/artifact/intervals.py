@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._numpy import np
-
 LIBM_GUARD_ULPS = 2
 
 # Outward factors for float64 arrays, where nextafter per element is slow.  A
@@ -224,19 +222,23 @@ def float_sum_enclosure(terms, term_ulps: int = 0) -> Interval:
     """Sound enclosure of a sum of float terms, each within ``term_ulps`` ulps
     of the true term it stands for (0: exact terms).
 
-    Pairwise summation in numpy keeps the error below ``ceil(log2 n) + 1``
-    ulps of the absolute-value sum, and we widen by that much plus the term
-    errors (``term_ulps`` eps of that sum and subnormal ulps per term).
+    ``math.fsum`` rounds the sum of the floats correctly, and we still widen
+    by ``ceil(log2 n) + 1`` ulps of the absolute-value sum (the error bound
+    of pairwise summation) plus the term errors (``term_ulps`` eps of that
+    sum and subnormal ulps per term).  A sum that overflows has a NaN
+    endpoint, which ``Interval`` rejects with ``ValueError``.
     """
-    if len(terms) == 0:
+    n = len(terms)
+    if n == 0:
         return ZERO
-    arr = np.asarray(terms, dtype=np.float64)
-    if arr.size == 1 and not term_ulps:
-        return Interval.point(float(arr[0]))
-    s = float(np.sum(arr))
-    a = float(np.sum(np.abs(arr)))
+    if n == 1 and not term_ulps:
+        return Interval.point(float(terms[0]))
+    try:
+        s, a = math.fsum(terms), math.fsum(map(abs, terms))
+    except OverflowError:  # a partial sum overflows
+        s = a = _INF
     if a == 0.0 and not term_ulps:
         return ZERO
     eps = math.ulp(max(a, abs(s)))
-    guard = (int(arr.size).bit_length() + 2) * eps + term_ulps * (math.ulp(1.0) * a + arr.size * math.ulp(0.0))
+    guard = (n.bit_length() + 2) * eps + term_ulps * (math.ulp(1.0) * a + n * math.ulp(0.0))
     return Interval(s - guard, s + guard)

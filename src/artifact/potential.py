@@ -18,6 +18,8 @@ encloses them, a few ulps wide, for point queries and for tables:
 
   Every even derivative of x^-q is positive, so R_K lies between 0 and the
   first neglected term (DLMF 2.10.iii), which is added as a one-sided pad.
+  A sum ending at R takes each term as a difference at N and R + 1, so the
+  truncated weighted total sum_{j <= R} j^(1-q), q in (1, 2], is O(1) in R.
   Exponential laws use the closed form A e^{-rm} (1 - e^{-r(R+1-m)}) /
   (1 - e^{-r}) with enclosed exponents; finite tables sum their entries.
 * Tables (``TailEnclosureTable``).  One point tail anchors T(H+1), then the
@@ -70,38 +72,49 @@ _EM_STOP = 2.0**-56
 _EM_OFFSET = 12
 # A power-law term A * j**-q rounds in pow (libm guard) and the product.
 _POWER_TERM_ULPS = LIBM_GUARD_ULPS + 1
-# Terms per numpy block of a truncated weighted total.
-_WEIGHTED_CHUNK = 1 << 20
 
 
-def _em_tail(q: float, N: int) -> Interval:
-    """Enclosure of sum_{j >= N} j**-q by Euler-Maclaurin at N (module docstring)."""
+def _em_sum(q: float, N: int, L: Optional[int] = None) -> Interval:
+    """Enclosure of sum_{N <= j < L} j**-q by Euler-Maclaurin at N (module
+    docstring); ``L`` None: no end, which needs q > 1.  With an end the
+    integral is N^(1-q) expm1((1-q) log(L/N)) / (1-q), or log(L/N) at q = 1,
+    so nothing large cancels when q is near 1, and any q > 0 serves."""
     Nq, qi = Interval.point(float(N)), Interval.point(q)
-    x = Nq.pow(1.0 - q)  # N^(1-q); 1 - q and q - 1 are exact for q > 1
-    out = x / (q - 1.0) + x / Nq * 0.5
+    x = Nq.pow(1.0 - q)  # N^(1-q); 1 - q and q - 1 are exact for q > 1 and for q = Q - 1, Q > 1
     inv_n2 = ONE / (Nq * Nq)
     y = x * inv_n2  # N^(1-q-2k) at k = 1
+    if L is None:
+        out = x / (q - 1.0) + x / Nq * 0.5
+    else:
+        Lq = Interval.point(float(L))
+        log_ratio = (Interval.point(float(L - N)) / Nq).log1p()
+        integral = log_ratio if q == 1.0 else x * ((log_ratio * (1.0 - q)).expm1() / (1.0 - q))
+        x_end = Lq.pow(1.0 - q)
+        out = integral + (x / Nq - x_end / Lq) * 0.5
+        inv_l2 = ONE / (Lq * Lq)
+        y_end = x_end * inv_l2
     rising = qi  # (q)_(2k-1) at k = 1
     for k, coeff in enumerate(_EM_COEFFS, start=1):
-        term = coeff * rising * y
+        term = coeff * rising * (y if L is None else y - y_end)
         if k == len(_EM_COEFFS) or max(-term.lo, term.hi) <= _EM_STOP * out.lo:
             break
         out = out + term
         y = y * inv_n2
+        if L is not None:
+            y_end = y_end * inv_l2
         rising = rising * (qi + float(2 * k - 1)) * (qi + float(2 * k))
-    # the remainder lies between 0 and the first neglected term
+    # the remainder lies between 0 and the first neglected term (difference)
     return out + Interval(min(term.lo, 0.0), max(term.hi, 0.0))
 
 
 def _power_sum(q: float, n: int, last: Optional[int] = None) -> Interval:
-    """Enclosure of sum_{n <= j <= last} j**-q for q > 1 (``last`` None: no end)."""
+    """Enclosure of sum_{n <= j <= last} j**-q for q > 1 (``last`` None: no
+    end), or for q > 0 with a ``last``, in O(1) time whatever ``last`` is."""
     N = n + _EM_OFFSET + math.ceil(q)
     stop = N if last is None else min(N, last + 1)
-    out = float_sum_enclosure(np.arange(n, stop, dtype=np.float64) ** -q, LIBM_GUARD_ULPS)
-    if stop == N:
-        out = out + _em_tail(q, N)
-        if last is not None:
-            out = out - _em_tail(q, last + 1)
+    out = float_sum_enclosure([float(j) ** -q for j in range(n, stop)], LIBM_GUARD_ULPS)
+    if last is None or last >= N:
+        out = out + _em_sum(q, N, None if last is None else last + 1)
     return Interval(max(0.0, out.lo), out.hi)
 
 
@@ -191,8 +204,11 @@ class CouplingLaw:
         if self.amplitude == 0.0:
             return ZERO
         if self.kind == "exponential":
-            lo, hi = self._exponential_tails(np.array([float(n)]), last)
-            return Interval(float(lo[0]), float(hi[0]))
+            neg_rate = Interval.point(-self.rate)
+            out = Interval.point(self.amplitude) / -neg_rate.expm1() * (neg_rate * float(n)).exp()
+            if last is not None:
+                out = out * -(neg_rate * float(last + 1 - n)).expm1()
+            return out
         return Interval.point(self.amplitude) * _power_sum(self.q, n, last)
 
     def _exponential_tails(self, m: np.ndarray, last: Optional[int]):
@@ -247,14 +263,10 @@ def _weighted_total(law: CouplingLaw, last: Optional[int]) -> Optional[Interval]
             x_last = (Interval.point(-law.rate) * float(last)).exp()
             total = total * (ONE - x_last * (ONE + d * float(last)))
         return amp * total
-    if last is None:
-        return None if law.q <= 2.0 else amp * _power_sum(law.q - 1.0, 1)
-    # j * j**-q is summed as j**(1 - q), one pow per term; 1 - q is exact for q > 1
-    total = ZERO
-    for start in range(1, last + 1, _WEIGHTED_CHUNK):
-        j = np.arange(start, min(start + _WEIGHTED_CHUNK, last + 1), dtype=np.float64)
-        total = total + float_sum_enclosure(j ** (1.0 - law.q), LIBM_GUARD_ULPS)
-    return amp * total
+    if last is None and law.q <= 2.0:
+        return None
+    # j * j**-q is j**(1 - q); q - 1 is exact for q > 1
+    return amp * _power_sum(law.q - 1.0, 1, last)
 
 
 _LD_EPS = None  # accumulator precision, np.finfo(np.longdouble).eps from the first use on
@@ -390,6 +402,18 @@ class PairPotential:
         if self.finite_range == 0:
             return ZERO
         return self.coupling.weighted_total(rel_width, self.truncation_range)
+
+
+# Largest window [0, n] the exact kernels enumerate (2^(n+1) words).
+ENUMERATION_MAX_WINDOW = 12
+
+
+def required_range(p: PairPotential) -> int:
+    """Effective interaction range, insisting that it is finite (the kernels' guard)."""
+    R = p.finite_range
+    if R is None:
+        raise ValueError("exact kernels need a finite-range interaction; truncate first")
+    return R
 
 
 def tail_variation(p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:

@@ -190,6 +190,14 @@ def test_scalar_ranges():
         parse_config(base_doc(out=""))
 
 
+def test_infinite_block_lambda_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    path.write_text("potential: {kind: power_law, beta: 0.3, q: 2.0}\nblock_lambda: .inf\n")
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: block_lambda must exceed 1")
+    assert not (tmp_path / "out").exists()
+
+
 def test_budget_requires_alpha():
     with pytest.raises(ConfigError, match="budget requires alpha"):
         parse_config(base_doc(budget=2.0))
@@ -641,6 +649,28 @@ def test_check_runs_without_numpy_or_the_sampler(tmp_path, config):
     assert proc.returncode == 0, proc.stderr
     assert "strongest conclusion: unique Gibbs + Bernoulli" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# laws whose criteria need more than closed forms: (potential, finite range)
+SCALAR_CHECK_LAWS = {
+    "q3": ({"kind": "power_law", "beta": 0.5, "q": 3.0}, False),
+    "exponential": ({"kind": "exponential", "beta": 0.5, "rate": 0.5}, False),
+    "truncated exponential": ({"kind": "exponential", "beta": 0.5, "rate": 0.5, "truncation_range": 8}, True),
+    "nearest neighbour": ({"kind": "finite_table", "beta": 1.0, "values": [1.0]}, True),
+    "truncated q2 R12": ({"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 12}, True),
+    "truncated q2 R1000": ({"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 1000}, True),
+}
+CHECK_AND_LIST_KERNEL = CHECK_AND_LIST.replace('"artifact.dynamics"', '"artifact.kernel"')
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CHECK_LAWS))
+def test_check_is_scalar_on_every_law(tmp_path, name):
+    # NumPy never runs; the exact kernels load only for the Dobrushin sum of a finite range
+    law, finite = SCALAR_CHECK_LAWS[name]
+    path = write_config(tmp_path, {"potential": law})
+    proc = python(CHECK_AND_LIST_KERNEL, "check", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(["artifact.kernel"] if finite else [])
 
 
 def test_report_with_samples_loads_numpy_and_the_sampler(tmp_path):

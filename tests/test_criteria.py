@@ -572,6 +572,14 @@ def test_alpha_grid_search_quotes_the_largest_admissible_alpha():
         check_product_blocksum(F, alpha_grid=[0.6, 1.5])
 
 
+def test_inconclusive_blocksum_names_the_largest_candidate_tried():
+    v = evaluate_all(power(3.0, 0.3), alpha_grid=[0.2, 0.25]).by_name("product_blocksum")
+    assert v.outcome == INCONCLUSIVE
+    assert v.certificate.startswith(
+        "supplied alpha = 0.25 leaves block-sum exponent 2*alpha*(q-1) = 1 <= 1,"
+    )
+
+
 def test_alpha_wins_over_alpha_grid():
     p = power(2.0, 0.3)
     F = fseq(p)

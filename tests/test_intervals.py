@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from artifact import Interval
+from artifact.intervals import float_sum_enclosure
 
 finite = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -156,3 +157,26 @@ def test_unbounded_above_propagates():
     assert (a + 1.0).hi == math.inf
     assert (a * 2.0).hi == math.inf
     assert a.rel_width() == math.inf or a.rel_width() > 0.0
+
+
+# -- sums of floats ------------------------------------------------------------------
+
+summands = st.one_of(
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.floats(min_value=-1e-300, max_value=1e-300),  # subnormals among them
+    st.sampled_from([5e-324, -5e-324, 1.0, -1.0, 2.0**53, -(2.0**53)]),
+)
+
+
+@given(st.lists(summands, max_size=40), st.lists(st.integers(min_value=0), max_size=10), st.sampled_from([0, 2]))
+def test_float_sum_enclosure_contains_the_exact_sum(terms, cancel, term_ulps):
+    if terms:  # exact cancellation: the negatives of some terms join the sum
+        terms = terms + [-terms[i % len(terms)] for i in cancel]
+    iv = float_sum_enclosure(terms, term_ulps)
+    assert Fraction(iv.lo) <= sum(map(Fraction, terms)) <= Fraction(iv.hi)
+
+
+def test_float_sum_enclosure_overflow_is_a_value_error():
+    for terms in ([1e308, 1e308], [1e308, 1e308, -1e308], [-1e308, -1e308]):
+        with pytest.raises(ValueError):
+            float_sum_enclosure(terms)

@@ -314,6 +314,17 @@ def test_dobrushin_matches_sup_over_environments():
         assert dobrushin_sum(table(values, beta)) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("R", [6, 7])
+def test_dobrushin_meets_in_the_middle_at_longer_range(R):
+    # an odd and an even count of other distances split into unequal halves
+    rng = np.random.default_rng(20261018 + R)
+    for _ in range(3):
+        values = [0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0)) for _ in range(R)]
+        beta = float(3.0 - rng.uniform(0.0, 3.0))
+        want = _dobrushin_oracle(values, beta)
+        assert dobrushin_sum(table(values, beta)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_dobrushin_regression_values_and_memory():
     assert dobrushin_sum(truncated(2.0, 0.3, 6)) == 0.8902913649104236
     p = truncated(2.0, 0.3, 12)

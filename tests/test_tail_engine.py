@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from artifact import CouplingLaw, FSequence, PairPotential, g_variation_bound, rn_series, tail_variation
 from artifact.cli import main
 from artifact.intervals import Interval
+from artifact.potential import _weighted_total
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -213,6 +214,24 @@ def test_long_truncated_weighted_total_is_fast_and_cached():
     start = time.perf_counter()
     assert p.weighted_total() == total
     assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("R", [13, 14, 15, 10**3, 10**6, 10**8])
+@pytest.mark.parametrize("q", [1.05, 1.5, 2.0, 2.0 - 2.0**-30, 2.0 + 2.0**-30, 2.5, 3.0])
+def test_truncated_weighted_total_is_tight_in_constant_time(q, R):
+    # exponents 1 - q on both sides of -1; R = 13, 14, 15 straddle the head
+    # of 13 + ceil(q - 1) terms summed directly
+    _weighted_total.cache_clear()
+    law = CouplingLaw.power_law(q)
+    start = time.perf_counter()
+    total = law.weighted_total(last=R)
+    elapsed = time.perf_counter() - start
+    with mpmath.workdps(40):
+        s = mpmath.mpf(q) - 1
+        exact = mpmath.harmonic(R) if s == 1 else mpmath.zeta(s) - mpmath.zeta(s, R + 1)
+        assert contains(total, exact)
+    assert total.rel_width() <= 1e-13
+    assert elapsed < 0.01
 
 
 # -- beta = 0 is the zero interaction ----------------------------------------------
