@@ -3,7 +3,8 @@
 This module is the single schema authority for run configs.  A config is a
 YAML mapping (plain JSON is valid YAML and works too); unknown keys are
 rejected anywhere in the document, and every default lives in
-``CONFIG_DEFAULTS`` below.
+``CONFIG_DEFAULTS`` below.  Floats may be written ``1e-10`` or ``1e3``, as
+YAML 1.2 and ``json.dumps`` write them; quote an ``out`` of that form.
 
 Schema::
 
@@ -54,8 +55,8 @@ import csv
 import hashlib
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -63,6 +64,7 @@ from typing import Optional
 import yaml
 
 from . import __version__
+from ._record import record
 from .criteria import Verdict, evaluate_all
 from .fseq import FSequence, Word
 from .potential import (
@@ -110,6 +112,15 @@ _KIND_OPTIONAL = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """Safe YAML 1.1 loading that also reads YAML 1.2 floats such as ``1e-10``:
+    tried after the 1.1 resolvers, it leaves what they type, and quoted scalars."""
+
+
+_EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789"))
+
+
 class ConfigError(ValueError):
     """A config document violates the schema above."""
 
@@ -131,7 +142,7 @@ def _as_int(doc: dict, key: str, where: str) -> int:
     return v
 
 
-@dataclass(frozen=True)
+@record
 class RunConfig:
     """A validated run description; ``parse_config`` is the only constructor
     that should be trusted with user input."""
@@ -317,7 +328,7 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     return parse_config(doc)

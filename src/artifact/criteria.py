@@ -24,14 +24,15 @@ case as a straddle; Fractions keep the boundary sharp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
+from ._record import record, set_field
 from .fseq import FSequence
 from .intervals import Interval, ZERO
 from .potential import (
     DEFAULT_REL_WIDTH,
+    DOBRUSHIN_MAX_RANGE,
     PairPotential,
     VariationProfile,
     coelho_quas_sum,
@@ -64,7 +65,7 @@ DEFAULT_ALPHA_GRID = (0.51, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     """Outcome of one criterion on one input.
 
@@ -146,7 +147,8 @@ def check_dobrushin(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> V
     flips add at most 2 * beta * tail in total.  Widening the achievable
     field set never lowers a max, so the slack is one-sided.
     """
-    required_range(p)  # an infinite range stops here, before the kernels load
+    if required_range(p) > DOBRUSHIN_MAX_RANGE:  # before the kernels load
+        raise ValueError(f"enumeration guard: R <= {DOBRUSHIN_MAX_RANGE}")
     from .kernel import dobrushin_sum
 
     base = dobrushin_sum(p)
@@ -517,7 +519,7 @@ def check_bcjo(logr_g: LogRProfile) -> Verdict:
 # -- scaled limsup with an explicit (alpha, K) budget ------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class _Limsup:
     """Certified limsup of one scaled sequence.
 
@@ -800,7 +802,7 @@ def _natural_alpha(family: _ScaledFamily):
 # -- aggregation -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CriteriaReport:
     """All verdicts for one coupling, with the strongest certified conclusion.
 
@@ -809,7 +811,11 @@ class CriteriaReport:
     """
 
     verdicts: tuple
-    knobs: dict = field(default_factory=dict)
+    knobs: dict
+
+    def __init__(self, verdicts: tuple, knobs: Optional[dict] = None) -> None:
+        set_field(self, "verdicts", verdicts)
+        set_field(self, "knobs", {} if knobs is None else knobs)  # a fresh dict per report
 
     @property
     def strongest(self) -> Optional[str]:

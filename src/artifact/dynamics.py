@@ -34,11 +34,11 @@ x_1 * 1.0 = x_1 < p: the coalesced pair is the plain chain on column 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
 from ._numpy import np
+from ._record import record
 from .fseq import Word
 from .kernel import _encode_state, _walk
 from .potential import PairPotential, SPINS, required_range
@@ -55,7 +55,7 @@ _LANE = 256
 _WARM = 32
 
 
-@dataclass(frozen=True)
+@record
 class WindowConditional:
     """Finite-window proxy for g: the law of site 0 under the [0, n] kernel.
 
@@ -197,7 +197,7 @@ def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray
     return u
 
 
-@dataclass(frozen=True)
+@record
 class ChainRun:
     """One sampled trajectory; replayable from (seed, past, g_source)."""
 
@@ -210,7 +210,7 @@ class ChainRun:
         return float(np.mean(self.samples == letter))
 
 
-@dataclass(frozen=True)
+@record
 class CouplingRun:
     """Two trajectories driven by one stream, maximally coupled sitewise.
 

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import record
 from .intervals import Interval, ZERO
 from .potential import DEFAULT_REL_WIDTH, PairPotential, SPINS
 
 
-@dataclass(frozen=True)
+@record
 class Word:
     """Letters on the contiguous site block [offset, offset + len - 1]."""
 
@@ -66,7 +66,7 @@ class Word:
         return Word(offset, (s,) * length)
 
 
-@dataclass(frozen=True)
+@record
 class FSequence:
     """Factor sequence of a pair interaction on windows [0, n]."""
 
@@ -156,7 +156,7 @@ class FSequence:
         return VProfile(fseq=self, window_n=window_n)
 
 
-@dataclass(frozen=True)
+@record
 class VProfile:
     """Monotone sequence of contraction coefficients in (0, 1]."""
 

@@ -10,7 +10,8 @@ nudged ``LIBM_GUARD_ULPS`` ulps instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import record, set_field
 
 LIBM_GUARD_ULPS = 2
 
@@ -47,20 +48,22 @@ def _exp(x: float) -> float:
         return _INF
 
 
-@dataclass(frozen=True)
+@record
 class Interval:
     """Closed interval [lo, hi]; ``hi`` may be +inf for quantities unbounded above."""
 
     lo: float
     hi: float
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) or math.isnan(self.hi):
+    def __init__(self, lo: float, hi: float) -> None:  # written out: every arithmetic step builds one
+        if math.isnan(lo) or math.isnan(hi):
             raise ValueError("interval endpoint is NaN")
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-        if math.isinf(self.lo) and self.lo > 0:
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        if math.isinf(lo) and lo > 0:
             raise ValueError("lower endpoint must be finite or -inf")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
     # -- constructors ------------------------------------------------------
 

@@ -41,23 +41,22 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from ._numpy import np
+from ._record import record
 from .fseq import FSequence, Word
 from .intervals import _exp
-from .potential import ENUMERATION_MAX_WINDOW, PairPotential, SPINS, required_range
+from .potential import DOBRUSHIN_MAX_RANGE, ENUMERATION_MAX_WINDOW, PairPotential, SPINS, required_range
 
 APPLY_MAX_WIDTH = 14
 RHO_MAX_WINDOW = 6
-DOBRUSHIN_MAX_RANGE = 12
 TRANSFER_MAX_RANGE = 10
 VARIATION_MAX_RANGE = 6
 
 
-@dataclass(frozen=True)
+@record
 class KernelResult:
     """A kernel evaluation together with the sites it actually consulted."""
 
@@ -338,7 +337,7 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     return KernelResult(value=value, dependency_window=(-R, n + R))
 
 
-@dataclass(frozen=True)
+@record
 class TransferMatrix:
     """Sliding-block transfer matrix of a finite-range interaction.
 
@@ -411,7 +410,7 @@ def _perron_pair(M: np.ndarray):
     return lam, v / np.max(v)
 
 
-@dataclass(frozen=True)
+@record
 class MarkovConditional:
     """The stationary R-step conditional law of a finite-range interaction.
 

@@ -30,12 +30,12 @@ encloses them, a few ulps wide, for point queries and for tables:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from ._numpy import np
+from ._record import record, set_field
 from .intervals import (
     DOWN, DOWN_EXP, EPS, FLOOR, LIBM_GUARD_ULPS, ONE, UP, UP_EXP, Interval, ZERO, float_sum_enclosure,
 )
@@ -118,7 +118,7 @@ def _power_sum(q: float, n: int, last: Optional[int] = None) -> Interval:
     return Interval(max(0.0, out.lo), out.hi)
 
 
-@dataclass(frozen=True)
+@record
 class CouplingLaw:
     """Nonnegative coupling strengths J(1), J(2), ... in one of three closed forms.
 
@@ -149,6 +149,9 @@ class CouplingLaw:
                 raise ValueError("table entries must be nonnegative")
         else:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
+
+    def __hash__(self) -> int:  # written out, as PairPotential's: caches hash potentials on each call
+        return hash((self.kind, self.q, self.amplitude, self.rate, self.values))
 
     @staticmethod
     def power_law(q: float, amplitude: float = 1.0) -> "CouplingLaw":
@@ -344,7 +347,7 @@ class TailEnclosureTable:
         return self._lo[:m_max], self._hi[:m_max]
 
 
-@dataclass(frozen=True)
+@record
 class PairPotential:
     """A coupling law at inverse temperature beta, optionally truncated.
 
@@ -357,11 +360,17 @@ class PairPotential:
     beta: float
     truncation_range: Optional[int] = None
 
-    def __post_init__(self) -> None:
-        if self.beta < 0.0:
+    def __init__(self, coupling: CouplingLaw, beta: float, truncation_range: Optional[int] = None) -> None:
+        if beta < 0.0:
             raise ValueError("beta must be nonnegative")
-        if self.truncation_range is not None and self.truncation_range < 0:
+        if truncation_range is not None and truncation_range < 0:
             raise ValueError("truncation range must be nonnegative")
+        set_field(self, "coupling", coupling)
+        set_field(self, "beta", beta)
+        set_field(self, "truncation_range", truncation_range)
+
+    def __hash__(self) -> int:  # this and __init__ are written out: the record versions cost more per call
+        return hash((self.coupling, self.beta, self.truncation_range))
 
     def strength(self, j: int) -> float:
         if self.truncation_range is not None and j > self.truncation_range:
@@ -404,8 +413,10 @@ class PairPotential:
         return self.coupling.weighted_total(rel_width, self.truncation_range)
 
 
-# Largest window [0, n] the exact kernels enumerate (2^(n+1) words).
+# Largest window [0, n] the exact kernels enumerate (2^(n+1) words), and
+# largest range whose Dobrushin sum they enumerate.
 ENUMERATION_MAX_WINDOW = 12
+DOBRUSHIN_MAX_RANGE = 12
 
 
 def required_range(p: PairPotential) -> int:
@@ -428,7 +439,7 @@ def tail_variation(p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDT
     return Interval.point(p.beta) * p.coupling_tail(n, rel_width)
 
 
-@dataclass(frozen=True)
+@record
 class SeriesValue:
     """Outcome of a nonnegative series: an enclosure, or a certified divergence."""
 
@@ -466,7 +477,7 @@ def _weighted_series(p: PairPotential, factor: float, rel_width: float) -> Serie
     return SeriesValue(Interval.point(factor) * total, False, "finite weighted coupling sum")
 
 
-@dataclass(frozen=True)
+@record
 class VariationProfile:
     """Tail-variation profile n -> enclosure, with certified asymptotics when known.
 

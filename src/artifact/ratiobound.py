@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from ._numpy import np
+from ._record import record
 from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, UP, UP_EXP, Interval, ONE, ZERO
 from .fseq import FSequence
 from .potential import DEFAULT_REL_WIDTH
@@ -151,7 +151,7 @@ def rb_limit_lower_bound(v: Sequence[float], N: int) -> float:
 # -- the series R_n and the g-variation bound --------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RnSeries:
     """Outcome of summing R_n: an enclosure (upper endpoint +inf only when the
     window tail underflows), or a certified divergence."""
@@ -283,7 +283,7 @@ def _series_block(beta, tail_lo, tail_hi, start, carry, win_tail, c_lo, geom_fac
     return lo, hi, gap, (p_lo[-1], p_hi[-1], s_lo[-1], s_hi[-1], c0)
 
 
-@dataclass(frozen=True)
+@record
 class GVariationBound:
     """Certified upper bound on the log-ratio of g over pasts agreeing on n sites."""
 
@@ -320,7 +320,7 @@ def g_variation_bound(
 # -- decay envelopes and profiles ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class DecayEnvelope:
     """Certified majorant value(n) <= coefficient * n**(-exponent) for n >= start."""
 
@@ -330,7 +330,7 @@ class DecayEnvelope:
     derivation: str
 
 
-@dataclass(frozen=True)
+@record
 class LogRProfile:
     """A profile n -> enclosure of (a bound on) log-ratio of g over n agreeing sites.
 
@@ -504,7 +504,7 @@ def fit_growth_exponent(
 # -- Tauberian diagnostic ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TauberianRow:
     n: int
     bound: Interval
@@ -512,7 +512,7 @@ class TauberianRow:
     ratio: Optional[Interval]
 
 
-@dataclass(frozen=True)
+@record
 class TauberianReport:
     alpha: float
     K: float

@@ -1,6 +1,5 @@
 """Config schema, deterministic artifacts, and exit codes of the front end."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -248,6 +247,33 @@ def test_load_config_reads_yaml(tmp_path):
     assert cfg.kind == "power_law" and cfg.seed == 5
 
 
+@pytest.mark.parametrize(
+    "text, rel_width",
+    [
+        ("rel_width: 1e-10", 1e-10),
+        ("rel_width: 5E-1", 0.5),
+        ("rel_width: 2.5e-8", 2.5e-8),
+        ("rel_width: +1e-3", 1e-3),
+        ("rel_width: 1.0e-10", 1e-10),  # the YAML 1.1 form, unchanged
+        ('{"potential": {"kind": "zero", "beta": 1e0}, "rel_width": 1e-05}', 1e-05),  # json.dumps
+    ],
+)
+def test_load_config_reads_exponent_floats(tmp_path, text, rel_width):
+    path = tmp_path / "run.yaml"
+    path.write_text(text if text.startswith("{") else "potential: {kind: zero, beta: 1e0}\n" + text + "\n")
+    cfg = load_config(path)
+    assert cfg.rel_width == rel_width and cfg.beta == 1.0
+
+
+def test_load_config_keeps_quoted_exponents_strings(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("potential: {kind: zero, beta: 1.0}\nout: '1e3'\n")
+    assert load_config(path).out == "1e3"
+    path.write_text("potential: {kind: zero, beta: 1.0}\nrel_width: '1e-10'\n")
+    with pytest.raises(ConfigError, match="config.rel_width must be a number"):
+        load_config(path)
+
+
 def test_load_config_error_paths(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "absent.yaml")
@@ -258,10 +284,10 @@ def test_load_config_error_paths(tmp_path):
 
 
 def test_build_potential_wraps_model_errors():
-    # dataclasses.replace skips parse_config, so the model guard is the last line
+    # building RunConfig directly skips parse_config, so the model guard is the last line
     cfg = parse_config(power_doc(q=1.5))
     with pytest.raises(ConfigError) as err:
-        dataclasses.replace(cfg, beta=-1.0).build_potential()
+        RunConfig(**{**vars(cfg), "beta": -1.0}).build_potential()
     assert "potential:" in str(err.value)
 
 
@@ -626,7 +652,7 @@ CHECK_AND_LIST = """
 import sys
 from artifact.cli import main
 rc = main(sys.argv[1:])
-print(sorted(m for m in ("numpy._core", "artifact.dynamics") if m in sys.modules))
+print(sorted(m for m in ("numpy._core", "artifact.dynamics", "dataclasses", "inspect") if m in sys.modules))
 sys.exit(rc)
 """
 
@@ -651,21 +677,22 @@ def test_check_runs_without_numpy_or_the_sampler(tmp_path, config):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-# laws whose criteria need more than closed forms: (potential, finite range)
+# laws whose criteria need more than closed forms: (potential, finite range
+# within DOBRUSHIN_MAX_RANGE, the only case whose Dobrushin sum loads the kernels)
 SCALAR_CHECK_LAWS = {
     "q3": ({"kind": "power_law", "beta": 0.5, "q": 3.0}, False),
     "exponential": ({"kind": "exponential", "beta": 0.5, "rate": 0.5}, False),
     "truncated exponential": ({"kind": "exponential", "beta": 0.5, "rate": 0.5, "truncation_range": 8}, True),
     "nearest neighbour": ({"kind": "finite_table", "beta": 1.0, "values": [1.0]}, True),
     "truncated q2 R12": ({"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 12}, True),
-    "truncated q2 R1000": ({"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 1000}, True),
+    "truncated q2 R1000": ({"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 1000}, False),
 }
 CHECK_AND_LIST_KERNEL = CHECK_AND_LIST.replace('"artifact.dynamics"', '"artifact.kernel"')
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_CHECK_LAWS))
 def test_check_is_scalar_on_every_law(tmp_path, name):
-    # NumPy never runs; the exact kernels load only for the Dobrushin sum of a finite range
+    # NumPy never runs; the exact kernels load only for a Dobrushin sum they can enumerate
     law, finite = SCALAR_CHECK_LAWS[name]
     path = write_config(tmp_path, {"potential": law})
     proc = python(CHECK_AND_LIST_KERNEL, "check", "--config", str(path), "--out", str(tmp_path / "out"))
@@ -677,7 +704,8 @@ def test_report_with_samples_loads_numpy_and_the_sampler(tmp_path):
     path = write_config(tmp_path, small_doc(experiments=["sample"]))
     proc = python(CHECK_AND_LIST, "report", "--config", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(["artifact.dynamics", "numpy._core"])
+    # NumPy imports inspect itself (numpy._core.overrides); dataclasses stays out
+    assert proc.stdout.splitlines()[-1] == str(["artifact.dynamics", "inspect", "numpy._core"])
 
 
 HIDE_NUMPY = {
