@@ -28,16 +28,16 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("intervals", "Interval"),
-        ("potential", "CouplingLaw PairPotential SeriesValue VariationProfile DEFAULT_REL_WIDTH "
+        ("potential", "CouplingLaw PairPotential SeriesValue VariationProfile "
                       "ruelle_sum coelho_quas_sum tail_variation"),
         ("fseq", "Word FSequence"),
-        ("ratiobound", "RatioTable RnSeries DecayEnvelope LogRProfile rb_recursion rb_limit_lower_bound "
+        ("ratiobound", "RatioTable RnSeries DecayEnvelope LogRProfile DEFAULT_REL_WIDTH rb_limit_lower_bound "
                        "rn_series g_variation_bound log_r_bound_envelope berbee_series_partial_sums "
                        "fit_growth_exponent tauberian_diagnostic"),
         ("kernel", "TransferMatrix MarkovConditional g_exact_markov dobrushin_sum phi_window "
-                   "pi_window_enumeration pi_window_at_zero window_weight rho_bruteforce "
+                   "pi_window_enumeration pi_window_at_zero rho_bruteforce "
                    "empirical_g_variation empirical_g_variation_profile"),
-        ("dynamics", "ChainRun CouplingRun sample_chain couple_two_pasts cesaro_estimate cesaro_gap "
+        ("dynamics", "ChainRun CouplingRun sample_chain couple_two_pasts cesaro_estimate "
                      "write_chain_csv write_coupling_csv"),
         ("criteria", "Verdict CriteriaReport HOLDS FAILS INCONCLUSIVE UNIQUE_GIBBS UNIQUE_GIBBS_BERNOULLI "
                      "UNIQUE_TINV_GIBBS DEFAULT_ALPHA_GRID check_dobrushin check_ruelle check_coelho_quas "

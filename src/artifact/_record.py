@@ -19,7 +19,8 @@ def record(cls):
     fields = set(names)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     post_init = getattr(cls, "__post_init__", lambda self: None)
-    key = attrgetter(*names)
+    get = attrgetter(*names)
+    key = get if len(names) > 1 else lambda self: (get(self),)  # a tuple, as a dataclass hashes
 
     def __init__(self, *args, **kwargs):
         values = {**defaults, **kwargs, **dict(zip(names, args))}

@@ -14,13 +14,15 @@ Schema::
       q:                 float > 1                  (power_law only)
       rate:              float > 0                  (exponential only)
       amplitude:         float > 0, default 1.0     (power_law, exponential)
-      values:            [float, ...]               (finite_table only)
+      values:            [float >= 0, ...]          (finite_table only)
       truncation_range:  int >= 0 or null, default null
     experiments:         subset of [criteria, gfun, bounds, sample, couple],
                          or [all]; default [all]
     n_max:               int in [1, 2^20], default 64    (bounds rows)
     seed:                int in [0, 2^64), default 20260814
-    rel_width:           float in (0, 1), default 1e-10  (enclosure target)
+    rel_width:           float in (0, 1), default 1e-10  (target relative
+                         width of each R_n series row in bounds; no other
+                         experiment reads it)
     sample_length:       int in [1, 2^24], default 65536
     couple_length:       int in [1, 2^24], default 65536
     empirical_window:    int in [0, 12], default 10 (0 disables the column)
@@ -68,14 +70,13 @@ from ._record import record
 from .criteria import Verdict, evaluate_all
 from .fseq import FSequence, Word
 from .potential import (
-    DEFAULT_REL_WIDTH,
     ENUMERATION_MAX_WINDOW,
     CouplingLaw,
     PairPotential,
     VariationProfile,
     tail_variation,
 )
-from .ratiobound import LogRProfile
+from .ratiobound import DEFAULT_REL_WIDTH, LogRProfile
 
 EXPERIMENTS = ("criteria", "gfun", "bounds", "sample", "couple")
 
@@ -168,15 +169,15 @@ class RunConfig:
     out: str
 
     def build_potential(self) -> PairPotential:
-        if self.kind == "power_law":
-            law = CouplingLaw.power_law(self.q, self.amplitude)
-        elif self.kind == "exponential":
-            law = CouplingLaw.exponential(self.rate, self.amplitude)
-        elif self.kind == "finite_table":
-            law = CouplingLaw.finite_table(self.values)
-        else:
-            law = CouplingLaw.zero()
         try:
+            if self.kind == "power_law":
+                law = CouplingLaw.power_law(self.q, self.amplitude)
+            elif self.kind == "exponential":
+                law = CouplingLaw.exponential(self.rate, self.amplitude)
+            elif self.kind == "finite_table":
+                law = CouplingLaw.finite_table(self.values)
+            else:
+                law = CouplingLaw.zero()
             return PairPotential(
                 beta=self.beta, coupling=law, truncation_range=self.truncation_range
             )
@@ -402,7 +403,7 @@ def _verdict_doc(v: Verdict) -> dict:
 
 def _run_criteria(cfg: RunConfig, p: PairPotential) -> dict:
     knobs = {k: getattr(cfg, k) for k in _CRITERIA_KNOBS if getattr(cfg, k) != CONFIG_DEFAULTS[k]}
-    report = evaluate_all(p, cfg.rel_width, **knobs)
+    report = evaluate_all(p, **knobs)
     return {
         "strongest_conclusion": report.strongest,
         "knobs": report.knobs,
@@ -450,9 +451,9 @@ def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     from .kernel import empirical_g_variation_profile
 
-    F = FSequence.from_potential(p, cfg.rel_width)
+    F = FSequence.from_potential(p)
     logr = LogRProfile.from_fsequence(F, cfg.rel_width)
-    profile = VariationProfile.from_potential(p, cfg.rel_width)
+    profile = VariationProfile.from_potential(p)
 
     empirical: dict = {}
     empirical_note = None
@@ -480,7 +481,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
             ]
         )
         for n in range(1, cfg.n_max + 1):
-            tv = tail_variation(p, n, cfg.rel_width)
+            tv = tail_variation(p, n)
             rb = logr.at(n)
             w.writerow(
                 [n, _cell(tv.lo), _cell(tv.hi), _cell(rb.lo), _cell(rb.hi), _cell(empirical.get(n))]
@@ -574,9 +575,9 @@ def run(cfg: RunConfig, out_dir, command: str = "report", config_digest: Optiona
     to guard messages.  The report itself is deterministic; the manifest
     carries the wall-clock stamp.
     """
+    p = cfg.build_potential()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    p = cfg.build_potential()
     results: dict = {}
     errors: dict = {}
     for name in cfg.experiments:
@@ -626,7 +627,7 @@ def main(argv=None) -> int:
         type=float,
         metavar="W",
         dest="rel_width",
-        help="override enclosure relative-width target",
+        help="override the target relative width of each R_n row in bounds",
     )
     common.add_argument("--n-max", type=int, metavar="N", dest="n_max", help="override bounds rows")
 
@@ -653,12 +654,11 @@ def main(argv=None) -> int:
         if args.command != "report":
             overrides["experiments"] = ["criteria" if args.command == "check" else args.command]
         cfg = parse_config({**cfg.as_doc(), **overrides})
-    except ConfigError as exc:
+        out_dir = args.out if args.out is not None else cfg.out
+        report, errors = run(cfg, out_dir, command=args.command, config_digest=digest)
+    except ConfigError as exc:  # from the config, or the model it describes
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    out_dir = args.out if args.out is not None else cfg.out
-    report, errors = run(cfg, out_dir, command=args.command, config_digest=digest)
 
     if args.command == "check" and "error" not in report["results"]["criteria"]:
         _print_criteria(report["results"]["criteria"])

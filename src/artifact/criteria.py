@@ -31,7 +31,6 @@ from ._record import record, set_field
 from .fseq import FSequence
 from .intervals import Interval, ZERO
 from .potential import (
-    DEFAULT_REL_WIDTH,
     DOBRUSHIN_MAX_RANGE,
     PairPotential,
     VariationProfile,
@@ -134,7 +133,7 @@ _EULER_GAMMA = _pad(0.5772156649015329)  # float(numpy.euler_gamma)
 # -- single-site influence ------------------------------------------------------
 
 
-def check_dobrushin(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> Verdict:
+def check_dobrushin(p: PairPotential) -> Verdict:
     """Dobrushin's one-site condition: total influence strictly below 2.
 
     The sum runs over both letters at the tagged site and over single flipped
@@ -155,7 +154,7 @@ def check_dobrushin(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> V
     pad = 1e-12 * max(1.0, base)
     total = Interval(max(0.0, base - pad), base + pad)
     note = "exact finite-range enumeration"
-    tail = Interval.point(p.beta) * p.beyond_range_tail(rel_width)
+    tail = Interval.point(p.beta) * p.beyond_range_tail()
     if tail.hi > 0.0:
         R = p.finite_range
         slack_hi = (tail * float(2 * R + 2)).hi
@@ -194,18 +193,18 @@ def _series_verdict(name: str, sv, flavor: str) -> Verdict:
     return Verdict(name, HOLDS, None, certificate, UNIQUE_TINV_GIBBS)
 
 
-def check_ruelle(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> Verdict:
+def check_ruelle(p: PairPotential) -> Verdict:
     """Finiteness of the diameter-weighted influence over all sets through a site."""
     return _series_verdict(
-        "ruelle", ruelle_sum(p, rel_width), "diameter-weighted influence series"
+        "ruelle", ruelle_sum(p), "diameter-weighted influence series"
     )
 
 
-def check_coelho_quas(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> Verdict:
+def check_coelho_quas(p: PairPotential) -> Verdict:
     """One-sided variant: sets anchored at their leftmost site."""
     return _series_verdict(
         "coelho_quas",
-        coelho_quas_sum(p, rel_width),
+        coelho_quas_sum(p),
         "anchored diameter-weighted influence series",
     )
 
@@ -213,7 +212,7 @@ def check_coelho_quas(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) ->
 # -- product-series divergence (Berbee) ------------------------------------------
 
 
-def check_berbee(F: FSequence, rel_width: float = DEFAULT_REL_WIDTH) -> Verdict:
+def check_berbee(F: FSequence) -> Verdict:
     """Berbee's condition: divergence of the symmetric-window product series.
 
     The n-th term is the product of the window inf-ratios over the first n
@@ -234,8 +233,8 @@ def check_berbee(F: FSequence, rel_width: float = DEFAULT_REL_WIDTH) -> Verdict:
     p = F.potential
     fam = _family(p)
     if fam in ("finite", "exponential", "power_summable"):
-        rs = ruelle_sum(p, rel_width)
-        t1 = Interval.point(p.beta) * p.coupling_tail(1, rel_width)
+        rs = ruelle_sum(p)
+        t1 = Interval.point(p.beta) * p.coupling_tail(1)
         log_floor = t1 - rs.enclosure * 4.0
         floor = log_floor.exp()
         what = "beta*T(1) minus four times the weighted total"
@@ -614,8 +613,7 @@ class _ScaledFamily:
         return _Limsup.finite(self.tail_amp.pow(float(alpha)))
 
 
-def _scaled_family(source: Union[FSequence, VariationProfile],
-                   rel_width: float) -> Optional[_ScaledFamily]:
+def _scaled_family(source: Union[FSequence, VariationProfile]) -> Optional[_ScaledFamily]:
     if isinstance(source, VariationProfile):
         if source.form == "hyperbolic" and source.slope is not None:
             coeff = source.slope
@@ -630,7 +628,7 @@ def _scaled_family(source: Union[FSequence, VariationProfile],
         return _ScaledFamily("critical", c_lo=c, c_hi=c)
     if fam == "power_heavy":
         return _ScaledFamily("heavy")
-    log_cap = ruelle_sum(p, rel_width).enclosure
+    log_cap = ruelle_sum(p).enclosure
     if fam == "power_summable":
         cc = p.coupling
         amp = Interval.point(p.beta) * Interval.point(cc.amplitude) / (cc.q - 1.0)
@@ -642,7 +640,6 @@ def check_scaled_limsup(
     source: Union[FSequence, VariationProfile],
     alpha: Optional[float] = None,
     K: Optional[float] = None,
-    rel_width: float = DEFAULT_REL_WIDTH,
 ) -> Verdict:
     """Scaled-limsup test: sqrt(n) * tail^alpha strictly below Gamma(alpha)/K.
 
@@ -669,7 +666,7 @@ def check_scaled_limsup(
     if K is not None and not 0.0 < K < math.inf:
         raise ValueError("K must be positive and finite")
 
-    family = _scaled_family(source, rel_width)
+    family = _scaled_family(source)
     if family is None:
         return Verdict(
             name,
@@ -845,7 +842,6 @@ def _guarded(criterion: str, strength: str, thunk: Callable[[], Verdict]) -> Ver
 
 def evaluate_all(
     p: PairPotential,
-    rel_width: float = DEFAULT_REL_WIDTH,
     *,
     alpha: Optional[float] = None,
     budget: Optional[float] = None,
@@ -883,16 +879,16 @@ def evaluate_all(
         knobs["alpha_grid"] = list(alpha_grid)
     if block_lambda != 2.0:
         knobs["block_lambda"] = block_lambda
-    F = FSequence.from_potential(p, rel_width)
-    profile = VariationProfile.from_potential(p, rel_width)
-    logr = LogRProfile.from_fsequence(F, rel_width)
+    F = FSequence.from_potential(p)
+    profile = VariationProfile.from_potential(p)
+    logr = LogRProfile.from_fsequence(F)
     verdicts = (
-        _guarded("dobrushin", UNIQUE_GIBBS, lambda: check_dobrushin(p, rel_width)),
-        _guarded("ruelle", UNIQUE_TINV_GIBBS, lambda: check_ruelle(p, rel_width)),
+        _guarded("dobrushin", UNIQUE_GIBBS, lambda: check_dobrushin(p)),
+        _guarded("ruelle", UNIQUE_TINV_GIBBS, lambda: check_ruelle(p)),
         _guarded(
-            "coelho_quas", UNIQUE_TINV_GIBBS, lambda: check_coelho_quas(p, rel_width)
+            "coelho_quas", UNIQUE_TINV_GIBBS, lambda: check_coelho_quas(p)
         ),
-        _guarded("berbee", UNIQUE_GIBBS, lambda: check_berbee(F, rel_width)),
+        _guarded("berbee", UNIQUE_GIBBS, lambda: check_berbee(F)),
         _guarded(
             "variation_slope",
             UNIQUE_GIBBS_BERNOULLI,
@@ -910,7 +906,7 @@ def evaluate_all(
         _guarded(
             "scaled_limsup",
             UNIQUE_TINV_GIBBS,
-            lambda: check_scaled_limsup(F, alpha, budget, rel_width),
+            lambda: check_scaled_limsup(F, alpha, budget),
         ),
     )
     return CriteriaReport(verdicts=verdicts, knobs=knobs)

@@ -34,14 +34,14 @@ x_1 * 1.0 = x_1 < p: the coalesced pair is the plain chain on column 1.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional
 
 from ._numpy import np
 from ._record import record
 from .fseq import Word
-from .kernel import _encode_state, _walk
-from .potential import PairPotential, SPINS, required_range
+from .kernel import _encode_state, _letters_at, _walk
+from .potential import PairPotential, required_range
 
 SAMPLER_MAX_DEPTH = 12
 CESARO_MAX_WINDOW = 1 << 15
@@ -53,46 +53,6 @@ _BLOCK = 1 << 16
 _LANE = 256
 # sites a lane's start state is guessed from, at the end of the lane before
 _WARM = 32
-
-
-@record
-class WindowConditional:
-    """Finite-window proxy for g: the law of site 0 under the [0, n] kernel.
-
-    The future boundary is pinned (all-plus unless told otherwise), so this
-    is the object whose convergence to the exact Markov conditional the
-    kernel tests measure; sampling from it probes pre-limit behavior.
-    """
-
-    potential: PairPotential
-    window_n: int
-    future: Optional[tuple] = None
-
-    @property
-    def dependency_depth(self) -> int:
-        return required_range(self.potential)
-
-    @property
-    def source_label(self) -> str:
-        return f"pi_window({self.window_n})"
-
-    @cached_property
-    def _laws(self) -> np.ndarray:
-        """P(letter | past state) for every past, from one backward pass."""
-        R = self.dependency_depth
-        fut = self.future if self.future is not None else (1,) * R
-        if len(fut) != R:
-            raise ValueError(f"future must fix {R} letters")
-        return _walk(self.potential).site_zero_laws([tuple(fut)], self.window_n)[:, :, 0]
-
-    def prob(self, past, s: int) -> float:
-        if s not in SPINS:
-            raise ValueError("letter must be a spin")
-        laws = self._laws
-        letters = tuple(past)
-        if len(letters) != self.dependency_depth:
-            raise ValueError(f"need exactly {self.dependency_depth} past letters")
-        return float(laws[(s + 1) // 2, _encode_state(letters)])
 
 
 def _chain_tables(g):
@@ -112,12 +72,7 @@ def _chain_tables(g):
 
 
 def _initial_state(past: Word, R: int) -> int:
-    u = 0
-    for i in range(-R, 0):
-        if not past.covers(i):
-            raise ValueError(f"past must cover site {i}")
-        u = (u << 1) | ((past.at(i) + 1) // 2)
-    return u
+    return _encode_state(_letters_at(past, range(-R, 0)))
 
 
 def _uniform_chunks(seed: int, chain_id: int, N: int):
@@ -199,12 +154,19 @@ def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray
 
 @record
 class ChainRun:
-    """One sampled trajectory; replayable from (seed, past, g_source)."""
+    """One sampled trajectory; replayable from (seed, past, g_source).
+
+    Runs holding arrays compare and hash by identity: an array has no single
+    truth value to compare by.
+    """
 
     seed: int
     past: Word
     samples: np.ndarray
     g_source: str
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def frequency(self, letter: int) -> float:
         return float(np.mean(self.samples == letter))
@@ -222,6 +184,9 @@ class CouplingRun:
     chain_a: ChainRun
     chain_b: ChainRun
     disagree: np.ndarray
+
+    __eq__ = object.__eq__  # by identity, as ChainRun
+    __hash__ = object.__hash__
 
     def disagreement_density(self, blocks: int = 10) -> np.ndarray:
         return np.array([float(np.mean(b)) for b in np.array_split(self.disagree, blocks)])
@@ -341,12 +306,8 @@ def cesaro_estimate(p: PairPotential, f: Optional[Word], n: int, boundary: Word)
         return 1.0
     R = required_range(p)
     end = n - 1
-    sites = list(range(-R, 0)) + list(range(end + 1, end + R + 1))
-    for site in sites:
-        if not boundary.covers(site):
-            raise ValueError(f"boundary must cover site {site}")
-    past = tuple(boundary.at(i) for i in range(-R, 0))
-    fut = tuple(boundary.at(i) for i in range(end + 1, end + R + 1))
+    past = _letters_at(boundary, range(-R, 0))
+    fut = _letters_at(boundary, range(end + 1, end + R + 1))
     walk = _walk(p)
     if (n + 1) * walk.size > CESARO_MAX_CELLS:
         raise ValueError(f"pass guard: (n + 1) * 2^R <= {CESARO_MAX_CELLS}")
@@ -376,11 +337,6 @@ def cesaro_estimate(p: PairPotential, f: Optional[Word], n: int, boundary: Word)
         terms = np.einsum("ij,j,ij->i", alpha[a], w, beta[z[:, None], e[None, :]])
         total += float(np.sum(np.ldexp(terms / z_hat, la[a] + lb[z] + lw - lz)))
     return total / n
-
-
-def cesaro_gap(p: PairPotential, f: Optional[Word], n: int, boundary_a: Word, boundary_b: Word) -> float:
-    """Boundary dependence of the Cesàro average: |estimate(a) - estimate(b)|."""
-    return abs(cesaro_estimate(p, f, n, boundary_a) - cesaro_estimate(p, f, n, boundary_b))
 
 
 # Rows of the CSV writers: the site number, then a tail as csv.writer writes

@@ -27,7 +27,7 @@ from typing import Optional
 
 from ._record import record
 from .intervals import Interval, ZERO
-from .potential import DEFAULT_REL_WIDTH, PairPotential, SPINS
+from .potential import PairPotential, SPINS
 
 
 @record
@@ -71,11 +71,10 @@ class FSequence:
     """Factor sequence of a pair interaction on windows [0, n]."""
 
     potential: PairPotential
-    rel_width: float = DEFAULT_REL_WIDTH
 
     @staticmethod
-    def from_potential(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> "FSequence":
-        return FSequence(potential=p, rel_width=rel_width)
+    def from_potential(p: PairPotential) -> "FSequence":
+        return FSequence(potential=p)
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -98,13 +97,13 @@ class FSequence:
         fwd_horizon = word.offset + len(word.letters) - 1 - i  # covered distances
         for j in range(1, fwd_horizon + 1):
             exact += half_beta * p.strength(j) * xi * word.at(i + j)
-        slack = Interval.point(half_beta) * p.coupling_tail(fwd_horizon + 1, self.rel_width)
+        slack = Interval.point(half_beta) * p.coupling_tail(fwd_horizon + 1)
         # backward terms exist only for distances j > i (sites left of 0)
         bwd_cov = i - word.offset  # distances i-j >= offset, i.e. j <= bwd_cov
         for j in range(i + 1, bwd_cov + 1):
             exact += half_beta * p.strength(j) * xi * word.at(i - j)
         bwd_start = max(i + 1, bwd_cov + 1)
-        slack = slack + Interval.point(half_beta) * p.coupling_tail(bwd_start, self.rel_width)
+        slack = slack + Interval.point(half_beta) * p.coupling_tail(bwd_start)
         spread = Interval(-slack.hi, slack.hi)
         return Interval.point(exact) + spread
 
@@ -115,7 +114,7 @@ class FSequence:
         if n < 0:
             raise ValueError("window end must be >= 0")
         p = self.potential
-        return Interval.point(p.beta) * p.coupling_tail(n + 1, self.rel_width)
+        return Interval.point(p.beta) * p.coupling_tail(n + 1)
 
     def log_ratio_right(self, n: int) -> Interval:
         """log sup f_0(x)/f_0(y) over x = y on [-n, inf): symmetric, beta * T(n+1)."""
@@ -133,7 +132,7 @@ class FSequence:
             raise ValueError("enumeration index starts at 0")
         p = self.potential
         k = index // 2
-        t = Interval.point(-2.0 * p.beta) * p.coupling_tail(k + 1, self.rel_width)
+        t = Interval.point(-2.0 * p.beta) * p.coupling_tail(k + 1)
         if index % 2 == 1:
             t = t + Interval.point(p.beta) * Interval.point(p.strength(k + 1))
         return t
@@ -165,9 +164,9 @@ class VProfile:
 
     def log_v(self, k: int) -> Interval:
         f = self.fseq
-        t = f.potential.coupling_tail(k + 1, f.rel_width)
+        t = f.potential.coupling_tail(k + 1)
         if self.window_n is not None:
-            t = t + f.potential.coupling_tail(self.window_n + 1, f.rel_width)
+            t = t + f.potential.coupling_tail(self.window_n + 1)
         return -(Interval.point(f.potential.beta) * t)
 
     def v(self, k: int) -> Interval:

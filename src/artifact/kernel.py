@@ -42,7 +42,7 @@ import itertools
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from ._numpy import np
 from ._record import record
@@ -76,40 +76,33 @@ def _word_matrix(width: int) -> np.ndarray:
     return rows
 
 
-def _word_row_index(letters: Sequence[int]) -> int:
-    idx = 0
-    for s in letters:
-        idx = (idx << 1) | (s + 1) // 2
-    return idx
-
-
-def _site_env(word: Word, sites) -> dict:
-    env = {}
+def _letters_at(word: Word, sites: range) -> tuple:
+    """Int letters of ``word`` at ``sites``; a site it does not cover raises ValueError."""
     for site in sites:
         if not word.covers(site):
             raise ValueError(f"word does not cover required site {site}")
-        env[site] = float(word.at(site))
-    return env
+    return tuple(int(word.at(site)) for site in sites)
 
 
-def _boundary_sites(R: int, n: int):
-    return list(range(-R, 0)) + list(range(n + 1, n + R + 1))
+def _window_log_weights(p: PairPotential, word: Word, m: int, end: int):
+    """log prod_{i=m}^{end} f_i over all words on [m, end], one entry per row
+    of the word matrix, with the R flank sites on each side read from ``word``.
 
-
-def _factor_log_weights(p: PairPotential, m: int, end: int, env: dict) -> np.ndarray:
-    """log prod_{i=m}^{end} f_i over all words on [m, end], environment fixed.
-
-    Columns of the word matrix supply letters inside the window; ``env``
-    supplies every letter outside it that some factor consults.
+    Columns of the word matrix supply letters inside the window; the flanks
+    supply every letter outside it that some factor consults.  Returns the
+    log-weights and the left and right flank letters, in site order.
     """
     R = required_range(p)
-    width = end - m + 1
-    words = _word_matrix(width)
+    left = _letters_at(word, range(m - R, m))
+    right = _letters_at(word, range(end + 1, end + R + 1))
+    words = _word_matrix(end - m + 1)
 
     def letter(site):
-        if m <= site <= end:
-            return words[:, site - m]
-        return env[site]
+        if site < m:
+            return left[site - m + R]
+        if site > end:
+            return right[site - end - 1]
+        return words[:, site - m]
 
     total = np.zeros(len(words))
     for i in range(m, end + 1):
@@ -117,8 +110,8 @@ def _factor_log_weights(p: PairPotential, m: int, end: int, env: dict) -> np.nda
         for j in range(1, R + 1):
             total += (0.5 * p.beta * p.strength(j)) * xi * letter(i + j)
         for j in range(i + 1, R + 1):
-            total += (0.5 * p.beta * p.strength(j)) * xi * env[i - j]
-    return total
+            total += (0.5 * p.beta * p.strength(j)) * xi * letter(i - j)
+    return total, left, right
 
 
 def phi_window(p: PairPotential, boundary: Word, n: int, interior: Word) -> float:
@@ -128,11 +121,9 @@ def phi_window(p: PairPotential, boundary: Word, n: int, interior: Word) -> floa
         raise ValueError("window end must be >= 0")
     if n > ENUMERATION_MAX_WINDOW:
         raise ValueError(f"enumeration guard: n <= {ENUMERATION_MAX_WINDOW}")
-    R = required_range(p)
-    env = _site_env(boundary, _boundary_sites(R, n))
+    weights = np.exp(_window_log_weights(p, boundary, 0, n)[0])
     letters = tuple(interior.at(i) for i in range(0, n + 1))
-    weights = np.exp(_factor_log_weights(p, 0, n, env))
-    return float(weights[_word_row_index(letters)]) / math.fsum(weights)
+    return float(weights[_encode_state(letters)]) / math.fsum(weights)
 
 
 def pi_window_enumeration(p: PairPotential, boundary: Word, n: int, s: int) -> float:
@@ -145,9 +136,7 @@ def pi_window_enumeration(p: PairPotential, boundary: Word, n: int, s: int) -> f
         raise ValueError("letter must be a spin")
     if n > ENUMERATION_MAX_WINDOW:
         raise ValueError(f"enumeration guard: n <= {ENUMERATION_MAX_WINDOW}")
-    R = required_range(p)
-    env = _site_env(boundary, _boundary_sites(R, n))
-    weights = np.exp(_factor_log_weights(p, 0, n, env))
+    weights = np.exp(_window_log_weights(p, boundary, 0, n)[0])
     mask = _word_matrix(n + 1)[:, 0] == float(s)
     return math.fsum(weights[mask]) / math.fsum(weights)
 
@@ -210,11 +199,10 @@ class _Walk:
         self.nxt, self.wts = _sliding_tables((p.beta, J))
         self.size = 1 << len(J)
         self.half = self.size >> 1
-        w = np.stack([self.wts[-1], self.wts[1]]).reshape(2, 2, self.half)
-        self.step = {None: w, -1: w * [[[1.0]], [[0.0]]], 1: w * [[[0.0]], [[1.0]]]}
+        self.step = np.stack([self.wts[-1], self.wts[1]]).reshape(2, 2, self.half)
         # A free step moves the largest entry by a factor in [min w, 2 max w],
         # so rescaling every `every` steps keeps it within 2^-256 .. 2^256.
-        lo, hi = float(w.min()), float(w.max())
+        lo, hi = float(self.step.min()), float(self.step.max())
         growth = max(math.log2(2.0 * hi), -math.log2(lo)) if lo > 0.0 else math.inf
         self.every = max(1, int(256 / growth))
 
@@ -241,7 +229,7 @@ class _Walk:
         scales = np.zeros(n + 2, dtype=np.int64)
         a, scale = rows[0], 0
         a[start] = 1.0
-        w = self.step[None]
+        w = self.step
         for t in range(1, n + 2):
             a = (w * a.reshape(2, self.half)).sum(axis=1).T.reshape(-1)
             if t % self.every == 0:
@@ -250,15 +238,14 @@ class _Walk:
         _require_finite(a)
         return rows, scales
 
-    def backward(self, futures, n: int, clamp=None, stop: int = 0, keep: bool = False):
+    def backward(self, futures, n: int, stop: int = 0, keep: bool = False):
         """Scaled backward vectors beta_t of the walk on [0, n], one column per future.
 
         beta_t[u, k] is the weight of steps t .. n+R from state u with the
-        future letters of column k on [n+1, n+R] and the letters of
-        ``clamp`` pinned.  Returns (vectors, log2 scales) at step ``stop``,
-        or with ``keep`` at every step from ``stop`` to n+1, stacked.
+        future letters of column k on [n+1, n+R].  Returns (vectors, log2
+        scales) at step ``stop``, or with ``keep`` at every step from ``stop``
+        to n+1, stacked.
         """
-        clamp = clamp or {}
         K = len(futures)
         b = np.empty((self.size, K))
         scale = np.zeros(K, dtype=np.int64)
@@ -269,9 +256,8 @@ class _Walk:
             scales = np.empty((n + 2 - stop, K), dtype=np.int64)
             rows[-1], scales[-1] = b, scale
         for t in range(n, stop - 1, -1):
-            b = self._terms(b, self.step[clamp.get(t)]).sum(axis=0).reshape(self.size, K)
-            # a pinned letter can drop the largest entry by more than one free step
-            if t % self.every == 0 or t in clamp:
+            b = self._terms(b, self.step).sum(axis=0).reshape(self.size, K)
+            if t % self.every == 0:
                 b, scale = _rescale(b, scale)
             if keep:
                 rows[t - stop], scales[t - stop] = b, scale
@@ -285,35 +271,13 @@ class _Walk:
         Both letter weights share the scale of beta_1, which cancels.
         """
         b = self.backward(futures, n, stop=1)[0]
-        num = self._terms(b, self.step[None]).reshape(2, self.size, -1)
+        num = self._terms(b, self.step).reshape(2, self.size, -1)
         return num / num.sum(axis=0)
 
 
 @lru_cache(maxsize=64)
 def _walk(p: PairPotential) -> _Walk:
     return _Walk(p)
-
-
-def window_weight(
-    p: PairPotential, past, fut, n: int, clamp: Optional[dict] = None
-) -> float:
-    """Total Boltzmann weight of window words on [0, n], some sites clamped.
-
-    One scaled backward pass: interior sites branch over the alphabet unless
-    ``clamp`` pins them, the future letters drive the final R steps, and the
-    past letters pick the start state.  The weight itself grows
-    exponentially in n, so it raises ArithmeticError once it leaves the
-    double range; ratios of weights come from the scaled passes instead.
-    """
-    walk = _walk(p)
-    b, scale = walk.backward([tuple(fut)], n, clamp)
-    try:
-        out = math.ldexp(float(b[_encode_state(past), 0]), int(scale[0]))
-    except OverflowError:
-        out = math.inf
-    if not 0.0 < out < math.inf:
-        raise ArithmeticError(f"window weight 2^{int(scale[0])} does not fit in a double")
-    return out
 
 
 def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> KernelResult:
@@ -329,9 +293,8 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     if s not in SPINS:
         raise ValueError("letter must be a spin")
     R = required_range(p)
-    env = _site_env(boundary, _boundary_sites(R, n))
-    past = tuple(int(env[i]) for i in range(-R, 0))
-    fut = tuple(int(env[i]) for i in range(n + 1, n + R + 1))
+    past = _letters_at(boundary, range(-R, 0))
+    fut = _letters_at(boundary, range(n + 1, n + R + 1))
     laws = _walk(p).site_zero_laws([fut], n)
     value = float(laws[(s + 1) // 2, _encode_state(past), 0])
     return KernelResult(value=value, dependency_window=(-R, n + R))
@@ -355,6 +318,9 @@ class TransferMatrix:
     right: np.ndarray
     left: np.ndarray
     residual: float
+
+    __eq__ = object.__eq__  # by identity: an array has no single truth value to compare by
+    __hash__ = object.__hash__
 
     @staticmethod
     def from_potential(p: PairPotential) -> "TransferMatrix":
@@ -485,17 +451,11 @@ def apply_L(
         raise ValueError("need 0 <= m <= n")
     if n - m > APPLY_MAX_WIDTH:
         raise ValueError(f"enumeration guard: n - m <= {APPLY_MAX_WIDTH}")
-    p = F.potential
-    R = required_range(p)
-    flank = list(range(m - R, m)) + list(range(n + 1, n + R + 1))
-    env = _site_env(x, flank)
-    logw = _factor_log_weights(p, m, n, env)
+    logw, left, right = _window_log_weights(F.potential, x, m, n)
     words = _word_matrix(n - m + 1)
-    left = tuple(int(env[i]) for i in range(m - R, m))
-    right = tuple(int(env[i]) for i in range(n + 1, n + R + 1))
     total = []
     for row, lw in zip(words, logw):
-        y = Word(m - R, left + tuple(int(v) for v in row) + right)
+        y = Word(m - len(left), left + tuple(int(v) for v in row) + right)
         total.append(math.exp(lw) * f(y))
     return math.fsum(total)
 
@@ -521,15 +481,12 @@ def rho_bruteforce(
         raise ValueError("need 0 <= k <= n")
     if n > RHO_MAX_WINDOW:
         raise ValueError(f"enumeration guard: n <= {RHO_MAX_WINDOW}")
-    p = F.potential
-    R = required_range(p)
     best = math.inf
     for m in m_grid:
         if m < 0:
             raise ValueError("window starts must be >= 0")
-        flank = list(range(m - R, m)) + list(range(m + n + 1, m + n + R + 1))
-        wx = np.exp(_factor_log_weights(p, m, m + n, _site_env(x, flank)))
-        wy = np.exp(_factor_log_weights(p, m, m + n, _site_env(y, flank)))
+        wx = np.exp(_window_log_weights(F.potential, x, m, m + n)[0])
+        wy = np.exp(_window_log_weights(F.potential, y, m, m + n)[0])
         num = wx.reshape(1 << (k + 1), -1).sum(axis=1)
         den = wy.reshape(1 << (k + 1), -1).sum(axis=1)
         best = min(best, float(np.min(num / den)))

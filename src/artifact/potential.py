@@ -40,14 +40,20 @@ from .intervals import (
     DOWN, DOWN_EXP, EPS, FLOOR, LIBM_GUARD_ULPS, ONE, UP, UP_EXP, Interval, ZERO, float_sum_enclosure,
 )
 
-DEFAULT_REL_WIDTH = 1e-10
-
 SPINS = (-1, 1)
 
 
 def fraction_interval(x: Fraction) -> Interval:
-    """Tightest Interval around an exact rational (a point when representable)."""
-    f = float(x)
+    """Tightest Interval around an exact rational (a point when representable).
+
+    Past the double range it is [largest double, +inf], or the mirror image
+    for negative x, as ``Interval.exp`` encloses an overflow.
+    """
+    try:
+        f = float(x)
+    except OverflowError:
+        big = math.nextafter(math.inf, 0.0)
+        return Interval(big, math.inf) if x > 0 else Interval(-math.inf, -big)
     g = Fraction(f)
     if g == x:
         return Interval.point(f)
@@ -192,12 +198,9 @@ class CouplingLaw:
             return 0
         return None
 
-    def tail(self, n: int, rel_width: float = DEFAULT_REL_WIDTH, last: Optional[int] = None) -> Interval:
-        """Enclosure of sum_{n <= j <= last} J(j) (``last`` None: to infinity).
-
-        The enclosure is a few ulps wide whatever ``rel_width`` asks for; the
-        argument stays for callers that thread one target width through.
-        """
+    def tail(self, n: int, last: Optional[int] = None) -> Interval:
+        """Enclosure of sum_{n <= j <= last} J(j) (``last`` None: to infinity),
+        a few ulps wide."""
         if n < 1:
             raise ValueError("tail index starts at 1")
         if last is not None and n > last:
@@ -237,7 +240,7 @@ class CouplingLaw:
             lo[m > last] = hi[m > last] = 0.0
         return lo, hi
 
-    def weighted_total(self, rel_width: float = DEFAULT_REL_WIDTH, last: Optional[int] = None):
+    def weighted_total(self, last: Optional[int] = None):
         """Enclosure of sum_{1 <= j <= last} j * J(j) (``last`` None: to
         infinity), or None when that series diverges.
 
@@ -307,12 +310,11 @@ class TailEnclosureTable:
     + J(m) (``_suffix_enclosures``).  Entries beyond a truncation are exactly 0.
     """
 
-    def __init__(self, potential: "PairPotential", horizon: int, rel_width: float = DEFAULT_REL_WIDTH):
+    def __init__(self, potential: "PairPotential", horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.potential = potential
         self.horizon = horizon
-        self.rel_width = rel_width
         law, R = potential.coupling, potential.truncation_range
         if law.kind == "exponential":
             self._lo, self._hi = law._exponential_tails(np.arange(1.0, horizon + 2.0), R)
@@ -324,7 +326,7 @@ class TailEnclosureTable:
                 J[: min(horizon, len(law.values))] = law.values[:horizon]
             if R is not None:
                 J[R:] = 0.0
-            anchor = potential.coupling_tail(horizon + 1, rel_width)
+            anchor = potential.coupling_tail(horizon + 1)
             ulps = _POWER_TERM_ULPS if law.kind == "power_law" else 0
             self._lo, self._hi = _suffix_enclosures(J, anchor, ulps)
         # tables are shared between callers; the views handed out stay read-only
@@ -391,26 +393,26 @@ class PairPotential:
     def is_finite_range(self) -> bool:
         return self.finite_range is not None
 
-    def coupling_tail(self, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:
+    def coupling_tail(self, n: int) -> Interval:
         """Enclosure of sum_{j >= n} of the effective (possibly truncated) J."""
-        return self.coupling.tail(n, rel_width, self.truncation_range)
+        return self.coupling.tail(n, self.truncation_range)
 
-    def beyond_range_tail(self, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:
+    def beyond_range_tail(self) -> Interval:
         """Mass of the raw law beyond the truncation range (zero when untruncated)."""
         R = self.truncation_range
         if R is None:
             return ZERO
-        return self.coupling.tail(R + 1, rel_width)
+        return self.coupling.tail(R + 1)
 
-    def tail_enclosure_table(self, horizon: int, rel_width: float = DEFAULT_REL_WIDTH):
+    def tail_enclosure_table(self, horizon: int):
         """Bulk effective-tail enclosures; see TailEnclosureTable."""
-        return TailEnclosureTable(self, horizon, rel_width)
+        return TailEnclosureTable(self, horizon)
 
-    def weighted_total(self, rel_width: float = DEFAULT_REL_WIDTH):
+    def weighted_total(self):
         """Enclosure of sum_j j * J(j) for the effective J, or None when it diverges."""
         if self.finite_range == 0:
             return ZERO
-        return self.coupling.weighted_total(rel_width, self.truncation_range)
+        return self.coupling.weighted_total(self.truncation_range)
 
 
 # Largest window [0, n] the exact kernels enumerate (2^(n+1) words), and
@@ -427,7 +429,7 @@ def required_range(p: PairPotential) -> int:
     return R
 
 
-def tail_variation(p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> Interval:
+def tail_variation(p: PairPotential, n: int) -> Interval:
     """Enclosure of the total oscillation of interactions linking site 0 to [n, inf).
 
     For a pair interaction this is beta * sum_{j >= n} J(j): the pairs {0, j}
@@ -436,7 +438,7 @@ def tail_variation(p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDT
     """
     if n < 1:
         raise ValueError("n starts at 1")
-    return Interval.point(p.beta) * p.coupling_tail(n, rel_width)
+    return Interval.point(p.beta) * p.coupling_tail(n)
 
 
 @record
@@ -451,23 +453,23 @@ class SeriesValue:
         return not self.divergent
 
 
-def ruelle_sum(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> SeriesValue:
+def ruelle_sum(p: PairPotential) -> SeriesValue:
     """Diameter-weighted total influence sum_{sets through 0} diam * osc.
 
     Both orientations {0, j} and {-j, 0} contribute beta/2 * J(j) at diameter
     j, so the total is beta * sum_j j * J(j).  Divergence (power law with
     q <= 2) is certified by harmonic comparison, never from partial sums.
     """
-    return _weighted_series(p, p.beta, rel_width)
+    return _weighted_series(p, p.beta)
 
 
-def coelho_quas_sum(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> SeriesValue:
+def coelho_quas_sum(p: PairPotential) -> SeriesValue:
     """One-sided variant: only sets whose leftmost site is 0, half of ruelle_sum."""
-    return _weighted_series(p, 0.5 * p.beta, rel_width)
+    return _weighted_series(p, 0.5 * p.beta)
 
 
-def _weighted_series(p: PairPotential, factor: float, rel_width: float) -> SeriesValue:
-    total = p.weighted_total(rel_width)
+def _weighted_series(p: PairPotential, factor: float) -> SeriesValue:
+    total = p.weighted_total()
     if total is None:
         return SeriesValue(
             None,
@@ -499,11 +501,11 @@ class VariationProfile:
         return self._at(n)
 
     @staticmethod
-    def from_potential(p: PairPotential, rel_width: float = DEFAULT_REL_WIDTH) -> "VariationProfile":
+    def from_potential(p: PairPotential) -> "VariationProfile":
         slope, summable = _slope_certificate(p)
         return VariationProfile(
             source=_describe(p),
-            _at=lambda n: tail_variation(p, n, rel_width),
+            _at=lambda n: tail_variation(p, n),
             slope=slope,
             remainder_summable=summable,
             exact=True,

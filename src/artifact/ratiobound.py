@@ -29,21 +29,13 @@ from ._numpy import np
 from ._record import record
 from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, UP, UP_EXP, Interval, ONE, ZERO
 from .fseq import FSequence
-from .potential import DEFAULT_REL_WIDTH
+
+# Target relative width of each R_n row: the one place a width is read
+# (``rn_series``'s stopping rule); every other enclosure is a few ulps wide.
+DEFAULT_REL_WIDTH = 1e-10
 
 _ROW_STORE_MAX = 2048
 _LN2 = Interval.point(2.0).log()
-
-
-def nondecreasing_envelope(values: Sequence[float]) -> np.ndarray:
-    """Running maximum of contraction lower bounds.
-
-    A contraction profile is nondecreasing in exact arithmetic; its float
-    lower representatives need not be.  The running maximum stays below each
-    true coefficient (it equals some earlier lower bound) while restoring the
-    monotonicity the recursion requires.
-    """
-    return np.maximum.accumulate(np.asarray(values, dtype=np.float64))
 
 
 class RatioTable:
@@ -128,10 +120,6 @@ class RatioTable:
         return rb_limit_lower_bound(self.v, N)
 
 
-def rb_recursion(v: Sequence[float], n_max: int) -> RatioTable:
-    return RatioTable(v, n_max)
-
-
 def rb_limit_lower_bound(v: Sequence[float], N: int) -> float:
     """Closed-form lower bound S_N / (1 + S_N), S_N = sum_k prod_{j<=k} v_j.
 
@@ -182,6 +170,8 @@ def rn_series(
     as -expm1(-beta * T(n+1)).  When W = sum_j j J(j) is finite, every
     product a_0 ... a_k exceeds P_inf = exp(-beta * W), so the remainder is
     at least P_inf * c^(k+2) / (1 - c), and the bounds meet whatever c is.
+    Summation stops once that remainder bracket is at most ``rel_width``
+    times the enclosure's lower end, or at ``max_terms``.
     """
     if n < 0:
         raise ValueError("window must be >= 0")
@@ -203,11 +193,11 @@ def rn_series(
             terms_used=settles,
         )
 
-    win_tail = p.coupling_tail(n + 1, rel_width)
+    win_tail = p.coupling_tail(n + 1)
     win_log = Interval.point(p.beta) * win_tail
     c = (-win_log).exp()
     one_minus_c = -(-win_log).expm1()
-    W = p.weighted_total(rel_width)
+    W = p.weighted_total()
     p_inf = 0.0 if W is None else (-(Interval.point(p.beta) * W)).exp().lo
     if not one_minus_c.lo > 0.0:
         # beta * T(n+1) underflows: only R_n >= P_inf * c / (1 - c) is known
@@ -220,7 +210,7 @@ def rn_series(
     start, block = 0, _FIRST_BLOCK
     while True:
         stop = min(start + block, max_terms)
-        t_lo, t_hi = _tail_table(p, 1 << (stop - 1).bit_length(), rel_width).enclosures(stop)
+        t_lo, t_hi = _tail_table(p, 1 << (stop - 1).bit_length()).enclosures(stop)
         lo, hi, gap, carry = _series_block(
             p.beta, t_lo[start:], t_hi[start:], start, carry, win_tail, c.lo, geom_factor, floor_factor
         )
@@ -241,9 +231,9 @@ _MAX_BLOCK = 8192
 
 
 @lru_cache(maxsize=16)
-def _tail_table(p, horizon: int, rel_width: float):
+def _tail_table(p, horizon: int):
     """Tail tables shared by the rows of one potential, at power-of-2 horizons."""
-    return p.tail_enclosure_table(horizon, rel_width)
+    return p.tail_enclosure_table(horizon)
 
 
 def _series_block(beta, tail_lo, tail_hi, start, carry, win_tail, c_lo, geom_factor, floor_factor):
@@ -362,7 +352,7 @@ class LogRProfile:
 
     @staticmethod
     def from_fsequence(F: FSequence, rel_width: float = DEFAULT_REL_WIDTH) -> "LogRProfile":
-        env = log_r_bound_envelope(F, rel_width)
+        env = log_r_bound_envelope(F)
         R = F.potential.finite_range
         return LogRProfile(
             source="variation bound of the induced conditional law",
@@ -372,9 +362,7 @@ class LogRProfile:
         )
 
 
-def log_r_bound_envelope(
-    F: FSequence, rel_width: float = DEFAULT_REL_WIDTH
-) -> Optional[DecayEnvelope]:
+def log_r_bound_envelope(F: FSequence) -> Optional[DecayEnvelope]:
     """Closed-form decay majorant of the g-variation bound, when one is certified.
 
     Every chain below starts from 2*log(1 + 1/R_n) <= 2/R_n and a certified
@@ -418,12 +406,12 @@ def log_r_bound_envelope(
             ),
         )
     if c.kind == "power_law" and c.q > 2.0:
-        W = c.weighted_total(rel_width)
+        W = c.weighted_total()
         c0 = (-(beta * W)).exp()
         c1 = (-(beta * amp * (Interval.point(2.0) / Interval.point(c.q - 1.0)))).exp()
         return _summable_envelope(c0 * c1, "summable weighted couplings, power tail")
     if c.kind == "exponential":
-        W = c.weighted_total(rel_width)
+        W = c.weighted_total()
         c0 = (-(beta * W)).exp()
         r = Interval.point(c.rate)
         e_r = (-r).exp()
@@ -548,7 +536,7 @@ def tauberian_diagnostic(
 
     fitted = alpha is None or K is None
     if fitted:
-        fa, fK = _fit_hypothesis_pair(F, n_grid, rel_width)
+        fa, fK = _fit_hypothesis_pair(F, n_grid)
         if alpha is None:
             alpha = min(1.0, max(fa, 1e-6))
         if K is None:
@@ -568,10 +556,10 @@ def tauberian_diagnostic(
     return TauberianReport(alpha=alpha, K=K, fitted=fitted, asymptote=asymptote, rows=tuple(rows))
 
 
-def _fit_hypothesis_pair(F: FSequence, n_grid, rel_width: float):
+def _fit_hypothesis_pair(F: FSequence, n_grid):
     """Least-squares (alpha, K) from the cumulative product of one-sided ratios."""
     n_top = max(n_grid)
-    table = F.potential.tail_enclosure_table(n_top + 2, rel_width)
+    table = F.potential.tail_enclosure_table(n_top + 2)
     T = table.midpoints(n_top + 2)
     cum = F.potential.beta * np.cumsum(T)  # entry i: sum of log-ratios for windows 0..i
     ns = np.array([n for n in n_grid if n >= 2], dtype=np.float64)

@@ -531,6 +531,25 @@ def test_main_config_error_exits_two(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "missing.yaml")]) == 2
 
 
+def test_main_negative_table_entry_is_a_config_error(tmp_path, capsys):
+    doc = {"potential": {"kind": "finite_table", "beta": 1.0, "values": [-0.5]}, "out": str(tmp_path / "out")}
+    assert main(["check", "--config", str(write_config(tmp_path, doc))]) == 2
+    captured = capsys.readouterr()
+    assert "config error: potential: table entries must be nonnegative" in captured.err
+    assert "Traceback" not in captured.err and not (tmp_path / "out").exists()
+
+
+def test_main_check_encloses_an_overflowing_weighted_total(tmp_path, capsys):
+    # sum_j j J(j) = 3e308 passes the largest double: enclosed up to +inf, not a guard
+    doc = {"potential": {"kind": "finite_table", "beta": 1.0, "values": [1e308, 1e308]}, "out": str(tmp_path / "out")}
+    assert main(["check", "--config", str(write_config(tmp_path, doc))]) == 0
+    assert "criteria failed" not in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    verdicts = {v["criterion"]: v for v in report["results"]["criteria"]["verdicts"]}
+    assert verdicts["ruelle"]["outcome"] == "Holds" and "inf]" in verdicts["ruelle"]["certificate"]
+    assert verdicts["berbee"]["certificate"] == "not evaluated: interval endpoint is NaN"
+
+
 def test_main_guard_error_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, power_doc(q=2.0, beta=0.3, out=str(tmp_path / "out")))
     assert main(["sample", "--config", str(path)]) == 1
@@ -540,7 +559,7 @@ def test_main_guard_error_exits_one(tmp_path, capsys):
 def test_main_check_guard_error_prints_the_message(tmp_path, capsys, monkeypatch):
     # a guarded criteria error has no verdicts to print: check reports the
     # guard and exits 1 instead of failing on the missing verdict list
-    def refuse(p, rel_width):
+    def refuse(p, **knobs):
         raise ValueError("criteria guard: refused")
 
     monkeypatch.setattr("artifact.cli.evaluate_all", refuse)
@@ -586,6 +605,19 @@ def test_main_overrides_reach_artifacts(tmp_path):
     assert len((out_a / "bounds.csv").read_text().splitlines()) == 4
     assert len((out_b / "bounds.csv").read_text().splitlines()) == 5
     assert json.loads((out_b / "manifest.json").read_text())["rel_width"] == 1e-6
+
+
+@pytest.mark.parametrize("law", [{"kind": "power_law", "beta": 0.3, "q": 2.0},
+                                 {"kind": "exponential", "beta": 0.5, "rate": 0.5}])
+def test_check_results_do_not_depend_on_rel_width(tmp_path, law):
+    # rel_width is the target width of the R_n rows in bounds; no criterion reads it
+    results = []
+    for width in (1e-3, 1e-12):
+        out = tmp_path / f"w{width}"
+        path = write_config(tmp_path, {"potential": law, "rel_width": width, "out": str(out)}, f"w{width}.yaml")
+        assert main(["check", "--config", str(path)]) == 0
+        results.append(json.loads((out / "report.json").read_text())["results"])
+    assert results[0] == results[1]
 
 
 def test_main_seed_override_changes_samples(tmp_path):

@@ -485,25 +485,6 @@ def test_stronger_criteria_imply_weaker_ones():
                 assert slope.outcome == HOLDS, (q, beta)
 
 
-def test_verdicts_stable_under_enclosure_width():
-    # tightening rel_width may sharpen Inconclusive but never flips a
-    # certified verdict to its opposite
-    cases = [
-        power(2.0, 0.2),
-        power(2.0, 0.25),
-        power(2.0, 0.5),
-        power(2.0, 0.7),
-        power(2.5, 0.4),
-        power(3.0, 1.0),
-        power(1.5, 0.3),
-    ]
-    for p in cases:
-        wide = evaluate_all(p, rel_width=1e-6).outcomes()
-        tight = evaluate_all(p, rel_width=1e-12).outcomes()
-        for name in wide:
-            assert {wide[name], tight[name]} != {HOLDS, FAILS}, (p, name)
-
-
 # -- criteria knobs ----------------------------------------------------------------
 
 KNOBBED_CHECKS = ("check_product_blocksum", "check_scaled_limsup", "check_jop_blocksum")

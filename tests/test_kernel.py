@@ -19,7 +19,6 @@ from artifact import (
     pi_window_at_zero,
     pi_window_enumeration,
     rho_bruteforce,
-    window_weight,
 )
 from artifact.kernel import apply_L
 
@@ -159,13 +158,6 @@ def test_pi_window_validation():
         pi_window_at_zero(p, all_plus(-1, 1), 0, 2)
     with pytest.raises(ValueError):
         pi_window_at_zero(p, all_plus(-1, 1), -1, 1)
-
-
-def test_window_weight_counts_words_when_free():
-    # zero coupling: every word weighs 1, so the total counts the free sites
-    p = zero()
-    assert window_weight(p, (), (), 3) == pytest.approx(16.0, abs=0.0)
-    assert window_weight(p, (), (), 3, {0: 1, 2: -1}) == pytest.approx(4.0, abs=0.0)
 
 
 # -- transfer matrix and the stationary conditional -------------------------------
@@ -463,14 +455,9 @@ def test_scaled_passes_match_the_plain_walk():
         fut = tuple(int(x) for x in rng.choice((-1, 1), size=R))
         boundary = Word(-R, past + (1,) * (n + 1) + fut)
         den = plain_weight(p, past, fut, n)
-        assert window_weight(p, past, fut, n) == pytest.approx(den, rel=1e-12)
         for s in (-1, 1):
             want = plain_weight(p, past, fut, n, {0: s}) / den
             assert abs(pi_window_at_zero(p, boundary, n, s).value - want) <= 1e-12
-        site = int(rng.integers(0, n + 1))
-        clamp = {site: 1, n // 2: -1} if n // 2 != site else {site: 1}
-        want = plain_weight(p, past, fut, n, clamp)
-        assert window_weight(p, past, fut, n, clamp) == pytest.approx(want, rel=1e-12)
 
 
 def test_scaled_passes_match_enumeration_up_to_the_guard():
@@ -482,16 +469,6 @@ def test_scaled_passes_match_enumeration_up_to_the_guard():
             for s in (-1, 1):
                 enum = pi_window_enumeration(p, boundary, n, s)
                 assert abs(pi_window_at_zero(p, boundary, n, s).value - enum) <= 1e-12
-
-
-def test_window_weight_raises_outside_the_double_range():
-    p = nn(1.0)
-    # the weight grows like (2 cosh(1/2))^n and passes 2^1024 near n = 872
-    assert math.isfinite(window_weight(p, (1,), (1,), 800))
-    with pytest.raises(ArithmeticError):
-        window_weight(p, (1,), (1,), 1000)
-    with pytest.raises(ArithmeticError):
-        window_weight(zero(), (), (), 1024)  # 2^1025 words of weight one
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

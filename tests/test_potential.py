@@ -195,8 +195,17 @@ def test_fraction_interval_always_encloses(num, den):
     assert math.nextafter(iv.lo, math.inf) >= iv.hi  # at most one ulp wide
 
 
+def test_fraction_interval_encloses_rationals_past_the_double_range():
+    # float() raises OverflowError here; the enclosure reaches to infinity instead
+    big = math.nextafter(math.inf, 0.0)
+    assert fraction_interval(Fraction(3 * 10**308)) == Interval(big, math.inf)
+    assert fraction_interval(Fraction(-(10**310), 7)) == Interval(-math.inf, -big)
+    total = CouplingLaw.finite_table([1e308, 1e308]).weighted_total()
+    assert total == Interval(big, math.inf)
+
+
 def test_weighted_total_divergence_boundary():
-    assert CouplingLaw.power_law(2.0).weighted_total(1e-10) is None
-    assert CouplingLaw.power_law(1.5).weighted_total(1e-10) is None
-    total = CouplingLaw.power_law(3.0).weighted_total(1e-10)
+    assert CouplingLaw.power_law(2.0).weighted_total() is None
+    assert CouplingLaw.power_law(1.5).weighted_total() is None
+    total = CouplingLaw.power_law(3.0).weighted_total()
     assert total is not None and total.contains(ZETA2)

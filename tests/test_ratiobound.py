@@ -11,12 +11,12 @@ from artifact import (
     Interval,
     LogRProfile,
     PairPotential,
+    RatioTable,
     berbee_series_partial_sums,
     fit_growth_exponent,
     g_variation_bound,
     log_r_bound_envelope,
     rb_limit_lower_bound,
-    rb_recursion,
     rn_series,
     tauberian_diagnostic,
 )
@@ -50,7 +50,7 @@ def random_profile(rng, n_max):
 
 
 def test_recursion_constant_one_is_identically_one():
-    t = rb_recursion([1.0] * 13, 12)
+    t = RatioTable([1.0] * 13, 12)
     for n in range(13):
         for k in range(-1, n + 1):
             assert t.p(k, n) == 1.0
@@ -58,7 +58,7 @@ def test_recursion_constant_one_is_identically_one():
 
 def test_recursion_constant_profile_collapses_to_powers():
     # Constant v kills every increment term, so p(k, n) = v^(k+1) exactly.
-    t = rb_recursion([0.5] * 11, 10)
+    t = RatioTable([0.5] * 11, 10)
     for n in range(11):
         assert t.p(0, n) == 0.5
         for k in range(n + 1):
@@ -66,7 +66,7 @@ def test_recursion_constant_profile_collapses_to_powers():
 
 
 def test_recursion_hand_values():
-    t = rb_recursion([0.5, 0.75, 1.0], 2)
+    t = RatioTable([0.5, 0.75, 1.0], 2)
     assert t.p(0, 0) == 0.5
     assert t.p(0, 1) == pytest.approx(0.625, abs=1e-15)
     assert t.p(0, 2) == pytest.approx(0.75, abs=1e-15)
@@ -74,19 +74,19 @@ def test_recursion_hand_values():
 
 def test_recursion_rejects_bad_profiles():
     with pytest.raises(ValueError):
-        rb_recursion([0.5, 0.4, 0.6], 2)  # not nondecreasing
+        RatioTable([0.5, 0.4, 0.6], 2)  # not nondecreasing
     with pytest.raises(ValueError):
-        rb_recursion([0.0, 0.5], 1)  # zero not allowed
+        RatioTable([0.0, 0.5], 1)  # zero not allowed
     with pytest.raises(ValueError):
-        rb_recursion([0.5, 1.2], 1)  # above one
+        RatioTable([0.5, 1.2], 1)  # above one
     with pytest.raises(ValueError):
-        rb_recursion([0.5, 0.6], 5)  # too few coefficients
+        RatioTable([0.5, 0.6], 5)  # too few coefficients
     with pytest.raises(ValueError):
-        rb_recursion([0.5], -1)
+        RatioTable([0.5], -1)
 
 
 def test_recursion_index_validation():
-    t = rb_recursion([0.5, 0.6, 0.7], 2)
+    t = RatioTable([0.5, 0.6, 0.7], 2)
     with pytest.raises(ValueError):
         t.p(3, 2)
     with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_recursion_invariants_on_random_profiles():
     rng = np.random.default_rng(5)
     for _ in range(100):
         v = random_profile(rng, 12)
-        t = rb_recursion(v, 12)
+        t = RatioTable(v, 12)
         assert t.p(0, 0) == v[0]
         for n in range(13):
             assert t.p(-1, n) == 1.0
@@ -113,7 +113,7 @@ def test_recursion_invariants_on_random_profiles():
 
 def test_p0_path_matches_entries():
     rng = np.random.default_rng(6)
-    t = rb_recursion(random_profile(rng, 8), 8)
+    t = RatioTable(random_profile(rng, 8), 8)
     path = t.p0_path()
     assert path.shape == (9,)
     for n in range(9):
@@ -142,7 +142,7 @@ def test_limit_lower_bound_monotone_and_consistent():
     rng = np.random.default_rng(7)
     for _ in range(20):
         v = random_profile(rng, 24)
-        t = rb_recursion(v, 24)
+        t = RatioTable(v, 24)
         prev = 0.0
         for N in range(25):
             b = rb_limit_lower_bound(v, N)

@@ -3,7 +3,6 @@ dataclass semantics the package relies on."""
 
 import dataclasses
 import importlib
-import math
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import pytest
 from artifact import _record
 from artifact.cli import parse_config
 from artifact.criteria import HOLDS, UNIQUE_GIBBS, CriteriaReport, Verdict, _Limsup
-from artifact.dynamics import ChainRun, CouplingRun, WindowConditional
+from artifact.dynamics import ChainRun, CouplingRun
 from artifact.fseq import FSequence, Word
 from artifact.intervals import Interval
 from artifact.kernel import KernelResult, MarkovConditional, TransferMatrix
@@ -32,6 +31,8 @@ LAW = CouplingLaw.power_law(2.0)
 P = PairPotential(LAW, 0.3, 12)
 NN = PairPotential(CouplingLaw.finite_table([1.0]), 1.0)
 I = Interval(1.0, 2.0)
+# records holding arrays: they compare and hash by identity
+IDENTITY_RECORDS = ("ChainRun", "CouplingRun", "TransferMatrix")
 VERDICT = Verdict("berbee", HOLDS, I, "certificate", UNIQUE_GIBBS)
 RN = RnSeries(3, I, False, "certificate", 7)
 ROW = TauberianRow(4, I, I, None)
@@ -43,7 +44,6 @@ SAMPLES = {
     "Verdict": lambda: VERDICT,
     "_Limsup": lambda: _Limsup.finite(I),
     "CriteriaReport": lambda: CriteriaReport((VERDICT,), {"alpha": 0.5}),
-    "WindowConditional": lambda: WindowConditional(NN, 4),
     "ChainRun": lambda: CHAIN,
     "CouplingRun": lambda: CouplingRun(CHAIN, CHAIN, np.array([True, False, False])),
     "Word": lambda: Word(-1, (1, 1, -1)),
@@ -98,15 +98,21 @@ def test_record_semantics(name):
     fields = cls.__match_args__
     assert type(obj) is cls and fields
 
-    # equal fields, positionally or by keyword: equal objects with equal hashes
+    # equal fields, positionally or by keyword: equal objects with equal hashes,
+    # except that records holding arrays compare and hash by identity
     for twin in (cls(*values(obj)), cls(**dict(zip(fields, values(obj))))):
-        assert twin == obj and not (twin != obj) and twin is not obj
-        assert hash_or_error(twin) == hash_or_error(obj)
+        if name in IDENTITY_RECORDS:
+            assert twin != obj and not (twin == obj) and obj == obj
+            assert hash(twin) == object.__hash__(twin) and hash(obj) == object.__hash__(obj)
+        else:
+            assert twin == obj and not (twin != obj) and twin is not obj
+            assert hash_or_error(twin) == hash_or_error(obj)
 
     # the same semantics as a frozen dataclass over the same fields
     ref_cls = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True)
     ref = ref_cls(*values(obj))
-    assert hash_or_error(obj) == hash_or_error(ref)
+    if name not in IDENTITY_RECORDS:
+        assert hash_or_error(obj) == hash_or_error(ref)
     if cls.__repr__.__module__ == _record.__name__:  # Interval writes its own
         assert repr(obj) == repr(ref)
 
@@ -160,17 +166,18 @@ def test_criteria_report_gets_a_fresh_dict_of_knobs():
     assert CriteriaReport((), knobs={"alpha": 0.5}).knobs == {"alpha": 0.5}
 
 
-def test_cached_property_writes_past_frozen():
-    wc = WindowConditional(NN, 4)
-    assert math.isclose(wc.prob((1,), 1) + wc.prob((1,), -1), 1.0)
-    assert "_laws" in vars(wc) and wc == WindowConditional(NN, 4)
+def test_equal_coupling_runs_are_distinct():
+    # separately built arrays: value equality would have to ask an array for a truth value
+    a, b = (CouplingRun(CHAIN, CHAIN, np.array([True, False, False])) for _ in range(2))
+    assert a != b and not (a == b) and a == a
+    assert hash(a) != hash(b) and len({a, b}) == 2
 
 
 def test_equal_potentials_share_one_tail_table():
     _tail_table.cache_clear()
     p, q = PairPotential(CouplingLaw.power_law(3.0), 0.5), PairPotential(CouplingLaw.power_law(3.0), 0.5)
     assert p is not q and p == q and hash(p) == hash(q)
-    assert _tail_table(p, 8, 1e-10) is _tail_table(q, 8, 1e-10)
+    assert _tail_table(p, 8) is _tail_table(q, 8)
     info = _tail_table.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert _tail_table(PairPotential(CouplingLaw.power_law(3.0), 0.25), 8, 1e-10) is not _tail_table(p, 8, 1e-10)
+    assert _tail_table(PairPotential(CouplingLaw.power_law(3.0), 0.25), 8) is not _tail_table(p, 8)
