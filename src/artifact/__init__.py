@@ -10,13 +10,13 @@ they exist to corroborate the certified half, never to replace it.
 
 Nothing is loaded before it is used.  The public names below resolve on
 first access, so ``import artifact`` imports no submodule; the command line
-imports ``kernel`` only for ``gfun``, ``bounds``, the samplers and the
-Dobrushin sum of a finite-range law, and ``dynamics`` only to sample or
-couple.  Every enclosure ``gibbs1d check`` needs is scalar interval
-arithmetic.  NumPy is found at import but executed on the first array
-operation: tail tables (``potential``), the R_n series and its fits
-(``ratiobound``), the kernel walks and enumerations (``kernel``) and the
-sampler (``dynamics``).
+imports ``kernel`` only for ``gfun``, the samplers, and the empirical column
+of ``bounds`` and the Dobrushin sum of a finite-range law, and ``dynamics``
+only to sample or couple.  Every enclosure ``gibbs1d check`` needs, and
+every tail table and R_n row of ``bounds``, is scalar interval arithmetic.
+NumPy is found at import but executed on the first array operation: the
+kernel walks and enumerations (``kernel``), the sampler (``dynamics``) and
+the acceptance diagnostics of ``ratiobound`` (recursion table, growth fits).
 """
 
 import importlib

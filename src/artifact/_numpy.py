@@ -2,8 +2,10 @@
 
 NumPy is found when this module is imported, so a missing NumPy still fails
 at import with ``ModuleNotFoundError``, but it is executed only on the first
-attribute access.  ``gibbs1d check``, whose work is all scalar interval
-arithmetic, never pays for it; tables, series, kernels and samplers do.
+attribute access.  ``gibbs1d check`` and the certified rows of ``bounds``
+(tail tables, R_n series), whose work is all scalar interval arithmetic,
+never pay for it; the kernel walks, the sampler and the acceptance
+diagnostics (the recursion table and growth fits of ``ratiobound``) do.
 """
 
 import importlib.util

@@ -74,9 +74,10 @@ from .potential import (
     CouplingLaw,
     PairPotential,
     VariationProfile,
+    required_range,
     tail_variation,
 )
-from .ratiobound import DEFAULT_REL_WIDTH, LogRProfile
+from .ratiobound import DEFAULT_REL_WIDTH, g_variation_bound, log_r_bound_envelope
 
 EXPERIMENTS = ("criteria", "gfun", "bounds", "sample", "couple")
 
@@ -449,10 +450,8 @@ def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
-    from .kernel import empirical_g_variation_profile
-
     F = FSequence.from_potential(p)
-    logr = LogRProfile.from_fsequence(F, cfg.rel_width)
+    envelope = log_r_bound_envelope(F)
     profile = VariationProfile.from_potential(p)
 
     empirical: dict = {}
@@ -460,6 +459,9 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     if cfg.empirical_window > 0:
         depths = list(range(1, min(cfg.n_max, cfg.empirical_window) + 1))
         try:
+            required_range(p)  # the kernels' own first guard, settled before they load
+            from .kernel import empirical_g_variation_profile
+
             vals = empirical_g_variation_profile(p, depths, cfg.empirical_window)
             empirical = dict(zip(depths, vals))
         except ValueError as exc:
@@ -468,6 +470,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
         empirical_note = "disabled (empirical_window = 0)"
 
     path = out / "bounds.csv"
+    capped = []  # relative widths of the R_n rows stopped at the term cap
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(
@@ -482,7 +485,10 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
         )
         for n in range(1, cfg.n_max + 1):
             tv = tail_variation(p, n)
-            rb = logr.at(n)
+            gb = g_variation_bound(F, n, cfg.rel_width)
+            rb = gb.bound
+            if gb.rn.capped:
+                capped.append(gb.rn.enclosure.rel_width())
             w.writerow(
                 [n, _cell(tv.lo), _cell(tv.hi), _cell(rb.lo), _cell(rb.hi), _cell(empirical.get(n))]
             )
@@ -490,18 +496,20 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
         "csv": path.name,
         "rows": cfg.n_max,
         "slope": None if profile.slope is None else {"lo": profile.slope.lo, "hi": profile.slope.hi},
-        "zero_beyond": logr.zero_beyond,
+        "zero_beyond": p.finite_range,
         "envelope": None
-        if logr.envelope is None
-        else {
-            "coefficient": logr.envelope.coefficient,
-            "exponent": logr.envelope.exponent,
-            "start": logr.envelope.start,
-        },
+        if envelope is None
+        else {"coefficient": envelope.coefficient, "exponent": envelope.exponent, "start": envelope.start},
         "empirical_window": cfg.empirical_window,
     }
     if empirical_note is not None:
         doc["empirical_note"] = empirical_note
+    if capped:
+        print(
+            f"bounds: {len(capped)} of {cfg.n_max} R_n rows stopped at the term cap, "
+            f"widest relative width {max(capped):.3g} (target {cfg.rel_width:g})",
+            file=sys.stderr,
+        )
     return doc
 
 

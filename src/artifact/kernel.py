@@ -143,8 +143,15 @@ def pi_window_enumeration(p: PairPotential, boundary: Word, n: int, s: int) -> f
 
 @lru_cache(maxsize=64)
 def _sliding_tables(key):
-    """Per-state coupling fields and transition targets for the block walk."""
+    """Per-state coupling fields and transition targets for the block walk.
+
+    The step weights lie in [exp(-h), exp(h)], h = beta * sum(J) / 2, so
+    they are all finite and positive exactly when exp(h) is finite; a
+    coupling past that is refused before any array holds it.
+    """
     beta, J = key
+    if not math.isfinite(_exp(0.5 * beta * sum(J))):
+        raise ArithmeticError("coupling leaves the double range")
     R = len(J)
     size = 1 << R
     states = np.arange(size)

@@ -22,9 +22,13 @@ encloses them, a few ulps wide, for point queries and for tables:
   truncated weighted total sum_{j <= R} j^(1-q), q in (1, 2], is O(1) in R.
   Exponential laws use the closed form A e^{-rm} (1 - e^{-r(R+1-m)}) /
   (1 - e^{-r}) with enclosed exponents; finite tables sum their entries.
-* Tables (``TailEnclosureTable``).  One point tail anchors T(H+1), then the
-  exact recurrence T(m) = T(m+1) + J(m) runs back to m = 1 in one numpy pass
-  with an outward rounding budget; exponential tables use the closed form.
+* Tables (``TailEnclosureTable``), grown by appending segments.  A point
+  tail anchors each segment's top, then the exact recurrence T(m) = T(m+1) +
+  J(m) runs down it with TwoSum-compensated additions (Ogita, Rump and
+  Oishi 2005); exponential tables use the closed form.  The table also keeps
+  the products exp(-beta * (T(1) + ... + T(k+1))) the R_n rows read.
+
+Everything here is scalar Python: no tail, table or total loads NumPy.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Optional
 
-from ._numpy import np
 from ._record import record, set_field
 from .intervals import (
     DOWN, DOWN_EXP, EPS, FLOOR, LIBM_GUARD_ULPS, ONE, UP, UP_EXP, Interval, ZERO, float_sum_enclosure,
@@ -217,29 +222,6 @@ class CouplingLaw:
             return out
         return Interval.point(self.amplitude) * _power_sum(self.q, n, last)
 
-    def _exponential_tails(self, m: np.ndarray, last: Optional[int]):
-        """Endpoint arrays of A e^{-rm} (1 - e^{-r(last+1-m)}) / (1 - e^{-r}) at each m.
-
-        The products r * m round, so each exponent is pushed outward before
-        exp (``intervals.UP``); the truncation factor is 1 without ``last``
-        and exactly 0 beyond it.
-        """
-        if self.amplitude == 0.0:
-            return np.zeros(m.size), np.zeros(m.size)
-        scale = Interval.point(self.amplitude) / -Interval.point(-self.rate).expm1()
-        rm = self.rate * m
-        lo = np.exp(rm * -UP) * (scale.lo * DOWN_EXP)
-        hi = np.exp(rm * -DOWN) * (scale.hi * UP_EXP)
-        if last is not None:
-            d = self.rate * np.maximum(last + 1.0 - m, 0.0)
-            lo *= -np.expm1(d * -DOWN) * DOWN_EXP
-            hi *= np.minimum(-np.expm1(d * -UP) * UP_EXP, 1.0)
-        pad = FLOOR * scale.hi
-        lo, hi = np.maximum(lo * DOWN - pad, 0.0), hi * UP + pad
-        if last is not None:
-            lo[m > last] = hi[m > last] = 0.0
-        return lo, hi
-
     def weighted_total(self, last: Optional[int] = None):
         """Enclosure of sum_{1 <= j <= last} j * J(j) (``last`` None: to
         infinity), or None when that series diverges.
@@ -275,78 +257,108 @@ def _weighted_total(law: CouplingLaw, last: Optional[int]) -> Optional[Interval]
     return amp * _power_sum(law.q - 1.0, 1, last)
 
 
-_LD_EPS = None  # accumulator precision, np.finfo(np.longdouble).eps from the first use on
-
-
-def _suffix_enclosures(terms: np.ndarray, anchor: Interval, term_ulps: int):
-    """Endpoint arrays of anchor + sum_{i >= m} terms[i] for m = 0 .. len(terms).
-
-    ``terms`` are nonnegative floats, each within ``term_ulps`` ulps of its
-    true value.  Suffix sums accumulate in extended precision from the far
-    end, so the sum at m takes len(terms) - m additions, each off by at most
-    half an accumulator eps of that sum (suffix sums only grow toward m = 0).
-    The budget charges a full eps per addition, four float64 roundings (the
-    conversion, the anchor and the budget itself), the term errors and
-    FLOOR, so the float64 endpoints need no further rounding.
-    """
-    global _LD_EPS
-    if _LD_EPS is None:
-        _LD_EPS = float(np.finfo(np.longdouble).eps)
-    H = terms.size
-    s = np.zeros(H + 1)
-    s[:H] = np.cumsum(terms[::-1], dtype=np.longdouble)[::-1]
-    steps = np.arange(H + 3, 2, -1, dtype=np.float64)  # additions at m, plus 3
-    top = s + anchor.hi
-    budget = top * (steps * _LD_EPS + (term_ulps + 4) * EPS) + FLOOR
-    return np.maximum(s + anchor.lo - budget, 0.0), np.where(top > 0.0, top + budget, 0.0)
+def _running_sums(terms, s: float = 0.0, e: float = 0.0):
+    """Running sums of ``terms`` on from s + e.  By TwoSum (Ogita, Rump and Oishi 2005) e collects
+    each addition's exact error, so every sum is within an ulp of exact, however many came before."""
+    out = []
+    for x in terms:
+        t = s + x
+        z = t - s
+        e += (s - (t - z)) + (x - z)
+        s = t
+        out.append(s + e)
+    return out, s, e
 
 
 class TailEnclosureTable:
-    """Enclosures of the effective tails T(m) for every m = 1 .. horizon + 1.
+    """Enclosures of the effective tails T(m), m = 1 .. horizon + 1, and of the
+    products P_k = exp(-beta * S_k), S_k = T(1) + ... + T(k+1), k = 0 .. horizon.
 
-    A contraction profile needs thousands of consecutive tails, so they come
-    from one bulk pass: the closed form for exponential laws, otherwise one
-    point tail anchored at horizon + 1 and the exact recurrence T(m) = T(m+1)
-    + J(m) (``_suffix_enclosures``).  Entries beyond a truncation are exactly 0.
+    ``grow`` appends entries and leaves earlier ones.  Exponential laws take
+    the closed form at each m; otherwise a point tail anchors the top of each
+    segment, and the exact recurrence T(m) = T(m+1) + J(m) runs down it in
+    compensated sums, so an entry errs by its J roundings and a few more; 0
+    beyond a truncation.  ``lo[m-1]`` and ``hi[m-1]`` bracket T(m); ``p_lo[k]``
+    is P_k at the upper end of S_k, rounded down; ``spread[k]``, nondecreasing
+    in k, bounds the exponent gap between the ends of S_k, so that P_j <=
+    p_lo[j] * exp(spread[k]) * UP_EXP / DOWN_EXP for j <= k up to subnormals.
     """
 
     def __init__(self, potential: "PairPotential", horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
+        from array import array  # an extension module, loaded only where a table is built
         self.potential = potential
-        self.horizon = horizon
-        law, R = potential.coupling, potential.truncation_range
+        self.horizon = -1
+        self.lo, self.hi, self.spread, self.p_lo = array("d"), array("d"), array("d"), []  # p_lo is summed most
+        self._sums = (0.0, 0.0, 0.0)  # the running sums below: lower ends (double-double), widths
+        self.grow(horizon)
+
+    def grow(self, horizon: int) -> None:
+        """Append the entries up to ``horizon`` (nothing if already there)."""
+        if horizon <= self.horizon:
+            return
+        m0, m1 = self.horizon + 2, horizon + 1
+        p, law, R = self.potential, self.potential.coupling, self.potential.truncation_range
         if law.kind == "exponential":
-            self._lo, self._hi = law._exponential_tails(np.arange(1.0, horizon + 2.0), R)
+            lo, hi = _exponential_tails(law, range(m0, m1 + 1), R)
         else:
-            if law.kind == "power_law":
-                J = law.amplitude * np.arange(1.0, horizon + 1.0) ** -law.q
-            else:
-                J = np.zeros(horizon)
-                J[: min(horizon, len(law.values))] = law.values[:horizon]
-            if R is not None:
-                J[R:] = 0.0
-            anchor = potential.coupling_tail(horizon + 1)
-            ulps = _POWER_TERM_ULPS if law.kind == "power_law" else 0
-            self._lo, self._hi = _suffix_enclosures(J, anchor, ulps)
-        # tables are shared between callers; the views handed out stay read-only
-        self._lo.flags.writeable = self._hi.flags.writeable = False
+            anchor = p.coupling_tail(m1)
+            top = m1 if R is None else max(m0, min(m1, R + 1))  # J(j) = 0 from j = top on
+            A, q = law.amplitude, law.q
+            J = [A * j**-q for j in range(m0, top)] if law.kind == "power_law" else law.values[m0 - 1 : top - 1]
+            D = _running_sums(reversed(J))[0][::-1] + [0.0] * (m1 + 1 - m0 - len(J))  # J(m) + ... + J(top - 1)
+            # J errs by _POWER_TERM_ULPS ulps (0 in a table); D, the anchor sum and the factor round once each
+            rel = ((_POWER_TERM_ULPS if law.kind == "power_law" else 0) + 3) * EPS
+            lo = [x if (x := (d + anchor.lo) * (1.0 - rel) - FLOOR) > 0.0 else 0.0 for d in D]
+            hi = [(d + anchor.hi) * (1.0 + rel) + FLOOR if d + anchor.hi > 0.0 else 0.0 for d in D]
+        self.lo.extend(lo)
+        self.hi.extend(hi)
+        self.horizon = horizon
+        # S_k runs on as x_k, the lower ends' sum, and y_k, the widths' sum in
+        # floats, which errs by len(self.lo) * EPS / 2 at most, relatively
+        s, e, w = self._sums
+        S, s, e = _running_sums(lo, s, e)
+        W = list(accumulate(map(sub, hi, lo), initial=w))[1:]
+        g, beta = 1.0 + len(self.lo) * EPS, p.beta
+        # exp(-beta * S_k) >= exp(-e_hi): five roundings, at EPS / 2 each
+        self.p_lo += [math.exp(-beta * (x + y * g) * (1.0 + 3.0 * EPS)) * DOWN_EXP for x, y in zip(S, W)]
+        # above e_hi - beta * x_k * DOWN, both rounded, and nondecreasing in k
+        g, c = g * (1.0 + 8.0 * EPS), 12.0 * EPS
+        self.spread.extend(beta * (y * g + c * x) * UP for x, y in zip(S, W))
+        self._sums = (s, e, W[-1])
 
     def at(self, m: int) -> Interval:
         if not 1 <= m <= self.horizon + 1:
             raise ValueError(f"m = {m} outside table horizon {self.horizon}")
-        return Interval(float(self._lo[m - 1]), float(self._hi[m - 1]))
-
-    def midpoints(self, m_max: int) -> np.ndarray:
-        """Float midpoints of the tails at m = 1 .. m_max, for diagnostics."""
-        lo, hi = self.enclosures(m_max)
-        return 0.5 * (lo + hi)
+        return Interval(self.lo[m - 1], self.hi[m - 1])
 
     def enclosures(self, m_max: int):
         """Endpoint arrays (lo, hi) of the tails at m = 1 .. m_max."""
         if m_max > self.horizon + 1:
             raise ValueError("m_max beyond table horizon")
-        return self._lo[:m_max], self._hi[:m_max]
+        return self.lo[:m_max], self.hi[:m_max]
+
+
+def _exponential_tails(law: CouplingLaw, ms, last: Optional[int]):
+    """Endpoint lists of A e^{-rm} (1 - e^{-r(last+1-m)}) / (1 - e^{-r}) at each m:
+    each exponent is pushed outward before exp (``intervals.UP``), as r * m
+    rounds; the truncation factor is 1 without ``last``, 0 beyond it."""
+    scale = Interval.point(law.amplitude) / -Interval.point(-law.rate).expm1()
+    s_lo, s_hi, pad, r = scale.lo * DOWN_EXP, scale.hi * UP_EXP, FLOOR * scale.hi, law.rate
+    lo, hi = [], []
+    for m in ms:
+        a = b = 0.0
+        if law.amplitude and (last is None or m <= last):
+            a, b = math.exp(r * m * -UP) * s_lo, math.exp(r * m * -DOWN) * s_hi
+            if last is not None:
+                d = r * (last + 1.0 - m)
+                a *= -math.expm1(d * -DOWN) * DOWN_EXP
+                b *= min(-math.expm1(d * -UP) * UP_EXP, 1.0)
+            a, b = max(a * DOWN - pad, 0.0), b * UP + pad
+        lo.append(a)
+        hi.append(b)
+    return lo, hi
 
 
 @record

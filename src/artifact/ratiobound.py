@@ -9,7 +9,8 @@ infima.  The series
 
 controls the variation of the induced one-sided conditional law g over pasts
 agreeing on n sites: log-ratio <= 2 * log(1 + 1/R_n).  The third layer fits
-growth exponents of the related partial-sum diagnostics.
+growth exponents of the related partial-sum diagnostics.  The first and the
+third use NumPy; R_n rows are scalar Python over the potential's tail table.
 
 Certification policy: divergence of R_n is declared only structurally (all
 v_j equal to 1 beyond a finite index), never from the size of a partial sum.
@@ -23,11 +24,13 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from ._numpy import np
 from ._record import record
-from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, UP, UP_EXP, Interval, ONE, ZERO
+from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, UP, UP_EXP, Interval, ONE, ZERO, _exp
 from .fseq import FSequence
 
 # Target relative width of each R_n row: the one place a width is read
@@ -153,25 +156,26 @@ class RnSeries:
     def is_finite(self) -> bool:
         return not self.divergent and math.isfinite(self.enclosure.hi)
 
+    @property
+    def capped(self) -> bool:  # summation stopped at _MAX_TERMS, short of the target width
+        return self.certificate.endswith(_CAP_NOTE)
 
-def rn_series(
-    F: FSequence,
-    n: int,
-    rel_width: float = DEFAULT_REL_WIDTH,
-    max_terms: int = 200_000,
-) -> RnSeries:
+
+def rn_series(F: FSequence, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> RnSeries:
     """Sum R_n with interval terms, or certify its divergence structurally.
 
-    Divergence requires v_j = 1 exactly for all j beyond a finite index,
-    which happens precisely when the interaction has finite range R and the
-    agreement window covers it (n >= R).  Otherwise v_j = c * a_j with
-    c = exp(-beta * T(n+1)) < 1 and a_j = exp(-beta * T(j+1)), so the
-    remainder after k terms is at most u_k * c / (1 - c), with 1 - c taken
-    as -expm1(-beta * T(n+1)).  When W = sum_j j J(j) is finite, every
-    product a_0 ... a_k exceeds P_inf = exp(-beta * W), so the remainder is
-    at least P_inf * c^(k+2) / (1 - c), and the bounds meet whatever c is.
-    Summation stops once that remainder bracket is at most ``rel_width``
-    times the enclosure's lower end, or at ``max_terms``.
+    Divergence requires v_j = 1 exactly beyond a finite index: finite range R
+    within the window (n >= R).  Otherwise v_j = c a_j with c = exp(-beta
+    T(n+1)) < 1 and a_j = exp(-beta T(j+1)), and term k is u_k = c^(k+1) P_k
+    with P_k = a_0 ... a_k from the potential's shared tail table.  The a_j
+    increase to 1, so the remainder after term k lies between u_k x / (1 - x),
+    x = c a_(k+1), and u_k c / (1 - c), and above P_inf c^(k+2) / (1 - c),
+    P_inf = exp(-beta sum_j j J(j)).  Summation stops at the first k whose
+    bracket is at most ``rel_width`` times the lower end, or at _MAX_TERMS.
+    Terms go by blocks of _BLOCK: c^(k+1) is c^(start+1) c^i, each from the
+    exp of its own exponent, so no rounding compounds along a row, and a
+    block's upper sum is its float sum times the largest upper-to-lower
+    ratio of its terms.
     """
     if n < 0:
         raise ValueError("window must be >= 0")
@@ -179,98 +183,89 @@ def rn_series(
     vp = F.v_profile(n)
     settles = vp.settles_at()
     if settles is not None:
-        prod = ONE
-        for j in range(settles):
-            prod = prod * vp.v(j)
-        return RnSeries(
-            window=n,
-            enclosure=None,
-            divergent=True,
-            certificate=(
-                f"v_j = 1 exactly for j >= {settles} (finite range within the window); "
-                f"terms stay >= {prod.lo:.6g}"
-            ),
-            terms_used=settles,
-        )
+        prod = math.prod((vp.v(j) for j in range(settles)), start=ONE)
+        certificate = f"v_j = 1 exactly for j >= {settles} (finite range within the window); terms stay >= {prod.lo:.6g}"
+        return RnSeries(n, None, True, certificate, terms_used=settles)
 
-    win_tail = p.coupling_tail(n + 1)
-    win_log = Interval.point(p.beta) * win_tail
+    beta = p.beta
+    win_log = Interval.point(beta) * p.coupling_tail(n + 1)
     c = (-win_log).exp()
     one_minus_c = -(-win_log).expm1()
     W = p.weighted_total()
-    p_inf = 0.0 if W is None else (-(Interval.point(p.beta) * W)).exp().lo
+    p_inf = 0.0 if W is None else (-(Interval.point(beta) * W)).exp().lo
     if not one_minus_c.lo > 0.0:
         # beta * T(n+1) underflows: only R_n >= P_inf * c / (1 - c) is known
         floor = min(p_inf * c.lo / one_minus_c.hi * DOWN, sys.float_info.max)
         return RnSeries(n, Interval(floor, math.inf), False, "window tail underflows; lower enclosure only")
 
-    geom_factor = (c / one_minus_c).hi
-    floor_factor = (Interval.point(p_inf) / one_minus_c).lo
-    carry = (1.0, 1.0, 0.0, 0.0, 1.0)
-    start, block = 0, _FIRST_BLOCK
-    while True:
-        stop = min(start + block, max_terms)
-        t_lo, t_hi = _tail_table(p, 1 << (stop - 1).bit_length()).enclosures(stop)
-        lo, hi, gap, carry = _series_block(
-            p.beta, t_lo[start:], t_hi[start:], start, carry, win_tail, c.lo, geom_factor, floor_factor
+    w_lo, w_hi = win_log.lo, win_log.hi
+    geom_factor, floor_factor = (c / one_minus_c).hi, (Interval.point(p_inf) / one_minus_c).lo
+    table = _tail_table(p)
+    # c^i, i < _BLOCK, as c^(32a) * c^b from 64 exps rounded down (the product rounds once more)
+    steps = [math.exp(-(i * w_hi) * UP) * DOWN_EXP for i in range(32)]
+    c_pow = [x * y for x in [math.exp(-(i * w_hi) * UP) * DOWN_EXP for i in range(0, _BLOCK, 32)] for y in steps]
+    dw = w_hi - w_lo + 5.0 * EPS * w_hi  # c^i / c_pow[i] <= exp(i * dw) * UP_EXP / DOWN_EXP
+
+    def bracket(i, head):  # ends of the sum through term start + i (float block sum: head), of the rest
+        k = start + i
+        # c_pow[i] and i + 1 products summed in floats, then two more roundings, at EPS / 2 each
+        down, up = 1.0 - (i + 5) * (0.5 * EPS), 1.0 + (i + 5) * (0.5 * EPS)
+        u = p_lo[i] * c_pow[i]
+        # no term through k exceeds its float value times scale by more than ``up``
+        scale = a_lo * _exp((table.spread[k] + (k + 1) * dw) * UP) * _RATIO * UP
+        y = (w_hi + beta * table.hi[k + 1] * UP) * UP  # x >= exp(-y)
+        rem_lo = max(
+            u * a_lo * down * (math.exp(-y) * DOWN_EXP) / (-math.expm1(-y) * UP_EXP) * DOWN,
+            floor_factor * math.exp(-((k + 2) * w_hi) * UP) * DOWN_EXP * DOWN,
         )
-        hit = np.nonzero(gap <= rel_width * lo)[0]
-        if hit.size or stop >= max_terms:
+        rem_hi = (u * scale * up + FLOOR) * geom_factor * UP
+        return s_lo + head * a_lo * down, s_hi + head * scale * up, rem_lo, rem_hi
+
+    def meets(b):
+        return b[3] - b[2] <= rel_width * (b[0] + b[2])
+
+    s_lo, s_hi, start, blocks = 0.0, 0.0, 0, 0
+    while True:
+        stop = min(start + _BLOCK, _MAX_TERMS)
+        if table.horizon < stop:  # T(k+2) is read at k = stop - 1; doubling from _BLOCK
+            table.grow(min(2 * table.horizon, _MAX_TERMS))  # makes the same segments whatever ran before
+        p_lo, last = table.p_lo[start:stop], stop - start - 1
+        a_lo = math.exp(-((start + 1) * w_hi) * UP) * DOWN_EXP  # c^(start+1), rounded down
+        b = bracket(last, sum(map(mul, p_lo, c_pow)))
+        if meets(b) or stop == _MAX_TERMS:
             break
-        start, block = stop, min(2 * block, _MAX_BLOCK)
-    i = int(hit[0]) if hit.size else stop - start - 1
-    certificate = f"geometric tail majorant with ratio <= {min(c.hi, 1.0):.12g} after {start + i + 1} terms"
-    if not hit.size:
-        certificate += "; stopped at the term cap"
-    return RnSeries(n, Interval(lo[i], hi[i]), False, certificate, terms_used=start + i + 1)
+        s_lo, s_hi, start, blocks = b[0], b[1], stop, blocks + 1
+    capped = not meets(b)
+    if not capped:  # the first term that meets the width, by bisection
+        heads, before = list(accumulate(map(mul, p_lo, c_pow))), -1
+        while last - before > 1:
+            mid = (before + last) // 2
+            if meets(bracket(mid, heads[mid])):
+                last = mid
+            else:
+                before = mid
+        b = bracket(last, heads[last])
+    terms = start + last + 1
+    certificate = f"geometric tail majorant with ratio <= {min(c.hi, 1.0):.12g} after {terms} terms"
+    slack = (blocks + 4) * (0.5 * EPS)  # the block additions, the last two and this factor
+    enclosure = Interval(max((b[0] + b[2]) * (1.0 - slack) - FLOOR, 0.0), (b[1] + b[3]) * (1.0 + slack) + FLOOR)
+    return RnSeries(n, enclosure, False, certificate + (_CAP_NOTE if capped else ""), terms_used=terms)
 
 
-# Terms summed per block: the first block, doubling up to the last size.
-_FIRST_BLOCK = 1024
-_MAX_BLOCK = 8192
+# Terms per block of a row, and per row at most.  Each P_k, c^i or product
+# that underflows errs by a few subnormal ulps; FLOOR covers all of them.
+_BLOCK = 1024
+_MAX_TERMS = 200_000
+_CAP_NOTE = "; stopped at the term cap"
+# Covers four exps rounded down to lower ends, of P_k, c^(start+1) and the
+# two factors of c^i (each at most 1 + 8.5 EPS short), and the exp rounded up.
+_RATIO = 1.0 + 40.0 * EPS
 
 
 @lru_cache(maxsize=16)
-def _tail_table(p, horizon: int):
-    """Tail tables shared by the rows of one potential, at power-of-2 horizons."""
+def _tail_table(p, horizon: int = _BLOCK):
+    """The tail table the rows of one potential share, and grow."""
     return p.tail_enclosure_table(horizon)
-
-
-def _series_block(beta, tail_lo, tail_hi, start, carry, win_tail, c_lo, geom_factor, floor_factor):
-    """Enclosures of R_n from its first k + 1 terms, for k = start .. start + len(tail_lo) - 1.
-
-    tail_lo[i] and tail_hi[i] bracket T(k + 1).  Each entry is a partial sum
-    plus a remainder bracket: at least floor_factor * c_lo^(k+2) and at most
-    u_k * geom_factor.  Also returns each bracket's width, which more terms
-    would shrink, and the raw running products and sums the next block
-    continues from.  Plain float64 with outward factors (``intervals.UP`` and
-    kin): a running product or sum over k + 1 entries, continued across
-    blocks, accrues at most k roundings, so scaling by (1 -+ 1.01 * k * eps)
-    restores a rigorous enclosure while k * eps stays far below 1 (always,
-    for the term caps used here), and FLOOR covers underflowing entries.
-    """
-    p_lo0, p_hi0, s_lo0, s_hi0, c0 = carry
-    v_lo = np.exp((tail_hi + win_tail.hi) * (-beta * UP)) * DOWN_EXP
-    v_hi = np.minimum(np.exp((tail_lo + win_tail.lo) * (-beta * DOWN)) * UP_EXP, 1.0)
-    drift = np.arange(start, start + tail_lo.size, dtype=np.float64) * (1.01 * EPS)
-    down, up = 1.0 - drift, 1.0 + drift
-    p_lo = np.cumprod(v_lo) * p_lo0
-    p_hi = np.cumprod(v_hi) * p_hi0
-    u_hi = p_hi * up
-    s_lo = np.cumsum(p_lo * down) + s_lo0
-    s_hi = np.cumsum(u_hi) + s_hi0
-    rem_hi = (u_hi + FLOOR) * (geom_factor * UP)
-    lo = s_lo * down
-    gap = rem_hi
-    if floor_factor > 0.0:
-        c_pow = np.cumprod(np.full(drift.size, c_lo)) * c0  # c^(k+1), raw
-        rem_lo = c_pow * (c_lo * DOWN * floor_factor * DOWN) * down
-        lo += rem_lo
-        gap = rem_hi - rem_lo
-        c0 = c_pow[-1]
-    lo = np.maximum(lo * DOWN - FLOOR, 0.0)
-    hi = (s_hi * up + rem_hi) * UP + FLOOR
-    return lo, hi, gap, (p_lo[-1], p_hi[-1], s_lo[-1], s_hi[-1], c0)
 
 
 @record
@@ -286,14 +281,9 @@ class GVariationBound:
         return self.rn.divergent
 
 
-def g_variation_bound(
-    F: FSequence,
-    n: int,
-    rel_width: float = DEFAULT_REL_WIDTH,
-    max_terms: int = 200_000,
-) -> GVariationBound:
+def g_variation_bound(F: FSequence, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> GVariationBound:
     """Enclosure of 2 * log(1 + 1/R_n); exactly [0, 0] when R_n diverges."""
-    rn = rn_series(F, n, rel_width, max_terms)
+    rn = rn_series(F, n, rel_width)
     if rn.divergent:
         return GVariationBound(window=n, rn=rn, bound=ZERO)
     enc = rn.enclosure
@@ -447,8 +437,7 @@ def berbee_series_partial_sums(F: FSequence, n_max: int) -> np.ndarray:
         raise ValueError("n_max must be >= 0")
     p = F.potential
     kmax = n_max // 2 + 2
-    table = p.tail_enclosure_table(kmax + 1)
-    T = table.midpoints(kmax + 1)  # T[i] encloses tail at m = i+1
+    T = np.mean(p.tail_enclosure_table(kmax + 1).enclosures(kmax + 1), axis=0)  # T[i]: midpoint at m = i+1
     J = np.array([p.strength(j) for j in range(1, kmax + 2)])
     m = np.arange(0, n_max + 1)
     k = m // 2
@@ -559,8 +548,7 @@ def tauberian_diagnostic(
 def _fit_hypothesis_pair(F: FSequence, n_grid):
     """Least-squares (alpha, K) from the cumulative product of one-sided ratios."""
     n_top = max(n_grid)
-    table = F.potential.tail_enclosure_table(n_top + 2)
-    T = table.midpoints(n_top + 2)
+    T = np.mean(F.potential.tail_enclosure_table(n_top + 2).enclosures(n_top + 2), axis=0)  # midpoints
     cum = F.potential.beta * np.cumsum(T)  # entry i: sum of log-ratios for windows 0..i
     ns = np.array([n for n in n_grid if n >= 2], dtype=np.float64)
     logprod = np.array([cum[int(n)] for n in ns])

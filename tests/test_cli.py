@@ -732,6 +732,57 @@ def test_check_is_scalar_on_every_law(tmp_path, name):
     assert proc.stdout.splitlines()[-1] == str(["artifact.kernel"] if finite else [])
 
 
+# the longrange_bounds laws of the benchmark: R_n rows, tail tables and no exact kernel
+BOUNDS_LAWS = {
+    "inverse_square": {"kind": "power_law", "beta": 0.3, "q": 2.0},
+    "q3": {"kind": "power_law", "beta": 0.5, "q": 3.0},
+    "q1.5": {"kind": "power_law", "beta": 0.3, "q": 1.5},
+    "exponential": {"kind": "exponential", "beta": 0.5, "rate": 0.5},
+}
+REPORT_AND_LIST = CHECK_AND_LIST.replace('"artifact.dynamics", "dataclasses", "inspect"', '"artifact.kernel"')
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_LAWS))
+def test_bounds_report_runs_without_numpy_or_the_kernels(tmp_path, name):
+    path = write_config(tmp_path, {"potential": BOUNDS_LAWS[name], "experiments": ["criteria", "bounds"], "n_max": 3})
+    proc = python(REPORT_AND_LIST, "report", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "error" not in report["results"]["bounds"]
+    assert report["results"]["bounds"]["empirical_note"].startswith("exact kernels need a finite-range")
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_rows_at_the_term_cap_are_reported_on_stderr(tmp_path, capsys, monkeypatch):
+    from artifact import ratiobound
+
+    path = write_config(tmp_path, power_doc(n_max=3, out=str(tmp_path / "out")))
+    assert main(["bounds", "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    before = (tmp_path / "out" / "report.json").read_bytes()
+    monkeypatch.setattr(ratiobound, "_MAX_TERMS", 50)
+    assert main(["bounds", "--config", str(path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bounds: 3 of 3 R_n rows stopped at the term cap, widest relative width")
+    assert (tmp_path / "out" / "report.json").read_bytes() == before
+    assert "cap" not in (tmp_path / "out" / "manifest.json").read_text()
+
+
+def test_exact_experiments_name_an_overflowing_coupling(tmp_path, capsys):
+    import warnings
+
+    doc = {"potential": {"kind": "finite_table", "beta": 1.0, "values": [1e308, 1e308]},
+           "experiments": ["gfun", "bounds", "sample", "couple"], "out": str(tmp_path / "out")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warnings on the way
+        assert main(["report", "--config", str(write_config(tmp_path, doc))]) == 0
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    # bounds stops at its empirical column, which walks the same weights
+    assert {name: doc["error"] for name, doc in results.items()} == dict.fromkeys(
+        ["gfun", "bounds", "sample", "couple"], "coupling leaves the double range"
+    )
+
+
 def test_report_with_samples_loads_numpy_and_the_sampler(tmp_path):
     path = write_config(tmp_path, small_doc(experiments=["sample"]))
     proc = python(CHECK_AND_LIST, "report", "--config", str(path), "--out", str(tmp_path / "out"))
@@ -769,10 +820,7 @@ def test_constants_match_numpy():
     code = """
 import numpy as np
 from artifact import criteria, potential
-assert potential._LD_EPS is None
 assert criteria._EULER_GAMMA == criteria._pad(float(np.euler_gamma))
-potential.PairPotential(beta=0.3, coupling=potential.CouplingLaw.power_law(2.0)).tail_enclosure_table(8)
-assert potential._LD_EPS == float(np.finfo(np.longdouble).eps)
 """
     proc = python(code)
     assert proc.returncode == 0, proc.stderr

@@ -479,3 +479,20 @@ def test_nonfinite_weights_raise():
         pi_window_at_zero(p, all_plus(-1, 5), 4, 1)
     with pytest.raises(ArithmeticError):
         empirical_g_variation(p, 0, 4)
+
+
+def test_an_overflowing_coupling_is_refused_before_the_walk():
+    import warnings
+
+    p = PairPotential(beta=1.0, coupling=CouplingLaw.finite_table([1e308, 1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (
+            lambda: g_exact_markov(p),
+            lambda: empirical_g_variation(p, 1, 10),
+            lambda: pi_window_at_zero(p, Word(-2, (1,) * 15), 10, 1),
+        ):
+            with pytest.raises(ArithmeticError, match="coupling leaves the double range"):
+                run()
+    # half the largest exponent still walks: weights up to e^354
+    assert 0.0 < g_exact_markov(PairPotential(beta=1.0, coupling=CouplingLaw.finite_table([354.0]))).prob((1,), 1) <= 1.0

@@ -268,17 +268,35 @@ def test_zero_beta_bounds_finish_with_exact_zeros(tmp_path):
 # -- the series on exponential laws ------------------------------------------------
 
 
-def exact_rn(beta, law, n, K=400):
-    """R_n for an exponential law at DPS digits, bracketed after K terms."""
+def exact_strength(law: CouplingLaw, j: int, last=None):
+    """J(j) at the working precision (0 beyond ``last``)."""
+    if last is not None and j > last:
+        return mpmath.mpf(0)
+    if law.kind == "power_law":
+        return mpmath.mpf(law.amplitude) * mpmath.mpf(j) ** -mpmath.mpf(law.q)
+    if law.kind == "exponential":
+        return mpmath.mpf(law.amplitude) * mpmath.exp(-mpmath.mpf(law.rate) * j)
+    return mpmath.mpf(law.values[j - 1]) if j <= len(law.values) else mpmath.mpf(0)
+
+
+def exact_rn(beta, law, n, K=400, last=None):
+    """R_n at the working precision, bracketed after K terms.
+
+    Term k is u_k = c^(k+1) a_0 ... a_k with c = exp(-beta T(n+1)) and
+    a_j = exp(-beta T(j+1)); the a_j increase, so the remainder after term
+    K - 1 lies between u x / (1 - x), x = c a_K, and u c / (1 - c).  The
+    tails walk down from T(1) by T(j+1) = T(j) - J(j).
+    """
     b = mpmath.mpf(beta)
-    c = mpmath.exp(-b * exact_tail(law, n + 1))
+    c = mpmath.exp(-b * exact_tail(law, n + 1, last))
+    t = exact_tail(law, 1, last)
     u, s = mpmath.mpf(1), mpmath.mpf(0)
     for k in range(K):
-        u *= c * mpmath.exp(-b * exact_tail(law, k + 1))
+        u *= c * mpmath.exp(-b * t)
         s += u
-    e = mpmath.exp(-mpmath.mpf(law.rate))
-    p_inf = mpmath.exp(-b * mpmath.mpf(law.amplitude) * e / (1 - e) ** 2)
-    return s + p_inf * c ** (K + 1) / (1 - c), s + u * c / (1 - c)
+        t -= exact_strength(law, k + 1, last)
+    x = c * mpmath.exp(-b * t)
+    return s + u * x / (1 - x), s + u * c / (1 - c)
 
 
 @pytest.mark.parametrize("n", [12, 40])
@@ -293,6 +311,39 @@ def test_exponential_series_converges_whatever_the_window(n):
     with mpmath.workdps(DPS):
         lo, hi = exact_rn(1.0, law, n)
         assert mpmath.mpf(gb.rn.enclosure.lo) <= lo and hi <= mpmath.mpf(gb.rn.enclosure.hi)
+
+
+# (law, beta, truncation range): power laws on both sides of q = 2, an
+# exponential law, and truncated laws at windows short of their range
+ORACLE_LAWS = {
+    "q1.5": (CouplingLaw.power_law(1.5), 0.3, None),
+    "q2": (CouplingLaw.power_law(2.0), 0.3, None),
+    "q2.5": (CouplingLaw.power_law(2.5), 0.3, None),
+    "q3": (CouplingLaw.power_law(3.0), 0.5, None),
+    "exponential": (CouplingLaw.exponential(0.5), 0.5, None),
+    "truncated q2 R6": (CouplingLaw.power_law(2.0), 0.3, 6),
+    "truncated exponential R5": (CouplingLaw.exponential(0.5, 2.0), 0.7, 5),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
+def test_rn_series_contains_the_40_digit_series(name, n):
+    law, beta, last = ORACLE_LAWS[name]
+    rn = rn_series(FSequence.from_potential(PairPotential(law, beta, last)), n)
+    assert not rn.divergent and rn.enclosure.rel_width() <= 2e-10
+    with mpmath.workdps(40):
+        lo, hi = exact_rn(beta, law, n, K=3000, last=last)
+        assert hi - lo <= mpmath.mpf(10) ** -20 * lo  # ten digits finer than the enclosure
+        assert mpmath.mpf(rn.enclosure.lo) <= lo and hi <= mpmath.mpf(rn.enclosure.hi)
+
+
+def test_inverse_square_rows_stop_on_the_sharper_remainder():
+    # u_k x / (1 - x) bounds the remainder from below where P_inf = 0 cannot;
+    # the P_inf floor alone needed 7321 terms at this row
+    rn = rn_series(FSequence.from_potential(PairPotential(CouplingLaw.power_law(2.0), 0.3)), 100)
+    assert rn.terms_used < 7321
+    assert rn.enclosure.rel_width() <= 1.01e-10 and not rn.capped
 
 
 def test_underflowing_window_tail_gives_a_lower_enclosure():
