@@ -37,10 +37,13 @@ Schema::
 Artifacts land in the output directory: ``report.json`` (verdicts and
 experiment summaries), one CSV per series-producing experiment, and
 ``manifest.json``.  Identical configs produce byte-identical reports and
-CSVs; the manifest alone carries the timestamp.  Every float is emitted
-with 17 significant digits, and JSON objects are written with sorted keys.
-Non-finite floats (possible only in diagnostic fields) appear as the JSON
-strings "inf", "-inf", "nan".
+CSVs; the manifest alone carries the timestamp.  Its ``config_sha256`` is
+the SHA-256 of the config file's bytes, from CPython's builtin SHA-256
+module (``_sha2``, or ``_sha256`` before 3.12): ``hashlib`` would map
+OpenSSL's libcrypto, about 3.6 MB, into every process.  Every float is
+emitted with 17 significant digits, and JSON objects are written with sorted
+keys.  Non-finite floats (possible only in diagnostic fields) appear as the
+JSON strings "inf", "-inf", "nan".
 
 Exit codes: 0 on success, 1 when a requested experiment trips a kernel
 guard (the message names the guard), 2 on config or usage errors.  A
@@ -54,7 +57,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import re
@@ -64,6 +66,14 @@ from pathlib import Path
 from typing import Optional
 
 import yaml
+
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # built without the builtin digests: hashlib maps OpenSSL's libcrypto instead
+        from hashlib import sha256
 
 from . import __version__
 from ._record import record
@@ -655,7 +665,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
+        digest = sha256(Path(args.config).read_bytes()).hexdigest()
         overrides = {
             k: getattr(args, k) for k in ("seed", "rel_width", "n_max") if getattr(args, k) is not None
         }

@@ -353,6 +353,8 @@ class TransferMatrix:
         if residual > 1e-12 * max(1.0, lam):
             raise ArithmeticError(f"Perron residual {residual:.3e} too large")
         left = left / float(left @ right)
+        for a in (M, right, left):  # g_exact_markov shares one instance per potential
+            a.flags.writeable = False
         states = tuple(
             tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R))
             for u in range(size)
@@ -433,7 +435,14 @@ class MarkovConditional:
 
 
 def g_exact_markov(p: PairPotential) -> MarkovConditional:
-    """Exact conditional g for a finite-range interaction via Perron eigendata."""
+    """Exact conditional g for a finite-range interaction via Perron eigendata.
+
+    Built once per potential and shared: its transfer arrays are read-only."""
+    return _markov(p)
+
+
+@lru_cache(maxsize=4)  # a transfer matrix holds up to 2^(2 TRANSFER_MAX_RANGE) doubles
+def _markov(p: PairPotential) -> MarkovConditional:
     R = required_range(p)
     tm = TransferMatrix.from_potential(p) if R >= 1 else None
     g = MarkovConditional(potential=p, transfer=tm)
@@ -574,6 +583,8 @@ def empirical_g_variation_profile(p: PairPotential, m_values, n: int) -> list:
 
     # laws[letter, past state, future]
     laws = _walk(p).site_zero_laws(list(itertools.product(SPINS, repeat=R)), n)
+    if not np.all(laws > 0.0):  # a log-ratio against 0 is no number
+        raise ArithmeticError("conditional law of a letter at site 0 vanishes in the double range")
     out = []
     for m in m_values:
         if m >= R:

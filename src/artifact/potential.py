@@ -26,7 +26,9 @@ encloses them, a few ulps wide, for point queries and for tables:
   tail anchors each segment's top, then the exact recurrence T(m) = T(m+1) +
   J(m) runs down it with TwoSum-compensated additions (Ogita, Rump and
   Oishi 2005); exponential tables use the closed form.  The table also keeps
-  the products exp(-beta * (T(1) + ... + T(k+1))) the R_n rows read.
+  the products exp(-beta * (T(1) + ... + T(k+1))) the R_n rows read.  A
+  segment grows in fixed-size chunks from one array of its downward sums, so
+  growing a table peaks at about 66 bytes per entry, against the 57 it keeps.
 
 Everything here is scalar Python: no tail, table or total loads NumPy.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import sub
 from typing import Optional
 
@@ -257,10 +259,11 @@ def _weighted_total(law: CouplingLaw, last: Optional[int]) -> Optional[Interval]
     return amp * _power_sum(law.q - 1.0, 1, last)
 
 
-def _running_sums(terms, s: float = 0.0, e: float = 0.0):
-    """Running sums of ``terms`` on from s + e.  By TwoSum (Ogita, Rump and Oishi 2005) e collects
-    each addition's exact error, so every sum is within an ulp of exact, however many came before."""
-    out = []
+def _running_sums(terms, s: float = 0.0, e: float = 0.0, out=None):
+    """Running sums of ``terms`` on from s + e, appended to ``out`` (a new list by default).  By
+    TwoSum (Ogita, Rump and Oishi 2005) e collects each addition's exact error, so every sum is
+    within an ulp of exact, however many came before."""
+    out = [] if out is None else out
     for x in terms:
         t = s + x
         z = t - s
@@ -268,6 +271,10 @@ def _running_sums(terms, s: float = 0.0, e: float = 0.0):
         s = t
         out.append(s + e)
     return out, s, e
+
+
+# Entries per chunk of TailEnclosureTable.grow: no temporary outgrows it
+_CHUNK = 4096
 
 
 class TailEnclosureTable:
@@ -282,6 +289,11 @@ class TailEnclosureTable:
     is P_k at the upper end of S_k, rounded down; ``spread[k]``, nondecreasing
     in k, bounds the exponent gap between the ends of S_k, so that P_j <=
     p_lo[j] * exp(spread[k]) * UP_EXP / DOWN_EXP for j <= k up to subnormals.
+
+    A table keeps about 57 bytes per entry: three arrays of doubles and the
+    list ``p_lo``.  A segment grows in two passes: the downward sums of J into
+    one array of doubles, then every column in chunks of ``_CHUNK`` entries,
+    so growing adds at most 8 bytes per new entry and a chunk's lists on top.
     """
 
     def __init__(self, potential: "PairPotential", horizon: int):
@@ -300,33 +312,43 @@ class TailEnclosureTable:
             return
         m0, m1 = self.horizon + 2, horizon + 1
         p, law, R = self.potential, self.potential.coupling, self.potential.truncation_range
-        if law.kind == "exponential":
-            lo, hi = _exponential_tails(law, range(m0, m1 + 1), R)
-        else:
+        if law.kind != "exponential":
+            from array import array
+
             anchor = p.coupling_tail(m1)
             top = m1 if R is None else max(m0, min(m1, R + 1))  # J(j) = 0 from j = top on
             A, q = law.amplitude, law.q
-            J = [A * j**-q for j in range(m0, top)] if law.kind == "power_law" else law.values[m0 - 1 : top - 1]
-            D = _running_sums(reversed(J))[0][::-1] + [0.0] * (m1 + 1 - m0 - len(J))  # J(m) + ... + J(top - 1)
+            J = (A * j**-q for j in range(top - 1, m0 - 1, -1)) if law.kind == "power_law" else (
+                reversed(law.values[m0 - 1 : top - 1]))
+            D = _running_sums(J, out=array("d"))[0]
+            D.reverse()  # D[m - m0] = J(m) + ... + J(top - 1)
+            D.extend(repeat(0.0, m1 + 1 - m0 - len(D)))
             # J errs by _POWER_TERM_ULPS ulps (0 in a table); D, the anchor sum and the factor round once each
             rel = ((_POWER_TERM_ULPS if law.kind == "power_law" else 0) + 3) * EPS
-            lo = [x if (x := (d + anchor.lo) * (1.0 - rel) - FLOOR) > 0.0 else 0.0 for d in D]
-            hi = [(d + anchor.hi) * (1.0 + rel) + FLOOR if d + anchor.hi > 0.0 else 0.0 for d in D]
-        self.lo.extend(lo)
-        self.hi.extend(hi)
-        self.horizon = horizon
         # S_k runs on as x_k, the lower ends' sum, and y_k, the widths' sum in
-        # floats, which errs by len(self.lo) * EPS / 2 at most, relatively
+        # floats, which errs by m1 * EPS / 2 at most, relatively (m1 the final length)
         s, e, w = self._sums
-        S, s, e = _running_sums(lo, s, e)
-        W = list(accumulate(map(sub, hi, lo), initial=w))[1:]
-        g, beta = 1.0 + len(self.lo) * EPS, p.beta
-        # exp(-beta * S_k) >= exp(-e_hi): five roundings, at EPS / 2 each
-        self.p_lo += [math.exp(-beta * (x + y * g) * (1.0 + 3.0 * EPS)) * DOWN_EXP for x, y in zip(S, W)]
-        # above e_hi - beta * x_k * DOWN, both rounded, and nondecreasing in k
-        g, c = g * (1.0 + 8.0 * EPS), 12.0 * EPS
-        self.spread.extend(beta * (y * g + c * x) * UP for x, y in zip(S, W))
-        self._sums = (s, e, W[-1])
+        g, beta = 1.0 + m1 * EPS, p.beta
+        g_spread, c = g * (1.0 + 8.0 * EPS), 12.0 * EPS
+        for a in range(m0, m1 + 1, _CHUNK):
+            b = min(a + _CHUNK, m1 + 1)
+            if law.kind == "exponential":
+                lo, hi = _exponential_tails(law, range(a, b), R)
+            else:
+                chunk = D[a - m0 : b - m0]
+                lo = [x if (x := (d + anchor.lo) * (1.0 - rel) - FLOOR) > 0.0 else 0.0 for d in chunk]
+                hi = [(d + anchor.hi) * (1.0 + rel) + FLOOR if d + anchor.hi > 0.0 else 0.0 for d in chunk]
+            self.lo.extend(lo)
+            self.hi.extend(hi)
+            S, s, e = _running_sums(lo, s, e)
+            W = list(accumulate(map(sub, hi, lo), initial=w))[1:]
+            w = W[-1]
+            # exp(-beta * S_k) >= exp(-e_hi): five roundings, at EPS / 2 each
+            self.p_lo += [math.exp(-beta * (x + y * g) * (1.0 + 3.0 * EPS)) * DOWN_EXP for x, y in zip(S, W)]
+            # above e_hi - beta * x_k * DOWN, both rounded, and nondecreasing in k
+            self.spread.extend(beta * (y * g_spread + c * x) * UP for x, y in zip(S, W))
+        self.horizon = horizon
+        self._sums = (s, e, w)
 
     def at(self, m: int) -> Interval:
         if not 1 <= m <= self.horizon + 1:

@@ -753,6 +753,21 @@ def test_bounds_report_runs_without_numpy_or_the_kernels(tmp_path, name):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("name", sorted(BOUNDS_LAWS))
+def test_runs_without_samplers_leave_openssl_out(tmp_path, name, command):
+    from hashlib import sha256
+
+    # the config digest comes from the builtin SHA-256 module, not hashlib's OpenSSL
+    code = CHECK_AND_LIST.replace('"numpy._core", "artifact.dynamics", "dataclasses", "inspect"', '"_hashlib",')
+    path = write_config(tmp_path, {"potential": BOUNDS_LAWS[name], "experiments": ["criteria", "bounds"], "n_max": 3})
+    proc = python(code, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config_sha256"] == sha256(path.read_bytes()).hexdigest()
+
+
 def test_rows_at_the_term_cap_are_reported_on_stderr(tmp_path, capsys, monkeypatch):
     from artifact import ratiobound
 
@@ -781,6 +796,18 @@ def test_exact_experiments_name_an_overflowing_coupling(tmp_path, capsys):
     assert {name: doc["error"] for name, doc in results.items()} == dict.fromkeys(
         ["gfun", "bounds", "sample", "couple"], "coupling leaves the double range"
     )
+
+
+def test_bounds_records_a_vanishing_conditional_law(tmp_path):
+    import warnings
+
+    doc = {"potential": {"kind": "finite_table", "beta": 1.0, "values": [300, 200, 100]},
+           "experiments": ["bounds"], "n_max": 4, "out": str(tmp_path / "out")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy divide warnings on the way
+        assert main(["report", "--config", str(write_config(tmp_path, doc))]) == 0
+    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
+    assert results == {"bounds": {"error": "conditional law of a letter at site 0 vanishes in the double range"}}
 
 
 def test_report_with_samples_loads_numpy_and_the_sampler(tmp_path):

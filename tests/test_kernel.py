@@ -14,6 +14,7 @@ from artifact import (
     Word,
     dobrushin_sum,
     empirical_g_variation,
+    empirical_g_variation_profile,
     g_exact_markov,
     phi_window,
     pi_window_at_zero,
@@ -193,6 +194,16 @@ def test_exact_conditional_nearest_neighbor_value():
     assert g.prob((-1,), -1) == pytest.approx(want, abs=1e-12)
     assert g.prob((1,), -1) == pytest.approx(1.0 - want, abs=1e-12)
     assert g.dependency_depth == 1
+
+
+def test_exact_conditional_is_built_once_and_read_only():
+    g = g_exact_markov(table((0.5, 0.25), 0.7))
+    assert g_exact_markov(table((0.5, 0.25), 0.7)) is g
+    tm = g.transfer
+    for a in (tm.matrix, tm.right, tm.left):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_exact_conditional_accepts_words():
@@ -405,6 +416,16 @@ def test_empirical_variation_decreases_with_agreement():
     p = table((1.0, 0.6, 0.3, 0.1), 0.9)
     vals = [empirical_g_variation(p, m, 10) for m in range(0, 4)]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def test_empirical_variation_refuses_a_vanishing_conditional_law():
+    import warnings
+
+    # steps of e^(+-300) stay in the double range, but some letter laws underflow to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="conditional law of a letter at site 0 vanishes"):
+            empirical_g_variation_profile(table((300.0, 200.0, 100.0), 1.0), (1, 2, 3), 10)
 
 
 # -- the scaled sliding-block passes -----------------------------------------------

@@ -162,6 +162,46 @@ def test_table_agrees_with_point_tails():
         assert table.at(m).rel_width() <= 1e-13
 
 
+def grown_by_doubling(p: PairPotential, start: int, entries: int):
+    table = p.tail_enclosure_table(start - 1)
+    while table.horizon + 1 < entries:
+        table.grow(2 * (table.horizon + 1) - 1)
+    return table
+
+
+def test_growing_a_table_keeps_no_full_length_temporaries():
+    p = PairPotential(beta=0.5, coupling=CouplingLaw.power_law(3.0))
+    p.coupling_tail(1)  # the point-tail caches, outside the measured peak
+    tracemalloc.start()
+    table = grown_by_doubling(p, 1024, 131_072)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(table.lo) == 131_072
+    # the table keeps about 57 bytes per entry; full-length float lists per segment would peak near 155
+    assert peak <= 80 * 131_072
+
+
+CHUNK_LAWS = {
+    "power law": (CouplingLaw.power_law(2.0), None),
+    "truncated power law": (CouplingLaw.power_law(2.5), 40),
+    "finite table": (CouplingLaw.finite_table([1.0, 0.5, 0.0, 0.25, 0.1] * 5), None),
+    "exponential": (CouplingLaw.exponential(0.5), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_LAWS))
+def test_table_entries_do_not_depend_on_the_chunk_size(name, monkeypatch):
+    from artifact import potential
+
+    law, R = CHUNK_LAWS[name]
+    p = PairPotential(beta=0.7, coupling=law, truncation_range=R)
+    want = grown_by_doubling(p, 3, 300)
+    monkeypatch.setattr(potential, "_CHUNK", 7)
+    got = grown_by_doubling(p, 3, 300)
+    for column in ("lo", "hi", "p_lo", "spread"):
+        assert list(getattr(got, column)) == list(getattr(want, column)), column
+
+
 # -- weighted totals ---------------------------------------------------------------
 
 
