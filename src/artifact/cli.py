@@ -1,10 +1,14 @@
 """Config-driven command line front end with reproducible artifacts.
 
 This module is the single schema authority for run configs.  A config is a
-YAML mapping (plain JSON is valid YAML and works too); unknown keys are
-rejected anywhere in the document, and every default lives in
-``CONFIG_DEFAULTS`` below.  Floats may be written ``1e-10`` or ``1e3``, as
-YAML 1.2 and ``json.dumps`` write them; quote an ``out`` of that form.
+YAML or JSON mapping; unknown keys are rejected anywhere in the document,
+and every default lives in ``CONFIG_DEFAULTS`` below.  A JSON document is
+read by ``json``, and PyYAML is imported only for a document that is not
+JSON; ``NaN`` and ``Infinity`` count as not JSON, so PyYAML reads them, as
+strings.  JSON is a subset of YAML 1.2, so both read the same values from
+what ``json.dumps`` writes; JSON that PyYAML refuses, such as a file
+indented with tabs, loads too.  Floats may be written ``1e-10`` or ``1e3``,
+as YAML 1.2 and ``json.dumps`` write them; quote an ``out`` of that form.
 
 Schema::
 
@@ -38,12 +42,12 @@ Artifacts land in the output directory: ``report.json`` (verdicts and
 experiment summaries), one CSV per series-producing experiment, and
 ``manifest.json``.  Identical configs produce byte-identical reports and
 CSVs; the manifest alone carries the timestamp.  Its ``config_sha256`` is
-the SHA-256 of the config file's bytes, from CPython's builtin SHA-256
-module (``_sha2``, or ``_sha256`` before 3.12): ``hashlib`` would map
-OpenSSL's libcrypto, about 3.6 MB, into every process.  Every float is
-emitted with 17 significant digits, and JSON objects are written with sorted
-keys.  Non-finite floats (possible only in diagnostic fields) appear as the
-JSON strings "inf", "-inf", "nan".
+the SHA-256 of the config file's bytes, read once and parsed as hashed,
+from CPython's builtin SHA-256 module (``_sha2``, or ``_sha256`` before
+3.12): ``hashlib`` would map OpenSSL's libcrypto, about 3.6 MB, into every
+process.  Every float is emitted with 17 significant digits, and JSON
+objects are written with sorted keys.  Non-finite floats (possible only in
+diagnostic fields) appear as the JSON strings "inf", "-inf", "nan".
 
 Exit codes: 0 on success, 1 when a requested experiment trips a kernel
 guard (the message names the guard), 2 on config or usage errors.  A
@@ -59,13 +63,10 @@ import argparse
 import csv
 import json
 import math
-import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
-
-import yaml
 
 try:
     from _sha2 import sha256  # Python 3.12+
@@ -122,15 +123,6 @@ _KIND_OPTIONAL = {
     "finite_table": set(),
     "zero": set(),
 }
-
-
-class _Loader(yaml.SafeLoader):
-    """Safe YAML 1.1 loading that also reads YAML 1.2 floats such as ``1e-10``:
-    tried after the 1.1 resolvers, it leaves what they type, and quoted scalars."""
-
-
-_EXPONENT_FLOAT = re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")
-_Loader.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789"))
 
 
 class ConfigError(ValueError):
@@ -334,16 +326,46 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def _read_config(path) -> bytes:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _load_yaml(data: bytes):
+    """Parse a config that is not JSON.  PyYAML is imported here only: its
+    import costs about 17 ms, most of it regex compiles, in every process."""
+    import re
+
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        """Safe YAML 1.1 loading that also reads YAML 1.2 floats such as ``1e-10``:
+        tried after the 1.1 resolvers, it leaves what they type, and quoted scalars."""
+
+    exponent_float = re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$")
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", exponent_float, list("-+0123456789"))
     try:
-        doc = yaml.load(text, Loader=_Loader)
+        return yaml.load(data, Loader=Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    return parse_config(doc)
+
+
+def _parse_document(data: bytes):
+    try:
+        return json.loads(data, parse_constant=_refuse_constant)
+    except ValueError:  # not JSON, not UTF-8/16/32, or NaN/Infinity: PyYAML decides
+        return _load_yaml(data)
+
+
+def load_config(source) -> RunConfig:
+    """Read and validate a run config, given its path or its bytes."""
+    return parse_config(_parse_document(source if isinstance(source, bytes) else _read_config(source)))
 
 
 # --- deterministic emission ---
@@ -474,7 +496,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
             vals = empirical_g_variation_profile(p, depths, cfg.empirical_window)
             empirical = dict(zip(depths, vals))
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:  # a guard of the exact side: the certified rows stay
             empirical_note = str(exc)
     else:
         empirical_note = "disabled (empirical_window = 0)"
@@ -637,7 +659,7 @@ def _print_criteria(doc: dict) -> None:
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, metavar="PATH", help="YAML run config")
+    common.add_argument("--config", required=True, metavar="PATH", help="YAML or JSON run config")
     common.add_argument("--out", metavar="DIR", help="output directory (default: config 'out')")
     common.add_argument("--seed", type=int, metavar="N", help="override config seed")
     common.add_argument(
@@ -664,8 +686,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config)
-        digest = sha256(Path(args.config).read_bytes()).hexdigest()
+        data = _read_config(args.config)
+        cfg = load_config(data)
         overrides = {
             k: getattr(args, k) for k in ("seed", "rel_width", "n_max") if getattr(args, k) is not None
         }
@@ -673,7 +695,7 @@ def main(argv=None) -> int:
             overrides["experiments"] = ["criteria" if args.command == "check" else args.command]
         cfg = parse_config({**cfg.as_doc(), **overrides})
         out_dir = args.out if args.out is not None else cfg.out
-        report, errors = run(cfg, out_dir, command=args.command, config_digest=digest)
+        report, errors = run(cfg, out_dir, command=args.command, config_digest=sha256(data).hexdigest())
     except ConfigError as exc:  # from the config, or the model it describes
         print(f"config error: {exc}", file=sys.stderr)
         return 2

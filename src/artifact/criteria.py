@@ -240,6 +240,9 @@ def check_berbee(F: FSequence) -> Verdict:
         what = "beta*T(1) minus four times the weighted total"
         if floor.lo > 0.0:
             bound, margin = f"{floor.lo:.10g} > 0 (exp of {what})", floor
+        elif math.isinf(log_floor.lo):  # the tails leave the double range, but L is still a real number
+            bound = f"exp(L) > 0, with L = {what}, a real number whose enclosure overflows the double range"
+            margin = None
         else:  # exp(L) underflows a double: the floor is stated through L
             bound, margin = f"exp(L) > 0, with L = {what} in [{log_floor.lo:.10g}, {log_floor.hi:.10g}]", None
         certificate = (

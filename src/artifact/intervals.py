@@ -228,8 +228,11 @@ def float_sum_enclosure(terms, term_ulps: int = 0) -> Interval:
     ``math.fsum`` rounds the sum of the floats correctly, and we still widen
     by ``ceil(log2 n) + 1`` ulps of the absolute-value sum (the error bound
     of pairwise summation) plus the term errors (``term_ulps`` eps of that
-    sum and subnormal ulps per term).  A sum that overflows has a NaN
-    endpoint, which ``Interval`` rejects with ``ValueError``.
+    sum and subnormal ulps per term).  A sum of nonnegative terms that
+    overflows is enclosed as [largest double, +inf] (less the term errors),
+    as ``Interval.exp`` encloses an overflow; with terms of both signs an
+    overflowing partial sum says nothing of the true one, which is then
+    enclosed by the whole line.
     """
     n = len(terms)
     if n == 0:
@@ -239,7 +242,10 @@ def float_sum_enclosure(terms, term_ulps: int = 0) -> Interval:
     try:
         s, a = math.fsum(terms), math.fsum(map(abs, terms))
     except OverflowError:  # a partial sum overflows
-        s = a = _INF
+        if min(terms) < 0.0:
+            return Interval(-_INF, _INF)
+        big = math.nextafter(_INF, 0.0)
+        return Interval(_down(big * (1.0 - term_ulps * EPS)) if term_ulps else big, _INF)
     if a == 0.0 and not term_ulps:
         return ZERO
     eps = math.ulp(max(a, abs(s)))

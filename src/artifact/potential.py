@@ -337,7 +337,9 @@ class TailEnclosureTable:
             else:
                 chunk = D[a - m0 : b - m0]
                 lo = [x if (x := (d + anchor.lo) * (1.0 - rel) - FLOOR) > 0.0 else 0.0 for d in chunk]
-                hi = [(d + anchor.hi) * (1.0 + rel) + FLOOR if d + anchor.hi > 0.0 else 0.0 for d in chunk]
+                hi = [0.0 if (x := d + anchor.hi) <= 0.0 else x * (1.0 + rel) + FLOOR for d in chunk]
+            if not hi[0] < math.inf:  # the chunk's largest tail, NaN where a sum of J overflowed
+                raise ArithmeticError("a coupling tail leaves the double range")
             self.lo.extend(lo)
             self.hi.extend(hi)
             S, s, e = _running_sums(lo, s, e)

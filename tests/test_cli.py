@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import artifact
+from artifact import cli
 from artifact.cli import (
     CONFIG_DEFAULTS,
     EXPERIMENTS,
@@ -21,6 +24,9 @@ from artifact.cli import (
     run,
     write_json,
 )
+
+REPO = Path(__file__).resolve().parents[1]
+SRC = Path(artifact.__file__).resolve().parents[1]
 
 
 def base_doc(**overrides):
@@ -281,6 +287,137 @@ def test_load_config_error_paths(tmp_path):
     bad.write_text("potential: [unclosed\n")
     with pytest.raises(ConfigError, match="not valid YAML"):
         load_config(bad)
+
+
+# -- loading: JSON by json, every other document by PyYAML ----------------------------
+
+
+@pytest.mark.parametrize("name", ["inverse_square", "nearest_neighbour"])
+def test_demo_yaml_configs_read_as_their_json_rendering(name):
+    path = REPO / "demos" / "configs" / f"{name}.yaml"
+    rendered = json.dumps(cli._load_yaml(path.read_bytes())).encode()
+    assert load_config(path) == load_config(rendered)
+
+
+# json.dumps writes a character past the BMP as a surrogate pair, which PyYAML does not join
+bmp_text = st.text(st.characters(max_codepoint=0xFFFF, exclude_categories=("Cs",)), max_size=12)
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    bmp_text,
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(bmp_text, inner, max_size=4),
+    max_leaves=8,
+)
+schema_documents = st.fixed_dictionaries(
+    {"potential": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["power_law", "exponential", "finite_table", "zero", "other"])},
+        optional={k: json_values for k in ("beta", "q", "rate", "amplitude", "values", "truncation_range")},
+    )},
+    optional={k: json_values for k in CONFIG_DEFAULTS},
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    schema_documents,
+    st.sampled_from([None, 0, 1, 2]),
+    st.sampled_from([None, (",", ":")]),
+    st.booleans(),
+)
+def test_json_documents_parse_as_pyyaml_parses_them(doc, indent, separators, sort_keys):
+    data = json.dumps(doc, indent=indent, separators=separators, sort_keys=sort_keys).encode()
+    parsed = cli._parse_document(data)
+    # repr tells 1 from 1.0 and True, and -0.0 from 0.0
+    assert repr(parsed) == repr(cli._load_yaml(data)) == repr(json.loads(data))
+
+
+def write_bytes(tmp_path, data):
+    path = tmp_path / "run.json"
+    path.write_bytes(data)
+    return path
+
+
+ZERO_LAW = b'{"potential": {"kind": "zero", "beta": 1.0}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # not JSON numbers: PyYAML reads them, as strings, as it always has
+        (b'{"potential": {"kind": "zero", "beta": NaN}}', "potential.beta must be a number"),
+        (ZERO_LAW + b', "rel_width": Infinity}', "config.rel_width must be a number"),
+        (ZERO_LAW + b', "rel_width": -Infinity}', "config.rel_width must be a number"),
+        # a JSON number past the double range is inf in both readers
+        (b'{"potential": {"kind": "zero", "beta": 1e400}}', "potential.beta must be finite and >= 0"),
+    ],
+)
+def test_nonfinite_numbers_are_refused_as_before(tmp_path, text, message):
+    assert repr(cli._parse_document(text)) == repr(cli._load_yaml(text))
+    with pytest.raises(ConfigError, match=message):
+        load_config(write_bytes(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "text, field, value",
+    [
+        (b'{"potential": {"kind": "zero", "beta": 1E+2}}', "beta", 100.0),
+        (ZERO_LAW + b', "block_lambda": 1e1, "rel_width": 2.5E-8}', "rel_width", 2.5e-8),
+        (ZERO_LAW + b', "seed": 1, "seed": 2}', "seed", 2),  # a repeated key: the last wins in both
+        (b"\xef\xbb\xbf" + ZERO_LAW + b', "seed": 3}', "seed", 3),  # a UTF-8 byte-order mark
+        (ZERO_LAW + b', "out": "\\u00e9t\\u00e9"}', "out", "été"),
+    ],
+)
+def test_json_and_pyyaml_read_the_same_values(tmp_path, text, field, value):
+    assert repr(cli._parse_document(text)) == repr(cli._load_yaml(text))
+    cfg = load_config(write_bytes(tmp_path, text))
+    assert repr(getattr(cfg, field)) == repr(value)
+
+
+def test_a_tab_indented_json_config_loads(tmp_path):
+    # PyYAML refuses tabs as indentation; JSON allows them as whitespace
+    data = json.dumps(power_doc(seed=5), indent="\t").encode()
+    with pytest.raises(ConfigError, match="not valid YAML"):
+        cli._load_yaml(data)
+    cfg = load_config(write_bytes(tmp_path, data))
+    assert cfg == parse_config(power_doc(seed=5))
+
+
+def test_config_bytes_decode_by_their_own_encoding(tmp_path, capsys):
+    # json detects UTF-16 and UTF-32; what neither reader can decode is a config error, not a traceback
+    assert load_config(write_bytes(tmp_path, json.dumps(base_doc()).encode("utf-16"))) == parse_config(base_doc())
+    path = write_bytes(tmp_path, b'potential: {kind: zero, beta: 1.0}\nout: "\xff"\n')
+    assert main(["check", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not valid YAML: unacceptable character")
+
+
+def test_json_joins_an_escaped_surrogate_pair(tmp_path):
+    # json.dumps writes U+1F600 as the escaped pair D83D DE00; PyYAML leaves two lone surrogates
+    data = json.dumps(base_doc(out="\U0001F600")).encode()
+    assert load_config(write_bytes(tmp_path, data)).out == "\U0001F600"
+    assert cli._load_yaml(data)["out"] == "\ud83d\ude00"
+
+
+def test_config_bytes_are_parsed_and_hashed_once(tmp_path, monkeypatch):
+    from hashlib import sha256
+
+    path = write_config(tmp_path, small_doc(experiments=["criteria"], out=str(tmp_path / "out")))
+    reads = []
+    for method in ("read_bytes", "read_text"):
+        def counted(self, *args, _read=getattr(Path, method), **kwargs):
+            reads.append(self)
+            return _read(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, counted)
+    assert main(["report", "--config", str(path)]) == 0
+    assert reads == [path]
+    monkeypatch.undo()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config_sha256"] == sha256(path.read_bytes()).hexdigest()
 
 
 def test_build_potential_wraps_model_errors():
@@ -547,7 +684,16 @@ def test_main_check_encloses_an_overflowing_weighted_total(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     verdicts = {v["criterion"]: v for v in report["results"]["criteria"]["verdicts"]}
     assert verdicts["ruelle"]["outcome"] == "Holds" and "inf]" in verdicts["ruelle"]["certificate"]
-    assert verdicts["berbee"]["certificate"] == "not evaluated: interval endpoint is NaN"
+    # the tail T(1) = 2e308 is enclosed up to +inf too, and berbee names the overflow
+    assert verdicts["berbee"]["outcome"] == "Holds" and verdicts["berbee"]["margin"] is None
+    assert "enclosure overflows the double range" in verdicts["berbee"]["certificate"]
+
+
+def test_bounds_names_an_overflowing_tail(tmp_path, capsys):
+    doc = {"potential": {"kind": "finite_table", "beta": 1.0, "values": [1e308, 1e308]},
+           "empirical_window": 0, "n_max": 4, "out": str(tmp_path / "out")}
+    assert main(["bounds", "--config", str(write_config(tmp_path, doc))]) == 1
+    assert capsys.readouterr().err == "bounds failed: a coupling tail leaves the double range\n"
 
 
 def test_main_guard_error_exits_one(tmp_path, capsys):
@@ -676,9 +822,6 @@ def test_config_digest_matches_file_bytes(tmp_path):
 
 # -- start-up: what a process loads -----------------------------------------------
 
-REPO = Path(__file__).resolve().parents[1]
-SRC = Path(artifact.__file__).resolve().parents[1]
-
 # runs gibbs1d's entry point, then names the heavy modules the run loaded
 CHECK_AND_LIST = """
 import sys
@@ -768,6 +911,26 @@ def test_runs_without_samplers_leave_openssl_out(tmp_path, name, command):
     assert manifest["config_sha256"] == sha256(path.read_bytes()).hexdigest()
 
 
+LOAD_AND_LIST = CHECK_AND_LIST.replace('"numpy._core", "artifact.dynamics", "dataclasses", "inspect"', '"yaml",')
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("name", sorted(BOUNDS_LAWS))
+def test_json_configs_leave_pyyaml_out(tmp_path, name, command):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"potential": BOUNDS_LAWS[name], "experiments": ["criteria", "bounds"], "n_max": 3}))
+    proc = python(LOAD_AND_LIST, command, "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_yaml_configs_load_pyyaml(tmp_path):
+    path = REPO / "demos" / "configs" / "inverse_square.yaml"
+    proc = python(LOAD_AND_LIST, "check", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['yaml']"
+
+
 def test_rows_at_the_term_cap_are_reported_on_stderr(tmp_path, capsys, monkeypatch):
     from artifact import ratiobound
 
@@ -792,22 +955,30 @@ def test_exact_experiments_name_an_overflowing_coupling(tmp_path, capsys):
         warnings.simplefilter("error")  # no NumPy overflow warnings on the way
         assert main(["report", "--config", str(write_config(tmp_path, doc))]) == 0
     results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
-    # bounds stops at its empirical column, which walks the same weights
-    assert {name: doc["error"] for name, doc in results.items()} == dict.fromkeys(
-        ["gfun", "bounds", "sample", "couple"], "coupling leaves the double range"
-    )
+    # bounds notes that its empirical column walks the same weights, then stops at the tail table
+    assert {name: doc["error"] for name, doc in results.items()} == {
+        **dict.fromkeys(["gfun", "sample", "couple"], "coupling leaves the double range"),
+        "bounds": "a coupling tail leaves the double range",
+    }
 
 
-def test_bounds_records_a_vanishing_conditional_law(tmp_path):
+@pytest.mark.parametrize("command", ["bounds", "report"])
+def test_bounds_records_a_vanishing_conditional_law(tmp_path, command):
     import warnings
 
     doc = {"potential": {"kind": "finite_table", "beta": 1.0, "values": [300, 200, 100]},
            "experiments": ["bounds"], "n_max": 4, "out": str(tmp_path / "out")}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no NumPy divide warnings on the way
-        assert main(["report", "--config", str(write_config(tmp_path, doc))]) == 0
-    results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
-    assert results == {"bounds": {"error": "conditional law of a letter at site 0 vanishes in the double range"}}
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 0
+    bounds = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["bounds"]
+    # the guard of the empirical column is a note: the certified rows stay, beside an empty column
+    assert "error" not in bounds
+    assert bounds["empirical_note"] == "conditional law of a letter at site 0 vanishes in the double range"
+    rows = (tmp_path / "out" / "bounds.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
+    assert all(row.endswith(",") for row in rows)
+    assert rows[0].split(",")[1:3] == ["599.99999999999943", "600.00000000000057"]
 
 
 def test_report_with_samples_loads_numpy_and_the_sampler(tmp_path):

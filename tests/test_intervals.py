@@ -176,7 +176,26 @@ def test_float_sum_enclosure_contains_the_exact_sum(terms, cancel, term_ulps):
     assert Fraction(iv.lo) <= sum(map(Fraction, terms)) <= Fraction(iv.hi)
 
 
-def test_float_sum_enclosure_overflow_is_a_value_error():
-    for terms in ([1e308, 1e308], [1e308, 1e308, -1e308], [-1e308, -1e308]):
-        with pytest.raises(ValueError):
-            float_sum_enclosure(terms)
+BIG = math.nextafter(math.inf, 0.0)
+
+
+def test_float_sum_enclosure_encloses_an_overflow():
+    # nonnegative terms: past the largest double, as Interval.exp encloses an overflow
+    assert float_sum_enclosure([1e308, 1e308]) == Interval(BIG, math.inf)
+    assert float_sum_enclosure([1e308, 1.0, 1e308, 0.0]) == Interval(BIG, math.inf)
+    # terms of both signs: the true sum (1e308 here) may lie anywhere
+    for terms in ([1e308, 1e308, -1e308], [-1e308, -1e308]):
+        assert float_sum_enclosure(terms) == Interval(-math.inf, math.inf)
+
+
+@given(
+    st.lists(st.one_of(st.floats(min_value=1e307, max_value=BIG), st.floats(min_value=0.0, max_value=BIG)),
+             min_size=2, max_size=20),
+    st.sampled_from([0, 2, 7]),
+)
+def test_sums_of_nonnegative_terms_near_the_double_range_keep_their_true_sum(terms, term_ulps):
+    # each true term lies within term_ulps ulps of its float, on either side
+    iv = float_sum_enclosure(terms, term_ulps)
+    exact, slack = sum(map(Fraction, terms)), term_ulps * sum(Fraction(math.ulp(t)) for t in terms)
+    assert Fraction(iv.lo) <= exact - slack
+    assert iv.hi == math.inf or exact + slack <= Fraction(iv.hi)

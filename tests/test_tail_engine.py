@@ -202,6 +202,16 @@ def test_table_entries_do_not_depend_on_the_chunk_size(name, monkeypatch):
         assert list(getattr(got, column)) == list(getattr(want, column)), column
 
 
+@pytest.mark.parametrize("values", [[1e308, 1e308], [0.0, 1e308] + [1e306] * 200])
+def test_a_table_refuses_a_tail_past_the_double_range(values):
+    # T(1) passes the largest double: the point tail is [largest double, +inf], and
+    # the table names the overflow where its sums of J would otherwise give NaN
+    p = PairPotential(beta=1.0, coupling=CouplingLaw.finite_table(values))
+    assert p.coupling_tail(1) == Interval(math.nextafter(math.inf, 0.0), math.inf)
+    with pytest.raises(ArithmeticError, match="a coupling tail leaves the double range"):
+        p.tail_enclosure_table(8)
+
+
 # -- weighted totals ---------------------------------------------------------------
 
 
