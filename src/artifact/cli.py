@@ -32,7 +32,6 @@ Schema::
     empirical_window:    int in [0, 12], default 10 (0 disables the column)
     alpha:               float in (0, 1] or null, default null
     budget:              float > 0 or null, default null (requires alpha)
-    block_lambda:        float > 1, default 2.0
     alpha_grid:          [float in (0, 1], ...] or null, default null
                          (product_blocksum quotes the largest admissible
                          alpha; alpha, when set, wins over the grid)
@@ -102,13 +101,12 @@ CONFIG_DEFAULTS = {
     "empirical_window": 10,
     "alpha": None,
     "budget": None,
-    "block_lambda": 2.0,
     "alpha_grid": None,
     "out": "runs",
 }
 
 # config keys passed to evaluate_all as keywords when they differ from the default
-_CRITERIA_KNOBS = ("alpha", "budget", "alpha_grid", "block_lambda")
+_CRITERIA_KNOBS = ("alpha", "budget", "alpha_grid")
 
 _POTENTIAL_KEYS = {"kind", "beta", "q", "rate", "amplitude", "values", "truncation_range"}
 _KIND_REQUIRED = {
@@ -167,7 +165,6 @@ class RunConfig:
     empirical_window: int
     alpha: Optional[float]
     budget: Optional[float]
-    block_lambda: float
     alpha_grid: Optional[tuple]
     out: str
 
@@ -286,8 +283,6 @@ def parse_config(doc: dict) -> RunConfig:
         budget = _as_number(merged, "budget", "config")
         _expect(budget > 0.0 and math.isfinite(budget), "budget must be positive and finite")
         _expect(alpha is not None, "budget requires alpha")
-    block_lambda = _as_number(merged, "block_lambda", "config")
-    _expect(block_lambda > 1.0 and math.isfinite(block_lambda), "block_lambda must exceed 1 and be finite")
     grid = merged["alpha_grid"]
     if grid is not None:
         _expect(
@@ -320,7 +315,6 @@ def parse_config(doc: dict) -> RunConfig:
         empirical_window=empirical_window,
         alpha=alpha,
         budget=budget,
-        block_lambda=block_lambda,
         alpha_grid=grid,
         out=out,
     )
@@ -354,6 +348,8 @@ def _load_yaml(data: bytes):
         return yaml.load(data, Loader=Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
+    except ValueError as exc:  # a scalar no Python value holds, such as an int past the digit limit
+        raise ConfigError(f"config value cannot be read: {exc}") from exc
 
 
 def _parse_document(data: bytes):
@@ -527,7 +523,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     doc = {
         "csv": path.name,
         "rows": cfg.n_max,
-        "slope": None if profile.slope is None else {"lo": profile.slope.lo, "hi": profile.slope.hi},
+        "slope": {"lo": profile.slope.lo, "hi": profile.slope.hi},
         "zero_beyond": p.finite_range,
         "envelope": None
         if envelope is None

@@ -25,16 +25,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from functools import wraps
+from typing import Optional, Sequence, Union
 
 from ._record import record, set_field
 from .fseq import FSequence
-from .intervals import Interval, ZERO
+from .intervals import Interval, ZERO, _down, _up
 from .potential import (
     DOBRUSHIN_MAX_RANGE,
     PairPotential,
     VariationProfile,
     coelho_quas_sum,
+    family,
     fraction_interval,
     required_range,
     ruelle_sum,
@@ -90,30 +92,34 @@ class Verdict:
         if self.conclusion_strength not in _STRENGTH_RANK:
             raise ValueError(f"unknown conclusion {self.conclusion_strength!r}")
 
-    def holds(self) -> bool:
-        return self.outcome == HOLDS
+
+# name of a check in this module -> (its criterion, the criterion's conclusion strength)
+_CRITERIA: dict = {}
 
 
-def _family(p: PairPotential) -> str:
-    """Closed-form family tag: finite, exponential, power_summable/critical/heavy."""
-    if p.is_finite_range():
-        return "finite"
-    c = p.coupling
-    if c.kind == "exponential":
-        return "exponential"
-    if c.q > 2.0:
-        return "power_summable"
-    if c.q == 2.0:
-        return "power_critical"
-    return "power_heavy"
+def _criterion(name: str, strength: str):
+    """Make the decorated function the check of criterion ``name``, whose
+    hypothesis buys ``strength``: it returns (outcome, margin, certificate),
+    and its callers get the Verdict."""
+
+    def register(decide):
+        @wraps(decide)
+        def check(*args, **kwargs) -> Verdict:
+            return Verdict(name, *decide(*args, **kwargs), strength)
+
+        _CRITERIA[decide.__name__] = name, strength
+        return check
+
+    return register
+
+
+def _sign(margin: Interval) -> str:
+    """Holds on a certainly positive margin, Fails on a certainly nonpositive one."""
+    return HOLDS if margin.lo > 0.0 else FAILS if margin.hi <= 0.0 else INCONCLUSIVE
 
 
 def _pad(x: float, ulps: int = 4) -> Interval:
-    lo = hi = x
-    for _ in range(ulps):
-        lo = math.nextafter(lo, -math.inf)
-        hi = math.nextafter(hi, math.inf)
-    return Interval(lo, hi)
+    return Interval(_down(x, ulps), _up(x, ulps))
 
 
 def _gamma_interval(a: float) -> Interval:
@@ -133,6 +139,7 @@ _EULER_GAMMA = _pad(0.5772156649015329)  # float(numpy.euler_gamma)
 # -- single-site influence ------------------------------------------------------
 
 
+@_criterion("dobrushin", UNIQUE_GIBBS)
 def check_dobrushin(p: PairPotential) -> Verdict:
     """Dobrushin's one-site condition: total influence strictly below 2.
 
@@ -164,54 +171,45 @@ def check_dobrushin(p: PairPotential) -> Verdict:
             f"slack in [0, {slack_hi:.6g}]"
         )
     margin = 2.0 - total
-    if margin.lo > 0.0:
-        outcome = HOLDS
-    elif margin.hi <= 0.0:
-        outcome = FAILS
-    else:
-        outcome = INCONCLUSIVE
     certificate = (
         f"one-site influence sum enclosed in [{total.lo:.10g}, {total.hi:.10g}] "
         f"against the strict threshold 2 ({note}); reading: sum over both "
         "letters at the tagged site and over single flipped sites, sup over "
         "the remaining environment"
     )
-    return Verdict("dobrushin", outcome, margin, certificate, UNIQUE_GIBBS)
+    return _sign(margin), margin, certificate
 
 
 # -- weighted-influence series --------------------------------------------------
 
 
-def _series_verdict(name: str, sv, flavor: str) -> Verdict:
+def _series_outcome(sv, flavor: str):
     if sv.divergent:
-        return Verdict(name, FAILS, None, f"{flavor} diverges: {sv.certificate}", UNIQUE_TINV_GIBBS)
+        return FAILS, None, f"{flavor} diverges: {sv.certificate}"
     enc = sv.enclosure
     certificate = (
         f"{flavor} encloses to [{enc.lo:.10g}, {enc.hi:.10g}] ({sv.certificate}); "
         "the unique invariant state is additionally Bernoulli"
     )
-    return Verdict(name, HOLDS, None, certificate, UNIQUE_TINV_GIBBS)
+    return HOLDS, None, certificate
 
 
+@_criterion("ruelle", UNIQUE_TINV_GIBBS)
 def check_ruelle(p: PairPotential) -> Verdict:
     """Finiteness of the diameter-weighted influence over all sets through a site."""
-    return _series_verdict(
-        "ruelle", ruelle_sum(p), "diameter-weighted influence series"
-    )
+    return _series_outcome(ruelle_sum(p), "diameter-weighted influence series")
 
 
+@_criterion("coelho_quas", UNIQUE_TINV_GIBBS)
 def check_coelho_quas(p: PairPotential) -> Verdict:
     """One-sided variant: sets anchored at their leftmost site."""
-    return _series_verdict(
-        "coelho_quas",
-        coelho_quas_sum(p),
-        "anchored diameter-weighted influence series",
-    )
+    return _series_outcome(coelho_quas_sum(p), "anchored diameter-weighted influence series")
 
 
 # -- product-series divergence (Berbee) ------------------------------------------
 
 
+@_criterion("berbee", UNIQUE_GIBBS)
 def check_berbee(F: FSequence) -> Verdict:
     """Berbee's condition: divergence of the symmetric-window product series.
 
@@ -231,7 +229,7 @@ def check_berbee(F: FSequence) -> Verdict:
         comparison.
     """
     p = F.potential
-    fam = _family(p)
+    fam = family(p)
     if fam in ("finite", "exponential", "power_summable"):
         rs = ruelle_sum(p)
         t1 = Interval.point(p.beta) * p.coupling_tail(1)
@@ -249,7 +247,7 @@ def check_berbee(F: FSequence) -> Verdict:
             f"product terms decrease to a limit at least {bound}, so the series "
             "diverges term-by-term"
         )
-        return Verdict("berbee", HOLDS, margin, certificate, UNIQUE_GIBBS)
+        return HOLDS, margin, certificate
     if fam == "power_critical":
         c = strength_fraction(p)
         margin = fraction_interval(1 - 4 * c)
@@ -259,69 +257,50 @@ def check_berbee(F: FSequence) -> Verdict:
                 f"exp(-4c(2+log 2)) * (K+1)^(-4c) with 4c = {float(4 * c):.10g} <= 1, "
                 "a harmonic minorant"
             )
-            return Verdict("berbee", HOLDS, margin, certificate, UNIQUE_GIBBS)
+            return HOLDS, margin, certificate
         certificate = (
             f"term bound: both parities are at most exp(c(S+2)) * (K+1)^(-4c) "
             f"with 4c = {float(4 * c):.10g} > 1, a convergent p-series majorant"
         )
-        return Verdict("berbee", FAILS, margin, certificate, UNIQUE_GIBBS)
+        return FAILS, margin, certificate
     certificate = (
         f"tails obey T(k) >= amp * k^(1-q)/(q-1) for q = {p.coupling.q:.10g} < 2, so "
         "the terms are exp(-Theta(K^(2-q))) and the series converges by "
         "integral comparison"
     )
-    return Verdict("berbee", FAILS, None, certificate, UNIQUE_GIBBS)
+    return FAILS, None, certificate
 
 
 # -- tail-variation slope ---------------------------------------------------------
 
 
+@_criterion("variation_slope", UNIQUE_GIBBS_BERNOULLI)
 def check_variation_slope(profile: VariationProfile) -> Verdict:
     """Hyperbolic-decay test: tail variation at most c/n + summable, c < 1/2.
 
     Holds needs both the slope enclosure strictly below 1/2 and a certified
-    summable remainder; Fails needs the family's exact slope at or above 1/2.
-    Anything else (unknown slope, a straddling enclosure, an upper-bound-only
-    profile) stays Inconclusive.
+    summable remainder; Fails needs the slope, the family's exact value, at or
+    above 1/2.  A straddling enclosure stays Inconclusive.
     """
     slope = profile.slope
-    if slope is None:
-        return Verdict(
-            "variation_slope",
-            INCONCLUSIVE,
-            None,
-            f"profile '{profile.source}' carries no slope certificate",
-            UNIQUE_GIBBS_BERNOULLI,
-        )
     margin = 0.5 - slope
     detail = (
         f"tail-variation slope in [{slope.lo:.10g}, {slope.hi:.10g}] against the "
         f"strict threshold 1/2; remainder summable: {profile.remainder_summable}"
     )
-    if slope.hi < 0.5 and profile.remainder_summable is True:
-        return Verdict("variation_slope", HOLDS, margin, detail, UNIQUE_GIBBS_BERNOULLI)
-    if slope.lo >= 0.5 and profile.exact:
-        return Verdict(
-            "variation_slope",
-            FAILS,
-            margin,
-            detail + "; the slope is the family's exact value, so no smaller "
-            "hyperbolic majorant exists",
-            UNIQUE_GIBBS_BERNOULLI,
+    if slope.hi < 0.5 and profile.remainder_summable:
+        return HOLDS, margin, detail
+    if slope.lo >= 0.5:
+        return FAILS, margin, detail + (
+            "; the slope is the family's exact value, so no smaller hyperbolic majorant exists"
         )
-    return Verdict("variation_slope", INCONCLUSIVE, margin, detail, UNIQUE_GIBBS_BERNOULLI)
+    return INCONCLUSIVE, margin, detail
 
 
 # -- product growth with dyadic block sums ----------------------------------------
 
 
-def _blocksum_alpha_ok(fam: str, q: float, alpha: Fraction) -> bool:
-    """Whether dyadic block sums of (beta*T(i+1))**(2*alpha) certifiably vanish."""
-    if fam in ("finite", "exponential"):
-        return True  # tails vanish or decay exponentially; any alpha > 0 works
-    return 2 * alpha * (Fraction(q) - 1) > 1
-
-
+@_criterion("product_blocksum", UNIQUE_GIBBS_BERNOULLI)
 def check_product_blocksum(
     F: FSequence,
     alpha: Optional[float] = None,
@@ -343,15 +322,14 @@ def check_product_blocksum(
         raise ValueError("alpha must lie in (0, 1]")
     candidates = [Fraction(a) for a in (DEFAULT_ALPHA_GRID if grid is None else grid)]
     p = F.potential
-    fam = _family(p)
-    name = "product_blocksum"
+    fam = family(p)
 
     if fam == "power_heavy":
         certificate = (
             f"running log-product grows like n^(2-q) for q = {p.coupling.q:.10g} < 2 "
             "(integral comparison), so no alpha gives a polynomial product bound"
         )
-        return Verdict(name, FAILS, None, certificate, UNIQUE_GIBBS_BERNOULLI)
+        return FAILS, None, certificate
 
     if fam == "power_critical":
         c = strength_fraction(p)
@@ -369,22 +347,24 @@ def check_product_blocksum(
                 "dyadic block sums are at most c^(2a) (2^m - 1)^(1-2a)/(2a-1) -> 0 "
                 "since 2*alpha > 1"
             )
-            return Verdict(name, HOLDS, margin, certificate, UNIQUE_GIBBS_BERNOULLI)
+            return HOLDS, margin, certificate
         if c >= _HALF:
             certificate = (
                 f"no admissible alpha: the product bound needs alpha <= 1 - c "
                 f"= {float(1 - c):.10g} while the block sums need alpha > 1/2"
             )
-            return Verdict(name, FAILS, margin, certificate, UNIQUE_GIBBS_BERNOULLI)
+            return FAILS, margin, certificate
         certificate = (
             f"strength c = {float(c):.10g} < 1/2 admits alphas in (1/2, 1-c], but "
             "none of the supplied candidates lies in that window"
         )
-        return Verdict(name, INCONCLUSIVE, margin, certificate, UNIQUE_GIBBS_BERNOULLI)
+        return INCONCLUSIVE, margin, certificate
 
-    # summable families: the product converges, so alpha = 1 always serves
-    q = p.coupling.q if fam == "power_summable" else math.inf
-    admissible = [a for a in candidates if _blocksum_alpha_ok(fam, q, a)]
+    # summable families: the product converges, so alpha = 1 always serves; dyadic
+    # block sums of (beta*T(i+1))**(2*alpha) vanish for every alpha > 0 when the
+    # tails vanish or decay exponentially, else when 2*alpha*(q-1) > 1
+    q = Fraction(p.coupling.q)
+    admissible = [a for a in candidates if fam != "power_summable" or 2 * a * (q - 1) > 1]
     margin = Interval.point(0.5)
     if admissible:
         a = max(admissible)
@@ -393,19 +373,20 @@ def check_product_blocksum(
             "ratio product is bounded (O(n^0)), and the block sums decay "
             "geometrically in the block index"
         )
-        return Verdict(name, HOLDS, margin, certificate, UNIQUE_GIBBS_BERNOULLI)
+        return HOLDS, margin, certificate
     a = max(candidates)
     certificate = (
         f"supplied alpha = {float(a):.10g} leaves block-sum exponent "
-        f"2*alpha*(q-1) = {float(2 * a * (Fraction(q) - 1)):.10g} <= 1, "
+        f"2*alpha*(q-1) = {float(2 * a * (q - 1)):.10g} <= 1, "
         "so the dyadic sums do not certifiably vanish (larger alpha would work)"
     )
-    return Verdict(name, INCONCLUSIVE, margin, certificate, UNIQUE_GIBBS_BERNOULLI)
+    return INCONCLUSIVE, margin, certificate
 
 
 # -- block sums of squared conditional-law ratios ---------------------------------
 
 
+@_criterion("jop_blocksum", UNIQUE_TINV_GIBBS)
 def check_jop_blocksum(logr_g: LogRProfile, lam: float = 2.0) -> Verdict:
     """Vanishing geometric-block sums of squared log-ratios of the chain law.
 
@@ -416,36 +397,35 @@ def check_jop_blocksum(logr_g: LogRProfile, lam: float = 2.0) -> Verdict:
     """
     if not lam > 1.0:
         raise ValueError("block growth factor must exceed 1")
-    name = "jop_blocksum"
     if logr_g.zero_beyond is not None:
         certificate = (
             f"profile vanishes beyond n = {logr_g.zero_beyond}: all late blocks "
             "sum to exactly 0"
         )
-        return Verdict(name, HOLDS, None, certificate, UNIQUE_TINV_GIBBS)
+        return HOLDS, None, certificate
     if logr_g.exact_power is not None:
         c, s = logr_g.exact_power
         margin = _pad(s) - 0.5
         if c.hi == 0.0:
-            return Verdict(name, HOLDS, None, "profile is identically 0", UNIQUE_TINV_GIBBS)
+            return HOLDS, None, "profile is identically 0"
         if s > 0.5:
             certificate = (
                 f"exact profile c*n^-s, s = {s:.10g} > 1/2: block sums are at most "
                 f"c^2 * lam^((m-1)(1-2s))/(2s-1) -> 0 (lam = {lam:.10g})"
             )
-            return Verdict(name, HOLDS, margin, certificate, UNIQUE_TINV_GIBBS)
+            return HOLDS, margin, certificate
         if s == 0.5:
             limit = c * c * Interval.point(lam).log()
             certificate = (
                 f"exact profile c/sqrt(n): block sums converge to c^2 log lam in "
                 f"[{limit.lo:.10g}, {limit.hi:.10g}], a nonzero limit"
             )
-            return Verdict(name, FAILS, margin, certificate, UNIQUE_TINV_GIBBS)
+            return FAILS, margin, certificate
         certificate = (
             f"exact profile c*n^-s with s = {s:.10g} < 1/2: block sums grow like "
             "lam^(m(1-2s)) and diverge"
         )
-        return Verdict(name, FAILS, None, certificate, UNIQUE_TINV_GIBBS)
+        return FAILS, None, certificate
     env = logr_g.envelope
     if env is not None and env.exponent > 0.5:
         margin = _pad(env.exponent) - 0.5
@@ -454,22 +434,22 @@ def check_jop_blocksum(logr_g: LogRProfile, lam: float = 2.0) -> Verdict:
             f"({env.derivation}); squared block sums vanish since the exponent "
             "exceeds 1/2"
         )
-        return Verdict(name, HOLDS, margin, certificate, UNIQUE_TINV_GIBBS)
+        return HOLDS, margin, certificate
     certificate = (
         f"profile '{logr_g.source}' has no closed form with decay exponent above "
         "1/2; block partial sums alone cannot certify a limit"
     )
-    return Verdict(name, INCONCLUSIVE, None, certificate, UNIQUE_TINV_GIBBS)
+    return INCONCLUSIVE, None, certificate
 
 
+@_criterion("bcjo", UNIQUE_TINV_GIBBS)
 def check_bcjo(logr_g: LogRProfile) -> Verdict:
     """Square-root-scaled variation test: limsup sqrt(n) * logr(n) below 2."""
-    name = "bcjo"
     if logr_g.zero_beyond is not None:
         certificate = (
             f"profile vanishes beyond n = {logr_g.zero_beyond}; the scaled limsup is 0"
         )
-        return Verdict(name, HOLDS, Interval.point(2.0), certificate, UNIQUE_TINV_GIBBS)
+        return HOLDS, Interval.point(2.0), certificate
     if logr_g.exact_power is not None:
         c, s = logr_g.exact_power
         if c.hi == 0.0 or s > 0.5:
@@ -477,7 +457,7 @@ def check_bcjo(logr_g: LogRProfile) -> Verdict:
                 f"exact profile c*n^-s with s = {s:.10g} > 1/2 (or c = 0): "
                 "sqrt(n)*profile -> 0, strictly below 2"
             )
-            return Verdict(name, HOLDS, Interval.point(2.0), certificate, UNIQUE_TINV_GIBBS)
+            return HOLDS, Interval.point(2.0), certificate
         if s == 0.5:
             margin = 2.0 - c
             detail = (
@@ -485,15 +465,15 @@ def check_bcjo(logr_g: LogRProfile) -> Verdict:
                 f"[{c.lo:.10g}, {c.hi:.10g}] against the strict threshold 2"
             )
             if c.hi < 2.0:
-                return Verdict(name, HOLDS, margin, detail, UNIQUE_TINV_GIBBS)
+                return HOLDS, margin, detail
             if c.lo >= 2.0:
-                return Verdict(name, FAILS, margin, detail, UNIQUE_TINV_GIBBS)
-            return Verdict(name, INCONCLUSIVE, margin, detail, UNIQUE_TINV_GIBBS)
+                return FAILS, margin, detail
+            return INCONCLUSIVE, margin, detail
         certificate = (
             f"exact profile c*n^-s with s = {s:.10g} < 1/2 and c > 0: the scaled "
             "limsup is infinite"
         )
-        return Verdict(name, FAILS, None, certificate, UNIQUE_TINV_GIBBS)
+        return FAILS, None, certificate
     env = logr_g.envelope
     if env is not None:
         if env.exponent > 0.5:
@@ -501,7 +481,7 @@ def check_bcjo(logr_g: LogRProfile) -> Verdict:
                 f"certified majorant {env.coefficient:.10g} * n^-{env.exponent:.10g} "
                 f"({env.derivation}); the scaled limsup is 0"
             )
-            return Verdict(name, HOLDS, Interval.point(2.0), certificate, UNIQUE_TINV_GIBBS)
+            return HOLDS, Interval.point(2.0), certificate
         if env.exponent == 0.5 and env.coefficient < 2.0:
             margin = Interval(
                 (2.0 - Interval.point(env.coefficient)).lo, 2.0
@@ -510,12 +490,12 @@ def check_bcjo(logr_g: LogRProfile) -> Verdict:
                 f"certified majorant {env.coefficient:.10g}/sqrt(n) "
                 f"({env.derivation}); the scaled limsup is at most the coefficient"
             )
-            return Verdict(name, HOLDS, margin, certificate, UNIQUE_TINV_GIBBS)
+            return HOLDS, margin, certificate
     certificate = (
         f"profile '{logr_g.source}' carries no majorant with exponent >= 1/2 and "
         "coefficient below 2; the scaled limsup is not certified"
     )
-    return Verdict(name, INCONCLUSIVE, None, certificate, UNIQUE_TINV_GIBBS)
+    return INCONCLUSIVE, None, certificate
 
 
 # -- scaled limsup with an explicit (alpha, K) budget ------------------------------
@@ -618,14 +598,14 @@ class _ScaledFamily:
 
 def _scaled_family(source: Union[FSequence, VariationProfile]) -> Optional[_ScaledFamily]:
     if isinstance(source, VariationProfile):
-        if source.form == "hyperbolic" and source.slope is not None:
+        if source.form == "hyperbolic":
             coeff = source.slope
             return _ScaledFamily(
                 "hyperbolic", c_lo=Fraction(coeff.lo), c_hi=Fraction(coeff.hi)
             )
         return None
     p = source.potential
-    fam = _family(p)
+    fam = family(p)
     if fam == "power_critical":
         c = strength_fraction(p)
         return _ScaledFamily("critical", c_lo=c, c_hi=c)
@@ -639,6 +619,7 @@ def _scaled_family(source: Union[FSequence, VariationProfile]) -> Optional[_Scal
     return _ScaledFamily("summable", log_cap=log_cap)
 
 
+@_criterion("scaled_limsup", UNIQUE_TINV_GIBBS)
 def check_scaled_limsup(
     source: Union[FSequence, VariationProfile],
     alpha: Optional[float] = None,
@@ -661,7 +642,6 @@ def check_scaled_limsup(
     VariationProfile; other profiles have no certified asymptotics and come
     back Inconclusive.  Uniqueness here is among shift-invariant states only.
     """
-    name = "scaled_limsup"
     if K is not None and alpha is None:
         raise ValueError("alpha is required when K is supplied")
     if alpha is not None and not 0.0 < alpha <= 1.0:
@@ -669,54 +649,47 @@ def check_scaled_limsup(
     if K is not None and not 0.0 < K < math.inf:
         raise ValueError("K must be positive and finite")
 
-    family = _scaled_family(source)
-    if family is None:
-        return Verdict(
-            name,
+    scaled = _scaled_family(source)
+    if scaled is None:
+        return (
             INCONCLUSIVE,
             None,
             "input carries no closed-form asymptotics (only exact power-law, "
             "exponential, finite-range, and hyperbolic-profile inputs are "
             "certified)",
-            UNIQUE_TINV_GIBBS,
         )
-    if family.kind == "heavy":
+    if scaled.kind == "heavy":
         certificate = (
             "running log-product grows polynomially fast in n^(2-q) for q < 2, "
             "so n^(alpha-1) times the product is unbounded for every alpha"
         )
-        return Verdict(name, FAILS, None, certificate, UNIQUE_TINV_GIBBS)
+        return FAILS, None, certificate
 
-    if alpha is None:
-        a, picked = _natural_alpha(family)
-        if a is None:
-            return picked
-    else:
-        a, picked = Fraction(alpha), None
+    a, terminal = _natural_alpha(scaled) if alpha is None else (Fraction(alpha), None)
+    if terminal is not None:
+        return terminal
 
-    prod = family.product_limsup(a)
+    prod = scaled.product_limsup(a)
     if prod.infinite:
         certificate = (
             f"alpha = {float(a):.10g} exceeds the family's product exponent "
             "budget: n^(alpha-1) times the ratio product is unbounded, so no "
             "K satisfies the product cap"
         )
-        return Verdict(name, FAILS, None, certificate, UNIQUE_TINV_GIBBS)
+        return FAILS, None, certificate
     if prod.value is None:
-        return Verdict(
-            name,
+        return (
             INCONCLUSIVE,
             None,
             "the product-limsup exponent sign is not certified at this alpha "
             "(the strength enclosure sits on the critical exponent)",
-            UNIQUE_TINV_GIBBS,
         )
     if K is None:
         cap = max(prod.value.hi, 1.0)
         k_note = f"K = {cap:.10g} (the certified product limsup)"
         if math.isinf(cap):  # exp(log_cap) overflowed; K is its upper end
             k_note = (
-                f"K = exp({family.log_cap.hi:.10g}) (the certified product limsup, "
+                f"K = exp({scaled.log_cap.hi:.10g}) (the certified product limsup, "
                 "above the largest double)"
             )
     else:
@@ -726,22 +699,22 @@ def check_scaled_limsup(
                 f"supplied K = {K:.10g} lies below the certified product limsup "
                 f"[{prod.value.lo:.10g}, {prod.value.hi:.10g}]"
             )
-            return Verdict(name, FAILS, None, certificate, UNIQUE_TINV_GIBBS)
+            return FAILS, None, certificate
         if prod.value.hi > K:
             certificate = (
                 f"the product-limsup enclosure [{prod.value.lo:.10g}, "
                 f"{prod.value.hi:.10g}] straddles the supplied K = {K:.10g}"
             )
-            return Verdict(name, INCONCLUSIVE, None, certificate, UNIQUE_TINV_GIBBS)
+            return INCONCLUSIVE, None, certificate
         k_note = f"K = {K:.10g} (supplied, dominates the product limsup)"
 
-    tail = family.tail_limsup(a)
+    tail = scaled.tail_limsup(a)
     if tail.infinite:
         certificate = (
             f"alpha = {float(a):.10g} sits below the tail's critical exponent: "
             "the scaled tail limsup is infinite"
         )
-        return Verdict(name, FAILS, None, certificate, UNIQUE_TINV_GIBBS)
+        return FAILS, None, certificate
     if math.isinf(cap):  # Gamma(alpha)/K underflows; only a limsup of 0 is decided
         detail = (
             f"alpha = {float(a):.10g}, {k_note}; scaled tail limsup in "
@@ -750,9 +723,9 @@ def check_scaled_limsup(
         )
         if tail.value.hi == 0.0:
             detail += "; a limsup of exactly 0 lies below Gamma(alpha)/K > 0"
-            return Verdict(name, HOLDS, None, detail, UNIQUE_TINV_GIBBS)
+            return HOLDS, None, detail
         detail += "; a positive limsup is not compared with an overflowed K"
-        return Verdict(name, INCONCLUSIVE, None, detail, UNIQUE_TINV_GIBBS)
+        return INCONCLUSIVE, None, detail
     rhs = _gamma_interval(float(a)) / Interval.point(cap)
     margin = rhs - tail.value
     detail = (
@@ -761,42 +734,33 @@ def check_scaled_limsup(
         f"Gamma(alpha)/K in [{rhs.lo:.10g}, {rhs.hi:.10g}] (strict); "
         "uniqueness is among shift-invariant states"
     )
-    if margin.lo > 0.0:
-        return Verdict(name, HOLDS, margin, detail, UNIQUE_TINV_GIBBS)
-    if margin.hi <= 0.0:
-        return Verdict(name, FAILS, margin, detail, UNIQUE_TINV_GIBBS)
-    return Verdict(
-        name,
-        INCONCLUSIVE,
-        margin,
-        detail + "; the enclosures straddle equality",
-        UNIQUE_TINV_GIBBS,
-    )
+    outcome = _sign(margin)
+    if outcome == INCONCLUSIVE:
+        detail += "; the enclosures straddle equality"
+    return outcome, margin, detail
 
 
-def _natural_alpha(family: _ScaledFamily):
-    """The family's own alpha when none is supplied, or a terminal verdict."""
-    if family.kind == "summable":
+def _natural_alpha(scaled: _ScaledFamily):
+    """The family's own alpha when none is supplied, or a terminal outcome."""
+    if scaled.kind == "summable":
         return Fraction(1), None
-    if family.c_hi < _HALF:
+    if scaled.c_hi < _HALF:
         # any exponent strictly between 1/2 and 1 - c gives zero limsups
-        return (_HALF + (1 - family.c_hi)) / 2, None
-    if family.c_lo == family.c_hi == _HALF:
+        return (_HALF + (1 - scaled.c_hi)) / 2, None
+    if scaled.c_lo == scaled.c_hi == _HALF:
         return _HALF, None
-    if family.c_lo > _HALF:
+    if scaled.c_lo > _HALF:
         certificate = (
-            f"strength c = {float(family.c_lo):.10g} > 1/2: alphas above 1 - c "
+            f"strength c = {float(scaled.c_lo):.10g} > 1/2: alphas above 1 - c "
             "blow up the product limsup and alphas at or below 1/2 >= 1 - c blow "
             "up the tail limsup, so no budget pair exists"
         )
-        return None, Verdict("scaled_limsup", FAILS, None, certificate, UNIQUE_TINV_GIBBS)
+        return None, (FAILS, None, certificate)
     certificate = (
-        f"strength enclosure [{float(family.c_lo):.10g}, {float(family.c_hi):.10g}] "
+        f"strength enclosure [{float(scaled.c_lo):.10g}, {float(scaled.c_hi):.10g}] "
         "straddles the critical value 1/2, so no alpha is certified either way"
     )
-    return None, Verdict(
-        "scaled_limsup", INCONCLUSIVE, None, certificate, UNIQUE_TINV_GIBBS
-    )
+    return None, (INCONCLUSIVE, None, certificate)
 
 
 # -- aggregation -------------------------------------------------------------------
@@ -819,12 +783,9 @@ class CriteriaReport:
 
     @property
     def strongest(self) -> Optional[str]:
-        best: Optional[str] = None
-        for v in self.verdicts:
-            if v.outcome == HOLDS:
-                if best is None or _STRENGTH_RANK[v.conclusion_strength] > _STRENGTH_RANK[best]:
-                    best = v.conclusion_strength
-        return best
+        """The strongest conclusion among the criteria that hold, or None."""
+        held = (v.conclusion_strength for v in self.verdicts if v.outcome == HOLDS)
+        return max(held, key=_STRENGTH_RANK.__getitem__, default=None)
 
     def by_name(self, criterion: str) -> Verdict:
         for v in self.verdicts:
@@ -836,20 +797,12 @@ class CriteriaReport:
         return {v.criterion: v.outcome for v in self.verdicts}
 
 
-def _guarded(criterion: str, strength: str, thunk: Callable[[], Verdict]) -> Verdict:
-    try:
-        return thunk()
-    except ValueError as exc:
-        return Verdict(criterion, INCONCLUSIVE, None, f"not evaluated: {exc}", strength)
-
-
 def evaluate_all(
     p: PairPotential,
     *,
     alpha: Optional[float] = None,
     budget: Optional[float] = None,
     alpha_grid: Optional[Sequence[float]] = None,
-    block_lambda: float = 2.0,
 ) -> CriteriaReport:
     """Run every criterion on one pair coupling, each exactly once.
 
@@ -858,18 +811,16 @@ def evaluate_all(
     Inconclusive entries carrying the guard message, so the report always has
     one entry per criterion.
 
-    The knobs reach three of the nine checks:
+    The knobs reach two of the nine checks:
 
       alpha         fixes the exponent of product_blocksum and scaled_limsup;
       budget        the scaled_limsup product cap K (requires alpha);
       alpha_grid    product_blocksum's candidate list, searched for the
                     largest admissible alpha; alpha wins over it when both
-                    are given;
-      block_lambda  the block growth factor of jop_blocksum, which only
-                    rescales the constants of its certificate.
+                    are given.
 
     ``CriteriaReport.knobs`` records the knobs that were applied: alpha and
-    budget when given, else alpha_grid, and block_lambda when not 2.
+    budget when given, else alpha_grid.
     """
     if budget is not None and alpha is None:
         raise ValueError("budget requires alpha")
@@ -880,36 +831,24 @@ def evaluate_all(
             knobs["budget"] = budget
     elif alpha_grid is not None:
         knobs["alpha_grid"] = list(alpha_grid)
-    if block_lambda != 2.0:
-        knobs["block_lambda"] = block_lambda
     F = FSequence.from_potential(p)
-    profile = VariationProfile.from_potential(p)
     logr = LogRProfile.from_fsequence(F)
-    verdicts = (
-        _guarded("dobrushin", UNIQUE_GIBBS, lambda: check_dobrushin(p)),
-        _guarded("ruelle", UNIQUE_TINV_GIBBS, lambda: check_ruelle(p)),
-        _guarded(
-            "coelho_quas", UNIQUE_TINV_GIBBS, lambda: check_coelho_quas(p)
-        ),
-        _guarded("berbee", UNIQUE_GIBBS, lambda: check_berbee(F)),
-        _guarded(
-            "variation_slope",
-            UNIQUE_GIBBS_BERNOULLI,
-            lambda: check_variation_slope(profile),
-        ),
-        _guarded(
-            "product_blocksum",
-            UNIQUE_GIBBS_BERNOULLI,
-            lambda: check_product_blocksum(F, alpha, alpha_grid),
-        ),
-        _guarded(
-            "jop_blocksum", UNIQUE_TINV_GIBBS, lambda: check_jop_blocksum(logr, block_lambda)
-        ),
-        _guarded("bcjo", UNIQUE_TINV_GIBBS, lambda: check_bcjo(logr)),
-        _guarded(
-            "scaled_limsup",
-            UNIQUE_TINV_GIBBS,
-            lambda: check_scaled_limsup(F, alpha, budget),
-        ),
-    )
-    return CriteriaReport(verdicts=verdicts, knobs=knobs)
+    inputs = {  # in report order
+        "check_dobrushin": (p,),
+        "check_ruelle": (p,),
+        "check_coelho_quas": (p,),
+        "check_berbee": (F,),
+        "check_variation_slope": (VariationProfile.from_potential(p),),
+        "check_product_blocksum": (F, alpha, alpha_grid),
+        "check_jop_blocksum": (logr,),
+        "check_bcjo": (logr,),
+        "check_scaled_limsup": (F, alpha, budget),
+    }
+    verdicts = []
+    for check, args in inputs.items():
+        try:  # looked up at each call, so a replaced check is the one that runs
+            verdicts.append(globals()[check](*args))
+        except ValueError as exc:
+            criterion, strength = _CRITERIA[check]
+            verdicts.append(Verdict(criterion, INCONCLUSIVE, None, f"not evaluated: {exc}", strength))
+    return CriteriaReport(verdicts=tuple(verdicts), knobs=knobs)

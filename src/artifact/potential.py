@@ -307,7 +307,8 @@ class TailEnclosureTable:
         self.grow(horizon)
 
     def grow(self, horizon: int) -> None:
-        """Append the entries up to ``horizon`` (nothing if already there)."""
+        """Append the entries up to ``horizon`` (nothing if already there).  A tail or
+        a sum of tails past the double range raises ArithmeticError, after whole chunks."""
         if horizon <= self.horizon:
             return
         m0, m1 = self.horizon + 2, horizon + 1
@@ -340,17 +341,18 @@ class TailEnclosureTable:
                 hi = [0.0 if (x := d + anchor.hi) <= 0.0 else x * (1.0 + rel) + FLOOR for d in chunk]
             if not hi[0] < math.inf:  # the chunk's largest tail, NaN where a sum of J overflowed
                 raise ArithmeticError("a coupling tail leaves the double range")
+            S, s, e = _running_sums(lo, s, e)
+            if not S[-1] < math.inf:  # the chunk's largest S_k, NaN once TwoSum met an overflow
+                raise ArithmeticError("a sum of coupling tails leaves the double range")
             self.lo.extend(lo)
             self.hi.extend(hi)
-            S, s, e = _running_sums(lo, s, e)
             W = list(accumulate(map(sub, hi, lo), initial=w))[1:]
             w = W[-1]
             # exp(-beta * S_k) >= exp(-e_hi): five roundings, at EPS / 2 each
             self.p_lo += [math.exp(-beta * (x + y * g) * (1.0 + 3.0 * EPS)) * DOWN_EXP for x, y in zip(S, W)]
             # above e_hi - beta * x_k * DOWN, both rounded, and nondecreasing in k
             self.spread.extend(beta * (y * g_spread + c * x) * UP for x, y in zip(S, W))
-        self.horizon = horizon
-        self._sums = (s, e, w)
+            self.horizon, self._sums = b - 2, (s, e, w)  # whole chunks only, if a later one raises
 
     def at(self, m: int) -> Interval:
         if not 1 <= m <= self.horizon + 1:
@@ -451,6 +453,21 @@ class PairPotential:
         return self.coupling.weighted_total(self.truncation_range)
 
 
+def family(p: PairPotential) -> str:
+    """The closed-form family of ``p``'s certificates: finite (beta = 0 too),
+    exponential, or power_summable/critical/heavy for q >, =, < 2."""
+    if p.is_finite_range():
+        return "finite"
+    c = p.coupling
+    if c.kind == "exponential":
+        return "exponential"
+    if c.q > 2.0:
+        return "power_summable"
+    if c.q == 2.0:
+        return "power_critical"
+    return "power_heavy"
+
+
 # Largest window [0, n] the exact kernels enumerate (2^(n+1) words), and
 # largest range whose Dobrushin sum they enumerate.
 ENUMERATION_MAX_WINDOW = 12
@@ -520,18 +537,17 @@ class VariationProfile:
     """Tail-variation profile n -> enclosure, with certified asymptotics when known.
 
     ``slope`` encloses lim n * at(n) (hi may be +inf); ``remainder_summable``
-    states whether at(n) - slope/n has a finite sum.  ``exact`` marks profiles
-    whose closed form is an equality rather than an upper bound.  ``form``
-    names the closed-form family ("pair_tail", "hyperbolic") so downstream
-    criteria know which asymptotic identities apply.
+    states whether at(n) - slope/n has a finite sum.  Both closed forms are
+    equalities, not upper bounds.  ``form`` names the closed-form family
+    ("pair_tail", "hyperbolic") so downstream criteria know which asymptotic
+    identities apply.
     """
 
     source: str
     _at: object
-    slope: Optional[Interval] = None
-    remainder_summable: Optional[bool] = None
-    exact: bool = True
-    form: Optional[str] = None
+    slope: Interval
+    remainder_summable: bool
+    form: str
 
     def at(self, n: int) -> Interval:
         return self._at(n)
@@ -544,7 +560,6 @@ class VariationProfile:
             _at=lambda n: tail_variation(p, n),
             slope=slope,
             remainder_summable=summable,
-            exact=True,
             form="pair_tail",
         )
 
@@ -556,7 +571,6 @@ class VariationProfile:
             _at=lambda n: coefficient * Interval(1.0, 1.0) / float(n),
             slope=coefficient,
             remainder_summable=True,
-            exact=True,
             form="hyperbolic",
         )
 
@@ -569,14 +583,12 @@ def _slope_certificate(p: PairPotential):
     remainder b(T(n) - 1/n) telescopes to the finite value beta * amplitude.
     q < 2 has n * tail ~ n**(2-q) -> inf.
     """
-    c = p.coupling
-    if p.is_finite_range() or c.kind == "exponential" or (
-        c.kind == "power_law" and c.q > 2.0
-    ):
-        return Interval.point(0.0), True
-    if c.kind == "power_law" and c.q == 2.0:
+    fam = family(p)
+    if fam == "power_critical":
         return strength_interval(p), True
-    return Interval(0.0, math.inf), False
+    if fam == "power_heavy":
+        return Interval(0.0, math.inf), False
+    return Interval.point(0.0), True
 
 
 def strength_fraction(p: PairPotential) -> Fraction:

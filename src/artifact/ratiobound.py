@@ -32,6 +32,7 @@ from ._numpy import np
 from ._record import record
 from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, UP, UP_EXP, Interval, ONE, ZERO, _exp
 from .fseq import FSequence
+from .potential import family
 
 # Target relative width of each R_n row: the one place a width is read
 # (``rn_series``'s stopping rule); every other enclosure is a few ulps wide.
@@ -373,10 +374,9 @@ def log_r_bound_envelope(F: FSequence) -> Optional[DecayEnvelope]:
     p = F.potential
     c = p.coupling
     beta = Interval.point(p.beta)
-    if p.beta == 0.0 or p.is_finite_range():
-        return None  # profile is exactly zero beyond the range; no majorant needed
+    fam = family(p)  # "finite": the profile is exactly zero beyond the range, no majorant needed
     amp = Interval.point(c.amplitude)
-    if c.kind == "power_law" and c.q == 2.0:
+    if fam == "power_critical":
         strength = beta * amp
         if not strength.hi < 1.0:
             return None
@@ -395,12 +395,12 @@ def log_r_bound_envelope(F: FSequence) -> Optional[DecayEnvelope]:
                 f"c in [{strength.lo:.6g}, {strength.hi:.6g}]"
             ),
         )
-    if c.kind == "power_law" and c.q > 2.0:
+    if fam == "power_summable":
         W = c.weighted_total()
         c0 = (-(beta * W)).exp()
         c1 = (-(beta * amp * (Interval.point(2.0) / Interval.point(c.q - 1.0)))).exp()
         return _summable_envelope(c0 * c1, "summable weighted couplings, power tail")
-    if c.kind == "exponential":
+    if fam == "exponential":
         W = c.weighted_total()
         c0 = (-(beta * W)).exp()
         r = Interval.point(c.rate)

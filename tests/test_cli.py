@@ -189,17 +189,16 @@ def test_scalar_ranges():
             parse_config(base_doc(**bad))
     with pytest.raises(ConfigError, match="alpha must lie"):
         parse_config(base_doc(alpha=1.5))
-    with pytest.raises(ConfigError, match="block_lambda must exceed 1"):
-        parse_config(base_doc(block_lambda=1.0))
     with pytest.raises(ConfigError, match="out must be a nonempty string"):
         parse_config(base_doc(out=""))
 
 
 def test_infinite_block_lambda_is_a_config_error(tmp_path, capsys):
+    # jop_blocksum's block growth factor is no config key: it only rescales certificate constants
     path = tmp_path / "run.yaml"
     path.write_text("potential: {kind: power_law, beta: 0.3, q: 2.0}\nblock_lambda: .inf\n")
     assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("config error: block_lambda must exceed 1")
+    assert capsys.readouterr().err.startswith("config error: unknown config keys: ['block_lambda']")
     assert not (tmp_path / "out").exists()
 
 
@@ -366,7 +365,7 @@ def test_nonfinite_numbers_are_refused_as_before(tmp_path, text, message):
     "text, field, value",
     [
         (b'{"potential": {"kind": "zero", "beta": 1E+2}}', "beta", 100.0),
-        (ZERO_LAW + b', "block_lambda": 1e1, "rel_width": 2.5E-8}', "rel_width", 2.5e-8),
+        (ZERO_LAW + b', "alpha": 0.5, "budget": 1e1, "rel_width": 2.5E-8}', "rel_width", 2.5e-8),
         (ZERO_LAW + b', "seed": 1, "seed": 2}', "seed", 2),  # a repeated key: the last wins in both
         (b"\xef\xbb\xbf" + ZERO_LAW + b', "seed": 3}', "seed", 3),  # a UTF-8 byte-order mark
         (ZERO_LAW + b', "out": "\\u00e9t\\u00e9"}', "out", "été"),
@@ -393,6 +392,17 @@ def test_config_bytes_decode_by_their_own_encoding(tmp_path, capsys):
     path = write_bytes(tmp_path, b'potential: {kind: zero, beta: 1.0}\nout: "\xff"\n')
     assert main(["check", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error: config is not valid YAML: unacceptable character")
+
+
+@pytest.mark.parametrize("template", ['{{"potential": {{"kind": "zero", "beta": 1.0}}, "seed": {}}}\n',
+                                      "potential: {{kind: zero, beta: 1.0}}\nseed: {}\n"], ids=["json", "yaml"])
+def test_an_integer_past_the_digit_limit_is_a_config_error(tmp_path, capsys, template):
+    # 5 000 digits pass the interpreter's integer-string limit (4 300), in json and in PyYAML alike
+    path = write_bytes(tmp_path, template.format("1" * 5000).encode())
+    assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and "Traceback" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_json_joins_an_escaped_surrogate_pair(tmp_path):
@@ -569,8 +579,7 @@ def test_criteria_alpha_grid_keeps_best(tmp_path):
     [
         {"alpha": 0.75, "budget": 3.0},
         {"alpha_grid": [0.6, 0.8, 1.0]},
-        {"block_lambda": 3.0},
-        {"alpha": 0.6, "alpha_grid": [0.55, 0.7], "block_lambda": 1.5},
+        {"alpha": 0.6, "alpha_grid": [0.55, 0.7]},
     ],
 )
 def test_check_runs_each_knobbed_criterion_once(tmp_path, monkeypatch, knobs):
@@ -694,6 +703,19 @@ def test_bounds_names_an_overflowing_tail(tmp_path, capsys):
            "empirical_window": 0, "n_max": 4, "out": str(tmp_path / "out")}
     assert main(["bounds", "--config", str(write_config(tmp_path, doc))]) == 1
     assert capsys.readouterr().err == "bounds failed: a coupling tail leaves the double range\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    ("bounds", "bounds failed: a sum of coupling tails leaves the double range\n"),
+    ("report", "note: bounds not evaluated: a sum of coupling tails leaves the double range\n"),
+], ids=["bounds", "report"])
+def test_bounds_names_an_overflowing_sum_of_tails(tmp_path, capsys, command, message):
+    # every tail is finite (T(1) = 1.64e308), but S_k = T(1) + ... + T(k+1) overflows from k = 1
+    doc = {"potential": {"kind": "power_law", "beta": 1.0, "q": 2.0, "amplitude": 1e308},
+           "experiments": ["bounds"], "n_max": 4, "out": str(tmp_path / "out")}
+    assert main([command, "--config", str(write_config(tmp_path, doc))]) == (1 if command == "bounds" else 0)
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err and "NaN" not in captured.out + captured.err
 
 
 def test_main_guard_error_exits_one(tmp_path, capsys):

@@ -411,6 +411,40 @@ def test_report_decides_all_nine_criteria_when_the_floor_underflows():
         assert rep.strongest == UNIQUE_GIBBS_BERNOULLI
 
 
+# the laws of one `gibbs1d check` sweep: inverse square across its thresholds, the
+# heavy, summable and exponential tails, the zero law and three finite ranges
+SWEEP_LAWS = [power(2.0, beta) for beta in (0.2, 0.25, 0.3, 0.45, 0.5, 0.55)] + [
+    power(1.5, 0.3),
+    power(3.0, 0.5),
+    PairPotential(beta=0.5, coupling=CouplingLaw.exponential(0.5)),
+    zero(),
+    table([1.0], 1.0),
+    power(2.0, 0.3, R=6),
+    power(2.0, 0.3, R=12),
+]
+
+
+def test_every_report_lists_the_nine_criteria_with_their_strengths_in_order():
+    expected = [
+        ("dobrushin", UNIQUE_GIBBS),
+        ("ruelle", UNIQUE_TINV_GIBBS),
+        ("coelho_quas", UNIQUE_TINV_GIBBS),
+        ("berbee", UNIQUE_GIBBS),
+        ("variation_slope", UNIQUE_GIBBS_BERNOULLI),
+        ("product_blocksum", UNIQUE_GIBBS_BERNOULLI),
+        ("jop_blocksum", UNIQUE_TINV_GIBBS),
+        ("bcjo", UNIQUE_TINV_GIBBS),
+        ("scaled_limsup", UNIQUE_TINV_GIBBS),
+    ]
+    seen = set()
+    for p in SWEEP_LAWS + UNDERFLOWING_FLOORS:
+        verdicts = evaluate_all(p).verdicts
+        assert [(v.criterion, v.conclusion_strength) for v in verdicts] == expected, p
+        seen |= {"guard" if v.certificate.startswith("not evaluated:") else v.outcome for v in verdicts}
+    # the laws reach every outcome, and the guard's Inconclusive entry
+    assert seen == {HOLDS, FAILS, INCONCLUSIVE, "guard"}
+
+
 def _true_logs(p):
     """beta T(1) - 4 beta W and beta W to 30 digits, with W = sum_j j J(j)."""
     c = p.coupling
@@ -495,7 +529,6 @@ KNOBBED_CHECKS = ("check_product_blocksum", "check_scaled_limsup", "check_jop_bl
     [
         {"alpha": 0.75, "budget": 3.0},
         {"alpha_grid": (0.6, 0.8, 1.0)},
-        {"block_lambda": 3.0},
     ],
 )
 def test_evaluate_all_runs_each_knobbed_check_once(monkeypatch, knobs):
@@ -521,11 +554,11 @@ def test_knob_verdicts_match_the_direct_checks():
     p = power(3.0, 0.3)
     F = fseq(p)
     logr = LogRProfile.from_fsequence(F)
-    rep = evaluate_all(p, alpha=0.75, budget=3.0, block_lambda=3.0)
+    rep = evaluate_all(p, alpha=0.75, budget=3.0)
     assert rep.by_name("product_blocksum") == check_product_blocksum(F, 0.75)
     assert rep.by_name("scaled_limsup") == check_scaled_limsup(F, 0.75, 3.0)
-    assert rep.by_name("jop_blocksum") == check_jop_blocksum(logr, 3.0)
-    assert rep.knobs == {"alpha": 0.75, "budget": 3.0, "block_lambda": 3.0}
+    assert rep.by_name("jop_blocksum") == check_jop_blocksum(logr)
+    assert rep.knobs == {"alpha": 0.75, "budget": 3.0}
     default = evaluate_all(p)
     assert default.knobs == {}
     for name in ("dobrushin", "ruelle", "coelho_quas", "berbee", "variation_slope", "bcjo"):

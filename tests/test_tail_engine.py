@@ -212,6 +212,19 @@ def test_a_table_refuses_a_tail_past_the_double_range(values):
         p.tail_enclosure_table(8)
 
 
+def test_a_table_refuses_a_sum_of_tails_past_the_double_range():
+    # every tail is finite (T(1) is about 1e304), but S_k = T(1) + ... + T(k+1) passes the
+    # largest double near k = 18 000, in the fifth chunk of this growth: the table raises
+    # where TwoSum would have turned S_k into NaN, and keeps the whole chunks before it
+    p = PairPotential(beta=1.0, coupling=CouplingLaw.power_law(1.0001, 1e300))
+    table = p.tail_enclosure_table(1024)
+    with pytest.raises(ArithmeticError, match="a sum of coupling tails leaves the double range"):
+        table.grow(32768)
+    assert 1024 < table.horizon < 18000
+    assert len(table.lo) == len(table.hi) == table.horizon + 1 == len(table.p_lo) == len(table.spread)
+    assert all(math.isfinite(x) for column in (table.hi, table.p_lo, table.spread) for x in column)
+
+
 # -- weighted totals ---------------------------------------------------------------
 
 
