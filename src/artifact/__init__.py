@@ -13,10 +13,10 @@ first access, so ``import artifact`` imports no submodule; the command line
 imports ``kernel`` only for ``gfun``, the samplers, and the empirical column
 of ``bounds`` and the Dobrushin sum of a finite-range law, and ``dynamics``
 only to sample or couple.  Every enclosure ``gibbs1d check`` needs, and
-every tail table and R_n row of ``bounds``, is scalar interval arithmetic.
-NumPy is found at import but executed on the first array operation: the
-kernel walks and enumerations (``kernel``), the sampler (``dynamics``) and
-the acceptance diagnostics of ``ratiobound`` (recursion table, growth fits).
+every tail table and R_n row of ``bounds``, is scalar interval arithmetic,
+and so are the ``ratiobound`` diagnostics (recursion table, growth fits).
+NumPy serves only ``kernel`` (walks, enumerations) and ``dynamics`` (the
+sampler); ``artifact.cli`` finds it at import and executes it on first use.
 """
 
 import importlib

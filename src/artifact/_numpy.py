@@ -2,10 +2,10 @@
 
 NumPy is found when this module is imported, so a missing NumPy still fails
 at import with ``ModuleNotFoundError``, but it is executed only on the first
-attribute access.  ``gibbs1d check`` and the certified rows of ``bounds``
-(tail tables, R_n series), whose work is all scalar interval arithmetic,
-never pay for it; the kernel walks, the sampler and the acceptance
-diagnostics (the recursion table and growth fits of ``ratiobound``) do.
+attribute access.  Only the exact side imports it: the kernel walks
+(``kernel``) and the sampler (``dynamics``).  The certified half, the
+diagnostics of ``ratiobound`` included, is scalar Python and never pays for
+it; ``cli`` imports this module so that a missing NumPy fails at its import.
 """
 
 import importlib.util

@@ -75,7 +75,7 @@ except ImportError:
     except ImportError:  # built without the builtin digests: hashlib maps OpenSSL's libcrypto instead
         from hashlib import sha256
 
-from . import __version__
+from . import __version__, _numpy  # _numpy: a missing NumPy fails here, at import
 from ._record import record
 from .criteria import Verdict, evaluate_all
 from .fseq import FSequence, Word

@@ -122,6 +122,16 @@ def _pad(x: float, ulps: int = 4) -> Interval:
     return Interval(_down(x, ulps), _up(x, ulps))
 
 
+def _quote(x: Fraction) -> str:
+    """A rational as its nearest double prints to 10 digits or, past the
+    double range, as the enclosure ``fraction_interval`` gives it."""
+    try:
+        return f"{float(x):.10g}"
+    except OverflowError:
+        iv = fraction_interval(x)
+        return f"[{iv.lo:.10g}, {iv.hi:.10g}]"
+
+
 def _gamma_interval(a: float) -> Interval:
     """Enclosure of the Gamma function at a point of (0, 1].
 
@@ -254,13 +264,13 @@ def check_berbee(F: FSequence) -> Verdict:
         if 4 * c <= 1:
             certificate = (
                 f"term bound: the (2K+1)-th product term is at least "
-                f"exp(-4c(2+log 2)) * (K+1)^(-4c) with 4c = {float(4 * c):.10g} <= 1, "
+                f"exp(-4c(2+log 2)) * (K+1)^(-4c) with 4c = {_quote(4 * c)} <= 1, "
                 "a harmonic minorant"
             )
             return HOLDS, margin, certificate
         certificate = (
             f"term bound: both parities are at most exp(c(S+2)) * (K+1)^(-4c) "
-            f"with 4c = {float(4 * c):.10g} > 1, a convergent p-series majorant"
+            f"with 4c = {_quote(4 * c)} > 1, a convergent p-series majorant"
         )
         return FAILS, margin, certificate
     certificate = (
@@ -342,8 +352,8 @@ def check_product_blocksum(
         if admissible:
             a = max(admissible)
             certificate = (
-                f"alpha = {float(a):.10g}: the log-product partial sums are "
-                f"c*log n + O(1) with c = {float(c):.10g} <= 1 - alpha, and the "
+                f"alpha = {_quote(a)}: the log-product partial sums are "
+                f"c*log n + O(1) with c = {_quote(c)} <= 1 - alpha, and the "
                 "dyadic block sums are at most c^(2a) (2^m - 1)^(1-2a)/(2a-1) -> 0 "
                 "since 2*alpha > 1"
             )
@@ -351,11 +361,11 @@ def check_product_blocksum(
         if c >= _HALF:
             certificate = (
                 f"no admissible alpha: the product bound needs alpha <= 1 - c "
-                f"= {float(1 - c):.10g} while the block sums need alpha > 1/2"
+                f"= {_quote(1 - c)} while the block sums need alpha > 1/2"
             )
             return FAILS, margin, certificate
         certificate = (
-            f"strength c = {float(c):.10g} < 1/2 admits alphas in (1/2, 1-c], but "
+            f"strength c = {_quote(c)} < 1/2 admits alphas in (1/2, 1-c], but "
             "none of the supplied candidates lies in that window"
         )
         return INCONCLUSIVE, margin, certificate
@@ -369,15 +379,15 @@ def check_product_blocksum(
     if admissible:
         a = max(admissible)
         certificate = (
-            f"alpha = {float(a):.10g}: the weighted coupling total is finite, so the "
+            f"alpha = {_quote(a)}: the weighted coupling total is finite, so the "
             "ratio product is bounded (O(n^0)), and the block sums decay "
             "geometrically in the block index"
         )
         return HOLDS, margin, certificate
     a = max(candidates)
     certificate = (
-        f"supplied alpha = {float(a):.10g} leaves block-sum exponent "
-        f"2*alpha*(q-1) = {float(2 * a * (q - 1)):.10g} <= 1, "
+        f"supplied alpha = {_quote(a)} leaves block-sum exponent "
+        f"2*alpha*(q-1) = {_quote(2 * a * (q - 1))} <= 1, "
         "so the dyadic sums do not certifiably vanish (larger alpha would work)"
     )
     return INCONCLUSIVE, margin, certificate
@@ -387,45 +397,19 @@ def check_product_blocksum(
 
 
 @_criterion("jop_blocksum", UNIQUE_TINV_GIBBS)
-def check_jop_blocksum(logr_g: LogRProfile, lam: float = 2.0) -> Verdict:
+def check_jop_blocksum(logr_g: LogRProfile) -> Verdict:
     """Vanishing geometric-block sums of squared log-ratios of the chain law.
 
     Blocks are (ceil(lam^(m-1)), ceil(lam^m)]; the hypothesis holds for one
-    growth factor lam > 1 exactly when it holds for every such factor, so lam
-    only scales the constants quoted in the certificate.  Margins report the
-    decay-exponent clearance above the critical 1/2.
+    growth factor lam > 1 exactly when it holds for every such factor.
+    Margins report the decay-exponent clearance above the critical 1/2.
     """
-    if not lam > 1.0:
-        raise ValueError("block growth factor must exceed 1")
     if logr_g.zero_beyond is not None:
         certificate = (
             f"profile vanishes beyond n = {logr_g.zero_beyond}: all late blocks "
             "sum to exactly 0"
         )
         return HOLDS, None, certificate
-    if logr_g.exact_power is not None:
-        c, s = logr_g.exact_power
-        margin = _pad(s) - 0.5
-        if c.hi == 0.0:
-            return HOLDS, None, "profile is identically 0"
-        if s > 0.5:
-            certificate = (
-                f"exact profile c*n^-s, s = {s:.10g} > 1/2: block sums are at most "
-                f"c^2 * lam^((m-1)(1-2s))/(2s-1) -> 0 (lam = {lam:.10g})"
-            )
-            return HOLDS, margin, certificate
-        if s == 0.5:
-            limit = c * c * Interval.point(lam).log()
-            certificate = (
-                f"exact profile c/sqrt(n): block sums converge to c^2 log lam in "
-                f"[{limit.lo:.10g}, {limit.hi:.10g}], a nonzero limit"
-            )
-            return FAILS, margin, certificate
-        certificate = (
-            f"exact profile c*n^-s with s = {s:.10g} < 1/2: block sums grow like "
-            "lam^(m(1-2s)) and diverge"
-        )
-        return FAILS, None, certificate
     env = logr_g.envelope
     if env is not None and env.exponent > 0.5:
         margin = _pad(env.exponent) - 0.5
@@ -450,30 +434,6 @@ def check_bcjo(logr_g: LogRProfile) -> Verdict:
             f"profile vanishes beyond n = {logr_g.zero_beyond}; the scaled limsup is 0"
         )
         return HOLDS, Interval.point(2.0), certificate
-    if logr_g.exact_power is not None:
-        c, s = logr_g.exact_power
-        if c.hi == 0.0 or s > 0.5:
-            certificate = (
-                f"exact profile c*n^-s with s = {s:.10g} > 1/2 (or c = 0): "
-                "sqrt(n)*profile -> 0, strictly below 2"
-            )
-            return HOLDS, Interval.point(2.0), certificate
-        if s == 0.5:
-            margin = 2.0 - c
-            detail = (
-                f"exact profile c/sqrt(n): the scaled limsup equals c in "
-                f"[{c.lo:.10g}, {c.hi:.10g}] against the strict threshold 2"
-            )
-            if c.hi < 2.0:
-                return HOLDS, margin, detail
-            if c.lo >= 2.0:
-                return FAILS, margin, detail
-            return INCONCLUSIVE, margin, detail
-        certificate = (
-            f"exact profile c*n^-s with s = {s:.10g} < 1/2 and c > 0: the scaled "
-            "limsup is infinite"
-        )
-        return FAILS, None, certificate
     env = logr_g.envelope
     if env is not None:
         if env.exponent > 0.5:
@@ -672,7 +632,7 @@ def check_scaled_limsup(
     prod = scaled.product_limsup(a)
     if prod.infinite:
         certificate = (
-            f"alpha = {float(a):.10g} exceeds the family's product exponent "
+            f"alpha = {_quote(a)} exceeds the family's product exponent "
             "budget: n^(alpha-1) times the ratio product is unbounded, so no "
             "K satisfies the product cap"
         )
@@ -711,13 +671,13 @@ def check_scaled_limsup(
     tail = scaled.tail_limsup(a)
     if tail.infinite:
         certificate = (
-            f"alpha = {float(a):.10g} sits below the tail's critical exponent: "
+            f"alpha = {_quote(a)} sits below the tail's critical exponent: "
             "the scaled tail limsup is infinite"
         )
         return FAILS, None, certificate
     if math.isinf(cap):  # Gamma(alpha)/K underflows; only a limsup of 0 is decided
         detail = (
-            f"alpha = {float(a):.10g}, {k_note}; scaled tail limsup in "
+            f"alpha = {_quote(a)}, {k_note}; scaled tail limsup in "
             f"[{tail.value.lo:.10g}, {tail.value.hi:.10g}] against Gamma(alpha)/K (strict); "
             "uniqueness is among shift-invariant states"
         )
@@ -729,7 +689,7 @@ def check_scaled_limsup(
     rhs = _gamma_interval(float(a)) / Interval.point(cap)
     margin = rhs - tail.value
     detail = (
-        f"alpha = {float(a):.10g}, {k_note}; scaled tail limsup in "
+        f"alpha = {_quote(a)}, {k_note}; scaled tail limsup in "
         f"[{tail.value.lo:.10g}, {tail.value.hi:.10g}] against "
         f"Gamma(alpha)/K in [{rhs.lo:.10g}, {rhs.hi:.10g}] (strict); "
         "uniqueness is among shift-invariant states"
@@ -751,13 +711,13 @@ def _natural_alpha(scaled: _ScaledFamily):
         return _HALF, None
     if scaled.c_lo > _HALF:
         certificate = (
-            f"strength c = {float(scaled.c_lo):.10g} > 1/2: alphas above 1 - c "
+            f"strength c = {_quote(scaled.c_lo)} > 1/2: alphas above 1 - c "
             "blow up the product limsup and alphas at or below 1/2 >= 1 - c blow "
             "up the tail limsup, so no budget pair exists"
         )
         return None, (FAILS, None, certificate)
     certificate = (
-        f"strength enclosure [{float(scaled.c_lo):.10g}, {float(scaled.c_hi):.10g}] "
+        f"strength enclosure [{_quote(scaled.c_lo)}, {_quote(scaled.c_hi)}] "
         "straddles the critical value 1/2, so no alpha is certified either way"
     )
     return None, (INCONCLUSIVE, None, certificate)

@@ -76,37 +76,6 @@ class FSequence:
     def from_potential(p: PairPotential) -> "FSequence":
         return FSequence(potential=p)
 
-    # -- pointwise evaluation ------------------------------------------------
-
-    def log_f(self, i: int, word: Word) -> Interval:
-        """Enclosure of log f_i on the cylinder fixed by ``word``.
-
-        Sites inside the dependency set but outside the word contribute an
-        unknown sign, so their total coupling mass widens the enclosure
-        symmetrically.
-        """
-        if i < 0:
-            raise ValueError("factor index starts at 0")
-        if not word.covers(i):
-            raise ValueError("word must cover the factor site")
-        p = self.potential
-        half_beta = 0.5 * p.beta
-        xi = word.at(i)
-        exact = 0.0
-        R = p.finite_range
-        fwd_horizon = word.offset + len(word.letters) - 1 - i  # covered distances
-        for j in range(1, fwd_horizon + 1):
-            exact += half_beta * p.strength(j) * xi * word.at(i + j)
-        slack = Interval.point(half_beta) * p.coupling_tail(fwd_horizon + 1)
-        # backward terms exist only for distances j > i (sites left of 0)
-        bwd_cov = i - word.offset  # distances i-j >= offset, i.e. j <= bwd_cov
-        for j in range(i + 1, bwd_cov + 1):
-            exact += half_beta * p.strength(j) * xi * word.at(i - j)
-        bwd_start = max(i + 1, bwd_cov + 1)
-        slack = slack + Interval.point(half_beta) * p.coupling_tail(bwd_start)
-        spread = Interval(-slack.hi, slack.hi)
-        return Interval.point(exact) + spread
-
     # -- closed-form oscillation functionals ----------------------------------
 
     def log_ratio_left(self, n: int) -> Interval:

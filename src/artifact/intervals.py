@@ -104,18 +104,6 @@ class Interval:
             return _INF
         return self.width / scale
 
-    def certainly_lt(self, x: float) -> bool:
-        return self.hi < x
-
-    def certainly_le(self, x: float) -> bool:
-        return self.hi <= x
-
-    def certainly_gt(self, x: float) -> bool:
-        return self.lo > x
-
-    def certainly_ge(self, x: float) -> bool:
-        return self.lo >= x
-
     # -- arithmetic --------------------------------------------------------
 
     def __neg__(self) -> "Interval":

@@ -9,8 +9,10 @@ infima.  The series
 
 controls the variation of the induced one-sided conditional law g over pasts
 agreeing on n sites: log-ratio <= 2 * log(1 + 1/R_n).  The third layer fits
-growth exponents of the related partial-sum diagnostics.  The first and the
-third use NumPy; R_n rows are scalar Python over the potential's tail table.
+growth exponents of the related partial-sum diagnostics.  All three are
+scalar Python: R_n rows read the potential's tail table, and the recursion
+and the fits, which are diagnostics, sum by TwoSum and ``math.fsum``, so
+they give the same numbers on every platform.
 
 Certification policy: divergence of R_n is declared only structurally (all
 v_j equal to 1 beyond a finite index), never from the size of a partial sum.
@@ -25,20 +27,18 @@ import math
 import sys
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
-from ._numpy import np
 from ._record import record
 from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, UP, UP_EXP, Interval, ONE, ZERO, _exp
 from .fseq import FSequence
-from .potential import family
+from .potential import _running_sums, family
 
 # Target relative width of each R_n row: the one place a width is read
 # (``rn_series``'s stopping rule); every other enclosure is a few ulps wide.
 DEFAULT_REL_WIDTH = 1e-10
 
-_ROW_STORE_MAX = 2048
 _LN2 = Interval.point(2.0).log()
 
 
@@ -50,78 +50,46 @@ class RatioTable:
         p(k, n) = v_k * p(k-1, n-1) + sum_{j=k}^{n-1} (v_{j+1} - v_j) * p(j, n-1)
 
     with p(-1, *) = 1 and p(0, 0) = v_0; the sum is empty at k = n.  Rows are
-    accumulated in 80-bit extended precision (suffix sums of the increment
-    terms), which plays the role of compensated summation for these
-    well-conditioned nonnegative updates.
+    lists of doubles; the suffix sums of the increment terms are TwoSum
+    running sums, each within an ulp of exact, so an entry of row n errs by
+    about (n + 1) EPS relatively on every platform.
     """
 
     def __init__(self, v: Sequence[float], n_max: int):
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        v = np.asarray(v, dtype=np.float64)
-        if len(v) < n_max + 1:
-            raise ValueError(f"need {n_max + 1} coefficients, got {len(v)}")
-        v = v[: n_max + 1]
-        if np.any(v <= 0.0) or np.any(v > 1.0):
-            raise ValueError("coefficients must lie in (0, 1]")
-        if np.any(np.diff(v) < 0.0):
+        v = _coefficients(v, n_max + 1)
+        if any(b < a for a, b in zip(v, v[1:])):
             raise ValueError("coefficients must be nondecreasing")
-        self.v = v
-        self.n_max = n_max
-        self._vl = v.astype(np.longdouble)
-        self._dv = np.diff(self._vl)
-        self._p0 = np.empty(n_max + 1, dtype=np.float64)
-        self._rows: dict = {}
-        self._last_row = None
-        self._fill()
-
-    def _step(self, prev: np.ndarray, n: int) -> np.ndarray:
-        # prev is row n-1 (length n) in longdouble
-        w = self._dv[:n] * prev
-        suffix = np.empty(n + 1, dtype=np.longdouble)
-        suffix[n] = 0.0
-        suffix[:n] = np.cumsum(w[::-1])[::-1]
-        shifted = np.empty(n + 1, dtype=np.longdouble)
-        shifted[0] = 1.0
-        shifted[1:] = prev
-        return self._vl[: n + 1] * shifted + suffix
-
-    def _fill(self) -> None:
-        row = np.array([self._vl[0]], dtype=np.longdouble)
-        self._p0[0] = float(row[0])
-        if self.n_max <= _ROW_STORE_MAX:
-            self._rows[0] = row
-        for n in range(1, self.n_max + 1):
-            row = self._step(row, n)
-            self._p0[n] = float(row[0])
-            if self.n_max <= _ROW_STORE_MAX:
-                self._rows[n] = row
-        self._last_row = row
+        self.v, self.n_max = v, n_max
+        dv = list(map(sub, v[1:], v))
+        row = [v[0]]
+        self._rows = [row]
+        for n in range(1, n_max + 1):
+            suffix = _running_sums(map(mul, reversed(dv[:n]), reversed(row)))[0][::-1]
+            suffix.append(0.0)
+            row = [a * b + c for a, b, c in zip(v, [1.0, *row], suffix)]
+            self._rows.append(row)
 
     def p(self, k: int, n: int) -> float:
         """Entry p(k, n); k = -1 is the boundary value 1."""
         if not -1 <= k <= n <= self.n_max:
             raise ValueError(f"need -1 <= k <= n <= {self.n_max}")
-        if k == -1:
-            return 1.0
-        if k == 0:
-            return float(self._p0[n])
-        if n in self._rows:
-            return float(self._rows[n][k])
-        if n == self.n_max:
-            return float(self._last_row[k])
-        row = np.array([self._vl[0]], dtype=np.longdouble)
-        for m in range(1, n + 1):
-            row = self._step(row, m)
-        self._rows[n] = row
-        return float(row[k])
+        return 1.0 if k == -1 else self._rows[n][k]
 
-    def p0_path(self) -> np.ndarray:
+    def p0_path(self) -> list:
         """The trajectory p(0, n) for n = 0 .. n_max."""
-        return self._p0.copy()
+        return [row[0] for row in self._rows]
 
-    def limit_lower(self, N: int) -> float:
-        return rb_limit_lower_bound(self.v, N)
+
+def _coefficients(v: Sequence[float], count: int) -> list:
+    """The first ``count`` coefficients as doubles in (0, 1]."""
+    v = [float(x) for x in v[:count]]
+    if len(v) < count:
+        raise ValueError(f"need {count} coefficients, got {len(v)}")
+    if not all(0.0 < x <= 1.0 for x in v):
+        raise ValueError("coefficients must lie in (0, 1]")
+    return v
 
 
 def rb_limit_lower_bound(v: Sequence[float], N: int) -> float:
@@ -130,13 +98,9 @@ def rb_limit_lower_bound(v: Sequence[float], N: int) -> float:
     Nondecreasing in N and never above the recursion limit lim_n p(0, n);
     equality holds for constant profiles.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if N < 0 or len(v) < N + 1:
+    if N < 0:
         raise ValueError("need coefficients v_0 .. v_N")
-    if np.any(v <= 0.0) or np.any(v > 1.0):
-        raise ValueError("coefficients must lie in (0, 1]")
-    terms = np.cumprod(v[: N + 1].astype(np.longdouble))
-    S = math.fsum(float(t) for t in terms)
+    S = math.fsum(accumulate(_coefficients(v, N + 1), mul))
     return S / (1.0 + S)
 
 
@@ -315,31 +279,17 @@ class DecayEnvelope:
 class LogRProfile:
     """A profile n -> enclosure of (a bound on) log-ratio of g over n agreeing sites.
 
-    ``envelope`` certifies an upper majorant beyond any horizon.  ``exact_power``
-    marks synthetic profiles equal to c * n**(-s), for which lower bounds (and
-    hence hypothesis failures) are also certifiable.  ``zero_beyond`` marks
-    profiles vanishing identically from some window on.
+    ``envelope`` certifies an upper majorant beyond any horizon.  ``zero_beyond``
+    marks profiles vanishing identically from some window on.
     """
 
     source: str
     _at: Callable[[int], Interval]
     envelope: Optional[DecayEnvelope] = None
-    exact_power: Optional[tuple] = None  # (c: Interval, s: float)
     zero_beyond: Optional[int] = None
 
     def at(self, n: int) -> Interval:
         return self._at(n)
-
-    @staticmethod
-    def power_form(c: Interval, s: float, source: str = "") -> "LogRProfile":
-        if c.lo < 0.0:
-            raise ValueError("profile values must be nonnegative")
-        return LogRProfile(
-            source=source or f"exact profile c * n^-{s}",
-            _at=lambda n: c * Interval.point(float(n)).pow(-s),
-            envelope=DecayEnvelope(c.hi, s, 1, "exact closed form"),
-            exact_power=(c, s),
-        )
 
     @staticmethod
     def from_fsequence(F: FSequence, rel_width: float = DEFAULT_REL_WIDTH) -> "LogRProfile":
@@ -427,7 +377,7 @@ def _summable_envelope(floor: Interval, derivation: str) -> Optional[DecayEnvelo
 # -- growth diagnostics --------------------------------------------------------
 
 
-def berbee_series_partial_sums(F: FSequence, n_max: int) -> np.ndarray:
+def berbee_series_partial_sums(F: FSequence, n_max: int) -> list:
     """Float partial sums S_N = sum_{n<=N} prod_{m<=n} t_m of the two-sided series.
 
     The terms come from the symmetric-window enumeration closed forms; this
@@ -436,20 +386,29 @@ def berbee_series_partial_sums(F: FSequence, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     p = F.potential
-    kmax = n_max // 2 + 2
-    T = np.mean(p.tail_enclosure_table(kmax + 1).enclosures(kmax + 1), axis=0)  # T[i]: midpoint at m = i+1
-    J = np.array([p.strength(j) for j in range(1, kmax + 2)])
-    m = np.arange(0, n_max + 1)
-    k = m // 2
-    log_t = -2.0 * p.beta * T[k]
-    odd = m % 2 == 1
-    log_t[odd] += p.beta * J[k[odd]]
-    u = np.exp(np.cumsum(log_t))
-    return np.cumsum(u)
+    beta = p.beta
+    T = _tail_midpoints(p, n_max // 2 + 3)  # T[i]: midpoint at m = i+1
+    log_t = [-2.0 * beta * T[m // 2] + (beta * p.strength(m // 2 + 1) if m % 2 else 0.0) for m in range(n_max + 1)]
+    return list(accumulate(map(math.exp, accumulate(log_t))))
+
+
+def _tail_midpoints(p, count: int) -> list:
+    """Midpoints of the tail enclosures at m = 1 .. count, from a table of their own."""
+    return [(a + b) / 2 for a, b in zip(*p.tail_enclosure_table(count).enclosures(count))]
+
+
+def _line_fit(x: Sequence[float], y: Sequence[float]):
+    """Least-squares slope a and intercept b of y ~ a x + b, and the sum of the
+    squared residuals, in closed form with ``math.fsum``."""
+    xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [xi - xm for xi in x]
+    a = math.fsum(d * (yi - ym) for d, yi in zip(dx, y)) / math.fsum(d * d for d in dx)
+    b = ym - a * xm
+    return a, b, math.fsum((yi - a * xi - b) ** 2 for xi, yi in zip(x, y))
 
 
 def fit_growth_exponent(
-    partial_sums: np.ndarray,
+    partial_sums: Sequence[float],
     n_lo: int = 2**8,
     n_hi: int = 2**14,
     grid_points: int = 60,
@@ -461,21 +420,11 @@ def fit_growth_exponent(
     """
     if len(partial_sums) <= n_hi:
         raise ValueError("partial sums shorter than the fit range")
-    ns = np.unique(
-        np.round(np.logspace(math.log10(n_lo), math.log10(n_hi), grid_points)).astype(int)
-    )
-    y = partial_sums[ns]
-    best_sse = math.inf
-    best_s = 0.0
-    for s in np.arange(0.02, 1.2, 0.001):
-        X = np.vstack([ns.astype(np.float64) ** s, np.ones(len(ns))]).T
-        coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-        resid = y - X @ coef
-        sse = float(resid @ resid)
-        if sse < best_sse:
-            best_sse = sse
-            best_s = float(s)
-    return best_s
+    a, b = math.log10(n_lo), math.log10(n_hi)
+    ns = sorted({round(10.0 ** (a + i * (b - a) / (grid_points - 1))) for i in range(grid_points)})
+    y = [float(partial_sums[n]) for n in ns]
+    grid = (0.02 + i * 0.001 for i in range(1180))  # s = 0.02, 0.021, ..., 1.199
+    return min(grid, key=lambda s: _line_fit([float(n) ** s for n in ns], y)[2])
 
 
 # -- Tauberian diagnostic ------------------------------------------------------
@@ -533,25 +482,19 @@ def tauberian_diagnostic(
 
     rows = []
     for n in n_grid:
-        b = g_variation_bound(F, n, rel_width).bound
-        denom = F.log_ratio_right(n).pow(alpha) if F.log_ratio_right(n).lo > 0.0 else None
-        ratio = None
-        if denom is not None and denom.lo > 0.0:
-            ratio = b / denom
-            rows.append(TauberianRow(n=n, bound=b, denominator=denom, ratio=ratio))
-        else:
-            rows.append(TauberianRow(n=n, bound=b, denominator=ZERO, ratio=None))
+        b, lr = g_variation_bound(F, n, rel_width).bound, F.log_ratio_right(n)
+        ok = lr.lo > 0.0 and (denom := lr.pow(alpha)).lo > 0.0
+        rows.append(TauberianRow(n=n, bound=b, denominator=denom if ok else ZERO, ratio=b / denom if ok else None))
     asymptote = 2.0 * K / math.gamma(alpha)
     return TauberianReport(alpha=alpha, K=K, fitted=fitted, asymptote=asymptote, rows=tuple(rows))
 
 
 def _fit_hypothesis_pair(F: FSequence, n_grid):
     """Least-squares (alpha, K) from the cumulative product of one-sided ratios."""
-    n_top = max(n_grid)
-    T = np.mean(F.potential.tail_enclosure_table(n_top + 2).enclosures(n_top + 2), axis=0)  # midpoints
-    cum = F.potential.beta * np.cumsum(T)  # entry i: sum of log-ratios for windows 0..i
-    ns = np.array([n for n in n_grid if n >= 2], dtype=np.float64)
-    logprod = np.array([cum[int(n)] for n in ns])
-    X = np.vstack([np.log(ns), np.ones(len(ns))]).T
-    (slope, intercept), *_ = np.linalg.lstsq(X, logprod, rcond=None)
-    return 1.0 - float(slope), float(math.exp(intercept))
+    p = F.potential
+    cum = list(accumulate(_tail_midpoints(p, max(n_grid) + 2)))  # entry i: sum of log-ratios for windows 0..i
+    ns = [n for n in n_grid if n >= 2]
+    if len(ns) < 2:
+        raise ValueError("fitting (alpha, K) needs two grid windows >= 2")
+    slope, intercept, _ = _line_fit([math.log(n) for n in ns], [p.beta * cum[n] for n in ns])
+    return 1.0 - slope, math.exp(intercept)

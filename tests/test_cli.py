@@ -718,6 +718,19 @@ def test_bounds_names_an_overflowing_sum_of_tails(tmp_path, capsys, command, mes
     assert message in captured.out + captured.err and "NaN" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize("beta", [1.0, 10.0])
+def test_check_quotes_strengths_past_the_double_range(tmp_path, capsys, beta):
+    # c = beta * 1e308 is exact, but 4c (and, at beta 10, c itself) has no double:
+    # certificates quote such rationals by their enclosure [largest double, inf]
+    doc = {"potential": {"kind": "power_law", "beta": beta, "q": 2.0, "amplitude": 1e308}, "out": str(tmp_path / "out")}
+    assert main(["check", "--config", str(write_config(tmp_path, doc))]) == 0
+    assert capsys.readouterr().err == ""
+    verdicts = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["criteria"]["verdicts"]
+    assert len(verdicts) == 9 and all("not evaluated" not in v["certificate"] for v in verdicts[1:])
+    berbee = verdicts[3]
+    assert berbee["outcome"] == "Fails" and "4c = [1.797693135e+308, inf] > 1" in berbee["certificate"]
+
+
 def test_main_guard_error_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, power_doc(q=2.0, beta=0.3, out=str(tmp_path / "out")))
     assert main(["sample", "--config", str(path)]) == 1
@@ -1034,6 +1047,16 @@ except ModuleNotFoundError as exc:
     proc = python(code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "numpy"
+
+
+def test_the_certified_half_leaves_numpy_out():
+    code = """
+import sys
+import artifact.criteria, artifact.ratiobound
+assert "artifact._numpy" not in sys.modules and "numpy" not in sys.modules, "NumPy handle imported"
+"""
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_constants_match_numpy():

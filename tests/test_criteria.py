@@ -1,6 +1,7 @@
 """Uniqueness criteria: closed-form verdicts, thresholds, and the report."""
 
 import math
+from fractions import Fraction
 import re
 import sys
 
@@ -11,6 +12,7 @@ import artifact.criteria as criteria
 from artifact import (
     CouplingLaw,
     CriteriaReport,
+    DecayEnvelope,
     FAILS,
     FSequence,
     HOLDS,
@@ -181,32 +183,6 @@ def test_product_blocksum_alpha_validation():
 # -- block sums of the conditional-law ratios ------------------------------------------
 
 
-def test_jop_blocksum_exact_powers():
-    assert check_jop_blocksum(
-        LogRProfile.power_form(Interval.point(1.0), 0.7)
-    ).outcome == HOLDS
-    critical = check_jop_blocksum(LogRProfile.power_form(Interval.point(1.0), 0.5))
-    assert critical.outcome == FAILS
-    assert "nonzero limit" in critical.certificate
-    assert check_jop_blocksum(
-        LogRProfile.power_form(Interval.point(1.0), 0.4)
-    ).outcome == FAILS
-    assert check_jop_blocksum(
-        LogRProfile.power_form(Interval.point(0.0), 0.4)
-    ).outcome == HOLDS
-
-
-def test_jop_blocksum_growth_factor_is_immaterial():
-    for prof, want in [
-        (LogRProfile.power_form(Interval.point(1.0), 0.7), HOLDS),
-        (LogRProfile.power_form(Interval.point(1.0), 0.5), FAILS),
-    ]:
-        for lam in (1.5, 2.0, 4.0, 10.0):
-            assert check_jop_blocksum(prof, lam=lam).outcome == want
-    with pytest.raises(ValueError):
-        check_jop_blocksum(LogRProfile.power_form(Interval.point(1.0), 0.7), lam=1.0)
-
-
 def test_jop_blocksum_derived_profiles():
     finite = LogRProfile.from_fsequence(fseq(table((1.0, 0.5), 1.0)))
     assert check_jop_blocksum(finite).outcome == HOLDS
@@ -218,21 +194,33 @@ def test_jop_blocksum_derived_profiles():
     assert check_jop_blocksum(hot).outcome == INCONCLUSIVE
 
 
-def test_bcjo_threshold_on_the_critical_line():
-    assert check_bcjo(LogRProfile.power_form(Interval.point(1.0), 0.5)).outcome == HOLDS
-    at = check_bcjo(LogRProfile.power_form(Interval.point(2.0), 0.5))
-    assert at.outcome == FAILS
-    assert check_bcjo(LogRProfile.power_form(Interval.point(2.5), 0.5)).outcome == FAILS
-    straddle = check_bcjo(LogRProfile.power_form(Interval(1.9, 2.1), 0.5))
-    assert straddle.outcome == INCONCLUSIVE
-    assert check_bcjo(LogRProfile.power_form(Interval.point(1.0), 0.4)).outcome == FAILS
-    assert check_bcjo(LogRProfile.power_form(Interval.point(1.0), 0.7)).outcome == HOLDS
-
-
 def test_bcjo_derived_profiles():
     assert check_bcjo(LogRProfile.from_fsequence(fseq(table((0.5,), 2.0)))).outcome == HOLDS
     assert check_bcjo(LogRProfile.from_fsequence(fseq(power(2.0, 0.3)))).outcome == HOLDS
     assert check_bcjo(LogRProfile.from_fsequence(fseq(power(2.0, 1.0)))).outcome == INCONCLUSIVE
+
+
+def majorant_profile(coefficient, exponent):
+    """A profile known through its certified majorant coefficient * n^-exponent only."""
+    envelope = DecayEnvelope(coefficient, exponent, 1, "given majorant")
+    return LogRProfile("given majorant", lambda n: Interval(0.0, coefficient * n**-exponent), envelope)
+
+
+def test_jop_blocksum_and_bcjo_thresholds_on_the_majorant():
+    # block sums vanish for an exponent above 1/2: margin = exponent - 1/2
+    steep = majorant_profile(1.9, 0.7)
+    jop = check_jop_blocksum(steep)
+    assert jop.outcome == HOLDS and jop.margin.contains(0.2) and jop.margin.width < 1e-15
+    assert check_bcjo(steep).outcome == HOLDS and check_bcjo(steep).margin == Interval.point(2.0)
+    # on the critical exponent 1/2 block sums are not certified to vanish, whatever the coefficient,
+    # and sqrt(n) * profile is at most the coefficient: bcjo holds strictly below 2 only
+    for coefficient in (1.9, 2.0):
+        assert check_jop_blocksum(majorant_profile(coefficient, 0.5)).outcome == INCONCLUSIVE
+    below = check_bcjo(majorant_profile(1.9, 0.5))
+    assert below.outcome == HOLDS and below.margin.hi == 2.0
+    assert 0.0 < Fraction(below.margin.lo) <= 2 - Fraction(1.9)
+    at = check_bcjo(majorant_profile(2.0, 0.5))
+    assert at.outcome == INCONCLUSIVE and at.margin is None
 
 
 # -- scaled limsup with budget pairs ----------------------------------------------------

@@ -30,33 +30,6 @@ def test_word_site_addressing():
         Word(0, (1, 2))
 
 
-def test_log_f_is_finite_and_two_sided():
-    F = fseq()
-    w = Word.constant(-3, 7, 1)  # covers [-3, 3]
-    iv = F.log_f(0, w)
-    assert math.isfinite(iv.lo) and math.isfinite(iv.hi)
-    # all couplings aligned: log f_0 = (beta/2) * (sum_j J + sum_j J) = beta * sum_j J
-    expected = 0.5 * (1.0 + 0.5 + 0.25) * 2.0 * 0.5
-    assert iv.contains(expected)
-
-
-def test_log_f_measurable_outside_past_window():
-    # Changing any coordinate in [0, i-1] never changes log f_i.
-    F = fseq()
-    rng = np.random.default_rng(3)
-    i = 4
-    base = Word(-3, tuple(int(s) for s in rng.choice((-1, 1), size=12)))  # covers [-3, 8]
-    ref = F.log_f(i, base)
-    for _ in range(10_000):
-        site = int(rng.integers(0, i))
-        flipped = base.with_letter(site, -base.at(site))
-        out = F.log_f(i, flipped)
-        assert out.lo == ref.lo and out.hi == ref.hi
-        if rng.random() < 0.3:
-            base = flipped
-            ref = out
-
-
 def test_log_ratio_left_closed_form_vs_enumeration():
     # Exhaustive sup/inf of f_0 over words agreeing on (-inf, n] reproduces
     # the closed form exactly for finite range.

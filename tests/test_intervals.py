@@ -42,14 +42,6 @@ def test_point_hull_queries():
     assert Interval(1.0, 3.0).width == 2.0
 
 
-def test_certainly_comparisons_are_strict_where_named():
-    a = Interval(0.0, 1.0)
-    assert a.certainly_lt(1.0 + 1e-9) and not a.certainly_lt(1.0)
-    assert a.certainly_le(1.0)
-    assert a.certainly_gt(-1e-9) and not a.certainly_gt(0.0)
-    assert a.certainly_ge(0.0)
-
-
 @given(finite, finite, finite, finite)
 def test_sum_and_difference_enclose_exact_rationals(a, da, b, db):
     A = make_interval(a, da % 1.0)

@@ -60,7 +60,7 @@ SAMPLES = {
     "RnSeries": lambda: RN,
     "GVariationBound": lambda: GVariationBound(3, RN, I),
     "DecayEnvelope": lambda: DecayEnvelope(1.0, 2.0, 1, "derivation"),
-    "LogRProfile": lambda: LogRProfile.power_form(I, 1.5),
+    "LogRProfile": lambda: LogRProfile("c * n^-1.5", lambda n: I, DecayEnvelope(2.0, 1.5, 1, "derivation")),
     "TauberianRow": lambda: ROW,
     "TauberianReport": lambda: TauberianReport(0.5, 0.25, True, 1.25, (ROW,)),
 }
