@@ -26,7 +26,7 @@ import math
 from typing import Optional
 
 from ._record import record
-from .intervals import Interval, ZERO
+from .intervals import Interval
 from .potential import PairPotential, SPINS
 
 

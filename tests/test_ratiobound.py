@@ -9,7 +9,6 @@ import pytest
 from artifact import (
     CouplingLaw,
     FSequence,
-    Interval,
     LogRProfile,
     PairPotential,
     RatioTable,
