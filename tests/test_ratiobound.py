@@ -370,5 +370,10 @@ def test_diagnostic_validation():
         tauberian_diagnostic(F, alpha=0.5, K=-1.0)
     with pytest.raises(ValueError):
         tauberian_diagnostic(F, alpha=0.5, K=1.0, n_grid=(0, 4))
-    with pytest.raises(ValueError):  # a fitted pair needs two windows >= 2
-        tauberian_diagnostic(F, n_grid=(1, 4))
+
+
+def test_fitted_pair_needs_two_windows():
+    # a line through one point is not a fit: (alpha, K) are fitted on windows >= 2 only
+    with pytest.raises(ValueError):
+        tauberian_diagnostic(power_fseq(2.0, 0.3), n_grid=(1, 4))
+    assert tauberian_diagnostic(power_fseq(2.0, 0.3), n_grid=(2, 4)).fitted
