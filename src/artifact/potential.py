@@ -26,9 +26,11 @@ encloses them, a few ulps wide, for point queries and for tables:
   tail anchors each segment's top, then the exact recurrence T(m) = T(m+1) +
   J(m) runs down it with TwoSum-compensated additions (Ogita, Rump and
   Oishi 2005); exponential tables use the closed form.  The table also keeps
-  the products exp(-beta * (T(1) + ... + T(k+1))) the R_n rows read.  A
-  segment grows in fixed-size chunks from one array of its downward sums, so
-  growing a table peaks at about 66 bytes per entry, against the 57 it keeps.
+  the products exp(-beta * (T(1) + ... + T(k+1))) the R_n rows read.  Each
+  column of a segment is allocated once, at its final length, and filled in
+  fixed-size chunks, the downward sums first, so no column is copied or
+  moved as a table grows: growing peaks a chunk's lists above the 56 bytes
+  per entry a table keeps.
 
 Everything here is scalar Python: no tail, table or total loads NumPy.
 """
@@ -36,9 +38,10 @@ Everything here is scalar Python: no tail, table or total loads NumPy.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain
 from operator import sub
 from typing import Optional
 
@@ -207,22 +210,11 @@ class CouplingLaw:
 
     def tail(self, n: int, last: Optional[int] = None) -> Interval:
         """Enclosure of sum_{n <= j <= last} J(j) (``last`` None: to infinity),
-        a few ulps wide."""
+        a few ulps wide.  The last few are cached: a ``bounds`` row asks for
+        the tail its neighbour asked for."""
         if n < 1:
             raise ValueError("tail index starts at 1")
-        if last is not None and n > last:
-            return ZERO
-        if self.kind == "finite_table":
-            return float_sum_enclosure(self.values[n - 1 : last])
-        if self.amplitude == 0.0:
-            return ZERO
-        if self.kind == "exponential":
-            neg_rate = Interval.point(-self.rate)
-            out = Interval.point(self.amplitude) / -neg_rate.expm1() * (neg_rate * float(n)).exp()
-            if last is not None:
-                out = out * -(neg_rate * float(last + 1 - n)).expm1()
-            return out
-        return Interval.point(self.amplitude) * _power_sum(self.q, n, last)
+        return _tail(self, n, last)
 
     def weighted_total(self, last: Optional[int] = None):
         """Enclosure of sum_{1 <= j <= last} j * J(j) (``last`` None: to
@@ -233,6 +225,23 @@ class CouplingLaw:
         cached per (law, last), so callers may ask once per row.
         """
         return _weighted_total(self, last)
+
+
+@lru_cache(maxsize=16)
+def _tail(law: CouplingLaw, n: int, last: Optional[int]) -> Interval:
+    if last is not None and n > last:
+        return ZERO
+    if law.kind == "finite_table":
+        return float_sum_enclosure(law.values[n - 1 : last])
+    if law.amplitude == 0.0:
+        return ZERO
+    if law.kind == "exponential":
+        neg_rate = Interval.point(-law.rate)
+        out = Interval.point(law.amplitude) / -neg_rate.expm1() * (neg_rate * float(n)).exp()
+        if last is not None:
+            out = out * -(neg_rate * float(last + 1 - n)).expm1()
+        return out
+    return Interval.point(law.amplitude) * _power_sum(law.q, n, last)
 
 
 @lru_cache(maxsize=32)
@@ -259,11 +268,11 @@ def _weighted_total(law: CouplingLaw, last: Optional[int]) -> Optional[Interval]
     return amp * _power_sum(law.q - 1.0, 1, last)
 
 
-def _running_sums(terms, s: float = 0.0, e: float = 0.0, out=None):
-    """Running sums of ``terms`` on from s + e, appended to ``out`` (a new list by default).  By
-    TwoSum (Ogita, Rump and Oishi 2005) e collects each addition's exact error, so every sum is
-    within an ulp of exact, however many came before."""
-    out = [] if out is None else out
+def _running_sums(terms, s: float = 0.0, e: float = 0.0):
+    """Running sums of ``terms`` on from s + e, as a list.  By TwoSum (Ogita, Rump and Oishi
+    2005) e collects each addition's exact error, so every sum is within an ulp of exact,
+    however many came before."""
+    out = []
     for x in terms:
         t = s + x
         z = t - s
@@ -274,14 +283,44 @@ def _running_sums(terms, s: float = 0.0, e: float = 0.0, out=None):
 
 
 # Entries per chunk of TailEnclosureTable.grow: no temporary outgrows it
-_CHUNK = 4096
+_CHUNK = 256
+
+
+class _Column:
+    """One column of a TailEnclosureTable: its segments, each allocated once at
+    its final length, read as one sequence.  Indices are nonnegative, and a
+    slice, which may span segments, has no step."""
+
+    __slots__ = ("starts", "parts")
+
+    def __init__(self):
+        self.starts, self.parts = [], []  # the index of each segment's first entry, the segments
+
+    def __len__(self) -> int:
+        return self.starts[-1] + len(self.parts[-1]) if self.parts else 0
+
+    def __iter__(self):
+        return chain.from_iterable(self.parts)
+
+    def __getitem__(self, i):
+        if not isinstance(i, slice):
+            j = bisect_right(self.starts, i) - 1
+            return self.parts[j][i - self.starts[j]]
+        start, stop, _ = i.indices(len(self))  # a step is not supported
+        starts, parts = self.starts, self.parts
+        j = bisect_right(starts, start) - 1
+        out = parts[j][start - starts[j] : stop - starts[j]]
+        while j + 1 < len(starts) and starts[j + 1] < stop:
+            j += 1
+            out += parts[j][: stop - starts[j]]
+        return out
 
 
 class TailEnclosureTable:
     """Enclosures of the effective tails T(m), m = 1 .. horizon + 1, and of the
     products P_k = exp(-beta * S_k), S_k = T(1) + ... + T(k+1), k = 0 .. horizon.
 
-    ``grow`` appends entries and leaves earlier ones.  Exponential laws take
+    ``grow`` appends a segment and leaves earlier ones.  Exponential laws take
     the closed form at each m; otherwise a point tail anchors the top of each
     segment, and the exact recurrence T(m) = T(m+1) + J(m) runs down it in
     compensated sums, so an entry errs by its J roundings and a few more; 0
@@ -290,40 +329,67 @@ class TailEnclosureTable:
     in k, bounds the exponent gap between the ends of S_k, so that P_j <=
     p_lo[j] * exp(spread[k]) * UP_EXP / DOWN_EXP for j <= k up to subnormals.
 
-    A table keeps about 57 bytes per entry: three arrays of doubles and the
-    list ``p_lo``.  A segment grows in two passes: the downward sums of J into
-    one array of doubles, then every column in chunks of ``_CHUNK`` entries,
-    so growing adds at most 8 bytes per new entry and a chunk's lists on top.
+    A table keeps about 56 bytes per entry.  Each column is read as one
+    sequence of segments (``_Column``): arrays of doubles for ``lo``, ``hi``
+    and ``spread``, and lists of floats for ``p_lo``, which a row sums faster
+    than an array, whose every read makes a float.  Each segment of a column
+    is allocated once, at its final length, and filled in chunks of
+    ``_CHUNK`` entries: first ``lo`` with the downward sums of J, then every
+    column from them.  So growing adds no more than a chunk's lists to what
+    the table keeps, and no column is copied or moved as the table grows.
     """
 
     def __init__(self, potential: "PairPotential", horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        from array import array  # an extension module, loaded only where a table is built
         self.potential = potential
         self.horizon = -1
-        self.lo, self.hi, self.spread, self.p_lo = array("d"), array("d"), array("d"), []  # p_lo is summed most
+        self.lo, self.hi, self.spread, self.p_lo = _Column(), _Column(), _Column(), _Column()
         self._sums = (0.0, 0.0, 0.0)  # the running sums below: lower ends (double-double), widths
         self.grow(horizon)
 
     def grow(self, horizon: int) -> None:
-        """Append the entries up to ``horizon`` (nothing if already there).  A tail or
-        a sum of tails past the double range raises ArithmeticError, after whole chunks."""
+        """Append the entries up to ``horizon`` as one segment (nothing if already there).
+        A tail or a sum of tails past the double range raises ArithmeticError, and the
+        segment keeps the whole chunks before it."""
         if horizon <= self.horizon:
             return
+        from array import array  # an extension module, loaded only where a table is built
+
         m0, m1 = self.horizon + 2, horizon + 1
+        columns = (self.lo, self.hi, self.spread, self.p_lo)
+        zeros = array("d", [0.0]) * (m1 + 1 - m0)
+        for column, part in zip(columns, (zeros, array("d", zeros), array("d", zeros), [0.0] * len(zeros))):
+            column.starts.append(m0 - 1)
+            column.parts.append(part)
+        try:
+            self._fill(m0, m1, *(column.parts[-1] for column in columns))
+        except ArithmeticError:
+            kept = self.horizon + 2 - m0
+            for column in columns:
+                del column.parts[-1][kept:]
+                if not kept:
+                    column.starts.pop()
+                    column.parts.pop()
+            raise
+
+    def _fill(self, m0: int, m1: int, lo, hi, spread, p_lo) -> None:
+        """Fill the segment of entries m0 .. m1 (index 0 for m0), chunk by chunk."""
+        from array import array
+
         p, law, R = self.potential, self.potential.coupling, self.potential.truncation_range
         if law.kind != "exponential":
-            from array import array
-
             anchor = p.coupling_tail(m1)
             top = m1 if R is None else max(m0, min(m1, R + 1))  # J(j) = 0 from j = top on
             A, q = law.amplitude, law.q
-            J = (A * j**-q for j in range(top - 1, m0 - 1, -1)) if law.kind == "power_law" else (
-                reversed(law.values[m0 - 1 : top - 1]))
-            D = _running_sums(J, out=array("d"))[0]
-            D.reverse()  # D[m - m0] = J(m) + ... + J(top - 1)
-            D.extend(repeat(0.0, m1 + 1 - m0 - len(D)))
+            d_s = d_e = 0.0
+            for b in range(top, m0, -_CHUNK):  # lo[m - m0] = J(m) + ... + J(top - 1), m in [a, b)
+                a = max(b - _CHUNK, m0)
+                J = (A * j**-q for j in range(b - 1, a - 1, -1)) if law.kind == "power_law" else (
+                    reversed(law.values[a - 1 : b - 1]))
+                D, d_s, d_e = _running_sums(J, d_s, d_e)
+                D.reverse()  # shorter than b - a where a table's values end: J is 0 past them
+                lo[a - m0 : a - m0 + len(D)] = array("d", D)
             # J errs by _POWER_TERM_ULPS ulps (0 in a table); D, the anchor sum and the factor round once each
             rel = ((_POWER_TERM_ULPS if law.kind == "power_law" else 0) + 3) * EPS
         # S_k runs on as x_k, the lower ends' sum, and y_k, the widths' sum in
@@ -333,25 +399,26 @@ class TailEnclosureTable:
         g_spread, c = g * (1.0 + 8.0 * EPS), 12.0 * EPS
         for a in range(m0, m1 + 1, _CHUNK):
             b = min(a + _CHUNK, m1 + 1)
+            i, j = a - m0, b - m0
             if law.kind == "exponential":
-                lo, hi = _exponential_tails(law, range(a, b), R)
+                lo_c, hi_c = _exponential_tails(law, range(a, b), R)
             else:
-                chunk = D[a - m0 : b - m0]
-                lo = [x if (x := (d + anchor.lo) * (1.0 - rel) - FLOOR) > 0.0 else 0.0 for d in chunk]
-                hi = [0.0 if (x := d + anchor.hi) <= 0.0 else x * (1.0 + rel) + FLOOR for d in chunk]
-            if not hi[0] < math.inf:  # the chunk's largest tail, NaN where a sum of J overflowed
+                chunk = lo[i:j]
+                lo_c = [x if (x := (d + anchor.lo) * (1.0 - rel) - FLOOR) > 0.0 else 0.0 for d in chunk]
+                hi_c = [0.0 if (x := d + anchor.hi) <= 0.0 else x * (1.0 + rel) + FLOOR for d in chunk]
+            if not hi_c[0] < math.inf:  # the chunk's largest tail, NaN where a sum of J overflowed
                 raise ArithmeticError("a coupling tail leaves the double range")
-            S, s, e = _running_sums(lo, s, e)
+            S, s, e = _running_sums(lo_c, s, e)
             if not S[-1] < math.inf:  # the chunk's largest S_k, NaN once TwoSum met an overflow
                 raise ArithmeticError("a sum of coupling tails leaves the double range")
-            self.lo.extend(lo)
-            self.hi.extend(hi)
-            W = list(accumulate(map(sub, hi, lo), initial=w))[1:]
+            lo[i:j] = array("d", lo_c)
+            hi[i:j] = array("d", hi_c)
+            W = list(accumulate(map(sub, hi_c, lo_c), initial=w))[1:]
             w = W[-1]
             # exp(-beta * S_k) >= exp(-e_hi): five roundings, at EPS / 2 each
-            self.p_lo += [math.exp(-beta * (x + y * g) * (1.0 + 3.0 * EPS)) * DOWN_EXP for x, y in zip(S, W)]
+            p_lo[i:j] = [math.exp(-beta * (x + y * g) * (1.0 + 3.0 * EPS)) * DOWN_EXP for x, y in zip(S, W)]
             # above e_hi - beta * x_k * DOWN, both rounded, and nondecreasing in k
-            self.spread.extend(beta * (y * g_spread + c * x) * UP for x, y in zip(S, W))
+            spread[i:j] = array("d", [beta * (y * g_spread + c * x) * UP for x, y in zip(S, W)])
             self.horizon, self._sums = b - 2, (s, e, w)  # whole chunks only, if a later one raises
 
     def at(self, m: int) -> Interval:

@@ -177,8 +177,22 @@ def test_growing_a_table_keeps_no_full_length_temporaries():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert len(table.lo) == 131_072
-    # the table keeps about 57 bytes per entry; full-length float lists per segment would peak near 155
-    assert peak <= 80 * 131_072
+    # the table keeps about 56 bytes per entry, and growing a segment adds no more than a chunk's
+    # lists: one full-length temporary of doubles per segment would peak near 66, lists near 155
+    assert peak <= 60 * 131_072
+
+
+def test_reads_across_segments_are_the_reads_of_one_sequence():
+    # the first segment holds 1 025 entries, so a block of 1 024 from 1 024 on spans two
+    p = PairPotential(beta=0.5, coupling=CouplingLaw.power_law(3.0))
+    table = grown_by_doubling(p, 1025, 8192)
+    for name in ("lo", "hi", "p_lo", "spread"):
+        column = getattr(table, name)
+        whole = list(column)
+        assert len(whole) == len(column) == table.horizon + 1
+        for start, stop in ((0, 5), (1020, 1030), (1024, 2048), (2040, 8192), (0, 8192), (4096, 4097)):
+            assert list(column[start:stop]) == whole[start:stop], (name, start, stop)
+        assert [column[k] for k in (0, 1024, 1025, 2048, 2049, 8191)] == [whole[k] for k in (0, 1024, 1025, 2048, 2049, 8191)]
 
 
 CHUNK_LAWS = {
