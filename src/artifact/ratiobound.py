@@ -50,9 +50,10 @@ class RatioTable:
         p(k, n) = v_k * p(k-1, n-1) + sum_{j=k}^{n-1} (v_{j+1} - v_j) * p(j, n-1)
 
     with p(-1, *) = 1 and p(0, 0) = v_0; the sum is empty at k = n.  Rows are
-    lists of doubles; the suffix sums of the increment terms are TwoSum
-    running sums, each within an ulp of exact, so an entry of row n errs by
-    about (n + 1) EPS relatively on every platform.
+    arrays of doubles, 8 bytes an entry, so a table keeps about 4 n_max^2
+    bytes; the suffix sums of the increment terms are TwoSum running sums,
+    each within an ulp of exact, so an entry of row n errs by about (n + 1)
+    EPS relatively on every platform.
     """
 
     def __init__(self, v: Sequence[float], n_max: int):
@@ -61,14 +62,16 @@ class RatioTable:
         v = _coefficients(v, n_max + 1)
         if any(b < a for a, b in zip(v, v[1:])):
             raise ValueError("coefficients must be nondecreasing")
+        from array import array
+
         self.v, self.n_max = v, n_max
         dv = list(map(sub, v[1:], v))
-        row = [v[0]]
+        row = array("d", v[:1])
         self._rows = [row]
         for n in range(1, n_max + 1):
             suffix = _running_sums(map(mul, reversed(dv[:n]), reversed(row)))[0][::-1]
             suffix.append(0.0)
-            row = [a * b + c for a, b, c in zip(v, [1.0, *row], suffix)]
+            row = array("d", [a * b + c for a, b, c in zip(v, [1.0, *row], suffix)])
             self._rows.append(row)
 
     def p(self, k: int, n: int) -> float:

@@ -1,6 +1,7 @@
 """Ratio recursion, the series behind the variation bound, and growth diagnostics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,29 @@ def test_recursion_invariants_on_random_profiles():
         for k in range(12):
             for n in range(max(k, 0), 12):
                 assert t.p(k, n + 1) >= t.p(k, n) - 1e-14
+
+
+def test_recursion_rows_keep_their_values_in_arrays_of_doubles():
+    # a linear profile's entries, pinned to the last bit; the rows keep 8 bytes an entry
+    # (lists of floats kept about 33), so the table peaks near 9 bytes an entry
+    v = [0.5 + 0.5 * k / 400 for k in range(401)]
+    tracemalloc.start()
+    t = RatioTable(v, 400)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak <= 12 * (401 * 402 // 2)
+    pinned = {
+        (0, 0): 0.5,
+        (0, 1): 0.500625,
+        (3, 7): 0.0640430579285423,
+        (0, 400): 0.5012627576367279,
+        (17, 250): 5.825926621341437e-06,
+        (200, 399): 4.85170969190485e-42,
+        (399, 400): 5.244891718133837e-54,
+        (400, 400): 3.496594478755888e-54,
+    }
+    assert {kn: t.p(*kn) for kn in pinned} == pinned
+    assert t.p0_path()[-1] == pinned[0, 400]
 
 
 def test_p0_path_matches_entries():
