@@ -15,6 +15,13 @@ a coupled pair; columns 1 and 2 feed the shared draw and the two residual
 draws.  Identical seeds therefore give identical paths on every platform
 numpy supports.
 
+Each sampler is one generator of the letter bits of such blocks
+(``chain_blocks``, ``coupling_blocks``).  ``sample_chain`` and
+``couple_two_pasts`` collect them into arrays of N letters; the block
+writers (``write_chain_blocks``, ``write_coupling_blocks``) take them one
+at a time and tally what a report says of the run as they go, so a run
+streamed from a sampler into a writer holds no array of N entries.
+
 A plain chain is a threshold chain: with u_t the last R letters as bits,
 letter t is +1 exactly when x_t >= P(-1 | u_t), x_t from column 0.  A block
 runs as 256 lanes of 256 sites side by side, each lane from a guessed start
@@ -34,6 +41,7 @@ x_1 * 1.0 = x_1 < p: the coalesced pair is the plain chain on column 1.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Optional
 
@@ -200,45 +208,42 @@ class CouplingRun:
         return last if last < len(self.disagree) else None
 
 
-def sample_chain(g, past: Word, N: int, seed: int, chain_id: int = 0) -> ChainRun:
-    """Sample sites 0 .. N-1 sequentially from the conditional law g."""
+def chain_blocks(g, past: Word, N: int, seed: int, chain_id: int = 0):
+    """The letter bits (uint8, 1 for +1) of sites 0 .. N-1 sampled from the
+    conditional law g, as one generator of blocks of up to _BLOCK sites.  The
+    arguments are checked here, before any block is drawn."""
+    if N < 1:
+        raise ValueError("need at least one site")
+    table, steps = _chain_tables(g)
+    u = _initial_state(past, g.dependency_depth)
+    return _chain_blocks(table, steps, u, _uniform_chunks(seed, chain_id, N))
+
+
+def _chain_blocks(table, steps, u: int, uniforms):
+    for block in uniforms:
+        bits = np.empty(len(block), dtype=np.uint8)
+        u = _threshold_chain(table, steps, u, block[:, 0], bits)
+        yield bits
+
+
+def coupling_blocks(g, past_a: Word, past_b: Word, N: int, seed: int):
+    """The letter bits of the two chains of ``couple_two_pasts``, as one
+    generator of (2, n) blocks of up to _BLOCK sites (row 0 from past_a).
+    The arguments are checked here, before any block is drawn."""
     if N < 1:
         raise ValueError("need at least one site")
     R = g.dependency_depth
     table, steps = _chain_tables(g)
-    u = _initial_state(past, R)
-    bits = np.empty(N, dtype=np.uint8)
-    start = 0
-    for block in _uniform_chunks(seed, chain_id, N):
-        stop = start + len(block)
-        u = _threshold_chain(table, steps, u, block[:, 0], bits[start:stop])
-        start = stop
-    return ChainRun(seed=seed, past=past, samples=_letters(bits), g_source=g.source_label)
+    ua, ub = _initial_state(past_a, R), _initial_state(past_b, R)
+    return _coupling_blocks(table, steps, ua, ub, _uniform_chunks(seed, 0, N))
 
 
-def couple_two_pasts(g, past_a: Word, past_b: Word, N: int, seed: int) -> CouplingRun:
-    """Run two chains from different pasts, maximally coupled at every site.
-
-    At each site the overlap mass of the two conditionals is served by one
-    shared draw; with the complementary probability (their total-variation
-    distance) the chains split and draw from their normalized residuals,
-    letters in canonical order (-1, +1) throughout.  Once the two states are
-    equal the pair is the plain chain on column 1 (see the module notes).
-    """
-    if N < 1:
-        raise ValueError("need at least one site")
-    R = g.dependency_depth
-    table, steps = _chain_tables(g)
+def _coupling_blocks(table, steps, ua: int, ub: int, uniforms):
     tl, sl = table.tolist(), steps.tolist()
-    ua = _initial_state(past_a, R)
-    ub = _initial_state(past_b, R)
-    # letters of the pair before its states meet, then of the coalesced pair
-    pair_a, pair_b = bytearray(), bytearray()
-    add_a, add_b = pair_a.append, pair_b.append
-    bits = np.empty(N, dtype=np.uint8)
-    start = 0
-    for block in _uniform_chunks(seed, 0, N):
-        stop = start + len(block)
+    for block in uniforms:
+        # letters of the pair before its states meet, in this block
+        pair_a, pair_b = bytearray(), bytearray()
+        add_a, add_b = pair_a.append, pair_b.append
         i = 0
         while ua != ub and i < len(block):
             for x0, x1, x2 in block[i:i + _LANE].tolist():
@@ -261,15 +266,44 @@ def couple_two_pasts(g, past_a: Word, past_b: Word, N: int, seed: int) -> Coupli
                 add_b(bit_b)
                 ua = sl[ua] + bit_a
                 ub = sl[ub] + bit_b
-            i = len(pair_a) - start
-        if ua == ub:
-            ua = ub = _threshold_chain(table, steps, ua, block[i:, 1], bits[start + i:stop])
+            i = len(pair_a)
+        bits = np.empty((2, len(block)), dtype=np.uint8)
+        if ua == ub:  # the coalesced pair is the plain chain on column 1
+            ua = ub = _threshold_chain(table, steps, ua, block[i:, 1], bits[0, i:])
+            bits[1, i:] = bits[0, i:]
+        bits[0, :i] = np.frombuffer(pair_a, dtype=np.uint8)
+        bits[1, :i] = np.frombuffer(pair_b, dtype=np.uint8)
+        yield bits
+
+
+def _gather(blocks, shape) -> np.ndarray:
+    """The uint8 blocks side by side along their last axis, in one array of ``shape``."""
+    out = np.empty(shape, dtype=np.uint8)
+    start = 0
+    for block in blocks:
+        stop = start + block.shape[-1]
+        out[..., start:stop] = block
         start = stop
-    met = len(pair_a)
-    bits_b = bits.copy()
-    bits[:met] = np.frombuffer(pair_a, dtype=np.uint8)
-    bits_b[:met] = np.frombuffer(pair_b, dtype=np.uint8)
-    letters_a, letters_b = _letters(bits), _letters(bits_b)
+    return out
+
+
+def sample_chain(g, past: Word, N: int, seed: int, chain_id: int = 0) -> ChainRun:
+    """Sample sites 0 .. N-1 sequentially from the conditional law g."""
+    bits = _gather(chain_blocks(g, past, N, seed, chain_id), N)
+    return ChainRun(seed=seed, past=past, samples=_letters(bits), g_source=g.source_label)
+
+
+def couple_two_pasts(g, past_a: Word, past_b: Word, N: int, seed: int) -> CouplingRun:
+    """Run two chains from different pasts, maximally coupled at every site.
+
+    At each site the overlap mass of the two conditionals is served by one
+    shared draw; with the complementary probability (their total-variation
+    distance) the chains split and draw from their normalized residuals,
+    letters in canonical order (-1, +1) throughout.  Once the two states are
+    equal the pair is the plain chain on column 1 (see the module notes).
+    """
+    bits = _gather(coupling_blocks(g, past_a, past_b, N, seed), (2, N))
+    letters_a, letters_b = _letters(bits[0]), _letters(bits[1])
     run_a = ChainRun(seed=seed, past=past_a, samples=letters_a, g_source=g.source_label)
     run_b = ChainRun(seed=seed, past=past_b, samples=letters_b, g_source=g.source_label)
     return CouplingRun(chain_a=run_a, chain_b=run_b, disagree=letters_a != letters_b)
@@ -363,44 +397,97 @@ def _four_digits(leading: bool) -> np.ndarray:
 
 def _write_rows(fh, header: str, codes, tails: list, N: int) -> None:
     """Write the header, then the row ``t`` + ``tails[c]`` for each site t in
-    0 .. N-1, with c from ``codes(start, stop)``.
+    0 .. N-1, c the t-th of the N codes in the arrays ``codes`` yields, which
+    may have any lengths.
 
     A row is a fixed run of uint32 words: the site in groups of four digits,
     then the tail, with zero bytes where the text is shorter; one compress
-    drops the zero bytes.  Inside a block only the last group varies, and it
-    comes from a table of four-digit words; the groups before it are the
-    digits of the block number.
+    drops the zero bytes.  Rows are built at most _CSV_ROWS at a time, never
+    across a multiple of _CSV_ROWS, so only the last group varies inside a
+    run, and it comes from a table of four-digit words; the groups before it
+    are the digits of the run's number.
     """
     fh.write(header.encode())
     groups = -(-len(str(N - 1)) // 4)
     width = 4 * -(-max(len(t) for t in tails) // 4)
     words = np.stack([np.frombuffer(t.encode().ljust(width, b"\0"), dtype=np.uint32) for t in tails])
     rows = np.empty((min(_CSV_ROWS, N), groups + width // 4), dtype=np.uint32)
-    for start in range(0, N, _CSV_ROWS):
-        stop = min(start + _CSV_ROWS, N)
-        block = rows[:stop - start]
-        h = start // _CSV_ROWS
-        lead = (str(h) if h else "").encode().rjust(4 * groups - 4, b"\0")
-        block[:, :groups - 1] = np.frombuffer(lead, dtype=np.uint32)
-        block[:, groups - 1] = _four_digits(h > 0)[:stop - start]
-        block[:, groups:] = np.take(words, codes(start, stop), axis=0)
-        data = block.view(np.uint8)
-        fh.write(data[data != 0].tobytes())
+    site = 0
+    for c in codes:
+        i = 0
+        while i < len(c):
+            h, r = divmod(site, _CSV_ROWS)
+            n = min(_CSV_ROWS - r, len(c) - i)
+            block = rows[:n]
+            lead = (str(h) if h else "").encode().rjust(4 * groups - 4, b"\0")
+            block[:, :groups - 1] = np.frombuffer(lead, dtype=np.uint32)
+            block[:, groups - 1] = _four_digits(h > 0)[r:r + n]
+            block[:, groups:] = np.take(words, c[i:i + n], axis=0)
+            data = block.view(np.uint8)
+            fh.write(data[data != 0].tobytes())
+            site += n
+            i += n
+
+
+def write_chain_blocks(path, blocks, N: int) -> int:
+    """Write the (site, letter) CSV of sites 0 .. N-1 from the letter-bit
+    blocks of ``chain_blocks``, one block at a time; returns how many letters
+    are +1."""
+    plus = 0
+
+    def codes():
+        nonlocal plus
+        for bits in blocks:
+            plus += int(np.count_nonzero(bits))
+            yield bits
+
+    with open(path, "wb") as fh:
+        _write_rows(fh, "site,letter\r\n", codes(), _CHAIN_TAILS, N)
+    return plus
+
+
+def write_coupling_blocks(path, blocks, N: int, parts: int = 10):
+    """Write the (site, letter_a, letter_b, disagree) CSV of sites 0 .. N-1
+    from the blocks of ``coupling_blocks``, one block at a time.  Returns
+    what ``CouplingRun`` would say of the run: the disagreement density of
+    each of ``parts`` parts (``disagreement_density``, NaN for an empty part),
+    of all sites, and the first coalescence (``first_coalescence``)."""
+    edges = [j * (N // parts) + min(j, N % parts) for j in range(parts + 1)]  # np.array_split's
+    counts, last, start = [0] * parts, 0, 0
+
+    def codes():
+        nonlocal last, start
+        for a, b in blocks:
+            d = a != b
+            stop = start + len(d)
+            for j in range(parts):
+                lo, hi = max(edges[j], start), min(edges[j + 1], stop)
+                if lo < hi:
+                    counts[j] += int(np.count_nonzero(d[lo - start:hi - start]))
+            hits = np.flatnonzero(d)
+            if hits.size:
+                last = start + int(hits[-1]) + 1
+            start = stop
+            yield 4 * a + 2 * b + d
+
+    with open(path, "wb") as fh:
+        _write_rows(fh, "site,letter_a,letter_b,disagree\r\n", codes(), _COUPLING_TAILS, N)
+    density = [c / (hi - lo) if hi > lo else math.nan for c, lo, hi in zip(counts, edges, edges[1:])]
+    return density, sum(counts) / N, last if last < N else None
+
+
+def _bit_blocks(*letters):
+    """The letter arrays ``letters``, _BLOCK sites at a time, as letter bits of
+    shape (len(letters), n), as the block generators yield them."""
+    N = len(letters[0])
+    return (np.stack([x[i:i + _BLOCK] > 0 for x in letters]).view(np.uint8) for i in range(0, N, _BLOCK))
 
 
 def write_coupling_csv(run: CouplingRun, path) -> None:
     """Time series (site, letter_a, letter_b, disagree) for plotting."""
-    a, b, d = run.chain_a.samples, run.chain_b.samples, run.disagree
-
-    def codes(start, stop):
-        return 4 * (a[start:stop] > 0) + 2 * (b[start:stop] > 0) + d[start:stop]
-
-    with open(path, "wb") as fh:
-        _write_rows(fh, "site,letter_a,letter_b,disagree\r\n", codes, _COUPLING_TAILS, len(d))
+    write_coupling_blocks(path, _bit_blocks(run.chain_a.samples, run.chain_b.samples), len(run.disagree))
 
 
 def write_chain_csv(run: ChainRun, path) -> None:
     """Time series (site, letter) of one sampled chain."""
-    samples = run.samples
-    with open(path, "wb") as fh:
-        _write_rows(fh, "site,letter\r\n", lambda start, stop: samples[start:stop] > 0, _CHAIN_TAILS, len(samples))
+    write_chain_blocks(path, (bits[0] for bits in _bit_blocks(run.samples)), len(run.samples))

@@ -194,7 +194,7 @@ def test_scalar_ranges():
 
 
 def test_infinite_block_lambda_is_a_config_error(tmp_path, capsys):
-    # jop_blocksum's block growth factor is no config key: it only rescales certificate constants
+    # block_lambda was once a config key and is no longer: a config that sets it is refused as unknown
     path = tmp_path / "run.yaml"
     path.write_text("potential: {kind: power_law, beta: 0.3, q: 2.0}\nblock_lambda: .inf\n")
     assert main(["check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -485,6 +485,29 @@ def test_timestamp_only_in_manifest(tmp_path):
     assert "created_utc" not in (tmp_path / "report.json").read_text()
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert "created_utc" in manifest
+
+
+# runs gibbs1d's entry point, then says whether it loaded datetime, and reads the stamp with it
+STAMP_AND_LIST = """
+import json, sys
+from artifact.cli import main
+rc = main(sys.argv[1:])
+loaded = "datetime" in sys.modules
+from datetime import datetime
+stamp = json.load(open(sys.argv[-1] + "/manifest.json"))["created_utc"]
+print(loaded, stamp, datetime.fromisoformat(stamp).utcoffset().total_seconds())
+sys.exit(rc)
+"""
+
+
+def test_manifest_stamp_is_iso_utc_without_datetime(tmp_path):
+    # the stamp is written from time, in the format of datetime.isoformat: a run never imports datetime
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(power_doc(experiments=["criteria"])))
+    proc = python(STAMP_AND_LIST, "report", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    loaded, stamp, offset = proc.stdout.splitlines()[-1].split()
+    assert loaded == "False" and stamp.endswith("+00:00") and float(offset) == 0.0
 
 
 def test_manifest_contents(tmp_path):

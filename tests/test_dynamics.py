@@ -2,6 +2,8 @@
 
 import csv
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,14 @@ from artifact import (
     write_chain_csv,
     write_coupling_csv,
 )
-from artifact.dynamics import _BLOCK, _uniform_chunks
+from artifact.dynamics import (
+    _BLOCK,
+    _uniform_chunks,
+    chain_blocks,
+    coupling_blocks,
+    write_chain_blocks,
+    write_coupling_blocks,
+)
 
 GOLDEN_SEED_42 = [1, 1, -1, 1, -1, -1, -1, -1, 1, -1,
                   -1, -1, -1, -1, -1, -1, 1, 1, -1, -1]
@@ -374,6 +383,72 @@ def test_csv_writers_write_the_bytes_of_csv_writer(tmp_path):
                 w.writerow([t, int(letter)])
         for name in ("couple", "chain"):
             assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+
+
+# -- block generators and the writers that stream them ----------------------------------
+
+
+def test_block_generators_are_the_runs_a_block_at_a_time():
+    g = g_exact_markov(truncated(1.2, 3))
+    for N in (1, _BLOCK, TWO_BLOCKS_N):
+        blocks = list(chain_blocks(g, plus_past(3), N, seed=5, chain_id=1))
+        assert [len(b) for b in blocks] == [min(_BLOCK, N - i) for i in range(0, N, _BLOCK)]
+        run = sample_chain(g, plus_past(3), N, seed=5, chain_id=1)
+        assert np.array_equal(2 * np.concatenate(blocks).astype(np.int8) - 1, run.samples)
+        pairs = np.concatenate(list(coupling_blocks(g, plus_past(3), minus_past(3), N, seed=8)), axis=1)
+        run = couple_two_pasts(g, plus_past(3), minus_past(3), N, seed=8)
+        assert np.array_equal(2 * pairs.astype(np.int8) - 1, [run.chain_a.samples, run.chain_b.samples])
+
+
+def test_block_generators_check_their_arguments_before_any_block():
+    g = g_exact_markov(truncated(0.4, 3))
+    with pytest.raises(ValueError):
+        chain_blocks(g, plus_past(3), 0, seed=1)
+    with pytest.raises(ValueError):
+        coupling_blocks(g, plus_past(3), Word(-3, (1, 1)), 5, seed=1)  # past misses site -1
+    with pytest.raises(ValueError):
+        coupling_blocks(g, plus_past(3), minus_past(3), 5, seed=2**64)
+
+
+def nan_safe(xs):
+    return [repr(float(x)) for x in xs]
+
+
+@pytest.mark.parametrize("N", [1, 5, 9, 10, 11, 10_007, TWO_BLOCKS_N])
+def test_streamed_writers_tally_what_the_runs_say(tmp_path, N):
+    # fewer sites than parts leaves empty parts, whose density is NaN, as np.mean of an empty slice
+    for p, R, seed in ((truncated(1.2, 3), 3, 8), (nn(12.0), 1, 1), (zero(), 0, 4)):
+        g = g_exact_markov(p)
+        run = couple_two_pasts(g, plus_past(R), minus_past(R), N, seed=seed)
+        write_coupling_csv(run, tmp_path / "want.csv")
+        got = write_coupling_blocks(tmp_path / "got.csv", coupling_blocks(g, plus_past(R), minus_past(R), N, seed), N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            deciles = run.disagreement_density(10)
+        assert nan_safe(got[0]) == nan_safe(deciles)
+        assert got[1:] == (float(run.disagree.mean()), run.first_coalescence())
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+        plus = write_chain_blocks(tmp_path / "got.csv", chain_blocks(g, plus_past(R), N, seed, chain_id=3), N)
+        chain = sample_chain(g, plus_past(R), N, seed, chain_id=3)
+        assert plus == int(np.count_nonzero(chain.samples == 1))
+        write_chain_csv(chain, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_streamed_coupling_memory_does_not_grow_with_the_sites(tmp_path):
+    # 2^21 sites of a streamed coupling peak where 2^17 do: an array of 2^21 letters, 2 MB, would show
+    g = g_exact_markov(truncated(0.3, 6))
+
+    def peak(N):
+        tracemalloc.start()
+        write_coupling_blocks(tmp_path / "couple.csv", coupling_blocks(g, plus_past(6), minus_past(6), N, seed=7), N)
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    peak(1 << 17)  # the writer's digit tables, outside the measured peaks
+    assert peak(1 << 21) <= peak(1 << 17) + (1 << 19)
 
 
 # -- Cesàro averages against enumeration ------------------------------------------------
