@@ -223,6 +223,7 @@ def _chain_blocks(table, steps, u: int, uniforms):
     for block in uniforms:
         bits = np.empty(len(block), dtype=np.uint8)
         u = _threshold_chain(table, steps, u, block[:, 0], bits)
+        del block  # 1.5 MiB of uniforms, gone before the consumer's turn
         yield bits
 
 
@@ -273,6 +274,7 @@ def _coupling_blocks(table, steps, ua: int, ub: int, uniforms):
             bits[1, i:] = bits[0, i:]
         bits[0, :i] = np.frombuffer(pair_a, dtype=np.uint8)
         bits[1, :i] = np.frombuffer(pair_b, dtype=np.uint8)
+        del block  # as in _chain_blocks
         yield bits
 
 
@@ -411,14 +413,13 @@ def _write_rows(fh, header: str, codes, tails: list, N: int) -> None:
     groups = -(-len(str(N - 1)) // 4)
     width = 4 * -(-max(len(t) for t in tails) // 4)
     words = np.stack([np.frombuffer(t.encode().ljust(width, b"\0"), dtype=np.uint32) for t in tails])
-    rows = np.empty((min(_CSV_ROWS, N), groups + width // 4), dtype=np.uint32)
     site = 0
     for c in codes:
         i = 0
         while i < len(c):
             h, r = divmod(site, _CSV_ROWS)
             n = min(_CSV_ROWS - r, len(c) - i)
-            block = rows[:n]
+            block = np.empty((n, groups + width // 4), dtype=np.uint32)
             lead = (str(h) if h else "").encode().rjust(4 * groups - 4, b"\0")
             block[:, :groups - 1] = np.frombuffer(lead, dtype=np.uint32)
             block[:, groups - 1] = _four_digits(h > 0)[r:r + n]
@@ -464,9 +465,8 @@ def write_coupling_blocks(path, blocks, N: int, parts: int = 10):
                 lo, hi = max(edges[j], start), min(edges[j + 1], stop)
                 if lo < hi:
                     counts[j] += int(np.count_nonzero(d[lo - start:hi - start]))
-            hits = np.flatnonzero(d)
-            if hits.size:
-                last = start + int(hits[-1]) + 1
+            if d.any():
+                last = stop - int(d[::-1].argmax())
             start = stop
             yield 4 * a + 2 * b + d
 
