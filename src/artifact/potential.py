@@ -303,11 +303,11 @@ class _Column:
         return chain.from_iterable(self.parts)
 
     def __getitem__(self, i):
-        if not isinstance(i, slice):
-            j = bisect_right(self.starts, i) - 1
-            return self.parts[j][i - self.starts[j]]
-        start, stop, _ = i.indices(len(self))  # a step is not supported
         starts, parts = self.starts, self.parts
+        if not isinstance(i, slice):
+            j = bisect_right(starts, i) - 1
+            return parts[j][i - starts[j]]
+        start, stop, _ = i.indices(starts[-1] + len(parts[-1]))  # a step is not supported
         j = bisect_right(starts, start) - 1
         out = parts[j][start - starts[j] : stop - starts[j]]
         while j + 1 < len(starts) and starts[j + 1] < stop:
