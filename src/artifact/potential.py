@@ -297,7 +297,7 @@ class _Column:
         self.starts, self.parts = [], []  # the index of each segment's first entry, the segments
 
     def __len__(self) -> int:
-        return self.starts[-1] + len(self.parts[-1]) if self.parts else 0
+        return self.starts[-1] + len(self.parts[-1])
 
     def __iter__(self):
         return chain.from_iterable(self.parts)
