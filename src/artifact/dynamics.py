@@ -447,21 +447,21 @@ def write_chain_blocks(path, blocks, N: int) -> int:
     return plus
 
 
-def write_coupling_blocks(path, blocks, N: int, parts: int = 10):
+def write_coupling_blocks(path, blocks, N: int):
     """Write the (site, letter_a, letter_b, disagree) CSV of sites 0 .. N-1
     from the blocks of ``coupling_blocks``, one block at a time.  Returns
     what ``CouplingRun`` would say of the run: the disagreement density of
-    each of ``parts`` parts (``disagreement_density``, NaN for an empty part),
+    each of ten parts (``disagreement_density(10)``, NaN for an empty part),
     of all sites, and the first coalescence (``first_coalescence``)."""
-    edges = [j * (N // parts) + min(j, N % parts) for j in range(parts + 1)]  # np.array_split's
-    counts, last, start = [0] * parts, 0, 0
+    edges = [j * (N // 10) + min(j, N % 10) for j in range(11)]  # np.array_split's
+    counts, last, start = [0] * 10, 0, 0
 
     def codes():
         nonlocal last, start
         for a, b in blocks:
             d = a != b
             stop = start + len(d)
-            for j in range(parts):
+            for j in range(10):
                 lo, hi = max(edges[j], start), min(edges[j + 1], stop)
                 if lo < hi:
                     counts[j] += int(np.count_nonzero(d[lo - start:hi - start]))
