@@ -11,7 +11,8 @@ Run:  python3 demos/certified_vs_measured.py
 
 from artifact import CouplingLaw, FSequence, PairPotential
 from artifact.kernel import empirical_g_variation_profile
-from artifact.ratiobound import g_variation_bound, tauberian_diagnostic
+from artifact.diagnostics import tauberian_diagnostic
+from artifact.rows import g_variation_bound
 
 BETA = 0.25
 RANGE = 4

@@ -3,8 +3,8 @@
 NumPy is found when this module is imported, so a missing NumPy still fails
 at import with ``ModuleNotFoundError``, but it is executed only on the first
 attribute access.  Only the exact side imports it: the kernel walks
-(``kernel``) and the sampler (``dynamics``).  The certified half, the
-diagnostics of ``ratiobound`` included, is scalar Python and never pays for
+(``kernel``) and the sampler (``dynamics``).  Everything else, the
+uncertified ``diagnostics`` included, is scalar Python and never pays for
 it; ``cli`` imports this module so that a missing NumPy fails at its import.
 """
 

@@ -59,7 +59,6 @@ sweep.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -87,7 +86,7 @@ from .potential import (
     required_range,
     tail_variation,
 )
-from .ratiobound import DEFAULT_REL_WIDTH, g_variation_bound, log_r_bound_envelope
+from .ratiobound import DEFAULT_REL_WIDTH, log_r_bound_envelope
 
 EXPERIMENTS = ("criteria", "gfun", "bounds", "sample", "couple")
 
@@ -445,6 +444,8 @@ def _past_string(letters) -> str:
 
 
 def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
+    import csv
+
     from .kernel import g_exact_markov
 
     g = g_exact_markov(p)
@@ -478,6 +479,10 @@ def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
+    import csv
+
+    from .rows import g_variation_bound  # the R_n rows and tail tables: only bounds loads them
+
     F = FSequence.from_potential(p)
     envelope = log_r_bound_envelope(F)
     profile = VariationProfile.from_potential(p)

@@ -41,7 +41,6 @@ x_1 * 1.0 = x_1 < p: the coalesced pair is the plain chain on column 1.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import lru_cache
 from typing import Optional
 
@@ -197,7 +196,10 @@ class CouplingRun:
     __hash__ = object.__hash__
 
     def disagreement_density(self, blocks: int = 10) -> np.ndarray:
-        return np.array([float(np.mean(b)) for b in np.array_split(self.disagree, blocks)])
+        """Disagreement density of each of the ``min(blocks, N)`` parts of the
+        run's N sites that ``_part_edges`` cuts, so that no part is empty."""
+        edges = _part_edges(len(self.disagree), blocks)
+        return np.array([float(np.mean(self.disagree[lo:hi])) for lo, hi in zip(edges, edges[1:])])
 
     def first_coalescence(self) -> Optional[int]:
         """First site after which no disagreement ever occurs."""
@@ -206,6 +208,15 @@ class CouplingRun:
             return 0
         last = int(idx[-1]) + 1
         return last if last < len(self.disagree) else None
+
+
+def _part_edges(N: int, parts: int = 10) -> list:
+    """Edges of ``min(parts, N)`` consecutive parts of sites 0 .. N-1, as
+    ``np.array_split`` cuts them: lengths differ by at most one, the longer
+    first, and no part is empty."""
+    k = min(parts, N)
+    q, r = divmod(N, k) if k else (0, 0)
+    return [j * q + min(j, r) for j in range(k + 1)]
 
 
 def chain_blocks(g, past: Word, N: int, seed: int, chain_id: int = 0):
@@ -451,17 +462,17 @@ def write_coupling_blocks(path, blocks, N: int):
     """Write the (site, letter_a, letter_b, disagree) CSV of sites 0 .. N-1
     from the blocks of ``coupling_blocks``, one block at a time.  Returns
     what ``CouplingRun`` would say of the run: the disagreement density of
-    each of ten parts (``disagreement_density(10)``, NaN for an empty part),
-    of all sites, and the first coalescence (``first_coalescence``)."""
-    edges = [j * (N // 10) + min(j, N % 10) for j in range(11)]  # np.array_split's
-    counts, last, start = [0] * 10, 0, 0
+    each of ``min(10, N)`` parts (``disagreement_density(10)``), of all
+    sites, and the first coalescence (``first_coalescence``)."""
+    edges = _part_edges(N)
+    counts, last, start = [0] * (len(edges) - 1), 0, 0
 
     def codes():
         nonlocal last, start
         for a, b in blocks:
             d = a != b
             stop = start + len(d)
-            for j in range(10):
+            for j in range(len(counts)):
                 lo, hi = max(edges[j], start), min(edges[j + 1], stop)
                 if lo < hi:
                     counts[j] += int(np.count_nonzero(d[lo - start:hi - start]))
@@ -472,7 +483,7 @@ def write_coupling_blocks(path, blocks, N: int):
 
     with open(path, "wb") as fh:
         _write_rows(fh, "site,letter_a,letter_b,disagree\r\n", codes(), _COUPLING_TAILS, N)
-    density = [c / (hi - lo) if hi > lo else math.nan for c, lo, hi in zip(counts, edges, edges[1:])]
+    density = [c / (hi - lo) for c, lo, hi in zip(counts, edges, edges[1:])]
     return density, sum(counts) / N, last if last < N else None
 
 

@@ -22,33 +22,23 @@ encloses them, a few ulps wide, for point queries and for tables:
   truncated weighted total sum_{j <= R} j^(1-q), q in (1, 2], is O(1) in R.
   Exponential laws use the closed form A e^{-rm} (1 - e^{-r(R+1-m)}) /
   (1 - e^{-r}) with enclosed exponents; finite tables sum their entries.
-* Tables (``TailEnclosureTable``), grown by appending segments.  A point
-  tail anchors each segment's top, then the exact recurrence T(m) = T(m+1) +
-  J(m) runs down it with TwoSum-compensated additions (Ogita, Rump and
-  Oishi 2005); exponential tables use the closed form.  The table also keeps
-  the products exp(-beta * (T(1) + ... + T(k+1))) the R_n rows read.  Each
-  column of a segment is allocated once, at its final length, and filled in
-  fixed-size chunks, the downward sums first, so no column is copied or
-  moved as a table grows: growing peaks a chunk's lists above the 56 bytes
-  per entry a table keeps.
+* Tables.  The R_n rows read the tails from one table per potential, whose
+  segments a point tail anchors: ``rows.TailEnclosureTable``, built by
+  ``PairPotential.tail_enclosure_table``, which imports ``rows`` where it
+  runs, so a process that builds no table never loads it.
 
-Everything here is scalar Python: no tail, table or total loads NumPy.
+Everything here is scalar Python: no tail or total loads NumPy.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain
-from operator import sub
 from typing import Optional
 
 from ._record import record, set_field
-from .intervals import (
-    DOWN, DOWN_EXP, EPS, FLOOR, LIBM_GUARD_ULPS, ONE, UP, UP_EXP, Interval, ZERO, float_sum_enclosure,
-)
+from .intervals import LIBM_GUARD_ULPS, ONE, Interval, ZERO, float_sum_enclosure
 
 SPINS = (-1, 1)
 
@@ -86,8 +76,6 @@ _EM_COEFFS = tuple(
 _EM_STOP = 2.0**-56
 # The cutoff N sits this many terms (plus ceil(q)) past the first index.
 _EM_OFFSET = 12
-# A power-law term A * j**-q rounds in pow (libm guard) and the product.
-_POWER_TERM_ULPS = LIBM_GUARD_ULPS + 1
 
 
 def _em_sum(q: float, N: int, L: Optional[int] = None) -> Interval:
@@ -268,192 +256,6 @@ def _weighted_total(law: CouplingLaw, last: Optional[int]) -> Optional[Interval]
     return amp * _power_sum(law.q - 1.0, 1, last)
 
 
-def _running_sums(terms, s: float = 0.0, e: float = 0.0):
-    """Running sums of ``terms`` on from s + e, as a list.  By TwoSum (Ogita, Rump and Oishi
-    2005) e collects each addition's exact error, so every sum is within an ulp of exact,
-    however many came before."""
-    out = []
-    for x in terms:
-        t = s + x
-        z = t - s
-        e += (s - (t - z)) + (x - z)
-        s = t
-        out.append(s + e)
-    return out, s, e
-
-
-# Entries per chunk of TailEnclosureTable.grow: no temporary outgrows it
-_CHUNK = 256
-
-
-class _Column:
-    """One column of a TailEnclosureTable: its segments, each allocated once at
-    its final length, read as one sequence.  Indices are nonnegative, and a
-    slice, which may span segments, has no step."""
-
-    __slots__ = ("starts", "parts")
-
-    def __init__(self):
-        self.starts, self.parts = [], []  # the index of each segment's first entry, the segments
-
-    def __len__(self) -> int:
-        return self.starts[-1] + len(self.parts[-1])
-
-    def __iter__(self):
-        return chain.from_iterable(self.parts)
-
-    def __getitem__(self, i):
-        starts, parts = self.starts, self.parts
-        if not isinstance(i, slice):
-            j = bisect_right(starts, i) - 1
-            return parts[j][i - starts[j]]
-        start, stop, _ = i.indices(starts[-1] + len(parts[-1]))  # a step is not supported
-        j = bisect_right(starts, start) - 1
-        out = parts[j][start - starts[j] : stop - starts[j]]
-        while j + 1 < len(starts) and starts[j + 1] < stop:
-            j += 1
-            out += parts[j][: stop - starts[j]]
-        return out
-
-
-class TailEnclosureTable:
-    """Enclosures of the effective tails T(m), m = 1 .. horizon + 1, and of the
-    products P_k = exp(-beta * S_k), S_k = T(1) + ... + T(k+1), k = 0 .. horizon.
-
-    ``grow`` appends a segment and leaves earlier ones.  Exponential laws take
-    the closed form at each m; otherwise a point tail anchors the top of each
-    segment, and the exact recurrence T(m) = T(m+1) + J(m) runs down it in
-    compensated sums, so an entry errs by its J roundings and a few more; 0
-    beyond a truncation.  ``lo[m-1]`` and ``hi[m-1]`` bracket T(m); ``p_lo[k]``
-    is P_k at the upper end of S_k, rounded down; ``spread[k]``, nondecreasing
-    in k, bounds the exponent gap between the ends of S_k, so that P_j <=
-    p_lo[j] * exp(spread[k]) * UP_EXP / DOWN_EXP for j <= k up to subnormals.
-
-    A table keeps about 56 bytes per entry.  Each column is read as one
-    sequence of segments (``_Column``): arrays of doubles for ``lo``, ``hi``
-    and ``spread``, and lists of floats for ``p_lo``, which a row sums faster
-    than an array, whose every read makes a float.  Each segment of a column
-    is allocated once, at its final length, and filled in chunks of
-    ``_CHUNK`` entries: first ``lo`` with the downward sums of J, then every
-    column from them.  So growing adds no more than a chunk's lists to what
-    the table keeps, and no column is copied or moved as the table grows.
-    """
-
-    def __init__(self, potential: "PairPotential", horizon: int):
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.potential = potential
-        self.horizon = -1
-        self.lo, self.hi, self.spread, self.p_lo = _Column(), _Column(), _Column(), _Column()
-        self._sums = (0.0, 0.0, 0.0)  # the running sums below: lower ends (double-double), widths
-        self.grow(horizon)
-
-    def grow(self, horizon: int) -> None:
-        """Append the entries up to ``horizon`` as one segment (nothing if already there).
-        A tail or a sum of tails past the double range raises ArithmeticError, and the
-        segment keeps the whole chunks before it."""
-        if horizon <= self.horizon:
-            return
-        from array import array  # an extension module, loaded only where a table is built
-
-        m0, m1 = self.horizon + 2, horizon + 1
-        columns = (self.lo, self.hi, self.spread, self.p_lo)
-        zeros = array("d", [0.0]) * (m1 + 1 - m0)
-        for column, part in zip(columns, (zeros, array("d", zeros), array("d", zeros), [0.0] * len(zeros))):
-            column.starts.append(m0 - 1)
-            column.parts.append(part)
-        try:
-            self._fill(m0, m1, *(column.parts[-1] for column in columns))
-        except ArithmeticError:
-            kept = self.horizon + 2 - m0
-            for column in columns:
-                del column.parts[-1][kept:]
-                if not kept:
-                    column.starts.pop()
-                    column.parts.pop()
-            raise
-
-    def _fill(self, m0: int, m1: int, lo, hi, spread, p_lo) -> None:
-        """Fill the segment of entries m0 .. m1 (index 0 for m0), chunk by chunk."""
-        from array import array
-
-        p, law, R = self.potential, self.potential.coupling, self.potential.truncation_range
-        if law.kind != "exponential":
-            anchor = p.coupling_tail(m1)
-            top = m1 if R is None else max(m0, min(m1, R + 1))  # J(j) = 0 from j = top on
-            A, q = law.amplitude, law.q
-            d_s = d_e = 0.0
-            for b in range(top, m0, -_CHUNK):  # lo[m - m0] = J(m) + ... + J(top - 1), m in [a, b)
-                a = max(b - _CHUNK, m0)
-                J = (A * j**-q for j in range(b - 1, a - 1, -1)) if law.kind == "power_law" else (
-                    reversed(law.values[a - 1 : b - 1]))
-                D, d_s, d_e = _running_sums(J, d_s, d_e)
-                D.reverse()  # shorter than b - a where a table's values end: J is 0 past them
-                lo[a - m0 : a - m0 + len(D)] = array("d", D)
-            # J errs by _POWER_TERM_ULPS ulps (0 in a table); D, the anchor sum and the factor round once each
-            rel = ((_POWER_TERM_ULPS if law.kind == "power_law" else 0) + 3) * EPS
-        # S_k runs on as x_k, the lower ends' sum, and y_k, the widths' sum in
-        # floats, which errs by m1 * EPS / 2 at most, relatively (m1 the final length)
-        s, e, w = self._sums
-        g, beta = 1.0 + m1 * EPS, p.beta
-        g_spread, c = g * (1.0 + 8.0 * EPS), 12.0 * EPS
-        for a in range(m0, m1 + 1, _CHUNK):
-            b = min(a + _CHUNK, m1 + 1)
-            i, j = a - m0, b - m0
-            if law.kind == "exponential":
-                lo_c, hi_c = _exponential_tails(law, range(a, b), R)
-            else:
-                chunk = lo[i:j]
-                lo_c = [x if (x := (d + anchor.lo) * (1.0 - rel) - FLOOR) > 0.0 else 0.0 for d in chunk]
-                hi_c = [0.0 if (x := d + anchor.hi) <= 0.0 else x * (1.0 + rel) + FLOOR for d in chunk]
-            if not hi_c[0] < math.inf:  # the chunk's largest tail, NaN where a sum of J overflowed
-                raise ArithmeticError("a coupling tail leaves the double range")
-            S, s, e = _running_sums(lo_c, s, e)
-            if not S[-1] < math.inf:  # the chunk's largest S_k, NaN once TwoSum met an overflow
-                raise ArithmeticError("a sum of coupling tails leaves the double range")
-            lo[i:j] = array("d", lo_c)
-            hi[i:j] = array("d", hi_c)
-            W = list(accumulate(map(sub, hi_c, lo_c), initial=w))[1:]
-            w = W[-1]
-            # exp(-beta * S_k) >= exp(-e_hi): five roundings, at EPS / 2 each
-            p_lo[i:j] = [math.exp(-beta * (x + y * g) * (1.0 + 3.0 * EPS)) * DOWN_EXP for x, y in zip(S, W)]
-            # above e_hi - beta * x_k * DOWN, both rounded, and nondecreasing in k
-            spread[i:j] = array("d", [beta * (y * g_spread + c * x) * UP for x, y in zip(S, W)])
-            self.horizon, self._sums = b - 2, (s, e, w)  # whole chunks only, if a later one raises
-
-    def at(self, m: int) -> Interval:
-        if not 1 <= m <= self.horizon + 1:
-            raise ValueError(f"m = {m} outside table horizon {self.horizon}")
-        return Interval(self.lo[m - 1], self.hi[m - 1])
-
-    def enclosures(self, m_max: int):
-        """Endpoint arrays (lo, hi) of the tails at m = 1 .. m_max."""
-        if m_max > self.horizon + 1:
-            raise ValueError("m_max beyond table horizon")
-        return self.lo[:m_max], self.hi[:m_max]
-
-
-def _exponential_tails(law: CouplingLaw, ms, last: Optional[int]):
-    """Endpoint lists of A e^{-rm} (1 - e^{-r(last+1-m)}) / (1 - e^{-r}) at each m:
-    each exponent is pushed outward before exp (``intervals.UP``), as r * m
-    rounds; the truncation factor is 1 without ``last``, 0 beyond it."""
-    scale = Interval.point(law.amplitude) / -Interval.point(-law.rate).expm1()
-    s_lo, s_hi, pad, r = scale.lo * DOWN_EXP, scale.hi * UP_EXP, FLOOR * scale.hi, law.rate
-    lo, hi = [], []
-    for m in ms:
-        a = b = 0.0
-        if law.amplitude and (last is None or m <= last):
-            a, b = math.exp(r * m * -UP) * s_lo, math.exp(r * m * -DOWN) * s_hi
-            if last is not None:
-                d = r * (last + 1.0 - m)
-                a *= -math.expm1(d * -DOWN) * DOWN_EXP
-                b *= min(-math.expm1(d * -UP) * UP_EXP, 1.0)
-            a, b = max(a * DOWN - pad, 0.0), b * UP + pad
-        lo.append(a)
-        hi.append(b)
-    return lo, hi
-
-
 @record
 class PairPotential:
     """A coupling law at inverse temperature beta, optionally truncated.
@@ -510,7 +312,9 @@ class PairPotential:
         return self.coupling.tail(R + 1)
 
     def tail_enclosure_table(self, horizon: int):
-        """Bulk effective-tail enclosures; see TailEnclosureTable."""
+        """Bulk effective-tail enclosures; see ``rows.TailEnclosureTable``."""
+        from .rows import TailEnclosureTable  # the R_n rows' module, loaded where a table is built
+
         return TailEnclosureTable(self, horizon)
 
     def weighted_total(self):
@@ -536,7 +340,7 @@ def family(p: PairPotential) -> str:
 
 
 # Largest window [0, n] the exact kernels enumerate (2^(n+1) words), and
-# largest range whose Dobrushin sum they enumerate.
+# largest range whose Dobrushin sum ``criteria`` enumerates.
 ENUMERATION_MAX_WINDOW = 12
 DOBRUSHIN_MAX_RANGE = 12
 

@@ -37,14 +37,14 @@ from artifact.kernel import (
     pi_window_enumeration,
     rho_bruteforce,
 )
-from artifact.ratiobound import (
+from artifact.diagnostics import (
     RatioTable,
     berbee_series_partial_sums,
     fit_growth_exponent,
-    g_variation_bound,
     rb_limit_lower_bound,
     tauberian_diagnostic,
 )
+from artifact.rows import g_variation_bound
 
 SPINS = (-1, 1)
 

@@ -898,39 +898,61 @@ def python(code, *args):
     )
 
 
-@pytest.mark.parametrize("config", ["inverse_square", "zero"])
+# what check never loads: NumPy, the exact side, the R_n rows and tail tables, the
+# diagnostics and the csv module, besides dataclasses and inspect
+STRICT_CHECK_AND_LIST = CHECK_AND_LIST.replace(
+    '"numpy._core", "artifact.dynamics",',
+    '"numpy._core", "artifact.dynamics", "artifact.kernel", "artifact.rows", "artifact.diagnostics", "csv",',
+)
+
+
+@pytest.mark.parametrize("config", ["inverse_square", "nearest_neighbour", "zero"])
 def test_check_runs_without_numpy_or_the_sampler(tmp_path, config):
     if config == "zero":
         path = write_config(tmp_path, base_doc())
     else:
         path = REPO / "demos" / "configs" / f"{config}.yaml"
-    proc = python(CHECK_AND_LIST, "check", "--config", str(path), "--out", str(tmp_path / "out"))
+    proc = python(STRICT_CHECK_AND_LIST, "check", "--config", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert "strongest conclusion: unique Gibbs + Bernoulli" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-# laws whose criteria need more than closed forms: (potential, finite range
-# within DOBRUSHIN_MAX_RANGE, the only case whose Dobrushin sum loads the kernels)
+# laws whose criteria need more than closed forms, the Dobrushin sum of a finite range
+# within DOBRUSHIN_MAX_RANGE among them
 SCALAR_CHECK_LAWS = {
-    "q3": ({"kind": "power_law", "beta": 0.5, "q": 3.0}, False),
-    "exponential": ({"kind": "exponential", "beta": 0.5, "rate": 0.5}, False),
-    "truncated exponential": ({"kind": "exponential", "beta": 0.5, "rate": 0.5, "truncation_range": 8}, True),
-    "nearest neighbour": ({"kind": "finite_table", "beta": 1.0, "values": [1.0]}, True),
-    "truncated q2 R12": ({"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 12}, True),
-    "truncated q2 R1000": ({"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 1000}, False),
+    "q3": {"kind": "power_law", "beta": 0.5, "q": 3.0},
+    "exponential": {"kind": "exponential", "beta": 0.5, "rate": 0.5},
+    "truncated exponential": {"kind": "exponential", "beta": 0.5, "rate": 0.5, "truncation_range": 8},
+    "nearest neighbour": {"kind": "finite_table", "beta": 1.0, "values": [1.0]},
+    "truncated q2 R12": {"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 12},
+    "truncated q2 R1000": {"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 1000},
 }
-CHECK_AND_LIST_KERNEL = CHECK_AND_LIST.replace('"artifact.dynamics"', '"artifact.kernel"')
 
 
 @pytest.mark.parametrize("name", sorted(SCALAR_CHECK_LAWS))
 def test_check_is_scalar_on_every_law(tmp_path, name):
-    # NumPy never runs; the exact kernels load only for a Dobrushin sum they can enumerate
-    law, finite = SCALAR_CHECK_LAWS[name]
-    path = write_config(tmp_path, {"potential": law})
-    proc = python(CHECK_AND_LIST_KERNEL, "check", "--config", str(path), "--out", str(tmp_path / "out"))
+    # the Dobrushin sum is enumerated in criteria: no law loads the exact kernels
+    path = write_config(tmp_path, {"potential": SCALAR_CHECK_LAWS[name]})
+    proc = python(STRICT_CHECK_AND_LIST, "check", "--config", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(["artifact.kernel"] if finite else [])
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_profile_loads_the_rows_on_its_first_query():
+    code = """
+import sys
+from artifact import CouplingLaw, FSequence, LogRProfile, PairPotential
+F = FSequence.from_potential(PairPotential(CouplingLaw.power_law(2.0), 0.3))
+profile = LogRProfile.from_fsequence(F)
+assert "artifact.rows" not in sys.modules, "the rows loaded before the first query"
+got = profile.at(5)
+assert "artifact.rows" in sys.modules, "the first query left the rows out"
+from artifact.rows import g_variation_bound
+assert got == g_variation_bound(F, 5).bound, got
+"""
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr
 
 
 # the longrange_bounds laws of the benchmark: R_n rows, tail tables and no exact kernel
@@ -940,7 +962,8 @@ BOUNDS_LAWS = {
     "q1.5": {"kind": "power_law", "beta": 0.3, "q": 1.5},
     "exponential": {"kind": "exponential", "beta": 0.5, "rate": 0.5},
 }
-REPORT_AND_LIST = CHECK_AND_LIST.replace('"artifact.dynamics", "dataclasses", "inspect"', '"artifact.kernel"')
+REPORT_AND_LIST = CHECK_AND_LIST.replace('"artifact.dynamics", "dataclasses", "inspect"',
+                                         '"artifact.kernel", "artifact.diagnostics"')
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS_LAWS))
@@ -990,13 +1013,13 @@ def test_yaml_configs_load_pyyaml(tmp_path):
 
 
 def test_rows_at_the_term_cap_are_reported_on_stderr(tmp_path, capsys, monkeypatch):
-    from artifact import ratiobound
+    from artifact import rows
 
     path = write_config(tmp_path, power_doc(n_max=3, out=str(tmp_path / "out")))
     assert main(["bounds", "--config", str(path)]) == 0
     assert capsys.readouterr().err == ""
     before = (tmp_path / "out" / "report.json").read_bytes()
-    monkeypatch.setattr(ratiobound, "_MAX_TERMS", 50)
+    monkeypatch.setattr(rows, "_MAX_TERMS", 50)
     assert main(["bounds", "--config", str(path)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("bounds: 3 of 3 R_n rows stopped at the term cap, widest relative width")
@@ -1075,7 +1098,7 @@ except ModuleNotFoundError as exc:
 def test_the_certified_half_leaves_numpy_out():
     code = """
 import sys
-import artifact.criteria, artifact.ratiobound
+import artifact.criteria, artifact.ratiobound, artifact.rows
 assert "artifact._numpy" not in sys.modules and "numpy" not in sys.modules, "NumPy handle imported"
 """
     proc = python(code)

@@ -37,7 +37,7 @@ from artifact import (
     evaluate_all,
     log_r_bound_envelope,
 )
-from artifact.kernel import dobrushin_sum
+from artifact.criteria import dobrushin_sum
 
 
 def power(q, beta, R=None):

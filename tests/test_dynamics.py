@@ -23,6 +23,7 @@ from artifact import (
 )
 from artifact.dynamics import (
     _BLOCK,
+    _part_edges,
     _uniform_chunks,
     chain_blocks,
     coupling_blocks,
@@ -410,22 +411,26 @@ def test_block_generators_check_their_arguments_before_any_block():
         coupling_blocks(g, plus_past(3), minus_past(3), 5, seed=2**64)
 
 
-def nan_safe(xs):
-    return [repr(float(x)) for x in xs]
+@pytest.mark.parametrize("N", [1, 5, 9, 10, 11, 99, 10_007])
+def test_parts_are_cut_as_array_split_and_none_is_empty(N):
+    edges = _part_edges(N)
+    assert [hi - lo for lo, hi in zip(edges, edges[1:])] == [len(x) for x in np.array_split(np.empty(N), min(10, N))]
+    assert all(hi > lo for lo, hi in zip(edges, edges[1:])) and edges[-1] == N
 
 
 @pytest.mark.parametrize("N", [1, 5, 9, 10, 11, 10_007, TWO_BLOCKS_N])
 def test_streamed_writers_tally_what_the_runs_say(tmp_path, N):
-    # fewer sites than parts leaves empty parts, whose density is NaN, as np.mean of an empty slice
+    # fewer sites than ten parts: one part per site, none empty, so no NaN and no warning
     for p, R, seed in ((truncated(1.2, 3), 3, 8), (nn(12.0), 1, 1), (zero(), 0, 4)):
         g = g_exact_markov(p)
         run = couple_two_pasts(g, plus_past(R), minus_past(R), N, seed=seed)
         write_coupling_csv(run, tmp_path / "want.csv")
         got = write_coupling_blocks(tmp_path / "got.csv", coupling_blocks(g, plus_past(R), minus_past(R), N, seed), N)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")
             deciles = run.disagreement_density(10)
-        assert nan_safe(got[0]) == nan_safe(deciles)
+        assert len(deciles) == min(10, N) and all(math.isfinite(x) for x in deciles)
+        assert got[0] == [float(x) for x in deciles]
         assert got[1:] == (float(run.disagree.mean()), run.first_coalescence())
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 

@@ -3,10 +3,12 @@ dataclass semantics the package relies on."""
 
 import dataclasses
 import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import artifact
 from artifact import _record
 from artifact.cli import parse_config
 from artifact.criteria import HOLDS, UNIQUE_GIBBS, CriteriaReport, Verdict, _Limsup
@@ -15,17 +17,12 @@ from artifact.fseq import FSequence, Word
 from artifact.intervals import Interval
 from artifact.kernel import KernelResult, MarkovConditional, TransferMatrix
 from artifact.potential import CouplingLaw, PairPotential, SeriesValue, VariationProfile
-from artifact.ratiobound import (
-    DecayEnvelope,
-    GVariationBound,
-    LogRProfile,
-    RnSeries,
-    TauberianReport,
-    TauberianRow,
-    _tail_table,
-)
+from artifact.diagnostics import TauberianReport, TauberianRow
+from artifact.ratiobound import DecayEnvelope, LogRProfile
+from artifact.rows import GVariationBound, RnSeries, _tail_table
 
-MODULES = ("cli", "criteria", "dynamics", "fseq", "intervals", "kernel", "potential", "ratiobound")
+# every module of the package; __main__ runs the command line when imported
+MODULES = sorted(m.name for m in pkgutil.iter_modules(artifact.__path__) if m.name != "__main__")
 
 LAW = CouplingLaw.power_law(2.0)
 P = PairPotential(LAW, 0.3, 12)

@@ -205,12 +205,12 @@ CHUNK_LAWS = {
 
 @pytest.mark.parametrize("name", sorted(CHUNK_LAWS))
 def test_table_entries_do_not_depend_on_the_chunk_size(name, monkeypatch):
-    from artifact import potential
+    from artifact import rows
 
     law, R = CHUNK_LAWS[name]
     p = PairPotential(beta=0.7, coupling=law, truncation_range=R)
     want = grown_by_doubling(p, 3, 300)
-    monkeypatch.setattr(potential, "_CHUNK", 7)
+    monkeypatch.setattr(rows, "_CHUNK", 7)
     got = grown_by_doubling(p, 3, 300)
     for column in ("lo", "hi", "p_lo", "spread"):
         assert list(getattr(got, column)) == list(getattr(want, column)), column
