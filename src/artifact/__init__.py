@@ -37,8 +37,7 @@ _EXPORTS = {
         ("rows", "RnSeries rn_series g_variation_bound"),
         ("diagnostics", "RatioTable rb_limit_lower_bound berbee_series_partial_sums fit_growth_exponent "
                         "tauberian_diagnostic"),
-        ("kernel", "TransferMatrix MarkovConditional g_exact_markov phi_window "
-                   "pi_window_enumeration pi_window_at_zero rho_bruteforce "
+        ("kernel", "TransferMatrix MarkovConditional g_exact_markov pi_window_at_zero "
                    "empirical_g_variation empirical_g_variation_profile"),
         ("dynamics", "ChainRun CouplingRun sample_chain couple_two_pasts cesaro_estimate "
                      "write_chain_csv write_coupling_csv"),

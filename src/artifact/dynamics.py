@@ -8,19 +8,22 @@ long before a referee does.  Verdicts never cite these runs.
 Randomness is counter-based so that every run is replayable bit for bit:
 the generator is numpy's Philox (4x64, 10 rounds) keyed by
 (seed, chain_id), and each run reads one stream of uniform rows of three,
-row t serving site t.  The rows are drawn in blocks of 2^16 (1.5 MiB) from
-one generator, which yields exactly the rows of a single (N, 3) draw.
-Column 0 decides the letter of a plain chain or the couple/split event of
-a coupled pair; columns 1 and 2 feed the shared draw and the two residual
-draws.  Identical seeds therefore give identical paths on every platform
-numpy supports.
+row t serving site t.  The rows are drawn 2^12 at a time (96 KiB) from one
+generator into one buffer, which yields exactly the rows of a single (N, 3)
+draw.  Column 0 decides the letter of a plain chain or the couple/split
+event of a coupled pair; columns 1 and 2 feed the shared draw and the two
+residual draws.  Identical seeds therefore give identical paths on every
+platform numpy supports.
 
-Each sampler is one generator of the letter bits of such blocks
+Each sampler is one generator of the letter bits of blocks of 2^16 sites
 (``chain_blocks``, ``coupling_blocks``).  ``sample_chain`` and
 ``couple_two_pasts`` collect them into arrays of N letters; the block
 writers (``write_chain_blocks``, ``write_coupling_blocks``) take them one
 at a time and tally what a report says of the run as they go, so a run
-streamed from a sampler into a writer holds no array of N entries.
+streamed from a sampler into a writer holds no array of N entries.  Their
+working set (the uniform buffer, one column of a block's uniforms, the lane
+matrices, the CSV rows) is allocated once per run; only the yielded blocks
+are new.
 
 A plain chain is a threshold chain: with u_t the last R letters as bits,
 letter t is +1 exactly when x_t >= P(-1 | u_t), x_t from column 0.  A block
@@ -54,8 +57,10 @@ SAMPLER_MAX_DEPTH = 12
 CESARO_MAX_WINDOW = 1 << 15
 # cesaro_estimate keeps both passes, (n + 1) * 2^R doubles each
 CESARO_MAX_CELLS = 1 << 23
-# rows of uniforms drawn at a time (three doubles each, 1.5 MiB), which the
-# sampler's kernel runs as 256 lanes of _LANE sites
+# rows of uniforms drawn at a time into a run's one buffer (three doubles each, 96 KiB)
+_CHUNK = 1 << 12
+# sites of a yielded block; the sampler's kernel runs a block's column of
+# uniforms (512 KiB) as _BLOCK // _LANE lanes of _LANE sites
 _BLOCK = 1 << 16
 _LANE = 256
 # sites a lane's start state is guessed from, at the end of the lane before
@@ -65,17 +70,18 @@ _WARM = 32
 def _chain_tables(g):
     """The sampler's tables over sliding-block states: P(letter -1 | state)
     and the state after a letter bit 0 (the bit 1 state is one more).  A law
-    of depth 0 is served on one-letter states, the same value for both."""
+    of depth 0 is served on one-letter states, the same value for both.
+    States fit in uint16, since 2^R <= 2^SAMPLER_MAX_DEPTH."""
     R = g.dependency_depth
     if R > SAMPLER_MAX_DEPTH:
         raise ValueError(f"sampler guard: dependency depth <= {SAMPLER_MAX_DEPTH}")
     if R == 0:
-        return np.full(2, g.prob((), -1)), np.zeros(2, dtype=np.intp)
+        return np.full(2, g.prob((), -1)), np.zeros(2, dtype=np.uint16)
     table = np.empty(1 << R)
     for u in range(1 << R):
         letters = tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R))
         table[u] = g.prob(letters, -1)
-    return table, (np.arange(1 << R) << 1) & ((1 << R) - 1)
+    return table, ((np.arange(1 << R) << 1) & ((1 << R) - 1)).astype(np.uint16)
 
 
 def _initial_state(past: Word, R: int) -> int:
@@ -83,13 +89,27 @@ def _initial_state(past: Word, R: int) -> int:
 
 
 def _uniform_chunks(seed: int, chain_id: int, N: int):
-    """Rows 0 .. N-1 of the run's (N, 3) uniform block, drawn _BLOCK rows at a
-    time from one generator; the rows equal those of a single (N, 3) draw."""
+    """Rows 0 .. N-1 of the run's (N, 3) uniform block, drawn _CHUNK rows at a
+    time from one generator; the rows equal those of a single (N, 3) draw.
+
+    Every chunk is a view of one buffer that the next draw overwrites, so a
+    chunk is valid only until the next one is drawn: copy what must outlive it.
+    """
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in 64 bits")
     bits = np.random.Philox(key=np.array([seed, chain_id], dtype=np.uint64))
     gen = np.random.Generator(bits)
-    return (gen.random((min(_BLOCK, N - start), 3)) for start in range(0, N, _BLOCK))
+    buf = np.empty((min(_CHUNK, N), 3))
+    return (gen.random(out=buf[:min(_CHUNK, N - start)]) for start in range(0, N, _CHUNK))
+
+
+def _lane_matrices(N: int):
+    """The lane state and bit matrices of _threshold_chain for a run of N
+    sites, and the lanes' current states, allocated once and reused by every
+    block.  The current states are intp, so they index the tables uncast."""
+    lanes = min(_BLOCK, N) // _LANE
+    return (np.empty((_LANE + 1, lanes), dtype=np.uint16), np.empty((_LANE, lanes), dtype=bool),
+            np.empty(lanes, dtype=np.intp))
 
 
 def _letters(bits: np.ndarray) -> np.ndarray:
@@ -116,9 +136,10 @@ def _walk_lane(table: list, steps: list, u: int, xs: list, refs: list):
     return walked, u, False
 
 
-def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray, out: np.ndarray) -> int:
+def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray, out: np.ndarray, work) -> int:
     """Run bit_t = [x_t >= table[u_t]], u_(t+1) = steps[u_t] + bit_t over the
-    uniforms x from state u; write the bits to out and return the last state.
+    uniforms x, at most _BLOCK of them, from state u; write the bits to out
+    and return the last state.  ``work`` holds the matrices of _lane_matrices.
 
     Pass one runs the full lanes of _LANE sites side by side.  Lane 0 starts
     from u, lane k > 0 from a guess: the state reached over the last _WARM
@@ -134,15 +155,16 @@ def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray
     tl, sl = table.tolist(), steps.tolist()
     if lanes:
         xs = x[:done].reshape(lanes, _LANE).T
-        states = np.empty((_LANE + 1, lanes), dtype=np.intp)
-        states[0] = u
-        guess = states[0, 1:]
+        states, bits, at = work[0][:, :lanes], work[1][:, :lanes], work[2][:lanes]
+        at[:] = u
+        guess = at[1:]
         for s in range(_LANE - _WARM, _LANE):
             np.add(steps[guess], xs[s, :-1] >= table[guess], out=guess)
-        bits = np.empty((_LANE, lanes), dtype=bool)
+        states[0] = at
         for s in range(_LANE):
-            np.greater_equal(xs[s], table[states[s]], out=bits[s])
-            np.add(steps[states[s]], bits[s], out=states[s + 1])
+            np.greater_equal(xs[s], table[at], out=bits[s])
+            np.add(steps[at], bits[s], out=states[s + 1])
+            at[:] = states[s + 1]
         out[:done].reshape(lanes, _LANE)[:] = bits.T
         starts, ends = states[0].tolist(), states[_LANE].tolist()
         for k in range(lanes):
@@ -227,14 +249,17 @@ def chain_blocks(g, past: Word, N: int, seed: int, chain_id: int = 0):
         raise ValueError("need at least one site")
     table, steps = _chain_tables(g)
     u = _initial_state(past, g.dependency_depth)
-    return _chain_blocks(table, steps, u, _uniform_chunks(seed, chain_id, N))
+    return _chain_blocks(table, steps, u, _uniform_chunks(seed, chain_id, N), N)
 
 
-def _chain_blocks(table, steps, u: int, uniforms):
-    for block in uniforms:
-        bits = np.empty(len(block), dtype=np.uint8)
-        u = _threshold_chain(table, steps, u, block[:, 0], bits)
-        del block  # 1.5 MiB of uniforms, gone before the consumer's turn
+def _chain_blocks(table, steps, u: int, uniforms, N: int):
+    work, column = _lane_matrices(N), np.empty(min(_BLOCK, N))
+    for start in range(0, N, _BLOCK):
+        n = min(_BLOCK, N - start)
+        for i, chunk in zip(range(0, n, _CHUNK), uniforms):
+            column[i:i + len(chunk)] = chunk[:, 0]
+        bits = np.empty(n, dtype=np.uint8)
+        u = _threshold_chain(table, steps, u, column[:n], bits, work)
         yield bits
 
 
@@ -247,45 +272,51 @@ def coupling_blocks(g, past_a: Word, past_b: Word, N: int, seed: int):
     R = g.dependency_depth
     table, steps = _chain_tables(g)
     ua, ub = _initial_state(past_a, R), _initial_state(past_b, R)
-    return _coupling_blocks(table, steps, ua, ub, _uniform_chunks(seed, 0, N))
+    return _coupling_blocks(table, steps, ua, ub, _uniform_chunks(seed, 0, N), N)
 
 
-def _coupling_blocks(table, steps, ua: int, ub: int, uniforms):
+def _coupling_blocks(table, steps, ua: int, ub: int, uniforms, N: int):
     tl, sl = table.tolist(), steps.tolist()
-    for block in uniforms:
+    work, column = _lane_matrices(N), np.empty(min(_BLOCK, N))
+    for start in range(0, N, _BLOCK):
+        n = min(_BLOCK, N - start)
         # letters of the pair before its states meet, in this block
         pair_a, pair_b = bytearray(), bytearray()
         add_a, add_b = pair_a.append, pair_b.append
-        i = 0
-        while ua != ub and i < len(block):
-            for x0, x1, x2 in block[i:i + _LANE].tolist():
-                if ua == ub:
-                    break
-                pa = tl[ua]
-                pb = tl[ub]
-                # o_minus = min(pa, pb), overlap = o_minus + min(1 - pa, 1 - pb)
-                if pa < pb:
-                    o_minus, overlap = pa, pa + (1.0 - pb)
-                else:
-                    o_minus, overlap = pb, pb + (1.0 - pa)
-                if x0 < overlap:
-                    bit_a = bit_b = 0 if x1 * overlap < o_minus else 1
-                else:
-                    split = 1.0 - overlap
-                    bit_a = 0 if x1 * split < pa - o_minus else 1
-                    bit_b = 0 if x2 * split < pb - o_minus else 1
-                add_a(bit_a)
-                add_b(bit_b)
-                ua = sl[ua] + bit_a
-                ub = sl[ub] + bit_b
-            i = len(pair_a)
-        bits = np.empty((2, len(block)), dtype=np.uint8)
+        for lo, chunk in zip(range(0, n, _CHUNK), uniforms):
+            j = 0  # rows of the chunk the pair took
+            while ua != ub and j < len(chunk):
+                for x0, x1, x2 in chunk[j:j + _LANE].tolist():
+                    if ua == ub:
+                        break
+                    pa = tl[ua]
+                    pb = tl[ub]
+                    # o_minus = min(pa, pb), overlap = o_minus + min(1 - pa, 1 - pb)
+                    if pa < pb:
+                        o_minus, overlap = pa, pa + (1.0 - pb)
+                    else:
+                        o_minus, overlap = pb, pb + (1.0 - pa)
+                    if x0 < overlap:
+                        bit_a = bit_b = 0 if x1 * overlap < o_minus else 1
+                    else:
+                        split = 1.0 - overlap
+                        bit_a = 0 if x1 * split < pa - o_minus else 1
+                        bit_b = 0 if x2 * split < pb - o_minus else 1
+                    add_a(bit_a)
+                    add_b(bit_b)
+                    ua = sl[ua] + bit_a
+                    ub = sl[ub] + bit_b
+                j = len(pair_a) - lo
+            if ua == ub:  # met: column 1 from the block's site i on goes to column[0:]
+                i = len(pair_a)
+                column[lo + j - i:lo + len(chunk) - i] = chunk[j:, 1]
+        i = len(pair_a)
+        bits = np.empty((2, n), dtype=np.uint8)
         if ua == ub:  # the coalesced pair is the plain chain on column 1
-            ua = ub = _threshold_chain(table, steps, ua, block[i:, 1], bits[0, i:])
+            ua = ub = _threshold_chain(table, steps, ua, column[:n - i], bits[0, i:], work)
             bits[1, i:] = bits[0, i:]
         bits[0, :i] = np.frombuffer(pair_a, dtype=np.uint8)
         bits[1, :i] = np.frombuffer(pair_b, dtype=np.uint8)
-        del block  # as in _chain_blocks
         yield bits
 
 
@@ -418,25 +449,28 @@ def _write_rows(fh, header: str, codes, tails: list, N: int) -> None:
     drops the zero bytes.  Rows are built at most _CSV_ROWS at a time, never
     across a multiple of _CSV_ROWS, so only the last group varies inside a
     run, and it comes from a table of four-digit words; the groups before it
-    are the digits of the run's number.
+    are the digits of the run's number.  The rows and the mask of the bytes
+    kept are allocated once per writer.
     """
     fh.write(header.encode())
     groups = -(-len(str(N - 1)) // 4)
     width = 4 * -(-max(len(t) for t in tails) // 4)
     words = np.stack([np.frombuffer(t.encode().ljust(width, b"\0"), dtype=np.uint32) for t in tails])
+    rows = np.empty((min(_CSV_ROWS, N), groups + width // 4), dtype=np.uint32)
+    data = rows.view(np.uint8)
+    keep = np.empty(data.shape, dtype=bool)
     site = 0
     for c in codes:
         i = 0
         while i < len(c):
             h, r = divmod(site, _CSV_ROWS)
             n = min(_CSV_ROWS - r, len(c) - i)
-            block = np.empty((n, groups + width // 4), dtype=np.uint32)
             lead = (str(h) if h else "").encode().rjust(4 * groups - 4, b"\0")
-            block[:, :groups - 1] = np.frombuffer(lead, dtype=np.uint32)
-            block[:, groups - 1] = _four_digits(h > 0)[r:r + n]
-            block[:, groups:] = np.take(words, c[i:i + n], axis=0)
-            data = block.view(np.uint8)
-            fh.write(data[data != 0].tobytes())
+            rows[:n, :groups - 1] = np.frombuffer(lead, dtype=np.uint32)
+            rows[:n, groups - 1] = _four_digits(h > 0)[r:r + n]
+            rows[:n, groups:] = np.take(words, c[i:i + n], axis=0)
+            np.not_equal(data[:n], 0, out=keep[:n])
+            fh.write(data[:n][keep[:n]])
             site += n
             i += n
 

@@ -21,8 +21,6 @@ contributing its full oscillation independently (spins realize all signs).
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Optional
 
 from ._record import record
@@ -155,50 +153,3 @@ class VProfile:
             return None
         return R
 
-
-# -- exhaustive oracle -----------------------------------------------------
-
-
-def brute_log_ratio(
-    f: FSequence, i: int, past: int, future: int, horizon: int
-) -> float:
-    """Exhaustive log sup-ratio of f_i over agreement on [-past, i + future].
-
-    Only valid for finite-range interactions; ``horizon`` letters beyond each
-    window edge are enumerated, which covers the full dependency once
-    horizon >= range.  Guarded to keep enumeration affordable.
-    """
-    p = f.potential
-    R = p.finite_range
-    if R is None:
-        raise ValueError("exhaustive ratios need a finite-range interaction")
-    if horizon < R:
-        raise ValueError("horizon must cover the interaction range")
-    lo_site = min(-past - horizon, i - R)
-    hi_site = max(i + future + horizon, i + R)
-    fixed_sites = [s for s in range(lo_site, hi_site + 1) if -past <= s <= i + future]
-    free_sites = [s for s in range(lo_site, hi_site + 1) if s not in fixed_sites]
-    if len(fixed_sites) + len(free_sites) > 22:
-        raise ValueError("enumeration window too large")
-
-    def log_f_exact(assign: dict) -> float:
-        xi = assign[i]
-        tot = 0.0
-        for j in range(1, R + 1):
-            if i + j in assign:
-                tot += 0.5 * p.beta * p.strength(j) * xi * assign[i + j]
-        for j in range(i + 1, R + 1):
-            if i - j in assign:
-                tot += 0.5 * p.beta * p.strength(j) * xi * assign[i - j]
-        return tot
-
-    best = -math.inf
-    for base in itertools.product(SPINS, repeat=len(fixed_sites)):
-        fixed = dict(zip(fixed_sites, base))
-        vals = []
-        for free in itertools.product(SPINS, repeat=len(free_sites)):
-            assign = dict(fixed)
-            assign.update(zip(free_sites, free))
-            vals.append(log_f_exact(assign))
-        best = max(best, max(vals) - min(vals))
-    return best

@@ -1,10 +1,11 @@
-"""Exact kernels for finite-range interactions and exhaustive cross-checks.
+"""Exact kernels for finite-range interactions.
 
-This module is the exact side of the package: window kernels by explicit
-normalization, their conditional laws by scaled sliding-block passes, the
-stationary Markov conditional from Perron eigendata, and brute-force
-oscillation measurements.  Certified bounds from the analytic modules are
-validated against these values on desk-scale instances.
+This module is the exact side of the package: the conditional laws of
+window kernels by scaled sliding-block passes, the stationary Markov
+conditional from Perron eigendata, and oscillation measurements from those
+laws.  Certified bounds from the analytic modules are validated against
+these values on desk-scale instances; the exhaustive enumerations that check
+this module live with the tests.
 
 Weight convention, fixed here for every routine: a spin pair {a, b} at
 distance d = |a - b| contributes exp(0.5 * beta * J(d) * x_a * x_b) to the
@@ -44,16 +45,14 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 from ._numpy import np
 from ._record import record
-from .fseq import FSequence, Word
+from .fseq import Word
 from .intervals import _exp
-from .potential import ENUMERATION_MAX_WINDOW, PairPotential, SPINS, required_range
+from .potential import PairPotential, SPINS, required_range
 
-APPLY_MAX_WIDTH = 14
-RHO_MAX_WINDOW = 6
 TRANSFER_MAX_RANGE = 10
 VARIATION_MAX_RANGE = 6
 
@@ -69,78 +68,12 @@ class KernelResult:
         return self.value
 
 
-@lru_cache(maxsize=32)
-def _word_matrix(width: int) -> np.ndarray:
-    """All spin words of a given width, lexicographic with -1 first."""
-    bits = (np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
-    rows = 2.0 * bits - 1.0
-    rows.flags.writeable = False
-    return rows
-
-
 def _letters_at(word: Word, sites: range) -> tuple:
     """Int letters of ``word`` at ``sites``; a site it does not cover raises ValueError."""
     for site in sites:
         if not word.covers(site):
             raise ValueError(f"word does not cover required site {site}")
     return tuple(int(word.at(site)) for site in sites)
-
-
-def _window_log_weights(p: PairPotential, word: Word, m: int, end: int):
-    """log prod_{i=m}^{end} f_i over all words on [m, end], one entry per row
-    of the word matrix, with the R flank sites on each side read from ``word``.
-
-    Columns of the word matrix supply letters inside the window; the flanks
-    supply every letter outside it that some factor consults.  Returns the
-    log-weights and the left and right flank letters, in site order.
-    """
-    R = required_range(p)
-    left = _letters_at(word, range(m - R, m))
-    right = _letters_at(word, range(end + 1, end + R + 1))
-    words = _word_matrix(end - m + 1)
-
-    def letter(site):
-        if site < m:
-            return left[site - m + R]
-        if site > end:
-            return right[site - end - 1]
-        return words[:, site - m]
-
-    total = np.zeros(len(words))
-    for i in range(m, end + 1):
-        xi = words[:, i - m]
-        for j in range(1, R + 1):
-            total += (0.5 * p.beta * p.strength(j)) * xi * letter(i + j)
-        for j in range(i + 1, R + 1):
-            total += (0.5 * p.beta * p.strength(j)) * xi * letter(i - j)
-    return total, left, right
-
-
-def phi_window(p: PairPotential, boundary: Word, n: int, interior: Word) -> float:
-    """Window kernel on [0, n]: Boltzmann weight of the interior, normalized
-    by the sum over all interior words compatible with the boundary."""
-    if n < 0:
-        raise ValueError("window end must be >= 0")
-    if n > ENUMERATION_MAX_WINDOW:
-        raise ValueError(f"enumeration guard: n <= {ENUMERATION_MAX_WINDOW}")
-    weights = np.exp(_window_log_weights(p, boundary, 0, n)[0])
-    letters = tuple(interior.at(i) for i in range(0, n + 1))
-    return float(weights[_encode_state(letters)]) / math.fsum(weights)
-
-
-def pi_window_enumeration(p: PairPotential, boundary: Word, n: int, s: int) -> float:
-    """Conditional law of site 0 under the window kernel, by raw enumeration.
-
-    Retained as an oracle for the contraction path; same guards as
-    phi_window.
-    """
-    if s not in SPINS:
-        raise ValueError("letter must be a spin")
-    if n > ENUMERATION_MAX_WINDOW:
-        raise ValueError(f"enumeration guard: n <= {ENUMERATION_MAX_WINDOW}")
-    weights = np.exp(_window_log_weights(p, boundary, 0, n)[0])
-    mask = _word_matrix(n + 1)[:, 0] == float(s)
-    return math.fsum(weights[mask]) / math.fsum(weights)
 
 
 @lru_cache(maxsize=64)
@@ -454,61 +387,6 @@ def _markov(p: PairPotential) -> MarkovConditional:
             if abs(row - 1.0) > 1e-12:
                 raise ArithmeticError(f"conditional row at {u} sums to {row}")
     return g
-
-
-def apply_L(
-    F: FSequence,
-    m: int,
-    n: int,
-    f: Callable[[Word], float],
-    x: Word,
-) -> float:
-    """Sum of (prod_{i=m}^{n} f_i) * f over words free on [m, n], clamped to x
-    elsewhere.  Exact enumeration; the guard keeps it desk-scale."""
-    if m < 0 or n < m:
-        raise ValueError("need 0 <= m <= n")
-    if n - m > APPLY_MAX_WIDTH:
-        raise ValueError(f"enumeration guard: n - m <= {APPLY_MAX_WIDTH}")
-    logw, left, right = _window_log_weights(F.potential, x, m, n)
-    words = _word_matrix(n - m + 1)
-    total = []
-    for row, lw in zip(words, logw):
-        y = Word(m - len(left), left + tuple(int(v) for v in row) + right)
-        total.append(math.exp(lw) * f(y))
-    return math.fsum(total)
-
-
-def rho_bruteforce(
-    F: FSequence,
-    k: int,
-    n: int,
-    x: Word,
-    y: Word,
-    m_grid=(0,),
-) -> float:
-    """Infimum over prefix cylinders of the window-sum ratio between two
-    environments.
-
-    For each window [m, m+n] and each prefix word on [m, m+k], the sums of
-    the interior factor products with the prefix clamped are compared
-    between the environments; the reported value is the least ratio.  The
-    environments must agree wherever the intended comparison says they do;
-    only coverage is checked here.
-    """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    if n > RHO_MAX_WINDOW:
-        raise ValueError(f"enumeration guard: n <= {RHO_MAX_WINDOW}")
-    best = math.inf
-    for m in m_grid:
-        if m < 0:
-            raise ValueError("window starts must be >= 0")
-        wx = np.exp(_window_log_weights(F.potential, x, m, m + n)[0])
-        wy = np.exp(_window_log_weights(F.potential, y, m, m + n)[0])
-        num = wx.reshape(1 << (k + 1), -1).sum(axis=1)
-        den = wy.reshape(1 << (k + 1), -1).sum(axis=1)
-        best = min(best, float(np.min(num / den)))
-    return best
 
 
 def empirical_g_variation(p: PairPotential, m: int, n: int) -> float:

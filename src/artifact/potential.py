@@ -339,8 +339,9 @@ def family(p: PairPotential) -> str:
     return "power_heavy"
 
 
-# Largest window [0, n] the exact kernels enumerate (2^(n+1) words), and
-# largest range whose Dobrushin sum ``criteria`` enumerates.
+# Largest window [0, n] of the empirical column of ``bounds`` and of the
+# enumeration oracles that check it (2^(n+1) words), and largest range whose
+# Dobrushin sum ``criteria`` enumerates.
 ENUMERATION_MAX_WINDOW = 12
 DOBRUSHIN_MAX_RANGE = 12
 

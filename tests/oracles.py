@@ -1,0 +1,184 @@
+"""Exhaustive oracles for the exact kernels and the factor sequences.
+
+Each oracle enumerates every word of a small window and sums Boltzmann
+weights written out from the pair law alone (beta and J(d)), so it shares
+no helper with the code it checks: not the sliding-block states or their
+encoding, not the walk's tables, not the coverage checks of ``kernel``.
+The guards keep the enumerations desk-scale.
+
+Weight convention, as in ``kernel``: the interior factors are
+
+    log f_i(x) = 0.5 * beta * [ sum_{j=1}^{R} J(j) x_i x_{i+j}
+                              + sum_{i<j<=R} J(j) x_i x_{i-j} ],   i >= 0.
+"""
+
+import itertools
+import math
+from functools import lru_cache
+from typing import Callable
+
+import numpy as np
+
+from artifact.fseq import FSequence, Word
+from artifact.potential import ENUMERATION_MAX_WINDOW, PairPotential, SPINS
+
+APPLY_MAX_WIDTH = 14
+RHO_MAX_WINDOW = 6
+
+
+def _range(p: PairPotential) -> int:
+    if p.finite_range is None:
+        raise ValueError("exact kernels need a finite-range interaction; truncate first")
+    return p.finite_range
+
+
+def _flank(word: Word, sites: range) -> tuple:
+    if not all(word.covers(site) for site in sites):
+        raise ValueError(f"word does not cover the sites {sites.start} .. {sites.stop - 1}")
+    return tuple(word.at(site) for site in sites)
+
+
+@lru_cache(maxsize=32)
+def _words(width: int) -> np.ndarray:
+    """All spin words of ``width`` letters, one per row, lexicographic with
+    -1 first: row k spells k in binary, the first site most significant."""
+    words = np.array(list(itertools.product(SPINS, repeat=width)), dtype=float).reshape(-1, width)
+    words.flags.writeable = False
+    return words
+
+
+def _row(letters) -> int:
+    """The row of ``_words`` that spells ``letters``."""
+    return int("".join("1" if s > 0 else "0" for s in letters), 2)
+
+
+def _window_log_weights(p: PairPotential, word: Word, m: int, end: int):
+    """log prod_{i=m}^{end} f_i over all words on [m, end], one entry per row
+    of ``_words``, with the R flank sites on each side read from ``word``.
+    Returns the log-weights and the left and right flank letters."""
+    R = _range(p)
+    left = _flank(word, range(m - R, m))
+    right = _flank(word, range(end + 1, end + R + 1))
+    words = _words(end - m + 1)
+
+    def letter(site):
+        if site < m:
+            return left[site - m + R]
+        if site > end:
+            return right[site - end - 1]
+        return words[:, site - m]
+
+    total = np.zeros(len(words))
+    for i in range(m, end + 1):
+        xi = words[:, i - m]
+        for j in range(1, R + 1):
+            total += (0.5 * p.beta * p.strength(j)) * xi * letter(i + j)
+        for j in range(i + 1, R + 1):
+            total += (0.5 * p.beta * p.strength(j)) * xi * letter(i - j)
+    return total, left, right
+
+
+def phi_window(p: PairPotential, boundary: Word, n: int, interior: Word) -> float:
+    """Window kernel on [0, n]: Boltzmann weight of the interior, normalized
+    by the sum over all interior words compatible with the boundary."""
+    if n < 0:
+        raise ValueError("window end must be >= 0")
+    if n > ENUMERATION_MAX_WINDOW:
+        raise ValueError(f"enumeration guard: n <= {ENUMERATION_MAX_WINDOW}")
+    weights = np.exp(_window_log_weights(p, boundary, 0, n)[0])
+    return float(weights[_row(interior.at(i) for i in range(n + 1))]) / math.fsum(weights)
+
+
+def pi_window_enumeration(p: PairPotential, boundary: Word, n: int, s: int) -> float:
+    """Conditional law of site 0 under the window kernel, by raw enumeration;
+    same guards as phi_window."""
+    if s not in SPINS:
+        raise ValueError("letter must be a spin")
+    if n > ENUMERATION_MAX_WINDOW:
+        raise ValueError(f"enumeration guard: n <= {ENUMERATION_MAX_WINDOW}")
+    weights = np.exp(_window_log_weights(p, boundary, 0, n)[0])
+    mask = _words(n + 1)[:, 0] == float(s)
+    return math.fsum(weights[mask]) / math.fsum(weights)
+
+
+def apply_L(F: FSequence, m: int, n: int, f: Callable[[Word], float], x: Word) -> float:
+    """Sum of (prod_{i=m}^{n} f_i) * f over words free on [m, n], clamped to x
+    elsewhere."""
+    if m < 0 or n < m:
+        raise ValueError("need 0 <= m <= n")
+    if n - m > APPLY_MAX_WIDTH:
+        raise ValueError(f"enumeration guard: n - m <= {APPLY_MAX_WIDTH}")
+    logw, left, right = _window_log_weights(F.potential, x, m, n)
+    total = []
+    for row, lw in zip(_words(n - m + 1), logw):
+        y = Word(m - len(left), left + tuple(int(v) for v in row) + right)
+        total.append(math.exp(lw) * f(y))
+    return math.fsum(total)
+
+
+def rho_bruteforce(F: FSequence, k: int, n: int, x: Word, y: Word, m_grid=(0,)) -> float:
+    """Infimum over prefix cylinders of the window-sum ratio between two
+    environments.
+
+    For each window [m, m+n] and each prefix word on [m, m+k], the sums of
+    the interior factor products with the prefix clamped are compared
+    between the environments; the value is the least ratio.  Only coverage
+    of the environments is checked.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("need 0 <= k <= n")
+    if n > RHO_MAX_WINDOW:
+        raise ValueError(f"enumeration guard: n <= {RHO_MAX_WINDOW}")
+    best = math.inf
+    for m in m_grid:
+        if m < 0:
+            raise ValueError("window starts must be >= 0")
+        wx = np.exp(_window_log_weights(F.potential, x, m, m + n)[0])
+        wy = np.exp(_window_log_weights(F.potential, y, m, m + n)[0])
+        num = wx.reshape(1 << (k + 1), -1).sum(axis=1)
+        den = wy.reshape(1 << (k + 1), -1).sum(axis=1)
+        best = min(best, float(np.min(num / den)))
+    return best
+
+
+def brute_log_ratio(f: FSequence, i: int, past: int, future: int, horizon: int) -> float:
+    """Exhaustive log sup-ratio of f_i over agreement on [-past, i + future].
+
+    Only valid for finite-range interactions; ``horizon`` letters beyond each
+    window edge are enumerated, which covers the full dependency once
+    horizon >= range.
+    """
+    p = f.potential
+    R = p.finite_range
+    if R is None:
+        raise ValueError("exhaustive ratios need a finite-range interaction")
+    if horizon < R:
+        raise ValueError("horizon must cover the interaction range")
+    lo_site = min(-past - horizon, i - R)
+    hi_site = max(i + future + horizon, i + R)
+    fixed_sites = [s for s in range(lo_site, hi_site + 1) if -past <= s <= i + future]
+    free_sites = [s for s in range(lo_site, hi_site + 1) if s not in fixed_sites]
+    if len(fixed_sites) + len(free_sites) > 22:
+        raise ValueError("enumeration window too large")
+
+    def log_f_exact(assign: dict) -> float:
+        xi = assign[i]
+        tot = 0.0
+        for j in range(1, R + 1):
+            if i + j in assign:
+                tot += 0.5 * p.beta * p.strength(j) * xi * assign[i + j]
+        for j in range(i + 1, R + 1):
+            if i - j in assign:
+                tot += 0.5 * p.beta * p.strength(j) * xi * assign[i - j]
+        return tot
+
+    best = -math.inf
+    for base in itertools.product(SPINS, repeat=len(fixed_sites)):
+        fixed = dict(zip(fixed_sites, base))
+        vals = []
+        for free in itertools.product(SPINS, repeat=len(free_sites)):
+            assign = dict(fixed)
+            assign.update(zip(free_sites, free))
+            vals.append(log_f_exact(assign))
+        best = max(best, max(vals) - min(vals))
+    return best

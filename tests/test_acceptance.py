@@ -32,10 +32,7 @@ from artifact import (
 )
 from artifact.kernel import (
     empirical_g_variation_profile,
-    phi_window,
     pi_window_at_zero,
-    pi_window_enumeration,
-    rho_bruteforce,
 )
 from artifact.diagnostics import (
     RatioTable,
@@ -45,6 +42,7 @@ from artifact.diagnostics import (
     tauberian_diagnostic,
 )
 from artifact.rows import g_variation_bound
+from oracles import phi_window, pi_window_enumeration, rho_bruteforce
 
 SPINS = (-1, 1)
 

@@ -16,12 +16,12 @@ from artifact import (
     cesaro_estimate,
     couple_two_pasts,
     g_exact_markov,
-    phi_window,
     sample_chain,
     write_chain_csv,
     write_coupling_csv,
 )
 from artifact.dynamics import (
+    SAMPLER_MAX_DEPTH,
     _BLOCK,
     _part_edges,
     _uniform_chunks,
@@ -30,6 +30,7 @@ from artifact.dynamics import (
     write_chain_blocks,
     write_coupling_blocks,
 )
+from oracles import phi_window
 
 GOLDEN_SEED_42 = [1, 1, -1, 1, -1, -1, -1, -1, 1, -1,
                   -1, -1, -1, -1, -1, -1, 1, 1, -1, -1]
@@ -284,14 +285,15 @@ def oracle_couple(g, letters_a, letters_b, N, seed):
 
 
 def test_chunked_uniforms_are_the_rows_of_one_block():
-    got = np.concatenate(list(_uniform_chunks(7, 3, STREAM_N)))
+    got = np.concatenate([chunk.copy() for chunk in _uniform_chunks(7, 3, STREAM_N)])  # a chunk lives until the next draw
     assert np.array_equal(got, one_block(7, 3, STREAM_N))
 
 
 # two blocks of uniforms and a short one
 TWO_BLOCKS_N = 2 * _BLOCK + 5
 
-# (law, depth, sites): block edges, one site, depths 0, 1, 3 and 6, and the
+# (law, depth, sites): block edges, one site, depths 0, 1, 3, 6 and 10 (the
+# transfer guard, 1024 states, which no 8-bit state holds), and the
 # nearest-neighbour chain at beta 4 and 8, whose lanes started from a wrong
 # state walk tens of sites (beta 4) or the whole lane (beta 8) before meeting
 SAMPLER_CASES = [
@@ -299,12 +301,14 @@ SAMPLER_CASES = [
     (truncated(0.4, 3), 3, STREAM_N),
     (zero(), 0, STREAM_N),
     (truncated(0.3, 6), 6, TWO_BLOCKS_N),
+    (truncated(1.2, 10), 10, TWO_BLOCKS_N),
     (nn(4.0), 1, TWO_BLOCKS_N),
     (nn(8.0), 1, _BLOCK + 1),
     (zero(), 0, _BLOCK - 1),
     (truncated(1.2, 3), 3, _BLOCK - 1),
     (truncated(0.3, 6), 6, _BLOCK + 1),
-] + [(p, R, 1) for p, R in ((zero(), 0), (nn(1.0), 1), (truncated(0.4, 3), 3), (truncated(0.3, 6), 6))]
+] + [(p, R, 1) for p, R in ((zero(), 0), (nn(1.0), 1), (truncated(0.4, 3), 3), (truncated(0.3, 6), 6),
+                            (truncated(1.2, 10), 10))]
 
 
 def test_streamed_sampler_matches_the_one_block_path():
@@ -321,6 +325,7 @@ def test_streamed_sampler_matches_the_one_block_path():
 # pair at beta 12 meets only at site 97 999, in the second block, with seed 1
 # and not within the run with seed 6
 COUPLER_CASES = [
+    (truncated(1.2, 10), 10, _BLOCK + 1, 8),  # meets at site 11: the rest runs in lanes
     (truncated(1.2, 3), 3, STREAM_N, 8),  # strong coupling: long disagreement runs
     (nn(12.0), 1, TWO_BLOCKS_N, 1),
     (nn(12.0), 1, TWO_BLOCKS_N, 6),
@@ -341,8 +346,33 @@ def test_streamed_coupler_matches_the_one_block_path():
         assert run.disagree.any()
 
 
+class DeepestLaw:
+    """A conditional law of depth SAMPLER_MAX_DEPTH (4096 states) that no
+    potential here reaches: P(-1 | past) is drawn once for each past, so every
+    letter of the past moves it."""
+
+    dependency_depth = SAMPLER_MAX_DEPTH
+    source_label = "synthetic"
+    minus = np.random.default_rng(12).uniform(0.05, 0.95, 1 << SAMPLER_MAX_DEPTH)
+
+    def prob(self, letters, s):
+        p = float(self.minus[sum(((x + 1) // 2) << i for i, x in enumerate(letters))])
+        return p if s == -1 else 1.0 - p
+
+
+def test_streamed_runs_of_the_deepest_law_match_the_one_block_path():
+    g, R = DeepestLaw(), SAMPLER_MAX_DEPTH
+    run = sample_chain(g, plus_past(R), TWO_BLOCKS_N, seed=31, chain_id=2)
+    assert np.array_equal(run.samples, oracle_chain(g, (1,) * R, TWO_BLOCKS_N, 31, 2))
+    run = couple_two_pasts(g, plus_past(R), minus_past(R), _BLOCK + 1, seed=8)
+    want_a, want_b = oracle_couple(g, (1,) * R, (-1,) * R, _BLOCK + 1, 8)
+    assert np.array_equal(run.chain_a.samples, want_a)
+    assert np.array_equal(run.chain_b.samples, want_b)
+    assert run.disagree.any() and run.first_coalescence() is not None
+
+
 def test_chunked_uniforms_span_blocks():
-    got = np.concatenate(list(_uniform_chunks(7, 3, TWO_BLOCKS_N)))
+    got = np.concatenate([chunk.copy() for chunk in _uniform_chunks(7, 3, TWO_BLOCKS_N)])  # a chunk lives until the next draw
     assert got.shape == (TWO_BLOCKS_N, 3)
     assert np.array_equal(got, one_block(7, 3, TWO_BLOCKS_N))
 
@@ -454,6 +484,28 @@ def test_streamed_coupling_memory_does_not_grow_with_the_sites(tmp_path):
 
     peak(1 << 17)  # the writer's digit tables, outside the measured peaks
     assert peak(1 << 21) <= peak(1 << 17) + (1 << 19)
+
+
+def test_streamed_runs_hold_a_small_working_set(tmp_path):
+    # 2^18 sites of the depth-6 law streamed into the CSVs peak at 1.32 MiB
+    # (chain) and 1.63 MiB (coupling) of NumPy and Python allocations; a block
+    # of uniforms drawn whole every 2^16 sites (1.5 MiB) took them to 2.3 and 2.6
+    g = g_exact_markov(truncated(0.3, 6))
+    N = 1 << 18
+
+    def peak(write):
+        write()  # the writer's digit tables, outside the measured peak
+        tracemalloc.start()
+        write()
+        _, top = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return top
+
+    chain = peak(lambda: write_chain_blocks(tmp_path / "chain.csv", chain_blocks(g, plus_past(6), N, seed=7), N))
+    pair = peak(lambda: write_coupling_blocks(
+        tmp_path / "couple.csv", coupling_blocks(g, plus_past(6), minus_past(6), N, seed=7), N))
+    assert chain <= 1.5 * 2**20
+    assert pair <= 1.875 * 2**20
 
 
 # -- Cesàro averages against enumeration ------------------------------------------------

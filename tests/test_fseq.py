@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from artifact import CouplingLaw, FSequence, PairPotential, Word
-from artifact.fseq import brute_log_ratio
+from oracles import brute_log_ratio
 
 
 def fseq(values=(1.0, 0.5, 0.25), beta=0.5):

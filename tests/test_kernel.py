@@ -16,12 +16,9 @@ from artifact import (
     empirical_g_variation,
     empirical_g_variation_profile,
     g_exact_markov,
-    phi_window,
     pi_window_at_zero,
-    pi_window_enumeration,
-    rho_bruteforce,
 )
-from artifact.kernel import apply_L
+from oracles import apply_L, phi_window, pi_window_enumeration, rho_bruteforce
 
 
 def nn(beta):
