@@ -10,6 +10,7 @@ Run:  python3 demos/coupling_mixing.py
 """
 
 import math
+import os
 
 import numpy as np
 
@@ -17,22 +18,23 @@ from artifact import (
     CouplingLaw,
     PairPotential,
     Word,
-    couple_two_pasts,
+    chain_blocks,
+    coupling_blocks,
     g_exact_markov,
-    sample_chain,
+    write_coupling_blocks,
 )
 
 
 def persistence_demo() -> None:
     p = PairPotential(beta=1.0, coupling=CouplingLaw.finite_table((1.0,)))
     g = g_exact_markov(p)
-    run = sample_chain(g, Word(-1, (1,)), 100_000, seed=20260814)
-    s = run.samples
+    blocks = chain_blocks(g, Word(-1, (1,)), 100_000, seed=20260814)
+    s = 2 * np.concatenate(list(blocks)).astype(np.int8) - 1
     empirical = float(np.mean(s[1:] == s[:-1]))
     exact = math.exp(0.5) / (2.0 * math.cosh(0.5))
     print("nearest-neighbour chain, strength 1.0, 100k sites")
     print(f"  P(x_t = x_t-1)  sampled {empirical:.5f}   exact {exact:.5f}")
-    print(f"  letter frequency  + {run.frequency(1):.5f}   - {run.frequency(-1):.5f}")
+    print(f"  letter frequency  + {np.mean(s == 1):.5f}   - {np.mean(s == -1):.5f}")
 
 
 def coupling_demo() -> None:
@@ -44,14 +46,14 @@ def coupling_demo() -> None:
     past_minus = Word.constant(-6, 6, -1)
     print("\ncoupled chains from all-plus vs all-minus pasts, 10k sites")
     print(f"{'seed':>10}  {'disagreements':>13}  {'coalesced at':>12}  decile density")
+    N = 10_000
     for seed in (7, 14, 21, 20260814):
-        run = couple_two_pasts(g, past_plus, past_minus, 10_000, seed)
-        deciles = run.disagreement_density(10)
-        shown = " ".join(f"{d:.4f}" for d in deciles[:4]) + " ..."
-        print(
-            f"{seed:>10}  {int(run.disagree.sum()):>13}"
-            f"  {run.first_coalescence():>12}  {shown}"
+        # the writer tallies the run as it streams; its rows are not kept
+        deciles, density, coalesced = write_coupling_blocks(
+            os.devnull, coupling_blocks(g, past_plus, past_minus, N, seed), N
         )
+        shown = " ".join(f"{d:.4f}" for d in deciles[:4]) + " ..."
+        print(f"{seed:>10}  {round(density * N):>13}  {coalesced:>12}  {shown}")
 
 
 if __name__ == "__main__":

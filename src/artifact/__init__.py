@@ -5,9 +5,10 @@ The package splits into certified and empirical halves.  ``intervals``,
 ``potential``, ``fseq``, ``ratiobound``, ``rows`` and ``criteria`` carry
 outward rounding all the way from coupling tails to Holds/Fails verdicts, so
 every inequality they assert holds for the true real quantities.  ``kernel``
-and ``dynamics`` compute exact finite-range conditionals and sample from
-them; they exist to corroborate the certified half, never to replace it, as
-do the uncertified recursion table and growth fits of ``diagnostics``.
+computes exact finite-range conditionals and ``dynamics`` samples from them
+in streamed blocks; they exist to corroborate the certified half, never to
+replace it, as do the uncertified recursion table and growth fits of
+``diagnostics``.
 
 Nothing is loaded before it is used.  The public names below resolve on
 first access, so ``import artifact`` imports no submodule.  ``gibbs1d
@@ -18,8 +19,9 @@ neither ``kernel`` nor the R_n rows and tail tables of ``rows``, which only
 the samplers and the empirical column of ``bounds``, ``dynamics`` only to
 sample or couple, and ``diagnostics`` never.  Every enclosure and every R_n
 row is scalar interval arithmetic, and so are the diagnostics.  NumPy serves
-only ``kernel`` (walks, enumerations) and ``dynamics`` (the sampler);
-``artifact.cli`` finds it at import and executes it on first use.
+only ``kernel`` (walks, enumerations) and ``dynamics`` (the samplers and
+their CSV writers); ``artifact.cli`` finds it at import and executes it on
+first use.
 """
 import importlib
 
@@ -39,8 +41,7 @@ _EXPORTS = {
                         "tauberian_diagnostic"),
         ("kernel", "TransferMatrix MarkovConditional g_exact_markov pi_window_at_zero "
                    "empirical_g_variation empirical_g_variation_profile"),
-        ("dynamics", "ChainRun CouplingRun sample_chain couple_two_pasts cesaro_estimate "
-                     "write_chain_csv write_coupling_csv"),
+        ("dynamics", "chain_blocks coupling_blocks cesaro_estimate write_chain_blocks write_coupling_blocks"),
         ("criteria", "Verdict CriteriaReport HOLDS FAILS INCONCLUSIVE UNIQUE_GIBBS UNIQUE_GIBBS_BERNOULLI "
                      "UNIQUE_TINV_GIBBS DEFAULT_ALPHA_GRID dobrushin_sum check_dobrushin check_ruelle check_coelho_quas "
                      "check_berbee check_variation_slope check_product_blocksum check_jop_blocksum "

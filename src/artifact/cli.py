@@ -449,32 +449,23 @@ def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     from .kernel import g_exact_markov
 
     g = g_exact_markov(p)
-    tm = g.transfer
+    states = g.states
     path = out / "gfun.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["past", "prob_minus", "prob_plus"])
-        if tm is None:
-            w.writerow(["", _cell(0.5), _cell(0.5)])
-        else:
-            for state in tm.states:
-                w.writerow(
-                    [_past_string(state), _cell(g.prob(state, -1)), _cell(g.prob(state, +1))]
-                )
+        for state in states:
+            w.writerow([_past_string(state), _cell(g.prob(state, -1)), _cell(g.prob(state, +1))])
     law = g.state_law()
-    if tm is None:
-        prob_plus = 0.5
-    else:
-        prob_plus = float(
-            sum(law[i] * g.prob(state, +1) for i, state in enumerate(tm.states))
-        )
+    tm = g.transfer
+    eigenvalue, residual = (None, None) if tm is None else (tm.eigenvalue, tm.residual)
     return {
         "csv": path.name,
         "dependency_depth": g.dependency_depth,
-        "states": 1 if tm is None else len(tm.states),
-        "eigenvalue": None if tm is None else tm.eigenvalue,
-        "perron_residual": None if tm is None else tm.residual,
-        "stationary_prob_plus": prob_plus,
+        "states": len(states),
+        "eigenvalue": eigenvalue,
+        "perron_residual": residual,
+        "stationary_prob_plus": float(sum(law[i] * g.prob(state, +1) for i, state in enumerate(states))),
     }
 
 

@@ -16,14 +16,13 @@ residual draws.  Identical seeds therefore give identical paths on every
 platform numpy supports.
 
 Each sampler is one generator of the letter bits of blocks of 2^16 sites
-(``chain_blocks``, ``coupling_blocks``).  ``sample_chain`` and
-``couple_two_pasts`` collect them into arrays of N letters; the block
-writers (``write_chain_blocks``, ``write_coupling_blocks``) take them one
-at a time and tally what a report says of the run as they go, so a run
-streamed from a sampler into a writer holds no array of N entries.  Their
-working set (the uniform buffer, one column of a block's uniforms, the lane
-matrices, the CSV rows) is allocated once per run; only the yielded blocks
-are new.
+(``chain_blocks``, ``coupling_blocks``).  The block writers
+(``write_chain_blocks``, ``write_coupling_blocks``) take them one at a time
+and tally what a report says of the run as they go, so a run streamed from
+a sampler into a writer holds no array of N entries; a caller that wants
+the letters gathers the blocks itself.  The working set (the uniform
+buffer, one column of a block's uniforms, the lane matrices, the CSV rows)
+is allocated once per run; only the yielded blocks are new.
 
 A plain chain is a threshold chain: with u_t the last R letters as bits,
 letter t is +1 exactly when x_t >= P(-1 | u_t), x_t from column 0.  A block
@@ -48,9 +47,8 @@ from functools import lru_cache
 from typing import Optional
 
 from ._numpy import np
-from ._record import record
 from .fseq import Word
-from .kernel import _encode_state, _letters_at, _walk
+from .kernel import _encode_state, _letters_at, _shift_state, _state_letters, _walk
 from .potential import PairPotential, required_range
 
 SAMPLER_MAX_DEPTH = 12
@@ -77,11 +75,8 @@ def _chain_tables(g):
         raise ValueError(f"sampler guard: dependency depth <= {SAMPLER_MAX_DEPTH}")
     if R == 0:
         return np.full(2, g.prob((), -1)), np.zeros(2, dtype=np.uint16)
-    table = np.empty(1 << R)
-    for u in range(1 << R):
-        letters = tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R))
-        table[u] = g.prob(letters, -1)
-    return table, ((np.arange(1 << R) << 1) & ((1 << R) - 1)).astype(np.uint16)
+    table = np.array([g.prob(letters, -1) for letters in _state_letters(R)])
+    return table, _shift_state(np.arange(1 << R), 0, R).astype(np.uint16)
 
 
 def _initial_state(past: Word, R: int) -> int:
@@ -110,16 +105,6 @@ def _lane_matrices(N: int):
     lanes = min(_BLOCK, N) // _LANE
     return (np.empty((_LANE + 1, lanes), dtype=np.uint16), np.empty((_LANE, lanes), dtype=bool),
             np.empty(lanes, dtype=np.intp))
-
-
-def _letters(bits: np.ndarray) -> np.ndarray:
-    """Read-only int8 letters from uint8 letter bits (0 for -1, 1 for +1),
-    converted in place."""
-    out = bits.view(np.int8)
-    out *= 2
-    out -= 1
-    out.flags.writeable = False
-    return out
 
 
 def _walk_lane(table: list, steps: list, u: int, xs: list, refs: list):
@@ -181,57 +166,6 @@ def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray
     return u
 
 
-@record
-class ChainRun:
-    """One sampled trajectory; replayable from (seed, past, g_source).
-
-    Runs holding arrays compare and hash by identity: an array has no single
-    truth value to compare by.
-    """
-
-    seed: int
-    past: Word
-    samples: np.ndarray
-    g_source: str
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def frequency(self, letter: int) -> float:
-        return float(np.mean(self.samples == letter))
-
-
-@record
-class CouplingRun:
-    """Two trajectories driven by one stream, maximally coupled sitewise.
-
-    Each site couples with the largest probability any joint law allows,
-    namely one minus the total-variation distance of the two conditionals;
-    once the running histories coincide the chains agree forever.
-    """
-
-    chain_a: ChainRun
-    chain_b: ChainRun
-    disagree: np.ndarray
-
-    __eq__ = object.__eq__  # by identity, as ChainRun
-    __hash__ = object.__hash__
-
-    def disagreement_density(self, blocks: int = 10) -> np.ndarray:
-        """Disagreement density of each of the ``min(blocks, N)`` parts of the
-        run's N sites that ``_part_edges`` cuts, so that no part is empty."""
-        edges = _part_edges(len(self.disagree), blocks)
-        return np.array([float(np.mean(self.disagree[lo:hi])) for lo, hi in zip(edges, edges[1:])])
-
-    def first_coalescence(self) -> Optional[int]:
-        """First site after which no disagreement ever occurs."""
-        idx = np.nonzero(self.disagree)[0]
-        if idx.size == 0:
-            return 0
-        last = int(idx[-1]) + 1
-        return last if last < len(self.disagree) else None
-
-
 def _part_edges(N: int, parts: int = 10) -> list:
     """Edges of ``min(parts, N)`` consecutive parts of sites 0 .. N-1, as
     ``np.array_split`` cuts them: lengths differ by at most one, the longer
@@ -264,9 +198,17 @@ def _chain_blocks(table, steps, u: int, uniforms, N: int):
 
 
 def coupling_blocks(g, past_a: Word, past_b: Word, N: int, seed: int):
-    """The letter bits of the two chains of ``couple_two_pasts``, as one
-    generator of (2, n) blocks of up to _BLOCK sites (row 0 from past_a).
-    The arguments are checked here, before any block is drawn."""
+    """The letter bits of two chains from the pasts past_a and past_b,
+    maximally coupled at every site, as one generator of (2, n) blocks of up
+    to _BLOCK sites (row 0 from past_a).  The arguments are checked here,
+    before any block is drawn.
+
+    At each site the overlap mass of the two conditionals is served by one
+    shared draw; with the complementary probability (their total-variation
+    distance) the chains split and draw from their normalized residuals,
+    letters in canonical order (-1, +1) throughout.  Once the two states are
+    equal the pair is the plain chain on column 1 (see the module notes).
+    """
     if N < 1:
         raise ValueError("need at least one site")
     R = g.dependency_depth
@@ -318,39 +260,6 @@ def _coupling_blocks(table, steps, ua: int, ub: int, uniforms, N: int):
         bits[0, :i] = np.frombuffer(pair_a, dtype=np.uint8)
         bits[1, :i] = np.frombuffer(pair_b, dtype=np.uint8)
         yield bits
-
-
-def _gather(blocks, shape) -> np.ndarray:
-    """The uint8 blocks side by side along their last axis, in one array of ``shape``."""
-    out = np.empty(shape, dtype=np.uint8)
-    start = 0
-    for block in blocks:
-        stop = start + block.shape[-1]
-        out[..., start:stop] = block
-        start = stop
-    return out
-
-
-def sample_chain(g, past: Word, N: int, seed: int, chain_id: int = 0) -> ChainRun:
-    """Sample sites 0 .. N-1 sequentially from the conditional law g."""
-    bits = _gather(chain_blocks(g, past, N, seed, chain_id), N)
-    return ChainRun(seed=seed, past=past, samples=_letters(bits), g_source=g.source_label)
-
-
-def couple_two_pasts(g, past_a: Word, past_b: Word, N: int, seed: int) -> CouplingRun:
-    """Run two chains from different pasts, maximally coupled at every site.
-
-    At each site the overlap mass of the two conditionals is served by one
-    shared draw; with the complementary probability (their total-variation
-    distance) the chains split and draw from their normalized residuals,
-    letters in canonical order (-1, +1) throughout.  Once the two states are
-    equal the pair is the plain chain on column 1 (see the module notes).
-    """
-    bits = _gather(coupling_blocks(g, past_a, past_b, N, seed), (2, N))
-    letters_a, letters_b = _letters(bits[0]), _letters(bits[1])
-    run_a = ChainRun(seed=seed, past=past_a, samples=letters_a, g_source=g.source_label)
-    run_b = ChainRun(seed=seed, past=past_b, samples=letters_b, g_source=g.source_label)
-    return CouplingRun(chain_a=run_a, chain_b=run_b, disagree=letters_a != letters_b)
 
 
 def _pins_outside_hold(boundary: Word, f: Word, lo: int, first: int, last: int) -> bool:
@@ -495,9 +404,10 @@ def write_chain_blocks(path, blocks, N: int) -> int:
 def write_coupling_blocks(path, blocks, N: int):
     """Write the (site, letter_a, letter_b, disagree) CSV of sites 0 .. N-1
     from the blocks of ``coupling_blocks``, one block at a time.  Returns
-    what ``CouplingRun`` would say of the run: the disagreement density of
-    each of ``min(10, N)`` parts (``disagreement_density(10)``), of all
-    sites, and the first coalescence (``first_coalescence``)."""
+    the disagreement density of each of the ``min(10, N)`` parts that
+    ``_part_edges`` cuts, the density over all sites, and the first
+    coalescence: the first site from which on the chains agree, or None if
+    they disagree at the last site."""
     edges = _part_edges(N)
     counts, last, start = [0] * (len(edges) - 1), 0, 0
 
@@ -519,20 +429,3 @@ def write_coupling_blocks(path, blocks, N: int):
         _write_rows(fh, "site,letter_a,letter_b,disagree\r\n", codes(), _COUPLING_TAILS, N)
     density = [c / (hi - lo) for c, lo, hi in zip(counts, edges, edges[1:])]
     return density, sum(counts) / N, last if last < N else None
-
-
-def _bit_blocks(*letters):
-    """The letter arrays ``letters``, _BLOCK sites at a time, as letter bits of
-    shape (len(letters), n), as the block generators yield them."""
-    N = len(letters[0])
-    return (np.stack([x[i:i + _BLOCK] > 0 for x in letters]).view(np.uint8) for i in range(0, N, _BLOCK))
-
-
-def write_coupling_csv(run: CouplingRun, path) -> None:
-    """Time series (site, letter_a, letter_b, disagree) for plotting."""
-    write_coupling_blocks(path, _bit_blocks(run.chain_a.samples, run.chain_b.samples), len(run.disagree))
-
-
-def write_chain_csv(run: ChainRun, path) -> None:
-    """Time series (site, letter) of one sampled chain."""
-    write_chain_blocks(path, (bits[0] for bits in _bit_blocks(run.samples)), len(run.samples))

@@ -94,8 +94,7 @@ def _sliding_tables(key):
     for d in range(1, R + 1):
         spin = 2.0 * ((states >> (d - 1)) & 1) - 1.0
         field += J[d - 1] * spin
-    mask = size - 1
-    nxt = {c: ((states << 1) | ((c + 1) // 2)) & mask for c in SPINS}
+    nxt = {c: _shift_state(states, (c + 1) // 2, R) for c in SPINS}
     wts = {c: np.exp(0.5 * beta * c * field) for c in SPINS}
     return nxt, wts
 
@@ -106,6 +105,18 @@ def _encode_state(letters) -> int:
     for d, s in enumerate(reversed(letters), start=1):
         idx |= ((s + 1) // 2) << (d - 1)
     return int(idx)
+
+
+def _state_letters(R: int) -> tuple:
+    """The letters (site order) of every state of depth R, by state index;
+    the one state of depth 0 has none."""
+    return tuple(tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R)) for u in range(1 << R))
+
+
+def _shift_state(u, bit, R: int):
+    """The state of depth R after state u and letter bit ``bit`` (1 for +1);
+    u may be an integer array."""
+    return ((u << 1) | bit) & ((1 << R) - 1)
 
 
 def _rescale(x: np.ndarray, scale):
@@ -249,8 +260,9 @@ class TransferMatrix:
     States are spin words of length R in site order (oldest first); the
     entry at (u, v) is the step weight into the letter v ends with, and is
     nonzero exactly when v is u shifted by that letter.  The matrix is
-    primitive (every R-step product is strictly positive), so the Perron
-    pair below is simple and positive.
+    primitive by its structure: every pair of states is joined by exactly
+    one path of R steps, whose weights ``_sliding_tables`` has checked
+    finite and positive.  So the Perron pair below is simple and positive.
     """
 
     range_r: int
@@ -277,8 +289,6 @@ class TransferMatrix:
         M = np.zeros((size, size))
         for c in SPINS:
             M[np.arange(size), nxt[c]] = wts[c]
-        if not np.all(np.linalg.matrix_power(M, R) > 0.0):
-            raise ValueError("transfer matrix is not primitive")
         lam, right = _perron_pair(M)
         _, left = _perron_pair(M.T)
         residual = max(
@@ -290,13 +300,9 @@ class TransferMatrix:
         left = left / float(left @ right)
         for a in (M, right, left):  # g_exact_markov shares one instance per potential
             a.flags.writeable = False
-        states = tuple(
-            tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R))
-            for u in range(size)
-        )
         return TransferMatrix(
             range_r=R,
-            states=states,
+            states=_state_letters(R),
             matrix=M,
             eigenvalue=lam,
             right=right,
@@ -340,6 +346,12 @@ class MarkovConditional:
     def source_label(self) -> str:
         return "exact_markov"
 
+    @property
+    def states(self) -> tuple:
+        """The sliding-block states as R letters in site order, by state
+        index; at depth 0 the one empty state."""
+        return _state_letters(self.dependency_depth)
+
     def prob(self, past, s: int) -> float:
         """g(s | past); past is a Word covering [-R, -1] or R letters in site order."""
         if s not in SPINS:
@@ -354,7 +366,7 @@ class MarkovConditional:
             if len(letters) != tm.range_r:
                 raise ValueError(f"need exactly {tm.range_r} past letters")
         u = _encode_state(letters)
-        v = ((u << 1) | ((s + 1) // 2)) & ((1 << tm.range_r) - 1)
+        v = _shift_state(u, (s + 1) // 2, tm.range_r)
         return float(tm.matrix[u, v] * tm.right[v] / (tm.eigenvalue * tm.right[u]))
 
     def __call__(self, past, s: int) -> float:

@@ -1,4 +1,5 @@
-"""Exhaustive oracles for the exact kernels and the factor sequences.
+"""Exhaustive oracles for the exact kernels and the factor sequences, and
+the statistics of a coupled run computed from its whole disagreement array.
 
 Each oracle enumerates every word of a small window and sums Boltzmann
 weights written out from the pair law alone (beta and J(d)), so it shares
@@ -182,3 +183,19 @@ def brute_log_ratio(f: FSequence, i: int, past: int, future: int, horizon: int) 
             vals.append(log_f_exact(assign))
         best = max(best, max(vals) - min(vals))
     return best
+
+
+def disagreement_density(disagree: np.ndarray, parts: int = 10) -> list:
+    """Mean of each of the ``min(parts, N)`` parts that ``np.array_split``
+    cuts from the N disagreement flags of a coupled run."""
+    return [float(np.mean(x)) for x in np.array_split(disagree, min(parts, len(disagree)))]
+
+
+def first_coalescence(disagree: np.ndarray):
+    """The first site from which on a coupled run never disagrees: 0 if it
+    never does, None if it disagrees at its last site."""
+    idx = np.nonzero(disagree)[0]
+    if idx.size == 0:
+        return 0
+    last = int(idx[-1]) + 1
+    return last if last < len(disagree) else None

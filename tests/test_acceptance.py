@@ -5,6 +5,7 @@ threshold), never by the code path under test."""
 
 import itertools
 import math
+import os
 import time
 
 import numpy as np
@@ -25,10 +26,11 @@ from artifact import (
     check_berbee,
     check_scaled_limsup,
     check_variation_slope,
-    couple_two_pasts,
+    chain_blocks,
+    coupling_blocks,
     evaluate_all,
     g_exact_markov,
-    sample_chain,
+    write_coupling_blocks,
 )
 from artifact.kernel import (
     empirical_g_variation_profile,
@@ -237,8 +239,7 @@ def test_acceptance_7_window_law_converges_and_sampler_matches_it():
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-10
 
-    run = sample_chain(g, Word(-1, (1,)), 100_000, seed=20260814)
-    s = run.samples
+    s = 2 * np.concatenate(list(chain_blocks(g, Word(-1, (1,)), 100_000, seed=20260814))).astype(np.int8) - 1
     persistence = float(np.mean(s[1:] == s[:-1]))
     assert abs(persistence - math.exp(0.5) / (2.0 * math.cosh(0.5))) <= 0.01
     assert time.perf_counter() - t0 < 60.0
@@ -293,11 +294,10 @@ def test_acceptance_9_conclusion_labels_and_mixing_proxy():
     past_a = Word.constant(-6, 6, 1)
     past_b = Word.constant(-6, 6, -1)
     for seed in (7, 14, 21, 20260814):
-        run = couple_two_pasts(g, past_a, past_b, 10_000, seed)
-        deciles = run.disagreement_density(10)
+        deciles, density, coalescence = write_coupling_blocks(
+            os.devnull, coupling_blocks(g, past_a, past_b, 10_000, seed), 10_000)
         assert all(x >= y - 1e-12 for x, y in zip(deciles, deciles[1:]))
         assert deciles[-1] == 0.0
-        coalescence = run.first_coalescence()
         assert coalescence is not None and coalescence <= 100
-        assert float(run.disagree.mean()) < 0.01
+        assert density < 0.01
     print("ACCEPTANCE 9: PASS")

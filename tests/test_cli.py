@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -752,6 +753,21 @@ def test_check_quotes_strengths_past_the_double_range(tmp_path, capsys, beta):
     assert len(verdicts) == 9 and all("not evaluated" not in v["certificate"] for v in verdicts[1:])
     berbee = verdicts[3]
     assert berbee["outcome"] == "Fails" and "4c = [1.797693135e+308, inf] > 1" in berbee["certificate"]
+
+
+def test_a_transfer_matrix_past_the_eigensolver_is_named_by_its_perron_vector(tmp_path):
+    # the transfer matrix is primitive by its structure, so no overflowing
+    # power of it decides that: the eigensolver's failure is the one named
+    doc = {"potential": {"kind": "power_law", "beta": 600.0, "q": 2.0, "truncation_range": 3}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="Perron"):
+            artifact.g_exact_markov(parse_config(doc).build_potential())
+    path = write_config(tmp_path, doc)
+    proc = python(CHECK_AND_LIST, "gfun", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1
+    assert "gfun failed: Perron vector not strictly positive" in proc.stderr
+    assert "primitive" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 def test_main_guard_error_exits_one(tmp_path, capsys):

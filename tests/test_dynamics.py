@@ -1,7 +1,9 @@
 """Sequential sampling, coupled chains, and window Cesàro averages."""
 
 import csv
+import io
 import math
+import os
 import tracemalloc
 import warnings
 
@@ -14,23 +16,14 @@ from artifact import (
     PairPotential,
     Word,
     cesaro_estimate,
-    couple_two_pasts,
-    g_exact_markov,
-    sample_chain,
-    write_chain_csv,
-    write_coupling_csv,
-)
-from artifact.dynamics import (
-    SAMPLER_MAX_DEPTH,
-    _BLOCK,
-    _part_edges,
-    _uniform_chunks,
     chain_blocks,
     coupling_blocks,
+    g_exact_markov,
     write_chain_blocks,
     write_coupling_blocks,
 )
-from oracles import phi_window
+from artifact.dynamics import SAMPLER_MAX_DEPTH, _BLOCK, _part_edges, _uniform_chunks
+from oracles import disagreement_density, first_coalescence, phi_window
 
 GOLDEN_SEED_42 = [1, 1, -1, 1, -1, -1, -1, -1, 1, -1,
                   -1, -1, -1, -1, -1, -1, 1, 1, -1, -1]
@@ -58,36 +51,59 @@ def minus_past(R):
     return Word.constant(-max(R, 1), max(R, 1), -1)
 
 
+def sample(g, past, N, seed, chain_id=0):
+    """The letters (int8, -1 and +1) of the blocks of chain_blocks, gathered."""
+    return 2 * np.concatenate(list(chain_blocks(g, past, N, seed, chain_id))).astype(np.int8) - 1
+
+
+def couple(g, past_a, past_b, N, seed):
+    """The letters of the two chains of coupling_blocks, gathered: rows a and b."""
+    return 2 * np.concatenate(list(coupling_blocks(g, past_a, past_b, N, seed)), axis=1).astype(np.int8) - 1
+
+
+def tallies(g, past_a, past_b, N, seed):
+    """What write_coupling_blocks says of a coupled run: part densities,
+    density and first coalescence; the rows go to the null device."""
+    return write_coupling_blocks(os.devnull, coupling_blocks(g, past_a, past_b, N, seed), N)
+
+
+def csv_writer_bytes(header, rows):
+    """The bytes csv.writer writes for the header and the rows."""
+    text = io.StringIO(newline="")
+    w = csv.writer(text)
+    w.writerow(header)
+    w.writerows(rows)
+    return text.getvalue().encode()
+
+
 # -- reproducibility ---------------------------------------------------------------
 
 
 def test_sampling_replays_bit_exactly():
     g = g_exact_markov(truncated(0.4, 3))
-    a = sample_chain(g, plus_past(3), 500, seed=9)
-    b = sample_chain(g, plus_past(3), 500, seed=9)
-    assert np.array_equal(a.samples, b.samples)
-    c = sample_chain(g, plus_past(3), 500, seed=10)
-    assert not np.array_equal(a.samples, c.samples)
-    d = sample_chain(g, plus_past(3), 500, seed=9, chain_id=1)
-    assert not np.array_equal(a.samples, d.samples)
+    a = sample(g, plus_past(3), 500, seed=9)
+    b = sample(g, plus_past(3), 500, seed=9)
+    assert np.array_equal(a, b)
+    c = sample(g, plus_past(3), 500, seed=10)
+    assert not np.array_equal(a, c)
+    d = sample(g, plus_past(3), 500, seed=9, chain_id=1)
+    assert not np.array_equal(a, d)
 
 
 def test_sampling_golden_sequence():
     # frozen on first release; any change here breaks replayability of runs
     g = g_exact_markov(nn(1.0))
-    run = sample_chain(g, Word(-1, (1,)), 20, seed=42)
-    assert list(run.samples) == GOLDEN_SEED_42
-    assert run.g_source == "exact_markov"
+    assert list(sample(g, Word(-1, (1,)), 20, seed=42)) == GOLDEN_SEED_42
 
 
 def test_sampling_validation():
     g = g_exact_markov(nn(1.0))
     with pytest.raises(ValueError):
-        sample_chain(g, Word(-1, (1,)), 0, seed=1)
+        chain_blocks(g, Word(-1, (1,)), 0, seed=1)
     with pytest.raises(ValueError):
-        sample_chain(g, Word(-1, (1,)), 5, seed=2**64)
+        chain_blocks(g, Word(-1, (1,)), 5, seed=2**64)
     with pytest.raises(ValueError):
-        sample_chain(g, Word(-3, (1, 1)), 5, seed=1)  # past misses site -1
+        chain_blocks(g, Word(-3, (1, 1)), 5, seed=1)  # past misses site -1
 
 
 def test_sampler_depth_guard():
@@ -95,23 +111,22 @@ def test_sampler_depth_guard():
         dependency_depth = 13
 
     with pytest.raises(ValueError, match="sampler guard"):
-        sample_chain(Depth13(), plus_past(13), 5, seed=1)
+        chain_blocks(Depth13(), plus_past(13), 5, seed=1)
 
 
 # -- marginal statistics -------------------------------------------------------------
 
 
 def test_zero_coupling_letters_are_uniform():
-    run = sample_chain(g_exact_markov(zero()), Word(-1, (1,)), 10**5, seed=123)
-    assert abs(run.frequency(1) - 0.5) <= 0.01
-    counts = [int(np.sum(run.samples == s)) for s in (-1, 1)]
+    s = sample(g_exact_markov(zero()), Word(-1, (1,)), 10**5, seed=123)
+    assert abs(float(np.mean(s == 1)) - 0.5) <= 0.01
+    counts = [int(np.sum(s == x)) for x in (-1, 1)]
     assert stats.chisquare(counts).pvalue > 0.001
 
 
 def test_nearest_neighbor_persistence_probability():
     # P(x_t = x_{t-1}) = e^{b/2} / (2 cosh(b/2)) at stationarity
-    run = sample_chain(g_exact_markov(nn(1.0)), Word(-1, (1,)), 10**5, seed=7)
-    s = run.samples
+    s = sample(g_exact_markov(nn(1.0)), Word(-1, (1,)), 10**5, seed=7)
     same = float(np.mean(s[1:] == s[:-1]))
     want = math.exp(0.5) / (2.0 * math.cosh(0.5))
     assert abs(same - want) <= 0.01
@@ -119,8 +134,7 @@ def test_nearest_neighbor_persistence_probability():
 
 def test_pair_frequencies_match_stationary_law():
     g = g_exact_markov(nn(1.0))
-    run = sample_chain(g, Word(-1, (1,)), 10**5, seed=7)
-    s = run.samples
+    s = sample(g, Word(-1, (1,)), 10**5, seed=7)
     law = g.state_law()
     pairs = 10**5 - 1
     for a in (-1, 1):
@@ -136,10 +150,11 @@ def test_pair_frequencies_match_stationary_law():
 
 def test_identical_pasts_never_disagree():
     g = g_exact_markov(truncated(0.5, 2))
-    run = couple_two_pasts(g, plus_past(2), plus_past(2), 2000, seed=3)
-    assert int(run.disagree.sum()) == 0
-    assert run.first_coalescence() == 0
-    assert np.array_equal(run.chain_a.samples, run.chain_b.samples)
+    a, b = couple(g, plus_past(2), plus_past(2), 2000, seed=3)
+    _, density, coalesced = tallies(g, plus_past(2), plus_past(2), 2000, seed=3)
+    assert density == 0.0
+    assert coalesced == 0
+    assert np.array_equal(a, b)
 
 
 def test_coupled_chains_coalesce_and_stay_together():
@@ -147,20 +162,19 @@ def test_coupled_chains_coalesce_and_stay_together():
     # draw keeps them identical: disagreements cannot reignite in isolation
     R = 3
     g = g_exact_markov(truncated(0.4, R))
-    run = couple_two_pasts(g, plus_past(R), minus_past(R), 2000, seed=5)
-    dis = np.nonzero(run.disagree)[0]
-    for t in dis:
-        assert t < R or run.disagree[max(0, t - R):t].any()
-    coal = run.first_coalescence()
+    a, b = couple(g, plus_past(R), minus_past(R), 2000, seed=5)
+    disagree = a != b
+    for t in np.nonzero(disagree)[0]:
+        assert t < R or disagree[max(0, t - R):t].any()
+    coal = tallies(g, plus_past(R), minus_past(R), 2000, seed=5)[2]
     assert coal is not None
-    assert not run.disagree[coal:].any()
+    assert not disagree[coal:].any()
 
 
 def test_disagreement_density_decays():
     g = g_exact_markov(truncated(0.3, 6))
-    run = couple_two_pasts(g, plus_past(6), minus_past(6), 10**4, seed=21)
-    d = run.disagreement_density()
-    assert d.shape == (10,)
+    d = tallies(g, plus_past(6), minus_past(6), 10**4, seed=21)[0]
+    assert len(d) == 10
     assert d[0] > 0.0
     assert np.all(np.diff(d) <= 1e-12)
     assert d[-1] == 0.0
@@ -168,10 +182,10 @@ def test_disagreement_density_decays():
 
 def test_coupling_is_seed_deterministic():
     g = g_exact_markov(truncated(0.3, 2))
-    a = couple_two_pasts(g, plus_past(2), minus_past(2), 1000, seed=11)
-    b = couple_two_pasts(g, plus_past(2), minus_past(2), 1000, seed=11)
-    assert np.array_equal(a.chain_a.samples, b.chain_a.samples)
-    assert np.array_equal(a.chain_b.samples, b.chain_b.samples)
+    a = couple(g, plus_past(2), minus_past(2), 1000, seed=11)
+    b = couple(g, plus_past(2), minus_past(2), 1000, seed=11)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 # -- Cesàro averages ------------------------------------------------------------------
@@ -214,17 +228,17 @@ def test_cesaro_validation():
 
 def test_csv_writers_round_trip(tmp_path):
     g = g_exact_markov(truncated(0.4, 2))
-    run = couple_two_pasts(g, plus_past(2), minus_past(2), 50, seed=2)
+    a, _ = couple(g, plus_past(2), minus_past(2), 50, seed=2)
     cpath = tmp_path / "couple.csv"
-    write_coupling_csv(run, cpath)
+    write_coupling_blocks(cpath, coupling_blocks(g, plus_past(2), minus_past(2), 50, seed=2), 50)
     rows = cpath.read_text().strip().splitlines()
     assert rows[0] == "site,letter_a,letter_b,disagree"
     assert len(rows) == 51
     first = rows[1].split(",")
-    assert int(first[1]) == int(run.chain_a.samples[0])
+    assert int(first[1]) == int(a[0])
 
     spath = tmp_path / "chain.csv"
-    write_chain_csv(run.chain_a, spath)
+    write_chain_blocks(spath, (bits[0] for bits in coupling_blocks(g, plus_past(2), minus_past(2), 50, seed=2)), 50)
     rows = spath.read_text().strip().splitlines()
     assert rows[0] == "site,letter"
     assert len(rows) == 51
@@ -315,10 +329,7 @@ def test_streamed_sampler_matches_the_one_block_path():
     for p, R, N in SAMPLER_CASES:
         g = g_exact_markov(p)
         past = plus_past(R)
-        run = sample_chain(g, past, N, seed=31, chain_id=2)
-        want = oracle_chain(g, (1,) * R, N, 31, 2)
-        assert run.samples.dtype == np.int8 and not run.samples.flags.writeable
-        assert np.array_equal(run.samples, want)
+        assert np.array_equal(sample(g, past, N, seed=31, chain_id=2), oracle_chain(g, (1,) * R, N, 31, 2))
 
 
 # (law, depth, sites, seed), all from opposite pasts: the nearest-neighbour
@@ -338,12 +349,11 @@ COUPLER_CASES = [
 def test_streamed_coupler_matches_the_one_block_path():
     for p, R, N, seed in COUPLER_CASES:
         g = g_exact_markov(p)
-        run = couple_two_pasts(g, plus_past(R), minus_past(R), N, seed=seed)
+        a, b = couple(g, plus_past(R), minus_past(R), N, seed=seed)
         want_a, want_b = oracle_couple(g, (1,) * R, (-1,) * R, N, seed)
-        assert np.array_equal(run.chain_a.samples, want_a)
-        assert np.array_equal(run.chain_b.samples, want_b)
-        assert np.array_equal(run.disagree, want_a != want_b)
-        assert run.disagree.any()
+        assert np.array_equal(a, want_a)
+        assert np.array_equal(b, want_b)
+        assert (a != b).any()
 
 
 class DeepestLaw:
@@ -362,13 +372,13 @@ class DeepestLaw:
 
 def test_streamed_runs_of_the_deepest_law_match_the_one_block_path():
     g, R = DeepestLaw(), SAMPLER_MAX_DEPTH
-    run = sample_chain(g, plus_past(R), TWO_BLOCKS_N, seed=31, chain_id=2)
-    assert np.array_equal(run.samples, oracle_chain(g, (1,) * R, TWO_BLOCKS_N, 31, 2))
-    run = couple_two_pasts(g, plus_past(R), minus_past(R), _BLOCK + 1, seed=8)
+    assert np.array_equal(sample(g, plus_past(R), TWO_BLOCKS_N, seed=31, chain_id=2),
+                          oracle_chain(g, (1,) * R, TWO_BLOCKS_N, 31, 2))
+    a, b = couple(g, plus_past(R), minus_past(R), _BLOCK + 1, seed=8)
     want_a, want_b = oracle_couple(g, (1,) * R, (-1,) * R, _BLOCK + 1, 8)
-    assert np.array_equal(run.chain_a.samples, want_a)
-    assert np.array_equal(run.chain_b.samples, want_b)
-    assert run.disagree.any() and run.first_coalescence() is not None
+    assert np.array_equal(a, want_a)
+    assert np.array_equal(b, want_b)
+    assert (a != b).any() and first_coalescence(a != b) is not None
 
 
 def test_chunked_uniforms_span_blocks():
@@ -380,7 +390,7 @@ def test_chunked_uniforms_span_blocks():
 def test_coupler_pair_phase_crosses_a_block():
     # the premise of the beta 12 coupler cases above
     g = g_exact_markov(nn(12.0))
-    first = [couple_two_pasts(g, plus_past(1), minus_past(1), TWO_BLOCKS_N, seed=s).first_coalescence() for s in (1, 6)]
+    first = [tallies(g, plus_past(1), minus_past(1), TWO_BLOCKS_N, seed=s)[2] for s in (1, 6)]
     assert first == [97999, None]
 
 
@@ -388,32 +398,25 @@ def test_coupler_of_equal_states_matches_the_one_block_path():
     # depth 0, or equal pasts: the pair is the plain chain on column 1 throughout
     for p, R, N in ((zero(), 0, _BLOCK + 1), (truncated(0.4, 3), 3, 1), (truncated(0.4, 3), 3, TWO_BLOCKS_N)):
         g = g_exact_markov(p)
-        run = couple_two_pasts(g, plus_past(R), plus_past(R), N, seed=4)
+        a, b = couple(g, plus_past(R), plus_past(R), N, seed=4)
         want_a, want_b = oracle_couple(g, (1,) * R, (1,) * R, N, 4)
-        assert np.array_equal(run.chain_a.samples, want_a)
-        assert np.array_equal(run.chain_b.samples, want_b)
-        assert not run.disagree.any()
+        assert np.array_equal(a, want_a)
+        assert np.array_equal(b, want_b)
+        assert not (a != b).any()
 
 
 def test_csv_writers_write_the_bytes_of_csv_writer(tmp_path):
     g = g_exact_markov(truncated(1.2, 3))
     # one row, the edges of the rows built at a time, site numbers past 10^5
     for N in (STREAM_N, 1, 9999, 10001, 100_003):
-        run = couple_two_pasts(g, plus_past(3), minus_past(3), N, seed=8)
-        write_coupling_csv(run, tmp_path / "couple.csv")
-        write_chain_csv(run.chain_b, tmp_path / "chain.csv")
-        with open(tmp_path / "couple_ref.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["site", "letter_a", "letter_b", "disagree"])
-            for t in range(N):
-                w.writerow([t, int(run.chain_a.samples[t]), int(run.chain_b.samples[t]), int(run.disagree[t])])
-        with open(tmp_path / "chain_ref.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["site", "letter"])
-            for t, letter in enumerate(run.chain_b.samples):
-                w.writerow([t, int(letter)])
-        for name in ("couple", "chain"):
-            assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()
+        a, b = couple(g, plus_past(3), minus_past(3), N, seed=8)
+        write_coupling_blocks(tmp_path / "couple.csv", coupling_blocks(g, plus_past(3), minus_past(3), N, seed=8), N)
+        chain_b = (bits[1] for bits in coupling_blocks(g, plus_past(3), minus_past(3), N, seed=8))
+        write_chain_blocks(tmp_path / "chain.csv", chain_b, N)
+        want = [[t, int(a[t]), int(b[t]), int(a[t] != b[t])] for t in range(N)]
+        assert (tmp_path / "couple.csv").read_bytes() == csv_writer_bytes(["site", "letter_a", "letter_b", "disagree"], want)
+        want = [[t, int(letter)] for t, letter in enumerate(b)]
+        assert (tmp_path / "chain.csv").read_bytes() == csv_writer_bytes(["site", "letter"], want)
 
 
 # -- block generators and the writers that stream them ----------------------------------
@@ -422,13 +425,14 @@ def test_csv_writers_write_the_bytes_of_csv_writer(tmp_path):
 def test_block_generators_are_the_runs_a_block_at_a_time():
     g = g_exact_markov(truncated(1.2, 3))
     for N in (1, _BLOCK, TWO_BLOCKS_N):
+        sizes = [min(_BLOCK, N - i) for i in range(0, N, _BLOCK)]
         blocks = list(chain_blocks(g, plus_past(3), N, seed=5, chain_id=1))
-        assert [len(b) for b in blocks] == [min(_BLOCK, N - i) for i in range(0, N, _BLOCK)]
-        run = sample_chain(g, plus_past(3), N, seed=5, chain_id=1)
-        assert np.array_equal(2 * np.concatenate(blocks).astype(np.int8) - 1, run.samples)
-        pairs = np.concatenate(list(coupling_blocks(g, plus_past(3), minus_past(3), N, seed=8)), axis=1)
-        run = couple_two_pasts(g, plus_past(3), minus_past(3), N, seed=8)
-        assert np.array_equal(2 * pairs.astype(np.int8) - 1, [run.chain_a.samples, run.chain_b.samples])
+        assert [b.shape for b in blocks] == [(n,) for n in sizes]
+        assert np.array_equal(2 * np.concatenate(blocks).astype(np.int8) - 1, oracle_chain(g, (1,) * 3, N, 5, 1))
+        pairs = list(coupling_blocks(g, plus_past(3), minus_past(3), N, seed=8))
+        assert [b.shape for b in pairs] == [(2, n) for n in sizes]
+        want = oracle_couple(g, (1,) * 3, (-1,) * 3, N, 8)
+        assert np.array_equal(2 * np.concatenate(pairs, axis=1).astype(np.int8) - 1, want)
 
 
 def test_block_generators_check_their_arguments_before_any_block():
@@ -453,22 +457,23 @@ def test_streamed_writers_tally_what_the_runs_say(tmp_path, N):
     # fewer sites than ten parts: one part per site, none empty, so no NaN and no warning
     for p, R, seed in ((truncated(1.2, 3), 3, 8), (nn(12.0), 1, 1), (zero(), 0, 4)):
         g = g_exact_markov(p)
-        run = couple_two_pasts(g, plus_past(R), minus_past(R), N, seed=seed)
-        write_coupling_csv(run, tmp_path / "want.csv")
-        got = write_coupling_blocks(tmp_path / "got.csv", coupling_blocks(g, plus_past(R), minus_past(R), N, seed), N)
+        a, b = couple(g, plus_past(R), minus_past(R), N, seed)
+        disagree = a != b
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            deciles = run.disagreement_density(10)
+            got = write_coupling_blocks(tmp_path / "couple.csv", coupling_blocks(g, plus_past(R), minus_past(R), N, seed), N)
+            deciles = disagreement_density(disagree, 10)
         assert len(deciles) == min(10, N) and all(math.isfinite(x) for x in deciles)
-        assert got[0] == [float(x) for x in deciles]
-        assert got[1:] == (float(run.disagree.mean()), run.first_coalescence())
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert got[0] == deciles
+        assert got[1:] == (float(disagree.mean()), first_coalescence(disagree))
+        want = [[t, int(a[t]), int(b[t]), int(disagree[t])] for t in range(N)]
+        assert (tmp_path / "couple.csv").read_bytes() == csv_writer_bytes(["site", "letter_a", "letter_b", "disagree"], want)
 
-        plus = write_chain_blocks(tmp_path / "got.csv", chain_blocks(g, plus_past(R), N, seed, chain_id=3), N)
-        chain = sample_chain(g, plus_past(R), N, seed, chain_id=3)
-        assert plus == int(np.count_nonzero(chain.samples == 1))
-        write_chain_csv(chain, tmp_path / "want.csv")
-        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        plus = write_chain_blocks(tmp_path / "chain.csv", chain_blocks(g, plus_past(R), N, seed, chain_id=3), N)
+        chain = sample(g, plus_past(R), N, seed, chain_id=3)
+        assert plus == int(np.count_nonzero(chain == 1))
+        want = [[t, int(letter)] for t, letter in enumerate(chain)]
+        assert (tmp_path / "chain.csv").read_bytes() == csv_writer_bytes(["site", "letter"], want)
 
 
 def test_streamed_coupling_memory_does_not_grow_with_the_sites(tmp_path):

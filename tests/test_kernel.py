@@ -230,6 +230,7 @@ def test_exact_conditional_rows_normalize_and_flip():
 def test_exact_conditional_zero_coupling_uniform():
     g = g_exact_markov(zero())
     assert g.dependency_depth == 0
+    assert g.states == ((),)
     assert g.prob((), 1) == 0.5
     assert g.state_law() == pytest.approx(np.array([1.0]))
 

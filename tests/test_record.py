@@ -5,14 +5,12 @@ import dataclasses
 import importlib
 import pkgutil
 
-import numpy as np
 import pytest
 
 import artifact
 from artifact import _record
 from artifact.cli import parse_config
 from artifact.criteria import HOLDS, UNIQUE_GIBBS, CriteriaReport, Verdict, _Limsup
-from artifact.dynamics import ChainRun, CouplingRun
 from artifact.fseq import FSequence, Word
 from artifact.intervals import Interval
 from artifact.kernel import KernelResult, MarkovConditional, TransferMatrix
@@ -29,11 +27,10 @@ P = PairPotential(LAW, 0.3, 12)
 NN = PairPotential(CouplingLaw.finite_table([1.0]), 1.0)
 I = Interval(1.0, 2.0)
 # records holding arrays: they compare and hash by identity
-IDENTITY_RECORDS = ("ChainRun", "CouplingRun", "TransferMatrix")
+IDENTITY_RECORDS = ("TransferMatrix",)
 VERDICT = Verdict("berbee", HOLDS, I, "certificate", UNIQUE_GIBBS)
 RN = RnSeries(3, I, False, "certificate", 7)
 ROW = TauberianRow(4, I, I, None)
-CHAIN = ChainRun(5, Word(0, (1, -1)), np.array([1, -1, 1]), "exact")
 
 # one instance of every record class, built the way the package builds it
 SAMPLES = {
@@ -41,8 +38,6 @@ SAMPLES = {
     "Verdict": lambda: VERDICT,
     "_Limsup": lambda: _Limsup.finite(I),
     "CriteriaReport": lambda: CriteriaReport((VERDICT,), {"alpha": 0.5}),
-    "ChainRun": lambda: CHAIN,
-    "CouplingRun": lambda: CouplingRun(CHAIN, CHAIN, np.array([True, False, False])),
     "Word": lambda: Word(-1, (1, 1, -1)),
     "FSequence": lambda: FSequence.from_potential(P),
     "VProfile": lambda: FSequence.from_potential(P).v_profile(4),
@@ -163,9 +158,9 @@ def test_criteria_report_gets_a_fresh_dict_of_knobs():
     assert CriteriaReport((), knobs={"alpha": 0.5}).knobs == {"alpha": 0.5}
 
 
-def test_equal_coupling_runs_are_distinct():
+def test_equal_transfer_matrices_are_distinct():
     # separately built arrays: value equality would have to ask an array for a truth value
-    a, b = (CouplingRun(CHAIN, CHAIN, np.array([True, False, False])) for _ in range(2))
+    a, b = (TransferMatrix.from_potential(NN) for _ in range(2))
     assert a != b and not (a == b) and a == a
     assert hash(a) != hash(b) and len({a, b}) == 2
 
