@@ -183,6 +183,21 @@ def test_transfer_matrix_shape_and_guards():
         TransferMatrix.from_potential(truncated(2.0, 0.2, 13))
 
 
+@pytest.mark.parametrize("R", [1, 2, 3])
+def test_states_decode_and_shift_as_the_matrix_indexes_them(R):
+    # state u holds the letters states[u]; row u is nonzero exactly at the
+    # states that drop its oldest letter and append a new one
+    g = g_exact_markov(table(tuple(0.5 / d for d in range(1, R + 1)), 0.7))
+    tm = g.transfer
+    assert g.states == tm.states
+    assert sorted(tm.states) == sorted(set(tm.states))
+    assert all(len(u) == R for u in tm.states)
+    for u, letters in enumerate(tm.states):
+        assert tm.state_index(letters) == u
+        successors = {tm.state_index(letters[1:] + (s,)) for s in (-1, 1)}
+        assert set(np.flatnonzero(tm.matrix[u] > 0.0).tolist()) == successors
+
+
 def test_exact_conditional_nearest_neighbor_value():
     # frozen closed form: g(+|+) = 1 / (1 + e^{-1}) at beta = 1
     g = g_exact_markov(nn(1.0))
