@@ -39,8 +39,7 @@ _EXPORTS = {
         ("rows", "RnSeries rn_series g_variation_bound"),
         ("diagnostics", "RatioTable rb_limit_lower_bound berbee_series_partial_sums fit_growth_exponent "
                         "tauberian_diagnostic"),
-        ("kernel", "TransferMatrix MarkovConditional g_exact_markov pi_window_at_zero "
-                   "empirical_g_variation empirical_g_variation_profile"),
+        ("kernel", "TransferMatrix MarkovConditional g_exact_markov pi_window_at_zero empirical_g_variation_profile"),
         ("dynamics", "chain_blocks coupling_blocks cesaro_estimate write_chain_blocks write_coupling_blocks"),
         ("criteria", "Verdict CriteriaReport HOLDS FAILS INCONCLUSIVE UNIQUE_GIBBS UNIQUE_GIBBS_BERNOULLI "
                      "UNIQUE_TINV_GIBBS DEFAULT_ALPHA_GRID dobrushin_sum check_dobrushin check_ruelle check_coelho_quas "

@@ -449,23 +449,23 @@ def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     from .kernel import g_exact_markov
 
     g = g_exact_markov(p)
-    states = g.states
+    table = g.table
     path = out / "gfun.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["past", "prob_minus", "prob_plus"])
-        for state in states:
-            w.writerow([_past_string(state), _cell(g.prob(state, -1)), _cell(g.prob(state, +1))])
+        for state, minus, plus in zip(g.states, table[0].tolist(), table[1].tolist()):
+            w.writerow([_past_string(state), _cell(minus), _cell(plus)])
     law = g.state_law()
     tm = g.transfer
     eigenvalue, residual = (None, None) if tm is None else (tm.eigenvalue, tm.residual)
     return {
         "csv": path.name,
         "dependency_depth": g.dependency_depth,
-        "states": len(states),
+        "states": table.shape[1],
         "eigenvalue": eigenvalue,
         "perron_residual": residual,
-        "stationary_prob_plus": float(sum(law[i] * g.prob(state, +1) for i, state in enumerate(states))),
+        "stationary_prob_plus": float(sum(law * table[1])),
     }
 
 
@@ -552,7 +552,7 @@ def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
         "sites": N,
         "seed": cfg.seed,
         "past": _past_string(past.letters),
-        "g_source": g.source_label,
+        "g_source": "exact_markov",
         "frequency_plus": plus / N,
         "frequency_minus": (N - plus) / N,
     }

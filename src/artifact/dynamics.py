@@ -16,7 +16,9 @@ residual draws.  Identical seeds therefore give identical paths on every
 platform numpy supports.
 
 Each sampler is one generator of the letter bits of blocks of 2^16 sites
-(``chain_blocks``, ``coupling_blocks``).  The block writers
+(``chain_blocks``, ``coupling_blocks``).  Of its conditional law g it reads
+``g.dependency_depth`` and row 0 of ``g.table``, P(-1 | state) by state
+index (see ``kernel``).  The block writers
 (``write_chain_blocks``, ``write_coupling_blocks``) take them one at a time
 and tally what a report says of the run as they go, so a run streamed from
 a sampler into a writer holds no array of N entries; a caller that wants
@@ -48,7 +50,7 @@ from typing import Optional
 
 from ._numpy import np
 from .fseq import Word
-from .kernel import _encode_state, _letters_at, _shift_state, _state_letters, _walk
+from .kernel import _letters_at, _past_state, _shift_state, _walk
 from .potential import PairPotential, required_range
 
 SAMPLER_MAX_DEPTH = 12
@@ -73,14 +75,8 @@ def _chain_tables(g):
     R = g.dependency_depth
     if R > SAMPLER_MAX_DEPTH:
         raise ValueError(f"sampler guard: dependency depth <= {SAMPLER_MAX_DEPTH}")
-    if R == 0:
-        return np.full(2, g.prob((), -1)), np.zeros(2, dtype=np.uint16)
-    table = np.array([g.prob(letters, -1) for letters in _state_letters(R)])
-    return table, _shift_state(np.arange(1 << R), 0, R).astype(np.uint16)
-
-
-def _initial_state(past: Word, R: int) -> int:
-    return _encode_state(_letters_at(past, range(-R, 0)))
+    depth = max(R, 1)
+    return np.resize(g.table[0], 1 << depth), _shift_state(np.arange(1 << depth), 0, depth).astype(np.uint16)
 
 
 def _uniform_chunks(seed: int, chain_id: int, N: int):
@@ -182,7 +178,7 @@ def chain_blocks(g, past: Word, N: int, seed: int, chain_id: int = 0):
     if N < 1:
         raise ValueError("need at least one site")
     table, steps = _chain_tables(g)
-    u = _initial_state(past, g.dependency_depth)
+    u = _past_state(past, g.dependency_depth)
     return _chain_blocks(table, steps, u, _uniform_chunks(seed, chain_id, N), N)
 
 
@@ -213,7 +209,7 @@ def coupling_blocks(g, past_a: Word, past_b: Word, N: int, seed: int):
         raise ValueError("need at least one site")
     R = g.dependency_depth
     table, steps = _chain_tables(g)
-    ua, ub = _initial_state(past_a, R), _initial_state(past_b, R)
+    ua, ub = _past_state(past_a, R), _past_state(past_b, R)
     return _coupling_blocks(table, steps, ua, ub, _uniform_chunks(seed, 0, N), N)
 
 
@@ -293,7 +289,7 @@ def cesaro_estimate(p: PairPotential, f: Optional[Word], n: int, boundary: Word)
         return 1.0
     R = required_range(p)
     end = n - 1
-    past = _letters_at(boundary, range(-R, 0))
+    u = _past_state(boundary, R)
     fut = _letters_at(boundary, range(end + 1, end + R + 1))
     walk = _walk(p)
     if (n + 1) * walk.size > CESARO_MAX_CELLS:
@@ -309,10 +305,10 @@ def cesaro_estimate(p: PairPotential, f: Optional[Word], n: int, boundary: Word)
         if _pins_outside_hold(boundary, f, lo, first, last):
             runs.setdefault((first, last), []).append(lo + first)
 
-    alpha, la = walk.forward(_encode_state(past), end)
+    alpha, la = walk.forward(u, end)
     beta, lb = walk.backward([fut], end, keep=True)
     beta, lb = beta[:, :, 0], lb[:, 0]
-    z_hat, lz = beta[0, _encode_state(past)], lb[0]
+    z_hat, lz = beta[0, u], lb[0]
     total = 0.0
     for (first, last), starts in runs.items():
         if first == last:  # every pin lies outside the window and holds

@@ -2,8 +2,8 @@
 
 This module is the exact side of the package: the conditional laws of
 window kernels by scaled sliding-block passes, the stationary Markov
-conditional from Perron eigendata, and oscillation measurements from those
-laws.  Certified bounds from the analytic modules are validated against
+conditional g from Perron eigendata, and oscillation measurements from
+those laws.  Certified bounds from the analytic modules are validated against
 these values on desk-scale instances; the exhaustive enumerations that check
 this module live with the tests.
 
@@ -31,6 +31,11 @@ rounding error, and the weights themselves, which grow exponentially in
 the window length, never have to fit in a double.  One backward pass can
 carry many futures as columns.  A non-finite or vanishing intermediate
 raises ArithmeticError instead of returning NaN.
+
+The stationary Markov conditional g of the unique Gibbs state is the Doob
+transform of the transfer matrix by its Perron pair, computed once per
+potential as one read-only (2, 2^R) array that ``prob``, ``gfun`` and the
+samplers all index.
 
 Window-size guards are hard errors, never silent fallbacks: an exact
 routine that quietly approximates would poison every validation built on
@@ -64,9 +69,6 @@ class KernelResult:
     value: float
     dependency_window: tuple
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _letters_at(word: Word, sites: range) -> tuple:
     """Int letters of ``word`` at ``sites``; a site it does not cover raises ValueError."""
@@ -74,29 +76,6 @@ def _letters_at(word: Word, sites: range) -> tuple:
         if not word.covers(site):
             raise ValueError(f"word does not cover required site {site}")
     return tuple(int(word.at(site)) for site in sites)
-
-
-@lru_cache(maxsize=64)
-def _sliding_tables(key):
-    """Per-state coupling fields and transition targets for the block walk.
-
-    The step weights lie in [exp(-h), exp(h)], h = beta * sum(J) / 2, so
-    they are all finite and positive exactly when exp(h) is finite; a
-    coupling past that is refused before any array holds it.
-    """
-    beta, J = key
-    if not math.isfinite(_exp(0.5 * beta * sum(J))):
-        raise ArithmeticError("coupling leaves the double range")
-    R = len(J)
-    size = 1 << R
-    states = np.arange(size)
-    field = np.zeros(size)
-    for d in range(1, R + 1):
-        spin = 2.0 * ((states >> (d - 1)) & 1) - 1.0
-        field += J[d - 1] * spin
-    nxt = {c: _shift_state(states, (c + 1) // 2, R) for c in SPINS}
-    wts = {c: np.exp(0.5 * beta * c * field) for c in SPINS}
-    return nxt, wts
 
 
 def _encode_state(letters) -> int:
@@ -107,10 +86,9 @@ def _encode_state(letters) -> int:
     return int(idx)
 
 
-def _state_letters(R: int) -> tuple:
-    """The letters (site order) of every state of depth R, by state index;
-    the one state of depth 0 has none."""
-    return tuple(tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R)) for u in range(1 << R))
+def _past_state(word: Word, R: int) -> int:
+    """State index of ``word`` at sites [-R, -1]; a site it does not cover raises ValueError."""
+    return _encode_state(_letters_at(word, range(-R, 0)))
 
 
 def _shift_state(u, bit, R: int):
@@ -141,18 +119,29 @@ class _Walk:
     """The sliding-block walk of one finite-range potential, for scaled passes.
 
     A state holds the R letters before the current site, bit d-1 for site
-    t-d.  Viewing state u as (h, l) = (top bit, low R-1 bits), a step with
-    letter bit b (letter 2b-1) moves u to 2l + b with weight w[b, h, l].
-    Range 0 walks as range 1 with a zero coupling, whose weights are all 1;
-    its empty pasts and futures encode as state 0 and weight 1.
+    t-d.  A step with letter bit b (letter 2b-1) moves state u to nxt[b, u]
+    with weight wts[b, u]; viewing u as (h, l) = (top bit, low R-1 bits),
+    nxt[b, u] = 2l + b and wts[b, u] = step[b, h, l].  Range 0 walks as
+    range 1 with a zero coupling, whose weights are all 1; its empty pasts
+    and futures encode as state 0 and weight 1.
     """
 
     def __init__(self, p: PairPotential) -> None:
         J = tuple(p.strength(d) for d in range(1, required_range(p) + 1)) or (0.0,)
-        self.nxt, self.wts = _sliding_tables((p.beta, J))
-        self.size = 1 << len(J)
+        # the weights lie in [exp(-h), exp(h)], h = beta * sum(J) / 2: all finite
+        # and positive exactly when exp(h) is, so a coupling past that is refused here
+        if not math.isfinite(_exp(0.5 * p.beta * sum(J))):
+            raise ArithmeticError("coupling leaves the double range")
+        R = len(J)
+        self.size = 1 << R
         self.half = self.size >> 1
-        self.step = np.stack([self.wts[-1], self.wts[1]]).reshape(2, 2, self.half)
+        states, letters = np.arange(self.size), np.array(SPINS)[:, None]
+        field = np.zeros(self.size)
+        for d in range(1, R + 1):
+            field += J[d - 1] * (2.0 * ((states >> (d - 1)) & 1) - 1.0)
+        self.nxt = _shift_state(states, (letters + 1) // 2, R)
+        self.wts = np.exp(0.5 * p.beta * letters * field)
+        self.step = self.wts.reshape(2, 2, self.half)
         # A free step moves the largest entry by a factor in [min w, 2 max w],
         # so rescaling every `every` steps keeps it within 2^-256 .. 2^256.
         lo, hi = float(self.step.min()), float(self.step.max())
@@ -165,8 +154,9 @@ class _Walk:
         u = np.arange(self.size)
         w, scale = np.ones(self.size), 0
         for c in letters:
-            w, scale = _rescale(w * self.wts[c][u], scale)
-            u = self.nxt[c][u]
+            b = (c + 1) // 2
+            w, scale = _rescale(w * self.wts[b, u], scale)
+            u = self.nxt[b, u]
         return u, w, scale
 
     def _terms(self, b: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -246,10 +236,10 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     if s not in SPINS:
         raise ValueError("letter must be a spin")
     R = required_range(p)
-    past = _letters_at(boundary, range(-R, 0))
+    u = _past_state(boundary, R)
     fut = _letters_at(boundary, range(n + 1, n + R + 1))
     laws = _walk(p).site_zero_laws([fut], n)
-    value = float(laws[(s + 1) // 2, _encode_state(past), 0])
+    value = float(laws[(s + 1) // 2, u, 0])
     return KernelResult(value=value, dependency_window=(-R, n + R))
 
 
@@ -261,16 +251,17 @@ class TransferMatrix:
     entry at (u, v) is the step weight into the letter v ends with, and is
     nonzero exactly when v is u shifted by that letter.  The matrix is
     primitive by its structure: every pair of states is joined by exactly
-    one path of R steps, whose weights ``_sliding_tables`` has checked
-    finite and positive.  So the Perron pair below is simple and positive.
+    one path of R steps, whose weights ``_Walk`` has checked finite and
+    positive.  So the Perron pair below is simple and positive, and
+    ``conditional`` is the Doob transform g by it (see the module notes).
     """
 
     range_r: int
-    states: tuple
     matrix: np.ndarray
     eigenvalue: float
     right: np.ndarray
     left: np.ndarray
+    conditional: np.ndarray
     residual: float
 
     __eq__ = object.__eq__  # by identity: an array has no single truth value to compare by
@@ -283,12 +274,9 @@ class TransferMatrix:
             raise ValueError("transfer matrix needs range >= 1")
         if R > TRANSFER_MAX_RANGE:
             raise ValueError(f"transfer guard: R <= {TRANSFER_MAX_RANGE}")
-        size = 1 << R
-        key = (p.beta, tuple(p.strength(d) for d in range(1, R + 1)))
-        nxt, wts = _sliding_tables(key)
-        M = np.zeros((size, size))
-        for c in SPINS:
-            M[np.arange(size), nxt[c]] = wts[c]
+        walk = _walk(p)
+        M = np.zeros((walk.size, walk.size))
+        M[np.arange(walk.size), walk.nxt] = walk.wts
         lam, right = _perron_pair(M)
         _, left = _perron_pair(M.T)
         residual = max(
@@ -298,20 +286,19 @@ class TransferMatrix:
         if residual > 1e-12 * max(1.0, lam):
             raise ArithmeticError(f"Perron residual {residual:.3e} too large")
         left = left / float(left @ right)
-        for a in (M, right, left):  # g_exact_markov shares one instance per potential
+        # g(letter bit b | u) = M[u, v] right[v] / (lam right[u]), v = nxt[b, u]
+        conditional = walk.wts * right[walk.nxt] / (lam * right)
+        for a in (M, right, left, conditional):  # g_exact_markov shares one instance per potential
             a.flags.writeable = False
         return TransferMatrix(
             range_r=R,
-            states=_state_letters(R),
             matrix=M,
             eigenvalue=lam,
             right=right,
             left=left,
+            conditional=conditional,
             residual=residual,
         )
-
-    def state_index(self, letters) -> int:
-        return _encode_state(letters)
 
 
 def _perron_pair(M: np.ndarray):
@@ -328,11 +315,12 @@ def _perron_pair(M: np.ndarray):
 
 @record
 class MarkovConditional:
-    """The stationary R-step conditional law of a finite-range interaction.
+    """The stationary R-step conditional law g of a finite-range interaction.
 
-    For finite range the compatible conditional g depends on exactly R past
-    letters, and its value is the Doob transform of the transfer matrix by
-    its Perron pair.
+    For finite range the compatible conditional depends on exactly R past
+    letters.  ``table`` holds it, read-only, at [letter bit, state index]:
+    the Doob transform of the transfer matrix, or at depth 0 one uniform
+    column.
     """
 
     potential: PairPotential
@@ -343,34 +331,28 @@ class MarkovConditional:
         return self.transfer.range_r if self.transfer is not None else 0
 
     @property
-    def source_label(self) -> str:
-        return "exact_markov"
-
-    @property
     def states(self) -> tuple:
         """The sliding-block states as R letters in site order, by state
         index; at depth 0 the one empty state."""
-        return _state_letters(self.dependency_depth)
+        R = self.dependency_depth
+        return tuple(tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R)) for u in range(1 << R))
+
+    @property
+    def table(self) -> np.ndarray:
+        if self.transfer is None:
+            return np.broadcast_to(1.0 / len(SPINS), (len(SPINS), 1))  # a read-only view
+        return self.transfer.conditional
 
     def prob(self, past, s: int) -> float:
         """g(s | past); past is a Word covering [-R, -1] or R letters in site order."""
         if s not in SPINS:
             raise ValueError("letter must be a spin")
-        tm = self.transfer
-        if tm is None:
-            return 1.0 / len(SPINS)
-        if isinstance(past, Word):
-            letters = tuple(past.at(i) for i in range(-tm.range_r, 0))
-        else:
-            letters = tuple(past)
-            if len(letters) != tm.range_r:
-                raise ValueError(f"need exactly {tm.range_r} past letters")
-        u = _encode_state(letters)
-        v = _shift_state(u, (s + 1) // 2, tm.range_r)
-        return float(tm.matrix[u, v] * tm.right[v] / (tm.eigenvalue * tm.right[u]))
-
-    def __call__(self, past, s: int) -> float:
-        return self.prob(past, s)
+        R = self.dependency_depth
+        if not isinstance(past, Word):
+            past = Word(-R, tuple(past))  # which checks the letters
+            if len(past.letters) != R:
+                raise ValueError(f"need exactly {R} past letters")
+        return float(self.table[(s + 1) // 2, _past_state(past, R)])
 
     def state_law(self) -> np.ndarray:
         """Stationary law of the sliding-block state under the g-chain."""
@@ -391,26 +373,19 @@ def g_exact_markov(p: PairPotential) -> MarkovConditional:
 @lru_cache(maxsize=4)  # a transfer matrix holds up to 2^(2 TRANSFER_MAX_RANGE) doubles
 def _markov(p: PairPotential) -> MarkovConditional:
     R = required_range(p)
-    tm = TransferMatrix.from_potential(p) if R >= 1 else None
-    g = MarkovConditional(potential=p, transfer=tm)
-    if tm is not None:
-        for u in tm.states:
-            row = sum(g.prob(u, s) for s in SPINS)
-            if abs(row - 1.0) > 1e-12:
-                raise ArithmeticError(f"conditional row at {u} sums to {row}")
+    g = MarkovConditional(potential=p, transfer=TransferMatrix.from_potential(p) if R >= 1 else None)
+    rows = g.table.sum(axis=0)
+    u = int(np.argmax(np.abs(rows - 1.0)))  # the row furthest from 1, or the first NaN
+    if not abs(rows[u] - 1.0) <= 1e-12:
+        raise ArithmeticError(f"conditional row at {g.states[u]} sums to {rows[u]}")
     return g
 
 
-def empirical_g_variation(p: PairPotential, m: int, n: int) -> float:
-    """Largest log-ratio of pi_window_at_zero over boundary pairs agreeing on
-    the last m past sites (shared future).  Exactly 0.0 for m >= R: the
-    kernel depends on no deeper past."""
-    return empirical_g_variation_profile(p, (m,), n)[0]
-
-
 def empirical_g_variation_profile(p: PairPotential, m_values, n: int) -> list:
-    """empirical_g_variation for several depths, from one backward pass that
-    carries all 2^R futures as columns."""
+    """Largest log-ratio of pi_window_at_zero over boundary pairs agreeing on
+    the last m past sites (shared future), for each m of ``m_values``, from
+    one backward pass that carries all 2^R futures as columns.  Exactly 0.0
+    for m >= R: the kernel depends on no deeper past."""
     R = required_range(p)
     if R > VARIATION_MAX_RANGE:
         raise ValueError(f"enumeration guard: R <= {VARIATION_MAX_RANGE}")

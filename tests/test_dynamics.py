@@ -23,6 +23,7 @@ from artifact import (
     write_coupling_blocks,
 )
 from artifact.dynamics import SAMPLER_MAX_DEPTH, _BLOCK, _part_edges, _uniform_chunks
+from artifact.kernel import _encode_state
 from oracles import disagreement_density, first_coalescence, phi_window
 
 GOLDEN_SEED_42 = [1, 1, -1, 1, -1, -1, -1, -1, 1, -1,
@@ -140,7 +141,7 @@ def test_pair_frequencies_match_stationary_law():
     for a in (-1, 1):
         for b in (-1, 1):
             emp = float(np.mean((s[:-1] == a) & (s[1:] == b)))
-            want = law[g.transfer.state_index((a,))] * g.prob((a,), b)
+            want = law[_encode_state((a,))] * g.prob((a,), b)
             sigma = math.sqrt(want * (1.0 - want) / pairs)
             assert abs(emp - want) <= 3.0 * sigma
 
@@ -359,15 +360,15 @@ def test_streamed_coupler_matches_the_one_block_path():
 class DeepestLaw:
     """A conditional law of depth SAMPLER_MAX_DEPTH (4096 states) that no
     potential here reaches: P(-1 | past) is drawn once for each past, so every
-    letter of the past moves it."""
+    letter of the past moves it.  Like an exact law, it gives g(letter | state)
+    as ``table`` and ``prob``."""
 
     dependency_depth = SAMPLER_MAX_DEPTH
-    source_label = "synthetic"
     minus = np.random.default_rng(12).uniform(0.05, 0.95, 1 << SAMPLER_MAX_DEPTH)
+    table = np.stack([minus, 1.0 - minus])
 
     def prob(self, letters, s):
-        p = float(self.minus[sum(((x + 1) // 2) << i for i, x in enumerate(letters))])
-        return p if s == -1 else 1.0 - p
+        return float(self.table[(s + 1) // 2, _encode_state(letters)])
 
 
 def test_streamed_runs_of_the_deepest_law_match_the_one_block_path():

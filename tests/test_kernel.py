@@ -13,11 +13,11 @@ from artifact import (
     TransferMatrix,
     Word,
     dobrushin_sum,
-    empirical_g_variation,
     empirical_g_variation_profile,
     g_exact_markov,
     pi_window_at_zero,
 )
+from artifact.kernel import _encode_state
 from oracles import apply_L, phi_window, pi_window_enumeration, rho_bruteforce
 
 
@@ -174,7 +174,7 @@ def test_transfer_matrix_shape_and_guards():
     tm = TransferMatrix.from_potential(table((0.5, 0.25), 0.7))
     assert tm.range_r == 2
     assert tm.matrix.shape == (4, 4)
-    assert len(tm.states) == 4
+    assert tm.conditional.shape == (2, 4)
     # two nonzero entries per row: shift in -1 or +1
     assert np.all((tm.matrix > 0.0).sum(axis=1) == 2)
     with pytest.raises(ValueError):
@@ -188,14 +188,32 @@ def test_states_decode_and_shift_as_the_matrix_indexes_them(R):
     # state u holds the letters states[u]; row u is nonzero exactly at the
     # states that drop its oldest letter and append a new one
     g = g_exact_markov(table(tuple(0.5 / d for d in range(1, R + 1)), 0.7))
+    assert sorted(g.states) == sorted(set(g.states))
+    assert all(len(u) == R for u in g.states)
+    for u, letters in enumerate(g.states):
+        assert _encode_state(letters) == u
+        successors = {_encode_state(letters[1:] + (s,)) for s in (-1, 1)}
+        assert set(np.flatnonzero(g.transfer.matrix[u] > 0.0).tolist()) == successors
+
+
+@pytest.mark.parametrize("R", [1, 3, 6])
+def test_table_is_the_doob_transform_bit_for_bit(R):
+    # g(b | u) = M[u, v] right[v] / (lam right[u]), v the state after u and letter bit b
+    g = g_exact_markov(truncated(2.0, 0.3, R))
     tm = g.transfer
-    assert g.states == tm.states
-    assert sorted(tm.states) == sorted(set(tm.states))
-    assert all(len(u) == R for u in tm.states)
-    for u, letters in enumerate(tm.states):
-        assert tm.state_index(letters) == u
-        successors = {tm.state_index(letters[1:] + (s,)) for s in (-1, 1)}
-        assert set(np.flatnonzero(tm.matrix[u] > 0.0).tolist()) == successors
+    M, right, lam = tm.matrix, tm.right, tm.eigenvalue
+    assert g.table is tm.conditional and g.table.shape == (2, 1 << R)
+    for u, letters in enumerate(g.states):
+        for b, s in enumerate((-1, 1)):
+            v = _encode_state(letters[1:] + (s,))
+            assert g.table[b, u] == M[u, v] * right[v] / (lam * right[u])
+            assert g.prob(letters, s) == g.table[b, u]
+
+
+def test_table_of_depth_zero_is_uniform():
+    g = g_exact_markov(zero())
+    assert g.table.tolist() == [[0.5], [0.5]]
+    assert not g.table.flags.writeable
 
 
 def test_exact_conditional_nearest_neighbor_value():
@@ -212,7 +230,7 @@ def test_exact_conditional_is_built_once_and_read_only():
     g = g_exact_markov(table((0.5, 0.25), 0.7))
     assert g_exact_markov(table((0.5, 0.25), 0.7)) is g
     tm = g.transfer
-    for a in (tm.matrix, tm.right, tm.left):
+    for a in (tm.matrix, tm.right, tm.left, g.table):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -222,11 +240,19 @@ def test_exact_conditional_accepts_words():
     g = g_exact_markov(table((0.4, 0.3), 0.9))
     w = Word(-2, (1, -1))
     assert g.prob(w, 1) == pytest.approx(g.prob((1, -1), 1), abs=0.0)
-    assert g(w, 1) == g.prob(w, 1)
     with pytest.raises(ValueError):
         g.prob((1,), 1)  # wrong depth
     with pytest.raises(ValueError):
         g.prob((1, -1), 0)  # not a letter
+    with pytest.raises(ValueError, match="letters must be spins"):
+        g.prob((1, 0), 1)  # a past that is not letters
+
+
+def test_a_word_missing_a_past_site_is_a_value_error():
+    # the word covers site -1 only: the law of depth 2 needs site -2 too
+    g = g_exact_markov(table((0.5, 0.25), 0.7))
+    with pytest.raises(ValueError, match="word does not cover required site -2"):
+        g.prob(Word(-1, (1,)), 1)
 
 
 def test_exact_conditional_rows_normalize_and_flip():
@@ -235,7 +261,7 @@ def test_exact_conditional_rows_normalize_and_flip():
     for _ in range(5):
         values = tuple(rng.uniform(0.05, 1.0, size=3))
         g = g_exact_markov(table(values, 0.8))
-        for u in g.transfer.states:
+        for u in g.states:
             assert sum(g.prob(u, s) for s in (-1, 1)) == pytest.approx(1.0, abs=1e-12)
             flipped = tuple(-s for s in u)
             for s in (-1, 1):
@@ -253,14 +279,12 @@ def test_exact_conditional_zero_coupling_uniform():
 def test_state_law_is_shift_stationary():
     # pushing the state law one step through the conditional must reproduce it
     g = g_exact_markov(table((0.7, 0.2), 1.0))
-    tm = g.transfer
     law = g.state_law()
     assert law.sum() == pytest.approx(1.0, abs=1e-12)
     pushed = np.zeros_like(law)
-    for u in range(len(law)):
-        letters = tm.states[u]
+    for u, letters in enumerate(g.states):
         for s in (-1, 1):
-            v = tm.state_index(letters[1:] + (s,))
+            v = _encode_state(letters[1:] + (s,))
             pushed[v] += law[u] * g.prob(letters, s)
     assert pushed == pytest.approx(law, abs=1e-12)
 
@@ -417,17 +441,17 @@ def test_rho_bounded_by_one_when_environments_differ():
 def test_empirical_variation_vanishes_beyond_the_range():
     p = truncated(2.0, 0.4, 3)
     for m in (3, 4, 5):
-        assert empirical_g_variation(p, m, 8) == 0.0
-    assert empirical_g_variation(p, 1, 8) > 0.0
+        assert empirical_g_variation_profile(p, (m,), 8)[0] == 0.0
+    assert empirical_g_variation_profile(p, (1,), 8)[0] > 0.0
 
 
 def test_empirical_variation_zero_coupling():
-    assert empirical_g_variation(zero(), 0, 6) == 0.0
+    assert empirical_g_variation_profile(zero(), (0,), 6)[0] == 0.0
 
 
 def test_empirical_variation_decreases_with_agreement():
     p = table((1.0, 0.6, 0.3, 0.1), 0.9)
-    vals = [empirical_g_variation(p, m, 10) for m in range(0, 4)]
+    vals = [empirical_g_variation_profile(p, (m,), 10)[0] for m in range(0, 4)]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -512,7 +536,7 @@ def test_nonfinite_weights_raise():
     with pytest.raises(ArithmeticError):
         pi_window_at_zero(p, all_plus(-1, 5), 4, 1)
     with pytest.raises(ArithmeticError):
-        empirical_g_variation(p, 0, 4)
+        empirical_g_variation_profile(p, (0,), 4)[0]
 
 
 def test_an_overflowing_coupling_is_refused_before_the_walk():
@@ -523,7 +547,7 @@ def test_an_overflowing_coupling_is_refused_before_the_walk():
         warnings.simplefilter("error")
         for run in (
             lambda: g_exact_markov(p),
-            lambda: empirical_g_variation(p, 1, 10),
+            lambda: empirical_g_variation_profile(p, (1,), 10)[0],
             lambda: pi_window_at_zero(p, Word(-2, (1,) * 15), 10, 1),
         ):
             with pytest.raises(ArithmeticError, match="coupling leaves the double range"):
