@@ -23,8 +23,8 @@ index (see ``kernel``).  The block writers
 and tally what a report says of the run as they go, so a run streamed from
 a sampler into a writer holds no array of N entries; a caller that wants
 the letters gathers the blocks itself.  The working set (the uniform
-buffer, one column of a block's uniforms, the lane matrices, the CSV rows)
-is allocated once per run; only the yielded blocks are new.
+buffer, one column of a block's uniforms, the lane matrices, the CSV rows
+and row codes) is allocated once per run; only the yielded blocks are new.
 
 A plain chain is a threshold chain: with u_t the last R letters as bits,
 letter t is +1 exactly when x_t >= P(-1 | u_t), x_t from column 0.  A block
@@ -323,12 +323,14 @@ def cesaro_estimate(p: PairPotential, f: Optional[Word], n: int, boundary: Word)
 
 
 # Rows of the CSV writers: the site number, then a tail as csv.writer writes
-# it (CRLF line ends), picked by the row code: for a coupling 4a + 2b + d from
-# the letter bits a, b and the disagree flag d, for one chain the letter bit.
-_COUPLING_TAILS = [f",{2 * i - 1},{2 * j - 1},{k}\r\n" for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+# it (CRLF line ends), picked by the row code: for a coupling 2a + b from the
+# letter bits a, b (the disagree flag is a != b), for one chain the letter bit.
+_COUPLING_TAILS = [f",{2 * i - 1},{2 * j - 1},{int(i != j)}\r\n" for i in (0, 1) for j in (0, 1)]
 _CHAIN_TAILS = [",-1\r\n", ",1\r\n"]
-# rows built and written at a time: the sites 10^4 h .. 10^4 h + 9999
+# the sites 10^4 h .. 10^4 h + 9999 share their leading digits
 _CSV_ROWS = 10000
+# rows built and written at a time, never across a multiple of _CSV_ROWS
+_PIECE_ROWS = 2500
 
 
 @lru_cache(maxsize=2)
@@ -351,29 +353,34 @@ def _write_rows(fh, header: str, codes, tails: list, N: int) -> None:
 
     A row is a fixed run of uint32 words: the site in groups of four digits,
     then the tail, with zero bytes where the text is shorter; one compress
-    drops the zero bytes.  Rows are built at most _CSV_ROWS at a time, never
-    across a multiple of _CSV_ROWS, so only the last group varies inside a
-    run, and it comes from a table of four-digit words; the groups before it
-    are the digits of the run's number.  The rows and the mask of the bytes
-    kept are allocated once per writer.
+    drops the zero bytes.  Rows are built at most _PIECE_ROWS at a time,
+    never across a multiple of _CSV_ROWS, so only the last group varies
+    inside a piece, and it comes from a table of four-digit words; the
+    groups before it are the digits of the piece's number.  The rows, the
+    mask of the bytes kept, and a piece's codes as intp and its tail words
+    are allocated once per writer: ``np.take`` from intp codes into a
+    contiguous ``out`` allocates nothing.
     """
     fh.write(header.encode())
     groups = -(-len(str(N - 1)) // 4)
     width = 4 * -(-max(len(t) for t in tails) // 4)
     words = np.stack([np.frombuffer(t.encode().ljust(width, b"\0"), dtype=np.uint32) for t in tails])
-    rows = np.empty((min(_CSV_ROWS, N), groups + width // 4), dtype=np.uint32)
+    rows = np.empty((min(_PIECE_ROWS, N), groups + width // 4), dtype=np.uint32)
     data = rows.view(np.uint8)
     keep = np.empty(data.shape, dtype=bool)
+    index = np.empty(len(rows), dtype=np.intp)
+    tail = np.empty((len(rows), width // 4), dtype=np.uint32)
     site = 0
     for c in codes:
         i = 0
         while i < len(c):
             h, r = divmod(site, _CSV_ROWS)
-            n = min(_CSV_ROWS - r, len(c) - i)
+            n = min(_PIECE_ROWS, _CSV_ROWS - r, len(c) - i)
             lead = (str(h) if h else "").encode().rjust(4 * groups - 4, b"\0")
             rows[:n, :groups - 1] = np.frombuffer(lead, dtype=np.uint32)
             rows[:n, groups - 1] = _four_digits(h > 0)[r:r + n]
-            rows[:n, groups:] = np.take(words, c[i:i + n], axis=0)
+            index[:n] = c[i:i + n]
+            rows[:n, groups:] = np.take(words, index[:n], axis=0, out=tail[:n], mode="clip")
             np.not_equal(data[:n], 0, out=keep[:n])
             fh.write(data[:n][keep[:n]])
             site += n
@@ -406,11 +413,14 @@ def write_coupling_blocks(path, blocks, N: int):
     they disagree at the last site."""
     edges = _part_edges(N)
     counts, last, start = [0] * (len(edges) - 1), 0, 0
+    code = np.empty(0, dtype=np.uint8)  # a block's flags a != b, then its codes 2a + b
 
     def codes():
-        nonlocal last, start
+        nonlocal last, start, code
         for a, b in blocks:
-            d = a != b
+            if len(code) < len(a):
+                code = np.empty(len(a), dtype=np.uint8)
+            d = np.not_equal(a, b, out=code[:len(a)])
             stop = start + len(d)
             for j in range(len(counts)):
                 lo, hi = max(edges[j], start), min(edges[j + 1], stop)
@@ -419,7 +429,9 @@ def write_coupling_blocks(path, blocks, N: int):
             if d.any():
                 last = stop - int(d[::-1].argmax())
             start = stop
-            yield 4 * a + 2 * b + d
+            np.left_shift(a, 1, out=d)
+            d |= b
+            yield d
 
     with open(path, "wb") as fh:
         _write_rows(fh, "site,letter_a,letter_b,disagree\r\n", codes(), _COUPLING_TAILS, N)

@@ -35,7 +35,15 @@ raises ArithmeticError instead of returning NaN.
 The stationary Markov conditional g of the unique Gibbs state is the Doob
 transform of the transfer matrix by its Perron pair, computed once per
 potential as one read-only (2, 2^R) array that ``prob``, ``gfun`` and the
-samplers all index.
+samplers all index.  The pair comes from power iteration on the walk's
+two-entry rows, O(2^R) work a step and no dense matrix: the matrix is
+primitive, so the iteration converges from any positive start (Seneta,
+Non-negative Matrices and Markov Chains, ch. 1); the start is uniform,
+hence flip-symmetric, and every step keeps that symmetry exactly, so the
+antisymmetric mode that nears the Perron root under strong coupling never
+slows it.  The iteration works on vectors scaled to maximum 1, so it
+resolves a vector whose entries span far more than 1/EPS, which a dense
+eigensolver cannot.
 
 Window-size guards are hard errors, never silent fallbacks: an exact
 routine that quietly approximates would poison every validation built on
@@ -49,17 +57,24 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from functools import lru_cache
 from typing import Optional
 
 from ._numpy import np
 from ._record import record
 from .fseq import Word
-from .intervals import _exp
+from .intervals import EPS, _exp
 from .potential import PairPotential, SPINS, required_range
 
 TRANSFER_MAX_RANGE = 10
 VARIATION_MAX_RANGE = 6
+# The Perron iteration settles once no entry moves by more than PERRON_TOL
+# relatively and the largest move stops shrinking; it raises if it has not
+# settled after PERRON_MAX_STEPS steps (range 10 needs a few hundred).
+PERRON_TOL = 8 * EPS
+PERRON_MAX_STEPS = 10000
+_TINY = 2.0**-1022  # the smallest normal double
 
 
 @record
@@ -76,6 +91,14 @@ def _letters_at(word: Word, sites: range) -> tuple:
         if not word.covers(site):
             raise ValueError(f"word does not cover required site {site}")
     return tuple(int(word.at(site)) for site in sites)
+
+
+def _letter_bit(s) -> int:
+    """0 for the letter -1, 1 for +1; anything but an integer spin, 1.0
+    included, raises ValueError."""
+    if not isinstance(s, numbers.Integral) or s not in SPINS:
+        raise ValueError("letter must be a spin")
+    return (int(s) + 1) // 2
 
 
 def _encode_state(letters) -> int:
@@ -148,6 +171,14 @@ class _Walk:
         growth = max(math.log2(2.0 * hi), -math.log2(lo)) if lo > 0.0 else math.inf
         self.every = max(1, int(256 / growth))
 
+    def pull(self, v: np.ndarray) -> np.ndarray:
+        """M v, M the transfer matrix: (M v)[u] = sum_b wts[b, u] v[nxt[b, u]]."""
+        return (self.wts * v[self.nxt]).sum(axis=0)
+
+    def push(self, a: np.ndarray) -> np.ndarray:
+        """a M, one forward step: (a M)[2l + b] = sum_h step[b, h, l] a[(h, l)]."""
+        return (self.step * a.reshape(2, self.half)).sum(axis=1).T.reshape(-1)
+
     def clamped(self, letters):
         """End state and scaled weight (w, log2 scale) of walking ``letters``
         from every start state."""
@@ -172,9 +203,8 @@ class _Walk:
         scales = np.zeros(n + 2, dtype=np.int64)
         a, scale = rows[0], 0
         a[start] = 1.0
-        w = self.step
         for t in range(1, n + 2):
-            a = (w * a.reshape(2, self.half)).sum(axis=1).T.reshape(-1)
+            a = self.push(a)
             if t % self.every == 0:
                 a, scale = _rescale(a, scale)
             rows[t], scales[t] = a, scale
@@ -233,31 +263,35 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     """
     if n < 0:
         raise ValueError("window end must be >= 0")
-    if s not in SPINS:
-        raise ValueError("letter must be a spin")
+    b = _letter_bit(s)
     R = required_range(p)
     u = _past_state(boundary, R)
     fut = _letters_at(boundary, range(n + 1, n + R + 1))
     laws = _walk(p).site_zero_laws([fut], n)
-    value = float(laws[(s + 1) // 2, u, 0])
+    value = float(laws[b, u, 0])
     return KernelResult(value=value, dependency_window=(-R, n + R))
 
 
 @record
 class TransferMatrix:
-    """Sliding-block transfer matrix of a finite-range interaction.
+    """Perron data of the sliding-block transfer matrix of a finite-range interaction.
 
-    States are spin words of length R in site order (oldest first); the
-    entry at (u, v) is the step weight into the letter v ends with, and is
-    nonzero exactly when v is u shifted by that letter.  The matrix is
-    primitive by its structure: every pair of states is joined by exactly
-    one path of R steps, whose weights ``_Walk`` has checked finite and
-    positive.  So the Perron pair below is simple and positive, and
-    ``conditional`` is the Doob transform g by it (see the module notes).
+    The matrix M is never formed: row u has two nonzero entries, the weights
+    ``_Walk.wts[b, u]`` at the states ``_Walk.nxt[b, u]``, so M v and v M are
+    ``_Walk.pull`` and ``_Walk.push``.  M is primitive by its structure:
+    every pair of states is joined by exactly one path of R steps, whose
+    weights ``_Walk`` has checked finite and positive.  So the Perron pair is
+    simple and positive, and power iteration from any positive vector
+    converges to it (Seneta 1981, ch. 1).  An even interaction commutes with
+    the spin flip, and the uniform start is flip-symmetric; each step keeps
+    that symmetry bit for bit (the two products of a row swap places under
+    the flip), so the antisymmetric modes, whose top eigenvalue nears the
+    Perron root as the coupling grows, are never excited, and the iteration
+    runs at the rate of the symmetric spectral gap.  ``conditional`` is the
+    Doob transform g by the pair (see the module notes).
     """
 
     range_r: int
-    matrix: np.ndarray
     eigenvalue: float
     right: np.ndarray
     left: np.ndarray
@@ -275,24 +309,21 @@ class TransferMatrix:
         if R > TRANSFER_MAX_RANGE:
             raise ValueError(f"transfer guard: R <= {TRANSFER_MAX_RANGE}")
         walk = _walk(p)
-        M = np.zeros((walk.size, walk.size))
-        M[np.arange(walk.size), walk.nxt] = walk.wts
-        lam, right = _perron_pair(M)
-        _, left = _perron_pair(M.T)
+        lam, right = _perron_vector(walk.pull, walk.size)
+        _, left = _perron_vector(walk.push, walk.size)
         residual = max(
-            float(np.max(np.abs(M @ right - lam * right))),
-            float(np.max(np.abs(M.T @ left - lam * left))),
+            float(np.max(np.abs(walk.pull(right) - lam * right))),
+            float(np.max(np.abs(walk.push(left) - lam * left))),
         )
         if residual > 1e-12 * max(1.0, lam):
             raise ArithmeticError(f"Perron residual {residual:.3e} too large")
-        left = left / float(left @ right)
+        left = left / float((left * right).sum())
         # g(letter bit b | u) = M[u, v] right[v] / (lam right[u]), v = nxt[b, u]
         conditional = walk.wts * right[walk.nxt] / (lam * right)
-        for a in (M, right, left, conditional):  # g_exact_markov shares one instance per potential
+        for a in (right, left, conditional):  # g_exact_markov shares one instance per potential
             a.flags.writeable = False
         return TransferMatrix(
             range_r=R,
-            matrix=M,
             eigenvalue=lam,
             right=right,
             left=left,
@@ -301,16 +332,30 @@ class TransferMatrix:
         )
 
 
-def _perron_pair(M: np.ndarray):
-    vals, vecs = np.linalg.eig(M)
-    k = int(np.argmax(vals.real))
-    lam = float(vals[k].real)
-    v = vecs[:, k].real
-    if v.sum() < 0.0:
-        v = -v
-    if np.min(v) <= 0.0:
+def _perron_vector(step, size: int):
+    """Perron root and vector (maximum 1) of the matrix that ``step`` applies.
+
+    Power iteration from the uniform vector, normalised by the maximum at
+    each step.  It stops once no entry moves by more than PERRON_TOL
+    relatively and the largest move no longer shrinks: from there on the
+    moves are rounding, so the vector is as accurate as doubles hold it.
+    """
+    v, last, settled = np.ones(size), math.inf, False
+    for _ in range(PERRON_MAX_STEPS):
+        w = step(v)
+        lam = float(w.max())
+        w /= lam
+        change = float(np.max(np.abs(w - v) / np.maximum(w, _TINY)))
+        settled = last <= change <= PERRON_TOL
+        if settled:
+            break
+        v, last = w, change
+    # an entry that left the normal range has lost its relative precision
+    if np.min(w) < _TINY:
         raise ArithmeticError("Perron vector not strictly positive")
-    return lam, v / np.max(v)
+    if not settled:
+        raise ArithmeticError(f"Perron iteration did not settle in {PERRON_MAX_STEPS} steps")
+    return lam, w
 
 
 @record
@@ -345,14 +390,13 @@ class MarkovConditional:
 
     def prob(self, past, s: int) -> float:
         """g(s | past); past is a Word covering [-R, -1] or R letters in site order."""
-        if s not in SPINS:
-            raise ValueError("letter must be a spin")
+        b = _letter_bit(s)
         R = self.dependency_depth
         if not isinstance(past, Word):
             past = Word(-R, tuple(past))  # which checks the letters
             if len(past.letters) != R:
                 raise ValueError(f"need exactly {R} past letters")
-        return float(self.table[(s + 1) // 2, _past_state(past, R)])
+        return float(self.table[b, _past_state(past, R)])
 
     def state_law(self) -> np.ndarray:
         """Stationary law of the sliding-block state under the g-chain."""
@@ -370,7 +414,7 @@ def g_exact_markov(p: PairPotential) -> MarkovConditional:
     return _markov(p)
 
 
-@lru_cache(maxsize=4)  # a transfer matrix holds up to 2^(2 TRANSFER_MAX_RANGE) doubles
+@lru_cache(maxsize=64)  # as _walk's: a law holds a few arrays of 2^R doubles
 def _markov(p: PairPotential) -> MarkovConditional:
     R = required_range(p)
     g = MarkovConditional(potential=p, transfer=TransferMatrix.from_potential(p) if R >= 1 else None)

@@ -5,7 +5,9 @@ Each oracle enumerates every word of a small window and sums Boltzmann
 weights written out from the pair law alone (beta and J(d)), so it shares
 no helper with the code it checks: not the sliding-block states or their
 encoding, not the walk's tables, not the coverage checks of ``kernel``.
-The guards keep the enumerations desk-scale.
+The guards keep the enumerations desk-scale.  The dense transfer matrix
+and the Perron conditional are written out from the pair law the same way,
+the conditional in 60-digit arithmetic.
 
 Weight convention, as in ``kernel``: the interior factors are
 
@@ -18,6 +20,7 @@ import math
 from functools import lru_cache
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 from artifact.fseq import FSequence, Word
@@ -25,6 +28,8 @@ from artifact.potential import ENUMERATION_MAX_WINDOW, PairPotential, SPINS
 
 APPLY_MAX_WIDTH = 14
 RHO_MAX_WINDOW = 6
+PERRON_DIGITS = 60
+PERRON_MAX_STEPS = 5000
 
 
 def _range(p: PairPotential) -> int:
@@ -183,6 +188,60 @@ def brute_log_ratio(f: FSequence, i: int, past: int, future: int, horizon: int) 
             vals.append(log_f_exact(assign))
         best = max(best, max(vals) - min(vals))
     return best
+
+
+def transfer_matrix(p: PairPotential) -> np.ndarray:
+    """The dense sliding-block transfer matrix of a finite-range law.
+
+    Rows and columns are pasts of R letters, numbered as the rows of
+    ``_words``; past x steps to x[1:] + (s,) with weight
+    exp(beta / 2 * s * sum_d J(d) x[-d]), and every other entry is 0.
+    """
+    R = _range(p)
+    pasts = list(itertools.product(SPINS, repeat=R))
+    field = np.array([sum(p.strength(d) * x[-d] for d in range(1, R + 1)) for x in pasts])
+    weights = np.exp(0.5 * p.beta * np.array(SPINS)[:, None] * field)
+    M = np.zeros((len(pasts), len(pasts)))
+    for k, x in enumerate(pasts):
+        for b, s in enumerate(SPINS):
+            M[k, _row(x[1:] + (s,))] = weights[b, k]
+    return M
+
+
+def perron_conditional(p: PairPotential) -> dict:
+    """The stationary conditional g(s | past) of a finite-range law as a map
+    from (past letters in site order, s) to a float, computed in
+    PERRON_DIGITS-digit arithmetic.
+
+    A past x of R letters steps to x[1:] + (s,) with weight
+    exp(beta / 2 * s * sum_d J(d) x[-d]); g is that weight times r(next) /
+    (lambda r(x)), r the Perron vector of those steps, found by power
+    iteration until no entry moves by more than 10^-(PERRON_DIGITS - 10)
+    relatively.
+    """
+    R = _range(p)
+    pasts = list(itertools.product(SPINS, repeat=R))
+    with mpmath.workdps(PERRON_DIGITS):
+        J = [mpmath.mpf(p.strength(d)) for d in range(1, R + 1)]
+        half_beta = mpmath.mpf(p.beta) / 2
+        weight = {}
+        for x in pasts:
+            field = mpmath.fsum(J[d - 1] * x[-d] for d in range(1, R + 1))
+            for s in SPINS:
+                weight[x, s] = mpmath.exp(half_beta * s * field)
+        tol = mpmath.mpf(10) ** (10 - PERRON_DIGITS)
+        r = dict.fromkeys(pasts, mpmath.mpf(1))
+        for _ in range(PERRON_MAX_STEPS):
+            new = {x: weight[x, -1] * r[x[1:] + (-1,)] + weight[x, 1] * r[x[1:] + (1,)] for x in pasts}
+            lam = max(new.values())
+            new = {x: v / lam for x, v in new.items()}
+            settled = all(abs(new[x] - r[x]) <= tol * new[x] for x in pasts)
+            r = new
+            if settled:
+                break
+        else:
+            raise ArithmeticError(f"Perron oracle did not settle in {PERRON_MAX_STEPS} steps")
+        return {(x, s): float(weight[x, s] * r[x[1:] + (s,)] / (lam * r[x])) for x in pasts for s in SPINS}
 
 
 def disagreement_density(disagree: np.ndarray, parts: int = 10) -> list:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import artifact.kernel
 from artifact import (
     CouplingLaw,
     FSequence,
@@ -18,7 +19,14 @@ from artifact import (
     pi_window_at_zero,
 )
 from artifact.kernel import _encode_state
-from oracles import apply_L, phi_window, pi_window_enumeration, rho_bruteforce
+from oracles import (
+    apply_L,
+    perron_conditional,
+    phi_window,
+    pi_window_enumeration,
+    rho_bruteforce,
+    transfer_matrix,
+)
 
 
 def nn(beta):
@@ -158,6 +166,22 @@ def test_pi_window_validation():
         pi_window_at_zero(p, all_plus(-1, 1), -1, 1)
 
 
+def test_a_letter_is_an_integer_spin():
+    # 1.0 equals the spin 1 but is no letter; NumPy integers are letters
+    p = table((0.5, 0.25), 0.7)
+    g = g_exact_markov(p)
+    boundary = Word(-2, (1,) * 10)
+    for s in (1.0, np.float64(-1.0), 0.5, "1", None):
+        with pytest.raises(ValueError, match="letter must be a spin"):
+            g.prob((1, 1), s)
+        with pytest.raises(ValueError, match="letter must be a spin"):
+            pi_window_at_zero(p, boundary, 4, s)
+    for s in (-1, 1):
+        for t in (np.int64(s), np.int8(s)):
+            assert g.prob((1, 1), t) == g.prob((1, 1), s)
+            assert pi_window_at_zero(p, boundary, 4, t) == pi_window_at_zero(p, boundary, 4, s)
+
+
 # -- transfer matrix and the stationary conditional -------------------------------
 
 
@@ -171,12 +195,15 @@ def test_transfer_matrix_nearest_neighbor_eigenvalue():
 
 
 def test_transfer_matrix_shape_and_guards():
-    tm = TransferMatrix.from_potential(table((0.5, 0.25), 0.7))
+    p = table((0.5, 0.25), 0.7)
+    tm = TransferMatrix.from_potential(p)
+    M = transfer_matrix(p)
     assert tm.range_r == 2
-    assert tm.matrix.shape == (4, 4)
+    assert M.shape == (4, 4)
+    assert tm.right.shape == tm.left.shape == (4,)
     assert tm.conditional.shape == (2, 4)
     # two nonzero entries per row: shift in -1 or +1
-    assert np.all((tm.matrix > 0.0).sum(axis=1) == 2)
+    assert np.all((M > 0.0).sum(axis=1) == 2)
     with pytest.raises(ValueError):
         TransferMatrix.from_potential(zero())
     with pytest.raises(ValueError):
@@ -187,27 +214,91 @@ def test_transfer_matrix_shape_and_guards():
 def test_states_decode_and_shift_as_the_matrix_indexes_them(R):
     # state u holds the letters states[u]; row u is nonzero exactly at the
     # states that drop its oldest letter and append a new one
-    g = g_exact_markov(table(tuple(0.5 / d for d in range(1, R + 1)), 0.7))
+    p = table(tuple(0.5 / d for d in range(1, R + 1)), 0.7)
+    g, M = g_exact_markov(p), transfer_matrix(p)
     assert sorted(g.states) == sorted(set(g.states))
     assert all(len(u) == R for u in g.states)
     for u, letters in enumerate(g.states):
         assert _encode_state(letters) == u
         successors = {_encode_state(letters[1:] + (s,)) for s in (-1, 1)}
-        assert set(np.flatnonzero(g.transfer.matrix[u] > 0.0).tolist()) == successors
+        assert set(np.flatnonzero(M[u] > 0.0).tolist()) == successors
 
 
 @pytest.mark.parametrize("R", [1, 3, 6])
 def test_table_is_the_doob_transform_bit_for_bit(R):
     # g(b | u) = M[u, v] right[v] / (lam right[u]), v the state after u and letter bit b
-    g = g_exact_markov(truncated(2.0, 0.3, R))
+    p = truncated(2.0, 0.3, R)
+    g = g_exact_markov(p)
     tm = g.transfer
-    M, right, lam = tm.matrix, tm.right, tm.eigenvalue
+    M, right, lam = transfer_matrix(p), tm.right, tm.eigenvalue
     assert g.table is tm.conditional and g.table.shape == (2, 1 << R)
     for u, letters in enumerate(g.states):
         for b, s in enumerate((-1, 1)):
             v = _encode_state(letters[1:] + (s,))
             assert g.table[b, u] == M[u, v] * right[v] / (lam * right[u])
             assert g.prob(letters, s) == g.table[b, u]
+
+
+PERRON_LAWS = {
+    "benchmark range 6": truncated(2.0, 0.3, 6),
+    "table [1, 0, 0, 0, 1] beta 3": table((1.0, 0.0, 0.0, 0.0, 1.0), 3.0),
+    "q 2 beta 5 range 6": truncated(2.0, 5.0, 6),
+    "exponential rate 1e-6 beta 1 range 6": PairPotential(
+        beta=1.0, coupling=CouplingLaw.exponential(1e-6), truncation_range=6
+    ),
+    "q 2 beta 20 range 3": truncated(2.0, 20.0, 3),
+}
+
+
+@pytest.mark.parametrize("name", PERRON_LAWS)
+def test_table_is_the_perron_conditional_to_the_last_digit(name):
+    # against the 60-digit conditional built from the pair law alone; a dense
+    # eigensolver missed it by 1.6e-8 on the table law and refused the other three
+    p = PERRON_LAWS[name]
+    g, want = g_exact_markov(p), perron_conditional(p)
+    for u, past in enumerate(g.states):
+        for b, s in enumerate((-1, 1)):
+            assert abs(g.table[b, u] - want[past, s]) <= 1e-15
+
+
+def test_table_of_the_deepest_law_is_the_perron_conditional():
+    p = truncated(1.2, 0.3, 10)
+    g, want = g_exact_markov(p), perron_conditional(p)
+    assert g.table.shape == (2, 1024)
+    for u, past in enumerate(g.states):
+        for b, s in enumerate((-1, 1)):
+            assert abs(g.table[b, u] - want[past, s]) <= 1e-15
+
+
+@pytest.mark.parametrize("R", range(1, 11))
+def test_g_is_built_without_a_dense_solver(R, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exact side called a dense solver")
+
+    for name in ("eig", "eigvals", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    p = truncated(1.5, 0.45, R)  # a law no other test builds, so no cache serves it
+    g = g_exact_markov(p)
+    assert g.dependency_depth == R and g.table.shape == (2, 1 << R)
+    tm = TransferMatrix.from_potential(p)
+    assert tm.residual <= 1e-12 * tm.eigenvalue
+    assert np.all(tm.right > 0.0) and np.all(tm.left > 0.0)
+
+
+def test_a_perron_iteration_that_does_not_settle_raises(monkeypatch):
+    monkeypatch.setattr(artifact.kernel, "PERRON_MAX_STEPS", 3)
+    with pytest.raises(ArithmeticError, match="Perron iteration did not settle in 3 steps"):
+        TransferMatrix.from_potential(truncated(2.0, 0.3, 6))
+
+
+def test_the_perron_vectors_are_those_of_the_dense_matrix():
+    p = truncated(2.0, 2.0, 5)
+    tm, M = TransferMatrix.from_potential(p), transfer_matrix(p)
+    lam = tm.eigenvalue
+    assert np.max(np.abs(M @ tm.right - lam * tm.right)) <= 1e-12 * lam
+    assert np.max(np.abs(tm.left @ M - lam * tm.left)) <= 1e-12 * lam
+    assert tm.left @ tm.right == pytest.approx(1.0, abs=1e-15)
+    assert np.max(tm.right) == 1.0
 
 
 def test_table_of_depth_zero_is_uniform():
@@ -230,7 +321,7 @@ def test_exact_conditional_is_built_once_and_read_only():
     g = g_exact_markov(table((0.5, 0.25), 0.7))
     assert g_exact_markov(table((0.5, 0.25), 0.7)) is g
     tm = g.transfer
-    for a in (tm.matrix, tm.right, tm.left, g.table):
+    for a in (tm.right, tm.left, g.table):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
