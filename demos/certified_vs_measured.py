@@ -9,7 +9,7 @@ interaction range; the slack in between is the price of the closed form.
 Run:  python3 demos/certified_vs_measured.py
 """
 
-from artifact import CouplingLaw, FSequence, PairPotential
+from artifact import CouplingLaw, PairPotential
 from artifact.kernel import empirical_g_variation_profile
 from artifact.diagnostics import tauberian_diagnostic
 from artifact.rows import g_variation_bound
@@ -23,21 +23,18 @@ def main() -> None:
     p = PairPotential(
         beta=BETA, coupling=CouplingLaw.power_law(2.0), truncation_range=RANGE
     )
-    F = FSequence.from_potential(p)
     depths = tuple(range(RANGE + 3))
     measured = empirical_g_variation_profile(p, depths, WINDOW)
 
     print(f"J(n) = n**-2 truncated at {RANGE}, strength {BETA}, window {WINDOW}\n")
     print(f"{'depth':>5}  {'measured':>12}  {'certified hi':>12}  {'slack':>10}")
     for m, emp in zip(depths, measured):
-        hi = g_variation_bound(F, m).bound.hi
+        hi = g_variation_bound(p, m).bound.hi
         print(f"{m:>5}  {emp:>12.6g}  {hi:>12.6g}  {hi - emp:>10.3g}")
 
     # the untruncated law decays polynomially; the diagnostic compares the
     # bound against its predicted power-law shape on a doubling grid
-    full = FSequence.from_potential(
-        PairPotential(beta=BETA, coupling=CouplingLaw.power_law(2.0))
-    )
+    full = PairPotential(beta=BETA, coupling=CouplingLaw.power_law(2.0))
     report = tauberian_diagnostic(full, n_grid=tuple(2**e for e in range(4, 11)))
     print(
         f"\nfitted decay hypothesis: alpha = {report.alpha:.3f}, K = {report.K:.3f}"

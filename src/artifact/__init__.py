@@ -2,9 +2,11 @@
 one-dimensional lattice Gibbs states with pair interactions.
 
 The package splits into certified and empirical halves.  ``intervals``,
-``potential``, ``fseq``, ``ratiobound``, ``rows`` and ``criteria`` carry
-outward rounding all the way from coupling tails to Holds/Fails verdicts, so
-every inequality they assert holds for the true real quantities.  ``kernel``
+``potential``, ``ratiobound``, ``rows`` and ``criteria`` carry outward
+rounding all the way from coupling tails to Holds/Fails verdicts, so every
+inequality they assert holds for the true real quantities: each criterion,
+R_n row and envelope is a closed form in the tails of the ``PairPotential``
+it takes.  ``fseq`` holds the ``Word``s that pasts and boundaries are.  ``kernel``
 computes exact finite-range conditionals and ``dynamics`` samples from them
 in streamed blocks; they exist to corroborate the certified half, never to
 replace it, as do the uncertified recursion table and growth fits of
@@ -32,10 +34,10 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("intervals", "Interval"),
-        ("potential", "CouplingLaw PairPotential SeriesValue VariationProfile "
-                      "ruelle_sum coelho_quas_sum tail_variation"),
-        ("fseq", "Word FSequence"),
-        ("ratiobound", "DecayEnvelope LogRProfile DEFAULT_REL_WIDTH log_r_bound_envelope"),
+        ("potential", "CouplingLaw PairPotential SeriesValue ruelle_sum coelho_quas_sum tail_variation "
+                      "slope_certificate"),
+        ("fseq", "Word"),
+        ("ratiobound", "DecayEnvelope DEFAULT_REL_WIDTH log_r_bound_envelope"),
         ("rows", "RnSeries rn_series g_variation_bound"),
         ("diagnostics", "RatioTable rb_limit_lower_bound berbee_series_partial_sums fit_growth_exponent "
                         "tauberian_diagnostic"),

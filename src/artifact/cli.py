@@ -12,7 +12,7 @@ as YAML 1.2 and ``json.dumps`` write them; quote an ``out`` of that form.
 
 Schema::
 
-    potential:                # required mapping
+    potential:                # required mapping; every number in it finite
       kind:              power_law | exponential | finite_table | zero
       beta:              float >= 0                 (required)
       q:                 float > 1                  (power_law only)
@@ -77,13 +77,13 @@ except ImportError:
 from . import __version__, _numpy  # _numpy: a missing NumPy fails here, at import
 from ._record import record
 from .criteria import Verdict, evaluate_all
-from .fseq import FSequence, Word
+from .fseq import Word
 from .potential import (
     ENUMERATION_MAX_WINDOW,
     CouplingLaw,
     PairPotential,
-    VariationProfile,
     required_range,
+    slope_certificate,
     tail_variation,
 )
 from .ratiobound import DEFAULT_REL_WIDTH, log_r_bound_envelope
@@ -224,10 +224,10 @@ def parse_config(doc: dict) -> RunConfig:
     values: tuple = ()
     if kind == "power_law":
         q = _as_number(pot, "q", "potential")
-        _expect(q > 1.0, "potential.q must exceed 1")
+        _expect(q > 1.0 and math.isfinite(q), "potential.q must exceed 1 and be finite")
     if kind == "exponential":
         rate = _as_number(pot, "rate", "potential")
-        _expect(rate > 0.0, "potential.rate must be positive")
+        _expect(rate > 0.0 and math.isfinite(rate), "potential.rate must be positive and finite")
     if "amplitude" in pot:
         amplitude = _as_number(pot, "amplitude", "potential")
         _expect(amplitude > 0.0 and math.isfinite(amplitude), "potential.amplitude must be positive")
@@ -239,6 +239,7 @@ def parse_config(doc: dict) -> RunConfig:
             "potential.values must be a list of numbers",
         )
         values = tuple(float(v) for v in raw)
+        _expect(all(map(math.isfinite, values)), "potential.values must be finite")
 
     truncation_range = pot.get("truncation_range")
     if truncation_range is not None:
@@ -474,9 +475,8 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
     from .rows import g_variation_bound  # the R_n rows and tail tables: only bounds loads them
 
-    F = FSequence.from_potential(p)
-    envelope = log_r_bound_envelope(F)
-    profile = VariationProfile.from_potential(p)
+    envelope = log_r_bound_envelope(p)
+    slope, _ = slope_certificate(p)
 
     empirical: dict = {}
     empirical_note = None
@@ -509,7 +509,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
         )
         for n in range(1, cfg.n_max + 1):
             tv = tail_variation(p, n)
-            gb = g_variation_bound(F, n, cfg.rel_width)
+            gb = g_variation_bound(p, n, cfg.rel_width)
             rb = gb.bound
             if gb.rn.capped:
                 capped.append(gb.rn.enclosure.rel_width())
@@ -519,7 +519,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     doc = {
         "csv": path.name,
         "rows": cfg.n_max,
-        "slope": {"lo": profile.slope.lo, "hi": profile.slope.hi},
+        "slope": {"lo": slope.lo, "hi": slope.hi},
         "zero_beyond": p.finite_range,
         "envelope": None
         if envelope is None

@@ -20,9 +20,10 @@ with decay exponent 2 has critical strength c = beta * amplitude = 1/2 for
 several criteria, and enclosure padding would misreport the exactly-critical
 case as a straddle; Fractions keep the boundary sharp.
 
-Every check is scalar Python.  The Dobrushin sum is enumerated here over
-achievable fields (``dobrushin_sum``), and the two profile checks read only
-the decay envelope of ``ratiobound``, so evaluating the criteria loads
+Every check takes the ``PairPotential`` itself and is scalar Python.  The
+Dobrushin sum is enumerated here over achievable fields (``dobrushin_sum``),
+and the two checks on the g-variation bound read only the interaction range
+and the decay envelope of ``ratiobound``, so evaluating the criteria loads
 neither the exact kernels nor the R_n rows.
 """
 
@@ -32,23 +33,22 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 from functools import wraps
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ._record import record, set_field
-from .fseq import FSequence
 from .intervals import Interval, ZERO, _down, _exp, _up
 from .potential import (
     DOBRUSHIN_MAX_RANGE,
     PairPotential,
-    VariationProfile,
     coelho_quas_sum,
     family,
     fraction_interval,
     required_range,
     ruelle_sum,
+    slope_certificate,
     strength_fraction,
 )
-from .ratiobound import LogRProfile
+from .ratiobound import log_r_bound_envelope
 
 HOLDS = "Holds"
 FAILS = "Fails"
@@ -276,12 +276,14 @@ def check_coelho_quas(p: PairPotential) -> Verdict:
 
 
 @_criterion("berbee", UNIQUE_GIBBS)
-def check_berbee(F: FSequence) -> Verdict:
+def check_berbee(p: PairPotential) -> Verdict:
     """Berbee's condition: divergence of the symmetric-window product series.
 
     The n-th term is the product of the window inf-ratios over the first n
-    windows of the alternating enumeration; see FSequence.berbee_log_rbar for
-    the closed forms.  Divergence is decided structurally per family:
+    windows of the alternating enumeration.  Window 2k is [-k, k] and window
+    2k+1 is [-k, k+1]; their log inf-ratios are -2 beta T(k+1) and
+    -2 beta T(k+1) + beta J(k+1).  Divergence is decided structurally per
+    family:
 
       * summable weighted couplings: terms decrease to the positive limit
         exp(beta * (T(1) - 4 W)), and a series with terms bounded below
@@ -294,7 +296,6 @@ def check_berbee(F: FSequence) -> Verdict:
         are exp(-Theta(K^(2-q))), and the series converges by integral
         comparison.
     """
-    p = F.potential
     fam = family(p)
     if fam in ("finite", "exponential", "power_summable"):
         rs = ruelle_sum(p)
@@ -341,20 +342,20 @@ def check_berbee(F: FSequence) -> Verdict:
 
 
 @_criterion("variation_slope", UNIQUE_GIBBS_BERNOULLI)
-def check_variation_slope(profile: VariationProfile) -> Verdict:
+def check_variation_slope(p: PairPotential) -> Verdict:
     """Hyperbolic-decay test: tail variation at most c/n + summable, c < 1/2.
 
     Holds needs both the slope enclosure strictly below 1/2 and a certified
     summable remainder; Fails needs the slope, the family's exact value, at or
     above 1/2.  A straddling enclosure stays Inconclusive.
     """
-    slope = profile.slope
+    slope, summable = slope_certificate(p)
     margin = 0.5 - slope
     detail = (
         f"tail-variation slope in [{slope.lo:.10g}, {slope.hi:.10g}] against the "
-        f"strict threshold 1/2; remainder summable: {profile.remainder_summable}"
+        f"strict threshold 1/2; remainder summable: {summable}"
     )
-    if slope.hi < 0.5 and profile.remainder_summable:
+    if slope.hi < 0.5 and summable:
         return HOLDS, margin, detail
     if slope.lo >= 0.5:
         return FAILS, margin, detail + (
@@ -368,7 +369,7 @@ def check_variation_slope(profile: VariationProfile) -> Verdict:
 
 @_criterion("product_blocksum", UNIQUE_GIBBS_BERNOULLI)
 def check_product_blocksum(
-    F: FSequence,
+    p: PairPotential,
     alpha: Optional[float] = None,
     alpha_grid: Optional[Sequence[float]] = None,
 ) -> Verdict:
@@ -387,7 +388,6 @@ def check_product_blocksum(
     if grid is not None and not (grid and all(0.0 < a <= 1.0 for a in grid)):
         raise ValueError("alpha must lie in (0, 1]")
     candidates = [Fraction(a) for a in (DEFAULT_ALPHA_GRID if grid is None else grid)]
-    p = F.potential
     fam = family(p)
 
     if fam == "power_heavy":
@@ -453,20 +453,17 @@ def check_product_blocksum(
 
 
 @_criterion("jop_blocksum", UNIQUE_TINV_GIBBS)
-def check_jop_blocksum(logr_g: LogRProfile) -> Verdict:
+def check_jop_blocksum(p: PairPotential) -> Verdict:
     """Vanishing geometric-block sums of squared log-ratios of the chain law.
 
     Blocks are (ceil(lam^(m-1)), ceil(lam^m)]; the hypothesis holds for one
     growth factor lam > 1 exactly when it holds for every such factor.
     Margins report the decay-exponent clearance above the critical 1/2.
     """
-    if logr_g.zero_beyond is not None:
-        certificate = (
-            f"profile vanishes beyond n = {logr_g.zero_beyond}: all late blocks "
-            "sum to exactly 0"
-        )
-        return HOLDS, None, certificate
-    env = logr_g.envelope
+    R = p.finite_range
+    if R is not None:
+        return HOLDS, None, f"profile vanishes beyond n = {R}: all late blocks sum to exactly 0"
+    env = log_r_bound_envelope(p)
     if env is not None and env.exponent > 0.5:
         margin = _pad(env.exponent) - 0.5
         certificate = (
@@ -476,21 +473,19 @@ def check_jop_blocksum(logr_g: LogRProfile) -> Verdict:
         )
         return HOLDS, margin, certificate
     certificate = (
-        f"profile '{logr_g.source}' has no closed form with decay exponent above "
-        "1/2; block partial sums alone cannot certify a limit"
+        "profile 'variation bound of the induced conditional law' has no closed form "
+        "with decay exponent above 1/2; block partial sums alone cannot certify a limit"
     )
     return INCONCLUSIVE, None, certificate
 
 
 @_criterion("bcjo", UNIQUE_TINV_GIBBS)
-def check_bcjo(logr_g: LogRProfile) -> Verdict:
+def check_bcjo(p: PairPotential) -> Verdict:
     """Square-root-scaled variation test: limsup sqrt(n) * logr(n) below 2."""
-    if logr_g.zero_beyond is not None:
-        certificate = (
-            f"profile vanishes beyond n = {logr_g.zero_beyond}; the scaled limsup is 0"
-        )
-        return HOLDS, Interval.point(2.0), certificate
-    env = logr_g.envelope
+    R = p.finite_range
+    if R is not None:
+        return HOLDS, Interval.point(2.0), f"profile vanishes beyond n = {R}; the scaled limsup is 0"
+    env = log_r_bound_envelope(p)
     if env is not None:
         if env.exponent > 0.5:
             certificate = (
@@ -508,8 +503,8 @@ def check_bcjo(logr_g: LogRProfile) -> Verdict:
             )
             return HOLDS, margin, certificate
     certificate = (
-        f"profile '{logr_g.source}' carries no majorant with exponent >= 1/2 and "
-        "coefficient below 2; the scaled limsup is not certified"
+        "profile 'variation bound of the induced conditional law' carries no majorant "
+        "with exponent >= 1/2 and coefficient below 2; the scaled limsup is not certified"
     )
     return INCONCLUSIVE, None, certificate
 
@@ -519,13 +514,7 @@ def check_bcjo(logr_g: LogRProfile) -> Verdict:
 
 @record
 class _Limsup:
-    """Certified limsup of one scaled sequence.
-
-    Exactly one of three states: a finite enclosure, infinity, or unknown
-    (the scaling exponent's sign is not certified inside the strength
-    enclosure, which can only happen for a strength interval of positive
-    width sitting on the critical exponent).
-    """
+    """Certified limsup of one scaled sequence: a finite enclosure, or infinity."""
 
     value: Optional[Interval]
     infinite: bool = False
@@ -538,45 +527,21 @@ class _Limsup:
     def inf() -> "_Limsup":
         return _Limsup(value=None, infinite=True)
 
-    @staticmethod
-    def unknown() -> "_Limsup":
-        return _Limsup(value=None, infinite=False)
-
-
-def _critical_product_limsup(c: Interval, extra_one: bool) -> Interval:
-    """limsup n^(-c) * exp(partial sums) for hyperbolic-type tail profiles.
-
-    Partial sums equal c*H_n plus, for the quadratic power family, a window
-    term increasing to c; both pieces converge, so the limsup is the limit
-    exp(c*gamma) or exp(c*(gamma + 1)).
-    """
-    shift = _EULER_GAMMA + 1.0 if extra_one else _EULER_GAMMA
-    return (c * shift).exp()
-
 
 class _ScaledFamily:
-    """Closed-form limsups for one input family of the scaled-limsup check.
+    """Closed-form limsups for one family of the scaled-limsup check.
 
-    The tail strength is carried as exact rational bounds [c_lo, c_hi]; every
-    exponent-sign decision is certified against the appropriate endpoint, and
-    a decision that would need the two endpoints to disagree comes back
-    unknown instead of guessing.
+    The critical family carries its tail strength c as an exact rational, so
+    every exponent-sign decision is exact.
     """
 
-    def __init__(self, kind: str, c_lo: Optional[Fraction] = None,
-                 c_hi: Optional[Fraction] = None, q: Optional[float] = None,
-                 log_cap: Optional[Interval] = None,
-                 tail_amp: Optional[Interval] = None):
-        self.kind = kind  # "critical", "hyperbolic", "summable", "heavy"
-        self.c_lo = c_lo
-        self.c_hi = c_hi
+    def __init__(self, kind: str, c: Optional[Fraction] = None, q: Optional[float] = None,
+                 log_cap: Optional[Interval] = None, tail_amp: Optional[Interval] = None):
+        self.kind = kind  # "critical", "summable", "heavy"
+        self.c = c
         self.q = q
         self.log_cap = log_cap  # log of the summable families' product limsup
         self.tail_amp = tail_amp
-
-    @property
-    def c_interval(self) -> Interval:
-        return Interval.hull(fraction_interval(self.c_lo), fraction_interval(self.c_hi))
 
     def product_limsup(self, alpha: Fraction) -> _Limsup:
         """limsup of n^(alpha-1) times the running sup-ratio product."""
@@ -584,24 +549,22 @@ class _ScaledFamily:
             if alpha < 1:
                 return _Limsup.finite(ZERO)
             return _Limsup.finite(self.log_cap.exp())
-        if alpha - 1 + self.c_hi < 0:
+        if alpha - 1 + self.c < 0:
             return _Limsup.finite(ZERO)
-        if alpha - 1 + self.c_lo > 0:
+        if alpha - 1 + self.c > 0:
             return _Limsup.inf()
-        if self.c_lo == self.c_hi:
-            return _Limsup.finite(
-                _critical_product_limsup(self.c_interval, self.kind == "critical")
-            )
-        return _Limsup.unknown()
+        # the partial sums are c*H_n plus a window term increasing to c, both
+        # convergent after the n^(-c) scaling: the limit is exp(c*(gamma + 1))
+        return _Limsup.finite((fraction_interval(self.c) * (_EULER_GAMMA + 1.0)).exp())
 
     def tail_limsup(self, alpha: Fraction) -> _Limsup:
         """limsup of sqrt(n) times the alpha-th power of the right-tail log-ratio."""
-        if self.kind in ("critical", "hyperbolic"):
+        if self.kind == "critical":
             if alpha > _HALF:
                 return _Limsup.finite(ZERO)
             if alpha < _HALF:
                 return _Limsup.inf()
-            return _Limsup.finite(self.c_interval.sqrt())
+            return _Limsup.finite(fraction_interval(self.c).sqrt())
         if self.q is None:
             return _Limsup.finite(ZERO)  # finite range or exponential tails
         edge = _HALF - alpha * (Fraction(self.q) - 1)
@@ -612,19 +575,10 @@ class _ScaledFamily:
         return _Limsup.finite(self.tail_amp.pow(float(alpha)))
 
 
-def _scaled_family(source: Union[FSequence, VariationProfile]) -> Optional[_ScaledFamily]:
-    if isinstance(source, VariationProfile):
-        if source.form == "hyperbolic":
-            coeff = source.slope
-            return _ScaledFamily(
-                "hyperbolic", c_lo=Fraction(coeff.lo), c_hi=Fraction(coeff.hi)
-            )
-        return None
-    p = source.potential
+def _scaled_family(p: PairPotential) -> _ScaledFamily:
     fam = family(p)
     if fam == "power_critical":
-        c = strength_fraction(p)
-        return _ScaledFamily("critical", c_lo=c, c_hi=c)
+        return _ScaledFamily("critical", c=strength_fraction(p))
     if fam == "power_heavy":
         return _ScaledFamily("heavy")
     log_cap = ruelle_sum(p).enclosure
@@ -637,7 +591,7 @@ def _scaled_family(source: Union[FSequence, VariationProfile]) -> Optional[_Scal
 
 @_criterion("scaled_limsup", UNIQUE_TINV_GIBBS)
 def check_scaled_limsup(
-    source: Union[FSequence, VariationProfile],
+    p: PairPotential,
     alpha: Optional[float] = None,
     K: Optional[float] = None,
 ) -> Verdict:
@@ -652,11 +606,8 @@ def check_scaled_limsup(
     certified K.  Both strict inequalities are evaluated on enclosures;
     an enclosure straddling equality yields Inconclusive, never a verdict.
     A certified K past the double range is quoted as exp(log K); against it
-    only a tail limsup of exactly 0 is decided.
-
-    Accepts an FSequence (family closed forms) or an exact hyperbolic
-    VariationProfile; other profiles have no certified asymptotics and come
-    back Inconclusive.  Uniqueness here is among shift-invariant states only.
+    only a tail limsup of exactly 0 is decided.  Uniqueness here is among
+    shift-invariant states only.
     """
     if K is not None and alpha is None:
         raise ValueError("alpha is required when K is supplied")
@@ -665,15 +616,7 @@ def check_scaled_limsup(
     if K is not None and not 0.0 < K < math.inf:
         raise ValueError("K must be positive and finite")
 
-    scaled = _scaled_family(source)
-    if scaled is None:
-        return (
-            INCONCLUSIVE,
-            None,
-            "input carries no closed-form asymptotics (only exact power-law, "
-            "exponential, finite-range, and hyperbolic-profile inputs are "
-            "certified)",
-        )
+    scaled = _scaled_family(p)
     if scaled.kind == "heavy":
         certificate = (
             "running log-product grows polynomially fast in n^(2-q) for q < 2, "
@@ -693,13 +636,6 @@ def check_scaled_limsup(
             "K satisfies the product cap"
         )
         return FAILS, None, certificate
-    if prod.value is None:
-        return (
-            INCONCLUSIVE,
-            None,
-            "the product-limsup exponent sign is not certified at this alpha "
-            "(the strength enclosure sits on the critical exponent)",
-        )
     if K is None:
         cap = max(prod.value.hi, 1.0)
         k_note = f"K = {cap:.10g} (the certified product limsup)"
@@ -760,23 +696,17 @@ def _natural_alpha(scaled: _ScaledFamily):
     """The family's own alpha when none is supplied, or a terminal outcome."""
     if scaled.kind == "summable":
         return Fraction(1), None
-    if scaled.c_hi < _HALF:
+    if scaled.c < _HALF:
         # any exponent strictly between 1/2 and 1 - c gives zero limsups
-        return (_HALF + (1 - scaled.c_hi)) / 2, None
-    if scaled.c_lo == scaled.c_hi == _HALF:
+        return (_HALF + (1 - scaled.c)) / 2, None
+    if scaled.c == _HALF:
         return _HALF, None
-    if scaled.c_lo > _HALF:
-        certificate = (
-            f"strength c = {_quote(scaled.c_lo)} > 1/2: alphas above 1 - c "
-            "blow up the product limsup and alphas at or below 1/2 >= 1 - c blow "
-            "up the tail limsup, so no budget pair exists"
-        )
-        return None, (FAILS, None, certificate)
     certificate = (
-        f"strength enclosure [{_quote(scaled.c_lo)}, {_quote(scaled.c_hi)}] "
-        "straddles the critical value 1/2, so no alpha is certified either way"
+        f"strength c = {_quote(scaled.c)} > 1/2: alphas above 1 - c "
+        "blow up the product limsup and alphas at or below 1/2 >= 1 - c blow "
+        "up the tail limsup, so no budget pair exists"
     )
-    return None, (INCONCLUSIVE, None, certificate)
+    return None, (FAILS, None, certificate)
 
 
 # -- aggregation -------------------------------------------------------------------
@@ -847,24 +777,11 @@ def evaluate_all(
             knobs["budget"] = budget
     elif alpha_grid is not None:
         knobs["alpha_grid"] = list(alpha_grid)
-    F = FSequence.from_potential(p)
-    logr = LogRProfile.from_fsequence(F)
-    inputs = {  # in report order
-        "check_dobrushin": (p,),
-        "check_ruelle": (p,),
-        "check_coelho_quas": (p,),
-        "check_berbee": (F,),
-        "check_variation_slope": (VariationProfile.from_potential(p),),
-        "check_product_blocksum": (F, alpha, alpha_grid),
-        "check_jop_blocksum": (logr,),
-        "check_bcjo": (logr,),
-        "check_scaled_limsup": (F, alpha, budget),
-    }
+    knobbed = {"check_product_blocksum": (alpha, alpha_grid), "check_scaled_limsup": (alpha, budget)}
     verdicts = []
-    for check, args in inputs.items():
+    for check, (criterion, strength) in _CRITERIA.items():  # registered in report order
         try:  # looked up at each call, so a replaced check is the one that runs
-            verdicts.append(globals()[check](*args))
+            verdicts.append(globals()[check](p, *knobbed.get(check, ())))
         except ValueError as exc:
-            criterion, strength = _CRITERIA[check]
             verdicts.append(Verdict(criterion, INCONCLUSIVE, None, f"not evaluated: {exc}", strength))
     return CriteriaReport(verdicts=tuple(verdicts), knobs=knobs)

@@ -17,8 +17,8 @@ from operator import mul, sub
 from typing import Optional, Sequence
 
 from ._record import record
-from .fseq import FSequence
 from .intervals import ZERO, Interval
+from .potential import PairPotential, tail_variation
 from .ratiobound import DEFAULT_REL_WIDTH
 from .rows import _running_sums, g_variation_bound
 
@@ -94,7 +94,7 @@ def rb_limit_lower_bound(v: Sequence[float], N: int) -> float:
 # -- growth diagnostics --------------------------------------------------------
 
 
-def berbee_series_partial_sums(F: FSequence, n_max: int) -> list:
+def berbee_series_partial_sums(p: PairPotential, n_max: int) -> list:
     """Float partial sums S_N = sum_{n<=N} prod_{m<=n} t_m of the two-sided series.
 
     The terms come from the symmetric-window enumeration closed forms; this
@@ -102,7 +102,6 @@ def berbee_series_partial_sums(F: FSequence, n_max: int) -> list:
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    p = F.potential
     beta = p.beta
     T = _tail_midpoints(p, n_max // 2 + 3)  # T[i]: midpoint at m = i+1
     log_t = [-2.0 * beta * T[m // 2] + (beta * p.strength(m // 2 + 1) if m % 2 else 0.0) for m in range(n_max + 1)]
@@ -165,7 +164,7 @@ class TauberianReport:
 
 
 def tauberian_diagnostic(
-    F: FSequence,
+    p: PairPotential,
     alpha: Optional[float] = None,
     K: Optional[float] = None,
     n_grid: Optional[Sequence[int]] = None,
@@ -173,7 +172,7 @@ def tauberian_diagnostic(
 ) -> TauberianReport:
     """Finite-grid comparison of the g-variation bound against its predicted decay.
 
-    Per grid point n the row carries bound(n) / (log_ratio_right(n))^alpha,
+    Per grid point n the row carries bound(n) / (beta * T(n+1))^alpha,
     to be read against the asymptote 2*K/Gamma(alpha).  When (alpha, K) are
     not supplied they are fitted: the log of the cumulative one-sided ratio
     product is regressed on log n, the slope b gives alpha = 1 - b and the
@@ -191,7 +190,7 @@ def tauberian_diagnostic(
 
     fitted = alpha is None or K is None
     if fitted:
-        fa, fK = _fit_hypothesis_pair(F, n_grid)
+        fa, fK = _fit_hypothesis_pair(p, n_grid)
         if alpha is None:
             alpha = min(1.0, max(fa, 1e-6))
         if K is None:
@@ -199,16 +198,15 @@ def tauberian_diagnostic(
 
     rows = []
     for n in n_grid:
-        b, lr = g_variation_bound(F, n, rel_width).bound, F.log_ratio_right(n)
+        b, lr = g_variation_bound(p, n, rel_width).bound, tail_variation(p, n + 1)
         ok = lr.lo > 0.0 and (denom := lr.pow(alpha)).lo > 0.0
         rows.append(TauberianRow(n=n, bound=b, denominator=denom if ok else ZERO, ratio=b / denom if ok else None))
     asymptote = 2.0 * K / math.gamma(alpha)
     return TauberianReport(alpha=alpha, K=K, fitted=fitted, asymptote=asymptote, rows=tuple(rows))
 
 
-def _fit_hypothesis_pair(F: FSequence, n_grid):
+def _fit_hypothesis_pair(p: PairPotential, n_grid):
     """Least-squares (alpha, K) from the cumulative product of one-sided ratios."""
-    p = F.potential
     cum = list(accumulate(_tail_midpoints(p, max(n_grid) + 2)))  # entry i: sum of log-ratios for windows 0..i
     ns = [n for n in n_grid if n >= 2]
     if len(ns) < 2:

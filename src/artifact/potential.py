@@ -138,21 +138,22 @@ class CouplingLaw:
     values: tuple = ()
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison and isfinite, so it is refused with the infinities
         if self.kind == "power_law":
-            if not self.q > 1.0:
-                raise ValueError("power law needs q > 1 for summability")
-            if self.amplitude < 0.0:
-                raise ValueError("amplitude must be nonnegative")
+            if not (self.q > 1.0 and math.isfinite(self.q)):
+                raise ValueError("power law needs a finite q > 1 for summability")
         elif self.kind == "exponential":
-            if not self.rate > 0.0:
-                raise ValueError("exponential law needs rate > 0")
-            if self.amplitude < 0.0:
-                raise ValueError("amplitude must be nonnegative")
+            if not (self.rate > 0.0 and math.isfinite(self.rate)):
+                raise ValueError("exponential law needs a finite rate > 0")
         elif self.kind == "finite_table":
-            if any(v < 0.0 for v in self.values):
+            if not all(map(math.isfinite, self.values)):
+                raise ValueError("table entries must be finite")
+            if not all(v >= 0.0 for v in self.values):
                 raise ValueError("table entries must be nonnegative")
         else:
             raise ValueError(f"unknown coupling kind {self.kind!r}")
+        if not (self.amplitude >= 0.0 and math.isfinite(self.amplitude)):
+            raise ValueError("amplitude must be finite and nonnegative")
 
     def __hash__(self) -> int:  # written out, as PairPotential's: caches hash potentials on each call
         return hash((self.kind, self.q, self.amplitude, self.rate, self.values))
@@ -270,8 +271,8 @@ class PairPotential:
     truncation_range: Optional[int] = None
 
     def __init__(self, coupling: CouplingLaw, beta: float, truncation_range: Optional[int] = None) -> None:
-        if beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        if not (beta >= 0.0 and math.isfinite(beta)):  # NaN too
+            raise ValueError("beta must be nonnegative and finite")
         if truncation_range is not None and truncation_range < 0:
             raise ValueError("truncation range must be nonnegative")
         set_field(self, "coupling", coupling)
@@ -374,9 +375,6 @@ class SeriesValue:
     divergent: bool
     certificate: str
 
-    def is_finite(self) -> bool:
-        return not self.divergent
-
 
 def ruelle_sum(p: PairPotential) -> SeriesValue:
     """Diameter-weighted total influence sum_{sets through 0} diam * osc.
@@ -404,60 +402,18 @@ def _weighted_series(p: PairPotential, factor: float) -> SeriesValue:
     return SeriesValue(Interval.point(factor) * total, False, "finite weighted coupling sum")
 
 
-@record
-class VariationProfile:
-    """Tail-variation profile n -> enclosure, with certified asymptotics when known.
-
-    ``slope`` encloses lim n * at(n) (hi may be +inf); ``remainder_summable``
-    states whether at(n) - slope/n has a finite sum.  Both closed forms are
-    equalities, not upper bounds.  ``form`` names the closed-form family
-    ("pair_tail", "hyperbolic") so downstream criteria know which asymptotic
-    identities apply.
-    """
-
-    source: str
-    _at: object
-    slope: Interval
-    remainder_summable: bool
-    form: str
-
-    def at(self, n: int) -> Interval:
-        return self._at(n)
-
-    @staticmethod
-    def from_potential(p: PairPotential) -> "VariationProfile":
-        slope, summable = _slope_certificate(p)
-        return VariationProfile(
-            source=_describe(p),
-            _at=lambda n: tail_variation(p, n),
-            slope=slope,
-            remainder_summable=summable,
-            form="pair_tail",
-        )
-
-    @staticmethod
-    def hyperbolic(coefficient: Interval, source: str = "c/n profile") -> "VariationProfile":
-        """Profile at(n) = c / n exactly, for criteria driven by synthetic inputs."""
-        return VariationProfile(
-            source=source,
-            _at=lambda n: coefficient * Interval(1.0, 1.0) / float(n),
-            slope=coefficient,
-            remainder_summable=True,
-            form="hyperbolic",
-        )
-
-
-def _slope_certificate(p: PairPotential):
+def slope_certificate(p: PairPotential):
     """Enclosure of lim n * tail_variation(n) plus remainder summability.
 
     Finite range, exponential, and power laws with q > 2 have slope 0 with a
     summable profile.  q = 2 has slope beta * amplitude exactly, and the
     remainder b(T(n) - 1/n) telescopes to the finite value beta * amplitude.
-    q < 2 has n * tail ~ n**(2-q) -> inf.
+    q < 2 has n * tail ~ n**(2-q) -> inf.  Each slope is the family's exact
+    value, not an upper bound.
     """
     fam = family(p)
     if fam == "power_critical":
-        return strength_interval(p), True
+        return fraction_interval(strength_fraction(p)), True
     if fam == "power_heavy":
         return Interval(0.0, math.inf), False
     return Interval.point(0.0), True
@@ -470,19 +426,3 @@ def strength_fraction(p: PairPotential) -> Fraction:
     enclosure pad would turn an exact boundary case into a straddle.
     """
     return Fraction(p.beta) * Fraction(p.coupling.amplitude)
-
-
-def strength_interval(p: PairPotential) -> Interval:
-    return fraction_interval(strength_fraction(p))
-
-
-def _describe(p: PairPotential) -> str:
-    c = p.coupling
-    if c.kind == "power_law":
-        base = f"power_law(q={c.q}, amplitude={c.amplitude})"
-    elif c.kind == "exponential":
-        base = f"exponential(rate={c.rate}, amplitude={c.amplitude})"
-    else:
-        base = f"finite_table({list(c.values)})"
-    trunc = "" if p.truncation_range is None else f", R={p.truncation_range}"
-    return f"{base}, beta={p.beta}{trunc}"

@@ -3,21 +3,20 @@
 The bound 2 * log(1 + 1/R_n) on the log-ratio of the induced conditional law
 g over pasts agreeing on n sites comes from the series R_n (``rows``).
 ``log_r_bound_envelope`` certifies a closed-form decay majorant of it for the
-infinite-range families, and ``LogRProfile`` carries that majorant with the
-bound itself, whose rows load only on the profile's first ``at``.  So the
-criteria read the envelope without loading the R_n rows or the tail table.
-The uncertified recursion table and growth fits are in ``diagnostics``.
+infinite-range families; at finite range R the bound is exactly 0 from n = R
+on.  So the criteria read the envelope and the range without loading the R_n
+rows or the tail table.  The uncertified recursion table and growth fits are
+in ``diagnostics``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 from ._record import record
-from .fseq import FSequence
 from .intervals import Interval, ONE
-from .potential import family
+from .potential import PairPotential, family
 
 # Target relative width of each R_n row: the one place a width is read
 # (``rows.rn_series``'s stopping rule); every other enclosure is a few ulps wide.
@@ -36,41 +35,7 @@ class DecayEnvelope:
     derivation: str
 
 
-@record
-class LogRProfile:
-    """A profile n -> enclosure of (a bound on) log-ratio of g over n agreeing sites.
-
-    ``envelope`` certifies an upper majorant beyond any horizon.  ``zero_beyond``
-    marks profiles vanishing identically from some window on.
-    """
-
-    source: str
-    _at: Callable[[int], Interval]
-    envelope: Optional[DecayEnvelope] = None
-    zero_beyond: Optional[int] = None
-
-    def at(self, n: int) -> Interval:
-        return self._at(n)
-
-    @staticmethod
-    def from_fsequence(F: FSequence, rel_width: float = DEFAULT_REL_WIDTH) -> "LogRProfile":
-        env = log_r_bound_envelope(F)
-        R = F.potential.finite_range
-
-        def at(n: int) -> Interval:
-            from .rows import g_variation_bound  # the R_n rows load on the first query
-
-            return g_variation_bound(F, n, rel_width).bound
-
-        return LogRProfile(
-            source="variation bound of the induced conditional law",
-            _at=at,
-            envelope=env,
-            zero_beyond=R,
-        )
-
-
-def log_r_bound_envelope(F: FSequence) -> Optional[DecayEnvelope]:
+def log_r_bound_envelope(p: PairPotential) -> Optional[DecayEnvelope]:
     """Closed-form decay majorant of the g-variation bound, when one is certified.
 
     Every chain below starts from 2*log(1 + 1/R_n) <= 2/R_n and a certified
@@ -88,7 +53,6 @@ def log_r_bound_envelope(F: FSequence) -> Optional[DecayEnvelope]:
     (power, q > 2) or exp(-beta*A/(e*r*(1-e^{-r}))) (exponential), giving
     R_n >= const * n and a 1/n majorant.
     """
-    p = F.potential
     c = p.coupling
     beta = Interval.point(p.beta)
     fam = family(p)  # "finite": the profile is exactly zero beyond the range, no majorant needed

@@ -17,9 +17,8 @@ Finite enclosures carry a geometric tail majorant whenever one exists; when
 the window tail underflows it cannot be formed, and the enclosure is a lower
 bound with upper endpoint +inf.
 
-Everything here is scalar Python.  ``bounds``, ``LogRProfile.at`` and
-``PairPotential.tail_enclosure_table`` import this module where they run,
-so ``gibbs1d check`` never loads it.
+Everything here is scalar Python.  ``bounds`` and ``PairPotential.tail_enclosure_table``
+import this module where they run, so ``gibbs1d check`` never loads it.
 """
 
 from __future__ import annotations
@@ -33,9 +32,8 @@ from operator import mul, sub
 from typing import Optional
 
 from ._record import record
-from .fseq import FSequence
 from .intervals import DOWN, DOWN_EXP, EPS, FLOOR, LIBM_GUARD_ULPS, ONE, UP, UP_EXP, ZERO, Interval, _exp
-from .potential import CouplingLaw
+from .potential import CouplingLaw, PairPotential
 from .ratiobound import DEFAULT_REL_WIDTH
 
 
@@ -116,7 +114,7 @@ class TailEnclosureTable:
     the table keeps, and no column is copied or moved as the table grows.
     """
 
-    def __init__(self, potential: "PairPotential", horizon: int):
+    def __init__(self, potential: PairPotential, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
         self.potential = potential
@@ -245,15 +243,12 @@ class RnSeries:
     certificate: str
     terms_used: int = 0
 
-    def is_finite(self) -> bool:
-        return not self.divergent and math.isfinite(self.enclosure.hi)
-
     @property
     def capped(self) -> bool:  # summation stopped at _MAX_TERMS, short of the target width
         return self.certificate.endswith(_CAP_NOTE)
 
 
-def rn_series(F: FSequence, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> RnSeries:
+def rn_series(p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> RnSeries:
     """Sum R_n with interval terms, or certify its divergence structurally.
 
     Divergence requires v_j = 1 exactly beyond a finite index: finite range R
@@ -271,13 +266,13 @@ def rn_series(F: FSequence, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> RnS
     """
     if n < 0:
         raise ValueError("window must be >= 0")
-    p = F.potential
-    vp = F.v_profile(n)
-    settles = vp.settles_at()
-    if settles is not None:
-        prod = math.prod((vp.v(j) for j in range(settles)), start=ONE)
-        certificate = f"v_j = 1 exactly for j >= {settles} (finite range within the window); terms stay >= {prod.lo:.6g}"
-        return RnSeries(n, None, True, certificate, terms_used=settles)
+    R = p.finite_range
+    if R is not None and n >= R:  # T(n+1) = 0, so v_j = exp(-beta T(j+1)) > 0, which is 1 from j = R on
+        certificate = (
+            f"v_j = 1 exactly for j >= {R} (finite range within the window); "
+            "the terms stay at a positive constant"
+        )
+        return RnSeries(n, None, True, certificate, terms_used=R)
 
     beta = p.beta
     win_log = Interval.point(beta) * p.coupling_tail(n + 1)
@@ -368,14 +363,10 @@ class GVariationBound:
     rn: RnSeries
     bound: Interval
 
-    @property
-    def certified_zero(self) -> bool:
-        return self.rn.divergent
 
-
-def g_variation_bound(F: FSequence, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> GVariationBound:
+def g_variation_bound(p: PairPotential, n: int, rel_width: float = DEFAULT_REL_WIDTH) -> GVariationBound:
     """Enclosure of 2 * log(1 + 1/R_n); exactly [0, 0] when R_n diverges."""
-    rn = rn_series(F, n, rel_width)
+    rn = rn_series(p, n, rel_width)
     if rn.divergent:
         return GVariationBound(window=n, rn=rn, bound=ZERO)
     enc = rn.enclosure

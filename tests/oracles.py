@@ -1,5 +1,5 @@
-"""Exhaustive oracles for the exact kernels and the factor sequences, and
-the statistics of a coupled run computed from its whole disagreement array.
+"""Exhaustive oracles for the exact kernels and the ratio closed forms of a
+pair law, and the statistics of a coupled run computed from its whole disagreement array.
 
 Each oracle enumerates every word of a small window and sums Boltzmann
 weights written out from the pair law alone (beta and J(d)), so it shares
@@ -23,7 +23,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 
-from artifact.fseq import FSequence, Word
+from artifact.fseq import Word
 from artifact.potential import ENUMERATION_MAX_WINDOW, PairPotential, SPINS
 
 APPLY_MAX_WIDTH = 14
@@ -107,14 +107,14 @@ def pi_window_enumeration(p: PairPotential, boundary: Word, n: int, s: int) -> f
     return math.fsum(weights[mask]) / math.fsum(weights)
 
 
-def apply_L(F: FSequence, m: int, n: int, f: Callable[[Word], float], x: Word) -> float:
+def apply_L(p: PairPotential, m: int, n: int, f: Callable[[Word], float], x: Word) -> float:
     """Sum of (prod_{i=m}^{n} f_i) * f over words free on [m, n], clamped to x
     elsewhere."""
     if m < 0 or n < m:
         raise ValueError("need 0 <= m <= n")
     if n - m > APPLY_MAX_WIDTH:
         raise ValueError(f"enumeration guard: n - m <= {APPLY_MAX_WIDTH}")
-    logw, left, right = _window_log_weights(F.potential, x, m, n)
+    logw, left, right = _window_log_weights(p, x, m, n)
     total = []
     for row, lw in zip(_words(n - m + 1), logw):
         y = Word(m - len(left), left + tuple(int(v) for v in row) + right)
@@ -122,7 +122,7 @@ def apply_L(F: FSequence, m: int, n: int, f: Callable[[Word], float], x: Word) -
     return math.fsum(total)
 
 
-def rho_bruteforce(F: FSequence, k: int, n: int, x: Word, y: Word, m_grid=(0,)) -> float:
+def rho_bruteforce(p: PairPotential, k: int, n: int, x: Word, y: Word, m_grid=(0,)) -> float:
     """Infimum over prefix cylinders of the window-sum ratio between two
     environments.
 
@@ -139,22 +139,21 @@ def rho_bruteforce(F: FSequence, k: int, n: int, x: Word, y: Word, m_grid=(0,)) 
     for m in m_grid:
         if m < 0:
             raise ValueError("window starts must be >= 0")
-        wx = np.exp(_window_log_weights(F.potential, x, m, m + n)[0])
-        wy = np.exp(_window_log_weights(F.potential, y, m, m + n)[0])
+        wx = np.exp(_window_log_weights(p, x, m, m + n)[0])
+        wy = np.exp(_window_log_weights(p, y, m, m + n)[0])
         num = wx.reshape(1 << (k + 1), -1).sum(axis=1)
         den = wy.reshape(1 << (k + 1), -1).sum(axis=1)
         best = min(best, float(np.min(num / den)))
     return best
 
 
-def brute_log_ratio(f: FSequence, i: int, past: int, future: int, horizon: int) -> float:
+def brute_log_ratio(p: PairPotential, i: int, past: int, future: int, horizon: int) -> float:
     """Exhaustive log sup-ratio of f_i over agreement on [-past, i + future].
 
     Only valid for finite-range interactions; ``horizon`` letters beyond each
     window edge are enumerated, which covers the full dependency once
     horizon >= range.
     """
-    p = f.potential
     R = p.finite_range
     if R is None:
         raise ValueError("exhaustive ratios need a finite-range interaction")

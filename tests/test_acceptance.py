@@ -13,7 +13,6 @@ import numpy as np
 from artifact import (
     CouplingLaw,
     FAILS,
-    FSequence,
     HOLDS,
     INCONCLUSIVE,
     Interval,
@@ -21,7 +20,6 @@ from artifact import (
     UNIQUE_GIBBS,
     UNIQUE_GIBBS_BERNOULLI,
     UNIQUE_TINV_GIBBS,
-    VariationProfile,
     Word,
     check_berbee,
     check_scaled_limsup,
@@ -59,6 +57,13 @@ def nearest_neighbour(beta):
     return PairPotential(beta=beta, coupling=CouplingLaw.finite_table((1.0,)))
 
 
+def v_lower(p, window, count):
+    """Lower ends of the contraction coefficients v_k = exp(-beta * (T(k+1) +
+    T(window+1))), k < count, for the past window [-window, -1]."""
+    beta, past = Interval.point(p.beta), p.coupling_tail(window + 1)
+    return [(-(beta * (p.coupling_tail(k + 1) + past))).exp().lo for k in range(count)]
+
+
 def test_acceptance_1_constant_profile_recursion_limit():
     # constant coefficients are the equality case of the closed-form limit
     # bound: the recursion must sit on 0.9 and the bound must converge to it
@@ -84,8 +89,7 @@ def test_acceptance_2_recursion_below_exhaustive_ratio_geometric_mean():
         truncated_square(0.5, 2),
     ):
         R = p.finite_range
-        F = FSequence.from_potential(p)
-        table = RatioTable(F.v_profile(2).lower_values(7), 6)
+        table = RatioTable(v_lower(p, 2, 7), 6)
         for n in range(0, 7):
             for k in range(0, n + 1):
                 p_kn = table.p(k, n)
@@ -96,8 +100,8 @@ def test_acceptance_2_recursion_below_exhaustive_ratio_geometric_mean():
                             x = Word(-R, past + filler + fx)
                             y = Word(-R, past + filler + fy)
                             gm = math.sqrt(
-                                rho_bruteforce(F, k, n, x, y)
-                                * rho_bruteforce(F, k, n, y, x)
+                                rho_bruteforce(p, k, n, x, y)
+                                * rho_bruteforce(p, k, n, y, x)
                             )
                             worst = min(worst, gm - p_kn)
                             assert p_kn <= gm + 1e-12
@@ -112,21 +116,14 @@ def test_acceptance_3_closed_form_thresholds_without_tolerance():
     # exact rational comparison, so no numeric tolerance appears
     t0 = time.perf_counter()
 
-    def F(beta):
-        return FSequence.from_potential(
-            PairPotential(beta=beta, coupling=CouplingLaw.power_law(2.0))
-        )
+    def square(beta):
+        return PairPotential(beta=beta, coupling=CouplingLaw.power_law(2.0))
 
-    def profile(beta):
-        return VariationProfile.from_potential(
-            PairPotential(beta=beta, coupling=CouplingLaw.power_law(2.0))
-        )
-
-    assert check_berbee(F(0.25)).outcome == HOLDS
-    assert check_berbee(F(0.26)).outcome == FAILS
-    assert check_variation_slope(profile(0.49)).outcome == HOLDS
-    assert check_variation_slope(profile(0.51)).outcome != HOLDS
-    assert check_variation_slope(profile(0.51)).outcome == FAILS
+    assert check_berbee(square(0.25)).outcome == HOLDS
+    assert check_berbee(square(0.26)).outcome == FAILS
+    assert check_variation_slope(square(0.49)).outcome == HOLDS
+    assert check_variation_slope(square(0.51)).outcome != HOLDS
+    assert check_variation_slope(square(0.51)).outcome == FAILS
     assert time.perf_counter() - t0 < 10.0
     print("ACCEPTANCE 3: PASS")
 
@@ -136,10 +133,8 @@ def test_acceptance_4_partial_sum_growth_exponent():
     # with exponent 1 - 4 * strength; the fitted slope must land within 0.05
     t0 = time.perf_counter()
     for beta in (0.15, 0.20):
-        F = FSequence.from_potential(
-            PairPotential(beta=beta, coupling=CouplingLaw.power_law(2.0))
-        )
-        sums = berbee_series_partial_sums(F, 2**14 + 1)
+        p = PairPotential(beta=beta, coupling=CouplingLaw.power_law(2.0))
+        sums = berbee_series_partial_sums(p, 2**14 + 1)
         fitted = fit_growth_exponent(sums, n_lo=2**8, n_hi=2**14)
         assert abs(fitted - (1.0 - 4.0 * beta)) <= 0.05
     assert time.perf_counter() - t0 < 30.0
@@ -152,14 +147,13 @@ def test_acceptance_5_certified_bound_dominates_measured_variation():
     # to exactly zero once the agreement depth reaches the range
     t0 = time.perf_counter()
     p = truncated_square(0.25, 4)
-    F = FSequence.from_potential(p)
     measured = empirical_g_variation_profile(p, tuple(range(7)), 16)
     for m in range(7):
-        bound = g_variation_bound(F, m)
+        bound = g_variation_bound(p, m)
         assert measured[m] <= bound.bound.hi + 1e-10
         if m >= 4:
             assert measured[m] == 0.0
-            assert bound.certified_zero and bound.bound.hi == 0.0
+            assert bound.rn.divergent and bound.bound.hi == 0.0
     assert time.perf_counter() - t0 < 300.0
     print("ACCEPTANCE 5: PASS")
 
@@ -251,18 +245,18 @@ def test_acceptance_8_special_constants_and_critical_straddle():
 
     # the scaled-limsup machinery leans on Gamma(1/2) = sqrt(pi); recover the
     # constant through the diagnostic's asymptote 2 K / Gamma(alpha)
-    F = FSequence.from_potential(
-        PairPotential(beta=0.3, coupling=CouplingLaw.power_law(2.0))
-    )
-    report = tauberian_diagnostic(F, alpha=0.5, K=1.0, n_grid=(4, 8))
+    p = PairPotential(beta=0.3, coupling=CouplingLaw.power_law(2.0))
+    report = tauberian_diagnostic(p, alpha=0.5, K=1.0, n_grid=(4, 8))
     gamma_half = 2.0 * 1.0 / report.asymptote
     assert abs(gamma_half - math.sqrt(math.pi)) <= 1e-12
 
-    # the 1/(2n) variation profile certifies with a strictly positive margin
-    half = VariationProfile.hyperbolic(Interval.point(0.5))
+    # the inverse square at strength exactly 1/2 certifies with a strictly
+    # positive margin: alpha = 1/2 and K = exp((1 + gamma)/2) leave
+    # Gamma(1/2)/K - sqrt(1/2) = 0.0984...
+    half = PairPotential(beta=0.5, coupling=CouplingLaw.power_law(2.0))
     natural = check_scaled_limsup(half)
     assert natural.outcome == HOLDS
-    assert natural.margin.lo > 0.62 and natural.margin.hi < 0.63
+    assert natural.margin.lo > 0.098 and natural.margin.hi < 0.099
 
     # a budget pair tuned to land exactly on the threshold must straddle it:
     # strict-inequality logic reports Inconclusive, never a coin-flip verdict

@@ -709,6 +709,23 @@ def test_main_negative_table_entry_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in captured.err and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("potential", [
+    {"kind": "finite_table", "beta": 0.3, "values": [1.0, float("nan")]},
+    {"kind": "finite_table", "beta": 0.3, "values": [float("inf")]},
+    {"kind": "power_law", "beta": 0.3, "q": float("inf")},
+    {"kind": "exponential", "beta": 0.3, "rate": float("inf")},
+], ids=["table-nan", "table-inf", "q-inf", "rate-inf"])
+def test_main_non_finite_coupling_is_a_config_error(tmp_path, capsys, potential):
+    # YAML reads .nan and .inf as floats: none of them may reach the criteria
+    doc = {"potential": potential, "out": str(tmp_path / "out")}
+    path = write_config(tmp_path, doc)
+    assert ".nan" in path.read_text() or ".inf" in path.read_text()
+    assert main(["check", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "finite" in captured.err
+    assert "Traceback" not in captured.err and not (tmp_path / "out").exists()
+
+
 def test_main_check_encloses_an_overflowing_weighted_total(tmp_path, capsys):
     # sum_j j J(j) = 3e308 passes the largest double: enclosed up to +inf, not a guard
     doc = {"potential": {"kind": "finite_table", "beta": 1.0, "values": [1e308, 1e308]}, "out": str(tmp_path / "out")}
@@ -953,22 +970,6 @@ def test_check_is_scalar_on_every_law(tmp_path, name):
     proc = python(STRICT_CHECK_AND_LIST, "check", "--config", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-
-
-def test_a_profile_loads_the_rows_on_its_first_query():
-    code = """
-import sys
-from artifact import CouplingLaw, FSequence, LogRProfile, PairPotential
-F = FSequence.from_potential(PairPotential(CouplingLaw.power_law(2.0), 0.3))
-profile = LogRProfile.from_fsequence(F)
-assert "artifact.rows" not in sys.modules, "the rows loaded before the first query"
-got = profile.at(5)
-assert "artifact.rows" in sys.modules, "the first query left the rows out"
-from artifact.rows import g_variation_bound
-assert got == g_variation_bound(F, 5).bound, got
-"""
-    proc = python(code)
-    assert proc.returncode == 0, proc.stderr
 
 
 # the longrange_bounds laws of the benchmark: R_n rows, tail tables and no exact kernel

@@ -14,16 +14,13 @@ from artifact import (
     CriteriaReport,
     DecayEnvelope,
     FAILS,
-    FSequence,
     HOLDS,
     INCONCLUSIVE,
     Interval,
-    LogRProfile,
     PairPotential,
     UNIQUE_GIBBS,
     UNIQUE_GIBBS_BERNOULLI,
     UNIQUE_TINV_GIBBS,
-    VariationProfile,
     Verdict,
     check_bcjo,
     check_berbee,
@@ -54,86 +51,71 @@ def zero():
     return PairPotential(beta=1.0, coupling=CouplingLaw.zero())
 
 
-def fseq(p):
-    return FSequence.from_potential(p)
-
-
 # -- product-series divergence ----------------------------------------------------
 
 
 def test_berbee_critical_strength_trichotomy():
     # the series flips between divergence and convergence at strength 1/4,
     # decided in exact rational arithmetic: no tolerance appears anywhere
-    at = check_berbee(fseq(power(2.0, 0.25)))
+    at = check_berbee(power(2.0, 0.25))
     assert at.outcome == HOLDS
     assert at.margin.lo == 0.0 and at.margin.hi == 0.0
 
-    above = check_berbee(fseq(power(2.0, 0.26)))
+    above = check_berbee(power(2.0, 0.26))
     assert above.outcome == FAILS
     assert above.margin.hi < 0.0
 
-    assert check_berbee(fseq(power(2.0, 0.3))).outcome == FAILS
-    below = check_berbee(fseq(power(2.0, 0.2)))
+    assert check_berbee(power(2.0, 0.3)).outcome == FAILS
+    below = check_berbee(power(2.0, 0.2))
     assert below.outcome == HOLDS
     assert below.margin.lo > 0.0
 
 
 def test_berbee_summable_families_hold_at_any_temperature():
-    v = check_berbee(fseq(power(3.0, 5.0)))
+    v = check_berbee(power(3.0, 5.0))
     assert v.outcome == HOLDS
     assert v.margin.lo > 0.0
     assert "diverges term-by-term" in v.certificate
-    assert check_berbee(fseq(zero())).outcome == HOLDS
-    assert check_berbee(fseq(table((1.0, 0.5), 2.0))).outcome == HOLDS
+    assert check_berbee(zero()).outcome == HOLDS
+    assert check_berbee(table((1.0, 0.5), 2.0)).outcome == HOLDS
 
 
 def test_berbee_heavy_tails_fail_structurally():
-    v = check_berbee(fseq(power(1.5, 0.1)))
+    v = check_berbee(power(1.5, 0.1))
     assert v.outcome == FAILS
     assert v.margin is None
     assert "integral comparison" in v.certificate
 
 
 def test_berbee_strength():
-    assert check_berbee(fseq(power(2.0, 0.2))).conclusion_strength == UNIQUE_GIBBS
+    assert check_berbee(power(2.0, 0.2)).conclusion_strength == UNIQUE_GIBBS
 
 
 # -- tail-variation slope -----------------------------------------------------------
 
 
 def test_variation_slope_threshold():
-    assert check_variation_slope(
-        VariationProfile.from_potential(power(2.0, 0.3))
-    ).outcome == HOLDS
-    assert check_variation_slope(
-        VariationProfile.from_potential(power(2.0, 0.49))
-    ).outcome == HOLDS
+    assert check_variation_slope(power(2.0, 0.3)).outcome == HOLDS
+    assert check_variation_slope(power(2.0, 0.49)).outcome == HOLDS
     # slope exactly 1/2: the family's own value, so failure is certified
-    v = check_variation_slope(VariationProfile.from_potential(power(2.0, 0.5)))
+    v = check_variation_slope(power(2.0, 0.5))
     assert v.outcome == FAILS
-    assert check_variation_slope(
-        VariationProfile.from_potential(power(2.0, 0.51))
-    ).outcome == FAILS
+    assert check_variation_slope(power(2.0, 0.51)).outcome == FAILS
 
 
 def test_variation_slope_summable_and_heavy():
-    assert check_variation_slope(
-        VariationProfile.from_potential(power(3.0, 5.0))
-    ).outcome == HOLDS
-    assert check_variation_slope(
-        VariationProfile.from_potential(zero())
-    ).outcome == HOLDS
-    v = check_variation_slope(VariationProfile.from_potential(power(1.5, 0.3)))
+    assert check_variation_slope(power(3.0, 5.0)).outcome == HOLDS
+    assert check_variation_slope(zero()).outcome == HOLDS
+    v = check_variation_slope(power(1.5, 0.3))
     assert v.outcome == INCONCLUSIVE
 
 
-def test_variation_slope_synthetic_profile():
-    v = check_variation_slope(VariationProfile.hyperbolic(Interval.point(0.4)))
+def test_variation_slope_margin_on_the_inverse_square_law():
+    # the slope of q = 2 is beta exactly: margin 1/2 - 0.4, and Fails at beta = 1/2
+    v = check_variation_slope(power(2.0, 0.4))
     assert v.outcome == HOLDS
     assert abs(v.margin.mid - 0.1) <= 1e-15
-    assert check_variation_slope(
-        VariationProfile.hyperbolic(Interval.point(0.5))
-    ).outcome == FAILS
+    assert check_variation_slope(power(2.0, 0.5)).outcome == FAILS
     assert v.conclusion_strength == UNIQUE_GIBBS_BERNOULLI
 
 
@@ -141,85 +123,87 @@ def test_variation_slope_synthetic_profile():
 
 
 def test_product_blocksum_supplied_alpha():
-    F = fseq(power(2.0, 0.3))
-    assert check_product_blocksum(F, alpha=0.6).outcome == HOLDS
+    p = power(2.0, 0.3)
+    assert check_product_blocksum(p, alpha=0.6).outcome == HOLDS
     # alpha above 1 - c: the product budget is blown, but a smaller alpha
     # exists, so the check cannot certify failure
-    assert check_product_blocksum(F, alpha=0.75).outcome == INCONCLUSIVE
+    assert check_product_blocksum(p, alpha=0.75).outcome == INCONCLUSIVE
 
 
 def test_product_blocksum_natural_search():
-    assert check_product_blocksum(fseq(power(2.0, 0.493))).outcome == HOLDS
-    half = check_product_blocksum(fseq(power(2.0, 0.5)))
+    assert check_product_blocksum(power(2.0, 0.493)).outcome == HOLDS
+    half = check_product_blocksum(power(2.0, 0.5))
     assert half.outcome == FAILS
     assert half.margin.lo == 0.0 and half.margin.hi == 0.0
-    above = check_product_blocksum(fseq(power(2.0, 0.6)))
+    above = check_product_blocksum(power(2.0, 0.6))
     assert above.outcome == FAILS
     assert above.margin.hi < 0.0
 
 
 def test_product_blocksum_summable_families():
-    assert check_product_blocksum(fseq(zero()), alpha=1.0).outcome == HOLDS
-    assert check_product_blocksum(fseq(power(3.0, 2.0))).outcome == HOLDS
-    assert check_product_blocksum(fseq(power(3.0, 2.0)), alpha=0.51).outcome == HOLDS
+    assert check_product_blocksum(zero(), alpha=1.0).outcome == HOLDS
+    assert check_product_blocksum(power(3.0, 2.0)).outcome == HOLDS
+    assert check_product_blocksum(power(3.0, 2.0), alpha=0.51).outcome == HOLDS
     # block-sum exponent 2 * 0.25 * (3 - 1) = 1 is not strictly above 1
-    v = check_product_blocksum(fseq(power(3.0, 2.0)), alpha=0.25)
+    v = check_product_blocksum(power(3.0, 2.0), alpha=0.25)
     assert v.outcome == INCONCLUSIVE
     assert "larger alpha would work" in v.certificate
 
 
 def test_product_blocksum_heavy_tails_fail():
-    v = check_product_blocksum(fseq(power(1.5, 0.2)))
+    v = check_product_blocksum(power(1.5, 0.2))
     assert v.outcome == FAILS and v.margin is None
 
 
 def test_product_blocksum_alpha_validation():
-    F = fseq(power(2.0, 0.3))
+    p = power(2.0, 0.3)
     for bad in (0.0, -0.5, 1.2):
         with pytest.raises(ValueError):
-            check_product_blocksum(F, alpha=bad)
+            check_product_blocksum(p, alpha=bad)
 
 
 # -- block sums of the conditional-law ratios ------------------------------------------
 
 
 def test_jop_blocksum_derived_profiles():
-    finite = LogRProfile.from_fsequence(fseq(table((1.0, 0.5), 1.0)))
+    finite = table((1.0, 0.5), 1.0)
     assert check_jop_blocksum(finite).outcome == HOLDS
-    certified = LogRProfile.from_fsequence(fseq(power(2.0, 0.3)))
+    certified = power(2.0, 0.3)
     v = check_jop_blocksum(certified)
     assert v.outcome == HOLDS
     assert v.margin.contains(0.2)
-    hot = LogRProfile.from_fsequence(fseq(power(2.0, 0.6)))
+    hot = power(2.0, 0.6)
     assert check_jop_blocksum(hot).outcome == INCONCLUSIVE
 
 
 def test_bcjo_derived_profiles():
-    assert check_bcjo(LogRProfile.from_fsequence(fseq(table((0.5,), 2.0)))).outcome == HOLDS
-    assert check_bcjo(LogRProfile.from_fsequence(fseq(power(2.0, 0.3)))).outcome == HOLDS
-    assert check_bcjo(LogRProfile.from_fsequence(fseq(power(2.0, 1.0)))).outcome == INCONCLUSIVE
+    assert check_bcjo(table((0.5,), 2.0)).outcome == HOLDS
+    assert check_bcjo(power(2.0, 0.3)).outcome == HOLDS
+    assert check_bcjo(power(2.0, 1.0)).outcome == INCONCLUSIVE
 
 
-def majorant_profile(coefficient, exponent):
-    """A profile known through its certified majorant coefficient * n^-exponent only."""
+def majorant_profile(monkeypatch, coefficient, exponent):
+    """An infinite-range law whose g-variation bound the checks know through
+    the majorant coefficient * n^-exponent, put in place of the certified one."""
     envelope = DecayEnvelope(coefficient, exponent, 1, "given majorant")
-    return LogRProfile("given majorant", lambda n: Interval(0.0, coefficient * n**-exponent), envelope)
+    monkeypatch.setattr(criteria, "log_r_bound_envelope", lambda p: envelope)
+    return power(3.0, 0.3)
 
 
-def test_jop_blocksum_and_bcjo_thresholds_on_the_majorant():
+def test_jop_blocksum_and_bcjo_thresholds_on_the_majorant(monkeypatch):
     # block sums vanish for an exponent above 1/2: margin = exponent - 1/2
-    steep = majorant_profile(1.9, 0.7)
+    steep = majorant_profile(monkeypatch, 1.9, 0.7)
     jop = check_jop_blocksum(steep)
     assert jop.outcome == HOLDS and jop.margin.contains(0.2) and jop.margin.width < 1e-15
     assert check_bcjo(steep).outcome == HOLDS and check_bcjo(steep).margin == Interval.point(2.0)
     # on the critical exponent 1/2 block sums are not certified to vanish, whatever the coefficient,
     # and sqrt(n) * profile is at most the coefficient: bcjo holds strictly below 2 only
     for coefficient in (1.9, 2.0):
-        assert check_jop_blocksum(majorant_profile(coefficient, 0.5)).outcome == INCONCLUSIVE
-    below = check_bcjo(majorant_profile(1.9, 0.5))
+        assert check_jop_blocksum(majorant_profile(monkeypatch, coefficient, 0.5)).outcome == INCONCLUSIVE
+    below = check_bcjo(majorant_profile(monkeypatch, 1.9, 0.5))
     assert below.outcome == HOLDS and below.margin.hi == 2.0
     assert 0.0 < Fraction(below.margin.lo) <= 2 - Fraction(1.9)
-    at = check_bcjo(majorant_profile(2.0, 0.5))
+    at = check_bcjo(majorant_profile(monkeypatch, 2.0, 0.5))
     assert at.outcome == INCONCLUSIVE and at.margin is None
 
 
@@ -227,56 +211,49 @@ def test_jop_blocksum_and_bcjo_thresholds_on_the_majorant():
 
 
 def test_scaled_limsup_natural_choices():
-    assert check_scaled_limsup(fseq(power(2.0, 0.25))).outcome == HOLDS
+    assert check_scaled_limsup(power(2.0, 0.25)).outcome == HOLDS
     # at strength exactly 1/2 the closed forms still leave strict room
-    assert check_scaled_limsup(fseq(power(2.0, 0.5))).outcome == HOLDS
-    v = check_scaled_limsup(fseq(power(2.0, 0.6)))
+    assert check_scaled_limsup(power(2.0, 0.5)).outcome == HOLDS
+    v = check_scaled_limsup(power(2.0, 0.6))
     assert v.outcome == FAILS
     assert "no budget pair" in v.certificate
-    assert check_scaled_limsup(fseq(power(3.0, 1.0))).outcome == HOLDS
-    assert check_scaled_limsup(fseq(power(1.5, 0.3))).outcome == FAILS
+    assert check_scaled_limsup(power(3.0, 1.0)).outcome == HOLDS
+    assert check_scaled_limsup(power(1.5, 0.3)).outcome == FAILS
 
 
 def test_scaled_limsup_supplied_budget():
-    F = fseq(power(2.0, 0.25))
-    v = check_scaled_limsup(F, alpha=0.5, K=math.sqrt(2.0 * math.pi))
+    p = power(2.0, 0.25)
+    v = check_scaled_limsup(p, alpha=0.5, K=math.sqrt(2.0 * math.pi))
     assert v.outcome == HOLDS
     # sqrt(c) = 1/2 against Gamma(1/2)/sqrt(2 pi) = 1/sqrt(2)
     assert v.margin.contains(1.0 / math.sqrt(2.0) - 0.5)
     assert abs(v.margin.mid - (1.0 / math.sqrt(2.0) - 0.5)) <= 1e-12
     # alpha above the product budget 1 - c
-    assert check_scaled_limsup(F, alpha=0.9).outcome == FAILS
+    assert check_scaled_limsup(p, alpha=0.9).outcome == FAILS
     # alpha below the tail's critical exponent
-    assert check_scaled_limsup(F, alpha=0.4, K=1.0).outcome == FAILS
+    assert check_scaled_limsup(p, alpha=0.4, K=1.0).outcome == FAILS
 
 
 def test_scaled_limsup_exactly_critical_profile():
-    # hyperbolic profile with slope exactly 1/2 and the boundary budget pair:
-    # the two limsups match the threshold exactly, so the strict comparison
+    # inverse square at strength exactly 1/2 with the boundary budget pair:
+    # sqrt(c) = 1/sqrt(2) = Gamma(1/2)/sqrt(2 pi), so the strict comparison
     # cannot resolve and the verdict must stay Inconclusive
-    prof = VariationProfile.hyperbolic(Interval.point(0.5))
-    v = check_scaled_limsup(prof, alpha=0.5, K=math.sqrt(2.0 * math.pi))
+    v = check_scaled_limsup(power(2.0, 0.5), alpha=0.5, K=math.sqrt(2.0 * math.pi))
     assert v.outcome == INCONCLUSIVE
     assert v.margin.contains(0.0)
     assert v.margin.width <= 1e-14
 
 
-def test_scaled_limsup_rejects_uncertified_profiles():
-    v = check_scaled_limsup(VariationProfile.from_potential(power(3.0, 1.0)))
-    assert v.outcome == INCONCLUSIVE
-    assert "no closed-form asymptotics" in v.certificate
-
-
 def test_scaled_limsup_validation():
-    F = fseq(power(2.0, 0.25))
+    p = power(2.0, 0.25)
     with pytest.raises(ValueError):
-        check_scaled_limsup(F, K=1.0)  # K without alpha
+        check_scaled_limsup(p, K=1.0)  # K without alpha
     with pytest.raises(ValueError):
-        check_scaled_limsup(F, alpha=1.5)
+        check_scaled_limsup(p, alpha=1.5)
     with pytest.raises(ValueError):
-        check_scaled_limsup(F, alpha=0.5, K=0.0)
+        check_scaled_limsup(p, alpha=0.5, K=0.0)
     with pytest.raises(ValueError):
-        check_scaled_limsup(F, alpha=0.5, K=math.inf)  # Gamma(alpha)/K would be 0
+        check_scaled_limsup(p, alpha=0.5, K=math.inf)  # Gamma(alpha)/K would be 0
 
 
 # -- single-site influence ----------------------------------------------------------
@@ -390,7 +367,7 @@ UNDERFLOWING_FLOORS = [
 def test_report_decides_all_nine_criteria_when_the_floor_underflows():
     names = [v.criterion for v in evaluate_all(zero()).verdicts]
     for p in UNDERFLOWING_FLOORS:
-        assert log_r_bound_envelope(fseq(p)) is None  # no majorant claimed
+        assert log_r_bound_envelope(p) is None  # no majorant claimed
         rep = evaluate_all(p)
         assert [v.criterion for v in rep.verdicts] == names
         assert all(v.outcome in (HOLDS, FAILS, INCONCLUSIVE) for v in rep.verdicts)
@@ -449,13 +426,13 @@ def _true_logs(p):
 def test_underflowing_floor_and_overflowing_cap_are_stated_in_log_space():
     for p in UNDERFLOWING_FLOORS:
         log_floor, log_cap = _true_logs(p)
-        berbee = check_berbee(fseq(p))
+        berbee = check_berbee(p)
         assert berbee.outcome == HOLDS and berbee.margin is None
         assert "at least exp(L) > 0" in berbee.certificate
         lo, hi = map(float, re.search(r"L = .* in \[(\S+), (\S+)\]", berbee.certificate).groups())
         assert lo <= hi < -745.2  # exp(L) lies below the least subnormal double
         assert lo * (1 + 1e-9) <= log_floor <= hi * (1 - 1e-9)
-        v = check_scaled_limsup(fseq(p))
+        v = check_scaled_limsup(p)
         assert v.outcome == HOLDS and "not evaluated" not in v.certificate
         k = re.search(r"K = exp\((\S+)\)", v.certificate)
         if log_cap > math.log(sys.float_info.max):
@@ -470,7 +447,7 @@ def test_scaled_limsup_leaves_a_positive_tail_open_when_k_overflows(monkeypatch)
     # summable law, whose tail limsup is 0), so the tail limsup is replaced
     positive = criteria._Limsup.finite(Interval(0.25, 0.5))
     monkeypatch.setattr(criteria._ScaledFamily, "tail_limsup", lambda self, alpha: positive)
-    v = check_scaled_limsup(fseq(UNDERFLOWING_FLOORS[0]))
+    v = check_scaled_limsup(UNDERFLOWING_FLOORS[0])
     assert v.outcome == INCONCLUSIVE and v.margin is None
     assert "above the largest double" in v.certificate and "overflowed K" in v.certificate
 
@@ -503,7 +480,7 @@ def test_stronger_criteria_imply_weaker_ones():
         for beta in (0.1, 0.3, 0.5, 1.0, 2.0):
             p = power(q, beta)
             if check_ruelle(p).outcome == HOLDS:
-                slope = check_variation_slope(VariationProfile.from_potential(p))
+                slope = check_variation_slope(p)
                 assert slope.outcome == HOLDS, (q, beta)
 
 
@@ -540,12 +517,10 @@ def test_evaluate_all_runs_each_knobbed_check_once(monkeypatch, knobs):
 
 def test_knob_verdicts_match_the_direct_checks():
     p = power(3.0, 0.3)
-    F = fseq(p)
-    logr = LogRProfile.from_fsequence(F)
     rep = evaluate_all(p, alpha=0.75, budget=3.0)
-    assert rep.by_name("product_blocksum") == check_product_blocksum(F, 0.75)
-    assert rep.by_name("scaled_limsup") == check_scaled_limsup(F, 0.75, 3.0)
-    assert rep.by_name("jop_blocksum") == check_jop_blocksum(logr)
+    assert rep.by_name("product_blocksum") == check_product_blocksum(p, 0.75)
+    assert rep.by_name("scaled_limsup") == check_scaled_limsup(p, 0.75, 3.0)
+    assert rep.by_name("jop_blocksum") == check_jop_blocksum(p)
     assert rep.knobs == {"alpha": 0.75, "budget": 3.0}
     default = evaluate_all(p)
     assert default.knobs == {}
@@ -554,24 +529,24 @@ def test_knob_verdicts_match_the_direct_checks():
 
     grid = (0.6, 0.8, 1.0)
     rep = evaluate_all(p, alpha_grid=grid)
-    assert rep.by_name("product_blocksum") == check_product_blocksum(F, alpha_grid=grid)
+    assert rep.by_name("product_blocksum") == check_product_blocksum(p, alpha_grid=grid)
     assert rep.by_name("scaled_limsup") == default.by_name("scaled_limsup")
     assert rep.knobs == {"alpha_grid": [0.6, 0.8, 1.0]}
 
 
 def test_alpha_grid_search_quotes_the_largest_admissible_alpha():
     # one rule for the default and the supplied candidate lists
-    F = fseq(power(3.0, 0.3))
-    default = check_product_blocksum(F)
-    supplied = check_product_blocksum(F, alpha_grid=[0.6, 0.8, 1.0])
+    p = power(3.0, 0.3)
+    default = check_product_blocksum(p)
+    supplied = check_product_blocksum(p, alpha_grid=[0.6, 0.8, 1.0])
     assert default == supplied
     assert supplied.certificate.startswith("alpha = 1:")
-    v = check_product_blocksum(fseq(power(2.0, 0.3)), alpha_grid=[0.51, 0.6, 0.7, 0.75])
+    v = check_product_blocksum(power(2.0, 0.3), alpha_grid=[0.51, 0.6, 0.7, 0.75])
     assert v.outcome == HOLDS and v.certificate.startswith("alpha = 0.7:")
     with pytest.raises(ValueError):
-        check_product_blocksum(F, alpha_grid=[])
+        check_product_blocksum(p, alpha_grid=[])
     with pytest.raises(ValueError):
-        check_product_blocksum(F, alpha_grid=[0.6, 1.5])
+        check_product_blocksum(p, alpha_grid=[0.6, 1.5])
 
 
 def test_inconclusive_blocksum_names_the_largest_candidate_tried():
@@ -584,9 +559,8 @@ def test_inconclusive_blocksum_names_the_largest_candidate_tried():
 
 def test_alpha_wins_over_alpha_grid():
     p = power(2.0, 0.3)
-    F = fseq(p)
     both = evaluate_all(p, alpha=0.75, alpha_grid=(0.6, 0.7))
-    assert both.by_name("product_blocksum") == check_product_blocksum(F, 0.75)
+    assert both.by_name("product_blocksum") == check_product_blocksum(p, 0.75)
     assert both.by_name("product_blocksum").outcome == INCONCLUSIVE
     assert evaluate_all(p, alpha_grid=(0.6, 0.7)).by_name("product_blocksum").outcome == HOLDS
     assert both.knobs == {"alpha": 0.75}

@@ -528,7 +528,7 @@ def cesaro_by_enumeration(p, f, n, boundary):
     total = 0.0
     for i in range(n):
         for w, prob in zip(words, probs):
-            sites = [(i + off, letter) for off, letter in zip(f.support, f.letters)]
+            sites = [(i + off, letter) for off, letter in enumerate(f.letters, f.offset)]
             if all((w.at(s) if 0 <= s <= end else boundary.at(s)) == letter for s, letter in sites):
                 total += prob
     return total / n

@@ -9,7 +9,6 @@ import pytest
 import artifact.kernel
 from artifact import (
     CouplingLaw,
-    FSequence,
     PairPotential,
     TransferMatrix,
     Word,
@@ -473,17 +472,15 @@ def test_dobrushin_regression_values_and_memory():
 
 
 def test_apply_L_zero_coupling_counts_words():
-    F = FSequence.from_potential(zero())
     x = all_plus(-1, 6)
-    assert apply_L(F, 0, 2, lambda w: 1.0, x) == pytest.approx(8.0, abs=0.0)
+    assert apply_L(zero(), 0, 2, lambda w: 1.0, x) == pytest.approx(8.0, abs=0.0)
 
 
 def test_apply_L_single_site_matches_factor():
     # [m, n] = [0, 0]: the sum is f_0(+ word) + f_0(- word)
     p = nn(0.8)
-    F = FSequence.from_potential(p)
     x = all_plus(-1, 2)
-    got = apply_L(F, 0, 0, lambda w: 1.0, x)
+    got = apply_L(p, 0, 0, lambda w: 1.0, x)
     want = sum(
         math.exp(0.5 * 0.8 * s * (x.at(-1) + x.at(1))) for s in (-1, 1)
     )
@@ -491,39 +488,38 @@ def test_apply_L_single_site_matches_factor():
 
 
 def test_apply_L_guards():
-    F = FSequence.from_potential(nn(0.5))
+    p = nn(0.5)
     with pytest.raises(ValueError):
-        apply_L(F, 2, 1, lambda w: 1.0, all_plus(-1, 5))
+        apply_L(p, 2, 1, lambda w: 1.0, all_plus(-1, 5))
     with pytest.raises(ValueError):
-        apply_L(F, 0, 20, lambda w: 1.0, all_plus(-1, 25))
+        apply_L(p, 0, 20, lambda w: 1.0, all_plus(-1, 25))
 
 
 def test_rho_equal_environments_is_one():
-    F = FSequence.from_potential(table((0.9, 0.4), 0.6))
+    p = table((0.9, 0.4), 0.6)
     x = all_plus(-2, 8)
     for k, n in [(0, 2), (1, 3), (2, 4)]:
-        assert rho_bruteforce(F, k, n, x, x) == pytest.approx(1.0, abs=1e-12)
+        assert rho_bruteforce(p, k, n, x, x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_zero_coupling_is_one():
-    F = FSequence.from_potential(zero())
     rng = np.random.default_rng(15)
     x = random_word(rng, -2, 8)
     y = random_word(rng, -2, 8)
-    assert rho_bruteforce(F, 1, 3, x, y) == pytest.approx(1.0, abs=1e-12)
+    assert rho_bruteforce(zero(), 1, 3, x, y) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rho_bounded_by_one_when_environments_differ():
     # differing environments can only lower the infimum of ratios
-    F = FSequence.from_potential(nn(0.7))
+    p = nn(0.7)
     x = all_plus(-1, 8)
     y = Word(-1, tuple(-1 if i == 0 else 1 for i in range(10)))
-    val = rho_bruteforce(F, 0, 3, x, y)
+    val = rho_bruteforce(p, 0, 3, x, y)
     assert 0.0 < val <= 1.0 + 1e-12
     with pytest.raises(ValueError):
-        rho_bruteforce(F, 3, 2, x, y)
+        rho_bruteforce(p, 3, 2, x, y)
     with pytest.raises(ValueError):
-        rho_bruteforce(F, 0, 3, x, y, m_grid=(-1,))
+        rho_bruteforce(p, 0, 3, x, y, m_grid=(-1,))
 
 
 # -- empirical variation of the exact conditional ---------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import CouplingLaw, PairPotential, VariationProfile, tail_variation
+from artifact import CouplingLaw, PairPotential, slope_certificate, tail_variation
 from artifact.intervals import Interval
 from artifact.potential import coelho_quas_sum, fraction_interval, ruelle_sum, strength_fraction
 
@@ -39,6 +39,25 @@ def test_negative_couplings_rejected():
         CouplingLaw.finite_table((1.0, -0.5))
     with pytest.raises(ValueError):
         PairPotential(beta=-1.0, coupling=CouplingLaw.zero())
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CouplingLaw.finite_table((1.0, math.nan)),
+    lambda: CouplingLaw.finite_table((math.inf,)),
+    lambda: CouplingLaw.power_law(math.inf),
+    lambda: CouplingLaw.power_law(math.nan),
+    lambda: CouplingLaw.exponential(math.inf),
+    lambda: CouplingLaw.exponential(math.nan),
+    lambda: CouplingLaw.power_law(2.0, math.nan),
+    lambda: CouplingLaw.exponential(1.0, math.inf),
+    lambda: PairPotential(CouplingLaw.finite_table((1.0,)), math.nan),
+    lambda: PairPotential(CouplingLaw.power_law(2.0), math.inf),
+], ids=["table-nan", "table-inf", "q-inf", "q-nan", "rate-inf", "rate-nan", "amplitude-nan", "amplitude-inf",
+        "beta-nan", "beta-inf"])
+def test_non_finite_couplings_rejected(build):
+    # a NaN fails every comparison, so each is refused by name, not let through
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 def test_tail_variation_zeta2_oracle():
@@ -155,25 +174,21 @@ def test_series_on_zero_coupling():
 
 def test_variation_profile_matches_tail_and_slope():
     p = power(2.0, 0.3)
-    prof = VariationProfile.from_potential(p)
-    for n in (1, 4, 16):
-        assert prof.at(n).overlaps(tail_variation(p, n))
-    # hyperbolic tail: n * at(n) -> beta * amplitude
-    assert prof.slope is not None
-    assert prof.slope.contains(0.3)
-    assert prof.form == "pair_tail"
-
-
-def test_variation_profile_hyperbolic_closed_form():
-    prof = VariationProfile.hyperbolic(Interval.point(0.5))
-    assert prof.form == "hyperbolic"
-    assert prof.at(4).contains(0.125)
-    assert prof.slope.contains(0.5)
+    # hyperbolic tail: 1/n <= T(n) <= 1/(n - 1/2), so n * tail_variation(n) -> beta * amplitude
+    for n in (1, 4, 16, 1000):
+        tv = tail_variation(p, n)
+        assert tv.lo <= 0.3 / (n - 0.5) * (1 + 1e-15) and 0.3 / n * (1 - 1e-15) <= tv.hi
+    slope, summable = slope_certificate(p)
+    assert slope.contains(0.3) and slope.width == 0.0 and summable
+    for q, summable_remainder in ((3.0, True), (1.5, False)):
+        slope, summable = slope_certificate(power(q, 0.3))
+        assert summable is summable_remainder
+        assert (slope.lo, slope.hi) == ((0.0, 0.0) if summable else (0.0, math.inf))
 
 
 def test_variation_profile_monotone_hi():
-    prof = VariationProfile.from_potential(power(2.0, 0.25))
-    values = [prof.at(n).hi for n in range(1, 60)]
+    p = power(2.0, 0.25)
+    values = [tail_variation(p, n).hi for n in range(1, 60)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 

@@ -9,8 +9,6 @@ import pytest
 
 from artifact import (
     CouplingLaw,
-    FSequence,
-    LogRProfile,
     PairPotential,
     RatioTable,
     berbee_series_partial_sums,
@@ -24,24 +22,20 @@ from artifact import (
 from artifact.intervals import EPS
 
 
-def power_fseq(q, beta, amplitude=1.0, R=None):
-    p = PairPotential(
+def power(q, beta, amplitude=1.0, R=None):
+    return PairPotential(
         beta=beta,
         coupling=CouplingLaw.power_law(q, amplitude),
         truncation_range=R,
     )
-    return FSequence.from_potential(p)
 
 
-def table_fseq(values, beta):
-    p = PairPotential(beta=beta, coupling=CouplingLaw.finite_table(values))
-    return FSequence.from_potential(p)
+def table(values, beta):
+    return PairPotential(beta=beta, coupling=CouplingLaw.finite_table(values))
 
 
-def zero_fseq():
-    return FSequence.from_potential(
-        PairPotential(beta=1.0, coupling=CouplingLaw.zero())
-    )
+def zero():
+    return PairPotential(beta=1.0, coupling=CouplingLaw.zero())
 
 
 def random_profile(rng, n_max):
@@ -210,29 +204,29 @@ def test_limit_lower_bound_validation():
 
 
 def test_series_diverges_once_window_covers_range():
-    F = table_fseq((1.0, 0.5, 0.25), 0.7)
-    out = rn_series(F, 3)
-    assert out.divergent and not out.is_finite()
+    p = table((1.0, 0.5, 0.25), 0.7)
+    out = rn_series(p, 3)
+    assert out.divergent
     assert out.enclosure is None
     assert "finite range" in out.certificate
 
 
 def test_series_finite_below_the_range():
-    F = table_fseq((1.0, 0.5, 0.25), 0.7)
-    out = rn_series(F, 1)
-    assert out.is_finite()
+    p = table((1.0, 0.5, 0.25), 0.7)
+    out = rn_series(p, 1)
+    assert not out.divergent
     assert out.enclosure.lo > 0.0 and math.isfinite(out.enclosure.hi)
 
 
 def test_series_diverges_for_zero_coupling():
-    out = rn_series(zero_fseq(), 0)
+    out = rn_series(zero(), 0)
     assert out.divergent
     assert "v_j = 1" in out.certificate
 
 
 def test_series_finite_for_hyperbolic_tail():
-    out = rn_series(power_fseq(2.0, 0.25), 8)
-    assert out.is_finite()
+    out = rn_series(power(2.0, 0.25), 8)
+    assert not out.divergent and math.isfinite(out.enclosure.hi)
     assert out.terms_used > 0
     assert "geometric tail majorant" in out.certificate
     assert out.enclosure.lo > 1.0
@@ -241,32 +235,32 @@ def test_series_finite_for_hyperbolic_tail():
 
 def test_series_rejects_negative_window():
     with pytest.raises(ValueError):
-        rn_series(power_fseq(2.0, 0.25), -1)
+        rn_series(power(2.0, 0.25), -1)
 
 
 def test_variation_bound_zero_for_divergent_series():
-    gb = g_variation_bound(zero_fseq(), 2)
-    assert gb.certified_zero
+    gb = g_variation_bound(zero(), 2)
+    assert gb.rn.divergent
     assert gb.bound.lo == 0.0 and gb.bound.hi == 0.0
 
-    F = table_fseq((1.0, 0.5), 0.9)
-    assert g_variation_bound(F, 2).certified_zero
-    assert not g_variation_bound(F, 1).certified_zero
-    assert g_variation_bound(F, 1).bound.hi > 0.0
+    p = table((1.0, 0.5), 0.9)
+    assert g_variation_bound(p, 2).rn.divergent
+    assert not g_variation_bound(p, 1).rn.divergent
+    assert g_variation_bound(p, 1).bound.hi > 0.0
 
 
 def test_variation_bound_matches_its_series():
-    F = power_fseq(2.0, 0.25)
+    p = power(2.0, 0.25)
     for n in (1, 4, 8):
-        gb = g_variation_bound(F, n)
+        gb = g_variation_bound(p, n)
         rn = gb.rn
         assert gb.bound.hi <= 2.0 * math.log1p(1.0 / rn.enclosure.lo) + 1e-12
         assert gb.bound.lo >= 2.0 * math.log1p(1.0 / rn.enclosure.hi) - 1e-12
 
 
 def test_variation_bound_nonincreasing_in_window():
-    F = power_fseq(2.0, 0.25)
-    his = [g_variation_bound(F, n).bound.hi for n in range(1, 11)]
+    p = power(2.0, 0.25)
+    his = [g_variation_bound(p, n).bound.hi for n in range(1, 11)]
     for a, b in zip(his, his[1:]):
         assert b <= a + 1e-8
 
@@ -274,40 +268,39 @@ def test_variation_bound_nonincreasing_in_window():
 # -- decay profiles and envelopes ----------------------------------------------
 
 
-def test_profile_from_finite_range_sequence():
-    F = table_fseq((1.0, 0.5), 0.9)
-    prof = LogRProfile.from_fsequence(F)
-    assert prof.zero_beyond == 2
-    assert prof.envelope is None
-    iv = prof.at(2)
+def test_bound_of_a_finite_range_law_vanishes_from_its_range():
+    p = table((1.0, 0.5), 0.9)
+    assert p.finite_range == 2
+    assert log_r_bound_envelope(p) is None
+    iv = g_variation_bound(p, 2).bound
     assert iv.lo == 0.0 and iv.hi == 0.0
-    assert prof.at(1).hi > 0.0
+    assert g_variation_bound(p, 1).bound.hi > 0.0
 
 
 def test_envelope_for_hyperbolic_tail_majorizes_the_bound():
-    F = power_fseq(2.0, 0.3)
-    env = log_r_bound_envelope(F)
+    p = power(2.0, 0.3)
+    env = log_r_bound_envelope(p)
     assert env is not None
     assert env.exponent == pytest.approx(0.7, abs=1e-12)
     assert 0.0 < env.coefficient < math.inf
     for n in (1, 2, 4, 8, 16, 32):
-        bound = g_variation_bound(F, n).bound.hi
+        bound = g_variation_bound(p, n).bound.hi
         assert bound <= env.coefficient * float(n) ** (-env.exponent) + 1e-8
 
 
 def test_envelope_absent_when_uncertified():
     # strength beta * amplitude = 1 leaves no usable contraction budget
-    assert log_r_bound_envelope(power_fseq(2.0, 1.0)) is None
-    assert log_r_bound_envelope(zero_fseq()) is None
+    assert log_r_bound_envelope(power(2.0, 1.0)) is None
+    assert log_r_bound_envelope(zero()) is None
 
 
 def test_envelope_for_summable_tails():
-    env = log_r_bound_envelope(power_fseq(3.0, 0.5))
+    env = log_r_bound_envelope(power(3.0, 0.5))
     assert env is not None and env.exponent == 1.0
     assert "summable" in env.derivation
 
     p = PairPotential(beta=0.5, coupling=CouplingLaw.exponential(1.0, 1.0))
-    env = log_r_bound_envelope(FSequence.from_potential(p))
+    env = log_r_bound_envelope(p)
     assert env is not None and env.exponent == 1.0
 
 
@@ -319,12 +312,12 @@ def test_envelope_absent_when_the_coefficient_overflows():
 
     for beta in (480.0, 490.0):
         p = PairPotential(beta=beta, coupling=CouplingLaw.exponential(1.0))
-        assert log_r_bound_envelope(FSequence.from_potential(p)) is None
+        assert log_r_bound_envelope(p) is None
         report = evaluate_all(p)
         assert report.by_name("jop_blocksum").outcome == "Inconclusive"
         assert report.by_name("bcjo").outcome == "Inconclusive"
     p = PairPotential(beta=460.0, coupling=CouplingLaw.exponential(1.0))
-    env = log_r_bound_envelope(FSequence.from_potential(p))
+    env = log_r_bound_envelope(p)
     assert math.isfinite(env.coefficient)
     assert f"{env.coefficient:.10g}" == "3.116647104e+300"
 
@@ -333,12 +326,12 @@ def test_envelope_absent_when_the_coefficient_overflows():
 
 
 def test_partial_sums_are_positive_and_increasing():
-    S = berbee_series_partial_sums(power_fseq(2.0, 0.2), 256)
+    S = berbee_series_partial_sums(power(2.0, 0.2), 256)
     assert len(S) == 257
     assert S[0] > 0.0
     assert all(b > a for a, b in zip(S, S[1:]))
     with pytest.raises(ValueError):
-        berbee_series_partial_sums(power_fseq(2.0, 0.2), -1)
+        berbee_series_partial_sums(power(2.0, 0.2), -1)
 
 
 def test_growth_exponent_recovers_synthetic_power():
@@ -351,7 +344,7 @@ def test_growth_exponent_recovers_synthetic_power():
 
 def test_growth_exponent_tracks_the_contraction_budget():
     # hyperbolic tails at inverse temperature b grow like n^(1 - 4b)
-    S = berbee_series_partial_sums(power_fseq(2.0, 0.2), 2**14)
+    S = berbee_series_partial_sums(power(2.0, 0.2), 2**14)
     assert fit_growth_exponent(S) == pytest.approx(0.2, abs=0.05)
 
 
@@ -359,18 +352,18 @@ def test_growth_exponent_tracks_the_contraction_budget():
 
 
 def test_diagnostic_gamma_values():
-    F = power_fseq(2.0, 0.3)
-    report = tauberian_diagnostic(F, alpha=0.5, K=1.0, n_grid=(4, 8))
+    p = power(2.0, 0.3)
+    report = tauberian_diagnostic(p, alpha=0.5, K=1.0, n_grid=(4, 8))
     assert not report.fitted
     assert report.asymptote == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-12)
-    report = tauberian_diagnostic(F, alpha=1.0, K=2.5, n_grid=(4, 8))
+    report = tauberian_diagnostic(p, alpha=1.0, K=2.5, n_grid=(4, 8))
     assert report.asymptote == pytest.approx(5.0, abs=1e-12)
 
 
 def test_diagnostic_rows_carry_finite_ratios():
-    F = power_fseq(2.0, 0.3)
+    p = power(2.0, 0.3)
     grid = (4, 8, 16)
-    report = tauberian_diagnostic(F, alpha=0.5, K=1.0, n_grid=grid)
+    report = tauberian_diagnostic(p, alpha=0.5, K=1.0, n_grid=grid)
     assert len(report.rows) == len(grid)
     for row in report.rows:
         assert row.ratio is not None
@@ -378,26 +371,26 @@ def test_diagnostic_rows_carry_finite_ratios():
 
 
 def test_diagnostic_fits_the_decay_pair():
-    report = tauberian_diagnostic(power_fseq(2.0, 0.3))
+    report = tauberian_diagnostic(power(2.0, 0.3))
     assert report.fitted
     assert report.alpha == pytest.approx(0.7, abs=0.02)
     assert report.K > 0.0
 
 
 def test_diagnostic_validation():
-    F = power_fseq(2.0, 0.3)
+    p = power(2.0, 0.3)
     with pytest.raises(ValueError):
-        tauberian_diagnostic(F, alpha=1.5, K=1.0)
+        tauberian_diagnostic(p, alpha=1.5, K=1.0)
     with pytest.raises(ValueError):
-        tauberian_diagnostic(F, alpha=0.0, K=1.0)
+        tauberian_diagnostic(p, alpha=0.0, K=1.0)
     with pytest.raises(ValueError):
-        tauberian_diagnostic(F, alpha=0.5, K=-1.0)
+        tauberian_diagnostic(p, alpha=0.5, K=-1.0)
     with pytest.raises(ValueError):
-        tauberian_diagnostic(F, alpha=0.5, K=1.0, n_grid=(0, 4))
+        tauberian_diagnostic(p, alpha=0.5, K=1.0, n_grid=(0, 4))
 
 
 def test_fitted_pair_needs_two_windows():
     # a line through one point is not a fit: (alpha, K) are fitted on windows >= 2 only
     with pytest.raises(ValueError):
-        tauberian_diagnostic(power_fseq(2.0, 0.3), n_grid=(1, 4))
-    assert tauberian_diagnostic(power_fseq(2.0, 0.3), n_grid=(2, 4)).fitted
+        tauberian_diagnostic(power(2.0, 0.3), n_grid=(1, 4))
+    assert tauberian_diagnostic(power(2.0, 0.3), n_grid=(2, 4)).fitted

@@ -11,12 +11,12 @@ import artifact
 from artifact import _record
 from artifact.cli import parse_config
 from artifact.criteria import HOLDS, UNIQUE_GIBBS, CriteriaReport, Verdict, _Limsup
-from artifact.fseq import FSequence, Word
+from artifact.fseq import Word
 from artifact.intervals import Interval
 from artifact.kernel import KernelResult, MarkovConditional, TransferMatrix
-from artifact.potential import CouplingLaw, PairPotential, SeriesValue, VariationProfile
+from artifact.potential import CouplingLaw, PairPotential, SeriesValue
 from artifact.diagnostics import TauberianReport, TauberianRow
-from artifact.ratiobound import DecayEnvelope, LogRProfile
+from artifact.ratiobound import DecayEnvelope
 from artifact.rows import GVariationBound, RnSeries, _tail_table
 
 # every module of the package; __main__ runs the command line when imported
@@ -39,8 +39,6 @@ SAMPLES = {
     "_Limsup": lambda: _Limsup.finite(I),
     "CriteriaReport": lambda: CriteriaReport((VERDICT,), {"alpha": 0.5}),
     "Word": lambda: Word(-1, (1, 1, -1)),
-    "FSequence": lambda: FSequence.from_potential(P),
-    "VProfile": lambda: FSequence.from_potential(P).v_profile(4),
     "Interval": lambda: I,
     "KernelResult": lambda: KernelResult(0.25, (0, 3)),
     "TransferMatrix": lambda: TransferMatrix.from_potential(NN),
@@ -48,11 +46,9 @@ SAMPLES = {
     "CouplingLaw": lambda: LAW,
     "PairPotential": lambda: P,
     "SeriesValue": lambda: SeriesValue(I, False, "certificate"),
-    "VariationProfile": lambda: VariationProfile.from_potential(P),
     "RnSeries": lambda: RN,
     "GVariationBound": lambda: GVariationBound(3, RN, I),
     "DecayEnvelope": lambda: DecayEnvelope(1.0, 2.0, 1, "derivation"),
-    "LogRProfile": lambda: LogRProfile("c * n^-1.5", lambda n: I, DecayEnvelope(2.0, 1.5, 1, "derivation")),
     "TauberianRow": lambda: ROW,
     "TauberianReport": lambda: TauberianReport(0.5, 0.25, True, 1.25, (ROW,)),
 }

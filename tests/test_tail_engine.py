@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import CouplingLaw, FSequence, PairPotential, g_variation_bound, rn_series, tail_variation
+from artifact import CouplingLaw, PairPotential, g_variation_bound, rn_series, tail_variation
 from artifact.cli import main
 from artifact.intervals import Interval
 from artifact.potential import _weighted_total
@@ -317,8 +317,8 @@ def test_truncated_weighted_total_is_tight_in_constant_time(q, R):
 def test_zero_beta_has_range_zero():
     p = PairPotential(beta=0.0, coupling=CouplingLaw.power_law(2.0))
     assert p.finite_range == 0
-    gb = g_variation_bound(FSequence.from_potential(p), 3)
-    assert gb.certified_zero
+    gb = g_variation_bound(p, 3)
+    assert gb.rn.divergent
     assert gb.bound.lo == gb.bound.hi == 0.0
 
 
@@ -379,9 +379,9 @@ def exact_rn(beta, law, n, K=400, last=None):
 @pytest.mark.parametrize("n", [12, 40])
 def test_exponential_series_converges_whatever_the_window(n):
     law = CouplingLaw.exponential(1.0)
-    F = FSequence.from_potential(PairPotential(beta=1.0, coupling=law))
+    p = PairPotential(beta=1.0, coupling=law)
     t0 = time.perf_counter()
-    gb = g_variation_bound(F, n)
+    gb = g_variation_bound(p, n)
     assert time.perf_counter() - t0 < 1.0
     assert gb.bound.rel_width() <= 1e-6
     assert "term cap" not in gb.rn.certificate
@@ -407,7 +407,7 @@ ORACLE_LAWS = {
 @pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
 def test_rn_series_contains_the_40_digit_series(name, n):
     law, beta, last = ORACLE_LAWS[name]
-    rn = rn_series(FSequence.from_potential(PairPotential(law, beta, last)), n)
+    rn = rn_series(PairPotential(law, beta, last), n)
     assert not rn.divergent and rn.enclosure.rel_width() <= 2e-10
     with mpmath.workdps(40):
         lo, hi = exact_rn(beta, law, n, K=3000, last=last)
@@ -418,17 +418,17 @@ def test_rn_series_contains_the_40_digit_series(name, n):
 def test_inverse_square_rows_stop_on_the_sharper_remainder():
     # u_k x / (1 - x) bounds the remainder from below where P_inf = 0 cannot;
     # the P_inf floor alone needed 7321 terms at this row
-    rn = rn_series(FSequence.from_potential(PairPotential(CouplingLaw.power_law(2.0), 0.3)), 100)
+    rn = rn_series(PairPotential(CouplingLaw.power_law(2.0), 0.3), 100)
     assert rn.terms_used < 7321
     assert rn.enclosure.rel_width() <= 1.01e-10 and not rn.capped
 
 
 def test_underflowing_window_tail_gives_a_lower_enclosure():
-    F = FSequence.from_potential(PairPotential(beta=1.0, coupling=CouplingLaw.exponential(1.0)))
-    rn = rn_series(F, 800)
-    assert not rn.divergent and not rn.is_finite()
+    p = PairPotential(beta=1.0, coupling=CouplingLaw.exponential(1.0))
+    rn = rn_series(p, 800)
+    assert not rn.divergent
     assert math.isinf(rn.enclosure.hi) and rn.enclosure.lo > 1e300
-    bound = g_variation_bound(F, 800).bound
+    bound = g_variation_bound(p, 800).bound
     assert bound.lo == 0.0 and bound.hi < 1e-300
 
 
