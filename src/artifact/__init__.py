@@ -7,9 +7,10 @@ rounding all the way from coupling tails to Holds/Fails verdicts, so every
 inequality they assert holds for the true real quantities: each criterion,
 R_n row and envelope is a closed form in the tails of the ``PairPotential``
 it takes.  ``fseq`` holds the ``Word``s that pasts and boundaries are.  ``kernel``
-computes exact finite-range conditionals and ``dynamics`` samples from them
-in streamed blocks; they exist to corroborate the certified half, never to
-replace it, as do the uncertified recursion table and growth fits of
+computes exact finite-range conditionals, among them the g-measure's
+conditional g and its variation var_n(log g), and ``dynamics`` samples from
+them in streamed blocks; they exist to corroborate the certified half, never
+to replace it, as do the uncertified recursion table and growth fits of
 ``diagnostics``.
 
 Nothing is loaded before it is used.  The public names below resolve on
@@ -18,11 +19,11 @@ check`` loads only the criteria path: ``criteria`` enumerates the Dobrushin
 sum itself and reads only the decay envelope of ``ratiobound``, so it loads
 neither ``kernel`` nor the R_n rows and tail tables of ``rows``, which only
 ``bounds`` imports.  The command line imports ``kernel`` only for ``gfun``,
-the samplers and the empirical column of ``bounds``, ``dynamics`` only to
-sample or couple, and ``diagnostics`` never.  Every enclosure and every R_n
-row is scalar interval arithmetic, and so are the diagnostics.  NumPy serves
-only ``kernel`` (walks, enumerations) and ``dynamics`` (the samplers and
-their CSV writers); ``artifact.cli`` finds it at import and executes it on
+the samplers and the measured var_n(log g) column of ``bounds``,
+``dynamics`` only to sample or couple, and ``diagnostics`` never.  Every
+enclosure and every R_n row is scalar interval arithmetic, and so are the
+diagnostics.  NumPy serves only ``kernel`` (the walks and the table of g)
+and ``dynamics`` (the samplers and their CSV writers); ``artifact.cli`` finds it at import and executes it on
 first use.
 """
 import importlib
@@ -41,7 +42,7 @@ _EXPORTS = {
         ("rows", "RnSeries rn_series g_variation_bound"),
         ("diagnostics", "RatioTable rb_limit_lower_bound berbee_series_partial_sums fit_growth_exponent "
                         "tauberian_diagnostic"),
-        ("kernel", "TransferMatrix MarkovConditional g_exact_markov pi_window_at_zero empirical_g_variation_profile"),
+        ("kernel", "TransferMatrix MarkovConditional g_exact_markov pi_window_at_zero"),
         ("dynamics", "chain_blocks coupling_blocks cesaro_estimate write_chain_blocks write_coupling_blocks"),
         ("criteria", "Verdict CriteriaReport HOLDS FAILS INCONCLUSIVE UNIQUE_GIBBS UNIQUE_GIBBS_BERNOULLI "
                      "UNIQUE_TINV_GIBBS DEFAULT_ALPHA_GRID dobrushin_sum check_dobrushin check_ruelle check_coelho_quas "

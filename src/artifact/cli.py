@@ -29,7 +29,8 @@ Schema::
                          experiment reads it)
     sample_length:       int in [1, 2^24], default 65536
     couple_length:       int in [1, 2^24], default 65536
-    empirical_window:    int in [0, 12], default 10 (0 disables the column)
+    empirical_window:    int in [0, 12], default 10 (the exact var_n(log g)
+                         column of bounds, depths 1..window; 0 disables it)
     alpha:               float in (0, 1] or null, default null
     budget:              float > 0 or null, default null (requires alpha)
     alpha_grid:          [float in (0, 1], ...] or null, default null
@@ -481,13 +482,12 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     empirical: dict = {}
     empirical_note = None
     if cfg.empirical_window > 0:
-        depths = list(range(1, min(cfg.n_max, cfg.empirical_window) + 1))
         try:
             required_range(p)  # the kernels' own first guard, settled before they load
-            from .kernel import empirical_g_variation_profile
+            from .kernel import g_exact_markov
 
-            vals = empirical_g_variation_profile(p, depths, cfg.empirical_window)
-            empirical = dict(zip(depths, vals))
+            g = g_exact_markov(p)
+            empirical = {n: g.log_variation(n) for n in range(1, min(cfg.n_max, cfg.empirical_window) + 1)}
         except (ValueError, ArithmeticError) as exc:  # a guard of the exact side: the certified rows stay
             empirical_note = str(exc)
     else:

@@ -486,22 +486,12 @@ def check_bcjo(p: PairPotential) -> Verdict:
     if R is not None:
         return HOLDS, Interval.point(2.0), f"profile vanishes beyond n = {R}; the scaled limsup is 0"
     env = log_r_bound_envelope(p)
-    if env is not None:
-        if env.exponent > 0.5:
-            certificate = (
-                f"certified majorant {env.coefficient:.10g} * n^-{env.exponent:.10g} "
-                f"({env.derivation}); the scaled limsup is 0"
-            )
-            return HOLDS, Interval.point(2.0), certificate
-        if env.exponent == 0.5 and env.coefficient < 2.0:
-            margin = Interval(
-                (2.0 - Interval.point(env.coefficient)).lo, 2.0
-            )
-            certificate = (
-                f"certified majorant {env.coefficient:.10g}/sqrt(n) "
-                f"({env.derivation}); the scaled limsup is at most the coefficient"
-            )
-            return HOLDS, margin, certificate
+    if env is not None and env.exponent > 0.5:
+        certificate = (
+            f"certified majorant {env.coefficient:.10g} * n^-{env.exponent:.10g} "
+            f"({env.derivation}); the scaled limsup is 0"
+        )
+        return HOLDS, Interval.point(2.0), certificate
     certificate = (
         "profile 'variation bound of the induced conditional law' carries no majorant "
         "with exponent >= 1/2 and coefficient below 2; the scaled limsup is not certified"
@@ -512,24 +502,9 @@ def check_bcjo(p: PairPotential) -> Verdict:
 # -- scaled limsup with an explicit (alpha, K) budget ------------------------------
 
 
-@record
-class _Limsup:
-    """Certified limsup of one scaled sequence: a finite enclosure, or infinity."""
-
-    value: Optional[Interval]
-    infinite: bool = False
-
-    @staticmethod
-    def finite(v: Interval) -> "_Limsup":
-        return _Limsup(value=v)
-
-    @staticmethod
-    def inf() -> "_Limsup":
-        return _Limsup(value=None, infinite=True)
-
-
 class _ScaledFamily:
-    """Closed-form limsups for one family of the scaled-limsup check.
+    """Closed-form limsups for one family of the scaled-limsup check: each
+    is a finite enclosure, or None for infinity.
 
     The critical family carries its tail strength c as an exact rational, so
     every exponent-sign decision is exact.
@@ -543,36 +518,36 @@ class _ScaledFamily:
         self.log_cap = log_cap  # log of the summable families' product limsup
         self.tail_amp = tail_amp
 
-    def product_limsup(self, alpha: Fraction) -> _Limsup:
+    def product_limsup(self, alpha: Fraction) -> Optional[Interval]:
         """limsup of n^(alpha-1) times the running sup-ratio product."""
         if self.kind == "summable":
             if alpha < 1:
-                return _Limsup.finite(ZERO)
-            return _Limsup.finite(self.log_cap.exp())
+                return ZERO
+            return self.log_cap.exp()
         if alpha - 1 + self.c < 0:
-            return _Limsup.finite(ZERO)
+            return ZERO
         if alpha - 1 + self.c > 0:
-            return _Limsup.inf()
+            return None
         # the partial sums are c*H_n plus a window term increasing to c, both
         # convergent after the n^(-c) scaling: the limit is exp(c*(gamma + 1))
-        return _Limsup.finite((fraction_interval(self.c) * (_EULER_GAMMA + 1.0)).exp())
+        return (fraction_interval(self.c) * (_EULER_GAMMA + 1.0)).exp()
 
-    def tail_limsup(self, alpha: Fraction) -> _Limsup:
+    def tail_limsup(self, alpha: Fraction) -> Optional[Interval]:
         """limsup of sqrt(n) times the alpha-th power of the right-tail log-ratio."""
         if self.kind == "critical":
             if alpha > _HALF:
-                return _Limsup.finite(ZERO)
+                return ZERO
             if alpha < _HALF:
-                return _Limsup.inf()
-            return _Limsup.finite(fraction_interval(self.c).sqrt())
+                return None
+            return fraction_interval(self.c).sqrt()
         if self.q is None:
-            return _Limsup.finite(ZERO)  # finite range or exponential tails
+            return ZERO  # finite range or exponential tails
         edge = _HALF - alpha * (Fraction(self.q) - 1)
         if edge < 0:
-            return _Limsup.finite(ZERO)
+            return ZERO
         if edge > 0:
-            return _Limsup.inf()
-        return _Limsup.finite(self.tail_amp.pow(float(alpha)))
+            return None
+        return self.tail_amp.pow(float(alpha))
 
 
 def _scaled_family(p: PairPotential) -> _ScaledFamily:
@@ -629,7 +604,7 @@ def check_scaled_limsup(
         return terminal
 
     prod = scaled.product_limsup(a)
-    if prod.infinite:
+    if prod is None:
         certificate = (
             f"alpha = {_quote(a)} exceeds the family's product exponent "
             "budget: n^(alpha-1) times the ratio product is unbounded, so no "
@@ -637,7 +612,7 @@ def check_scaled_limsup(
         )
         return FAILS, None, certificate
     if K is None:
-        cap = max(prod.value.hi, 1.0)
+        cap = max(prod.hi, 1.0)
         k_note = f"K = {cap:.10g} (the certified product limsup)"
         if math.isinf(cap):  # exp(log_cap) overflowed; K is its upper end
             k_note = (
@@ -646,22 +621,22 @@ def check_scaled_limsup(
             )
     else:
         cap = K
-        if prod.value.lo > K:
+        if prod.lo > K:
             certificate = (
                 f"supplied K = {K:.10g} lies below the certified product limsup "
-                f"[{prod.value.lo:.10g}, {prod.value.hi:.10g}]"
+                f"[{prod.lo:.10g}, {prod.hi:.10g}]"
             )
             return FAILS, None, certificate
-        if prod.value.hi > K:
+        if prod.hi > K:
             certificate = (
-                f"the product-limsup enclosure [{prod.value.lo:.10g}, "
-                f"{prod.value.hi:.10g}] straddles the supplied K = {K:.10g}"
+                f"the product-limsup enclosure [{prod.lo:.10g}, "
+                f"{prod.hi:.10g}] straddles the supplied K = {K:.10g}"
             )
             return INCONCLUSIVE, None, certificate
         k_note = f"K = {K:.10g} (supplied, dominates the product limsup)"
 
     tail = scaled.tail_limsup(a)
-    if tail.infinite:
+    if tail is None:
         certificate = (
             f"alpha = {_quote(a)} sits below the tail's critical exponent: "
             "the scaled tail limsup is infinite"
@@ -670,19 +645,19 @@ def check_scaled_limsup(
     if math.isinf(cap):  # Gamma(alpha)/K underflows; only a limsup of 0 is decided
         detail = (
             f"alpha = {_quote(a)}, {k_note}; scaled tail limsup in "
-            f"[{tail.value.lo:.10g}, {tail.value.hi:.10g}] against Gamma(alpha)/K (strict); "
+            f"[{tail.lo:.10g}, {tail.hi:.10g}] against Gamma(alpha)/K (strict); "
             "uniqueness is among shift-invariant states"
         )
-        if tail.value.hi == 0.0:
+        if tail.hi == 0.0:
             detail += "; a limsup of exactly 0 lies below Gamma(alpha)/K > 0"
             return HOLDS, None, detail
         detail += "; a positive limsup is not compared with an overflowed K"
         return INCONCLUSIVE, None, detail
     rhs = _gamma_interval(float(a)) / Interval.point(cap)
-    margin = rhs - tail.value
+    margin = rhs - tail
     detail = (
         f"alpha = {_quote(a)}, {k_note}; scaled tail limsup in "
-        f"[{tail.value.lo:.10g}, {tail.value.hi:.10g}] against "
+        f"[{tail.lo:.10g}, {tail.hi:.10g}] against "
         f"Gamma(alpha)/K in [{rhs.lo:.10g}, {rhs.hi:.10g}] (strict); "
         "uniqueness is among shift-invariant states"
     )

@@ -306,8 +306,7 @@ def cesaro_estimate(p: PairPotential, f: Optional[Word], n: int, boundary: Word)
             runs.setdefault((first, last), []).append(lo + first)
 
     alpha, la = walk.forward(u, end)
-    beta, lb = walk.backward([fut], end, keep=True)
-    beta, lb = beta[:, :, 0], lb[:, 0]
+    beta, lb = walk.backward(fut, end, keep=True)
     z_hat, lz = beta[0, u], lb[0]
     total = 0.0
     for (first, last), starts in runs.items():

@@ -2,10 +2,11 @@
 
 This module is the exact side of the package: the conditional laws of
 window kernels by scaled sliding-block passes, the stationary Markov
-conditional g from Perron eigendata, and oscillation measurements from
-those laws.  Certified bounds from the analytic modules are validated against
-these values on desk-scale instances; the exhaustive enumerations that check
-this module live with the tests.
+conditional g from Perron eigendata, and the variation var_n(log g) of that
+g, which the certified ``log_r_bound`` column of ``bounds`` bounds.
+Certified bounds from the analytic modules are validated against these
+values on desk-scale instances; the exhaustive enumerations that check this
+module live with the tests.
 
 Weight convention, fixed here for every routine: a spin pair {a, b} at
 distance d = |a - b| contributes exp(0.5 * beta * J(d) * x_a * x_b) to the
@@ -28,22 +29,23 @@ is alpha_t . beta_t at any t, and a letter's conditional at site t is a
 ratio of two such products at one step.  Both passes rescale their vectors
 by powers of two and keep the integer log2 scales apart: scaling adds no
 rounding error, and the weights themselves, which grow exponentially in
-the window length, never have to fit in a double.  One backward pass can
-carry many futures as columns.  A non-finite or vanishing intermediate
-raises ArithmeticError instead of returning NaN.
+the window length, never have to fit in a double.  A non-finite or
+vanishing intermediate raises ArithmeticError instead of returning NaN.
 
 The stationary Markov conditional g of the unique Gibbs state is the Doob
 transform of the transfer matrix by its Perron pair, computed once per
-potential as one read-only (2, 2^R) array that ``prob``, ``gfun`` and the
-samplers all index.  The pair comes from power iteration on the walk's
-two-entry rows, O(2^R) work a step and no dense matrix: the matrix is
-primitive, so the iteration converges from any positive start (Seneta,
-Non-negative Matrices and Markov Chains, ch. 1); the start is uniform,
-hence flip-symmetric, and every step keeps that symmetry exactly, so the
-antisymmetric mode that nears the Perron root under strong coupling never
-slows it.  The iteration works on vectors scaled to maximum 1, so it
-resolves a vector whose entries span far more than 1/EPS, which a dense
-eigensolver cannot.
+potential as one read-only (2, 2^R) array that ``prob``, ``gfun``, the
+samplers and the measured column of ``bounds`` all index.  g is positive,
+so an entry below the smallest normal double, which has lost its relative
+precision, is refused where the array is built, once for all of them.  The
+pair comes from power iteration on the walk's two-entry rows, O(2^R) work a
+step and no dense matrix: the matrix is primitive, so the iteration
+converges from any positive start (Seneta, Non-negative Matrices and Markov
+Chains, ch. 1); the start is uniform, hence flip-symmetric, and every step
+keeps that symmetry exactly, so the antisymmetric mode that nears the
+Perron root under strong coupling never slows it.  The iteration works on
+vectors scaled to maximum 1, so it resolves a vector whose entries span far
+more than 1/EPS, which a dense eigensolver cannot.
 
 Window-size guards are hard errors, never silent fallbacks: an exact
 routine that quietly approximates would poison every validation built on
@@ -55,7 +57,6 @@ Dobrushin sum, is a scalar sum over field values and lives in ``criteria``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from functools import lru_cache
@@ -68,7 +69,6 @@ from .intervals import EPS, _exp
 from .potential import PairPotential, SPINS, required_range
 
 TRANSFER_MAX_RANGE = 10
-VARIATION_MAX_RANGE = 6
 # The Perron iteration settles once no entry moves by more than PERRON_TOL
 # relatively and the largest move stops shrinking; it raises if it has not
 # settled after PERRON_MAX_STEPS steps (range 10 needs a few hundred).
@@ -121,20 +121,20 @@ def _shift_state(u, bit, R: int):
 
 
 def _rescale(x: np.ndarray, scale):
-    """Scale each column of x by the power of two that brings its maximum
-    into [1/2, 1), adding the exponents to ``scale``.
+    """Scale x by the power of two that brings its maximum into [1/2, 1),
+    adding the exponent to ``scale``.
 
     Powers of two scale exactly, so rescaling adds no rounding error and the
     integer log2 scales add up without error.
     """
-    e = np.frexp(x.max(axis=0))[1]
+    e = np.frexp(x.max())[1]
     return np.ldexp(x, -e), scale + e
 
 
 def _require_finite(x: np.ndarray) -> None:
-    # NaN and inf spread through every later step and a zero column stays
+    # NaN and inf spread through every later step and a zero vector stays
     # zero, so the last vector of a pass shows any earlier failure.
-    if not (np.all(np.isfinite(x)) and np.all(x.max(axis=0) > 0.0)):
+    if not (np.all(np.isfinite(x)) and x.max() > 0.0):
         raise ArithmeticError("sliding-block pass left the double range")
 
 
@@ -190,11 +190,10 @@ class _Walk:
             u = self.nxt[b, u]
         return u, w, scale
 
-    def _terms(self, b: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """w[b', h, l] * b[2l + b', k]: the weight of leaving state (h, l) by
-        letter bit b' and going on as column k of b, shape (2, 2, half, K)."""
-        K = b.shape[1]
-        return w[..., None] * b.reshape(self.half, 2, K).transpose(1, 0, 2)[:, None]
+    def _terms(self, b: np.ndarray) -> np.ndarray:
+        """step[b', h, l] * b[2l + b']: the weight of leaving state (h, l) by
+        letter bit b' and going on as b, shape (2, 2, half)."""
+        return self.step * b.reshape(self.half, 2).T[:, None]
 
     def forward(self, start: int, n: int):
         """Scaled forward vectors alpha_t, t = 0 .. n+1, of the free walk on
@@ -211,25 +210,21 @@ class _Walk:
         _require_finite(a)
         return rows, scales
 
-    def backward(self, futures, n: int, stop: int = 0, keep: bool = False):
-        """Scaled backward vectors beta_t of the walk on [0, n], one column per future.
+    def backward(self, fut, n: int, stop: int = 0, keep: bool = False):
+        """Scaled backward vectors beta_t of the walk on [0, n] with future ``fut``.
 
-        beta_t[u, k] is the weight of steps t .. n+R from state u with the
-        future letters of column k on [n+1, n+R].  Returns (vectors, log2
-        scales) at step ``stop``, or with ``keep`` at every step from ``stop``
-        to n+1, stacked.
+        beta_t[u] is the weight of steps t .. n+R from state u with the
+        future letters ``fut`` on [n+1, n+R].  Returns (vector, log2 scale)
+        at step ``stop``, or with ``keep`` at every step from ``stop`` to
+        n+1, stacked.
         """
-        K = len(futures)
-        b = np.empty((self.size, K))
-        scale = np.zeros(K, dtype=np.int64)
-        for k, fut in enumerate(futures):
-            _, b[:, k], scale[k] = self.clamped(fut)
+        _, b, scale = self.clamped(fut)
         if keep:
-            rows = np.empty((n + 2 - stop, self.size, K))
-            scales = np.empty((n + 2 - stop, K), dtype=np.int64)
+            rows = np.empty((n + 2 - stop, self.size))
+            scales = np.empty(n + 2 - stop, dtype=np.int64)
             rows[-1], scales[-1] = b, scale
         for t in range(n, stop - 1, -1):
-            b = self._terms(b, self.step).sum(axis=0).reshape(self.size, K)
+            b = self._terms(b).sum(axis=0).reshape(self.size)
             if t % self.every == 0:
                 b, scale = _rescale(b, scale)
             if keep:
@@ -237,14 +232,14 @@ class _Walk:
         _require_finite(b)
         return (rows, scales) if keep else (b, scale)
 
-    def site_zero_laws(self, futures, n: int) -> np.ndarray:
-        """P(letter at site 0 | past state u, future k) under the [0, n] kernel,
-        shape (2, size, K) with letters in order (-1, +1).
+    def site_zero_laws(self, fut, n: int) -> np.ndarray:
+        """P(letter at site 0 | past state u, future ``fut``) under the [0, n]
+        kernel, shape (2, size) with letters in order (-1, +1).
 
         Both letter weights share the scale of beta_1, which cancels.
         """
-        b = self.backward(futures, n, stop=1)[0]
-        num = self._terms(b, self.step).reshape(2, self.size, -1)
+        b = self.backward(fut, n, stop=1)[0]
+        num = self._terms(b).reshape(2, self.size)
         return num / num.sum(axis=0)
 
 
@@ -267,8 +262,8 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     R = required_range(p)
     u = _past_state(boundary, R)
     fut = _letters_at(boundary, range(n + 1, n + R + 1))
-    laws = _walk(p).site_zero_laws([fut], n)
-    value = float(laws[b, u, 0])
+    laws = _walk(p).site_zero_laws(fut, n)
+    value = float(laws[b, u])
     return KernelResult(value=value, dependency_window=(-R, n + R))
 
 
@@ -398,6 +393,18 @@ class MarkovConditional:
                 raise ValueError(f"need exactly {R} past letters")
         return float(self.table[b, _past_state(past, R)])
 
+    def log_variation(self, n: int) -> float:
+        """var_n(log g): the largest spread of log g(s | past) over the letters
+        s and the pasts that agree on their last n letters, which share the
+        low n bits of the state.  Exactly 0 from n = R on: such pasts are one."""
+        if n < 0:
+            raise ValueError("agreement depth must be >= 0")
+        R = self.dependency_depth
+        if n >= R:
+            return 0.0
+        grouped = np.log(self.table).reshape(2, 1 << (R - n), 1 << n)
+        return float(np.ptp(grouped, axis=1).max())
+
     def state_law(self) -> np.ndarray:
         """Stationary law of the sliding-block state under the g-chain."""
         tm = self.transfer
@@ -422,32 +429,9 @@ def _markov(p: PairPotential) -> MarkovConditional:
     u = int(np.argmax(np.abs(rows - 1.0)))  # the row furthest from 1, or the first NaN
     if not abs(rows[u] - 1.0) <= 1e-12:
         raise ArithmeticError(f"conditional row at {g.states[u]} sums to {rows[u]}")
+    # g is positive: an entry below the smallest normal double has lost its relative precision
+    low = g.table.min(axis=0)
+    u = int(np.argmin(low))
+    if low[u] < _TINY:
+        raise ArithmeticError(f"conditional g at {g.states[u]} underflows the double range")
     return g
-
-
-def empirical_g_variation_profile(p: PairPotential, m_values, n: int) -> list:
-    """Largest log-ratio of pi_window_at_zero over boundary pairs agreeing on
-    the last m past sites (shared future), for each m of ``m_values``, from
-    one backward pass that carries all 2^R futures as columns.  Exactly 0.0
-    for m >= R: the kernel depends on no deeper past."""
-    R = required_range(p)
-    if R > VARIATION_MAX_RANGE:
-        raise ValueError(f"enumeration guard: R <= {VARIATION_MAX_RANGE}")
-    if any(m < 0 for m in m_values):
-        raise ValueError("agreement depth must be >= 0")
-    if all(m >= R for m in m_values):
-        return [0.0 for _ in m_values]
-
-    # laws[letter, past state, future]
-    laws = _walk(p).site_zero_laws(list(itertools.product(SPINS, repeat=R)), n)
-    if not np.all(laws > 0.0):  # a log-ratio against 0 is no number
-        raise ArithmeticError("conditional law of a letter at site 0 vanishes in the double range")
-    out = []
-    for m in m_values:
-        if m >= R:
-            out.append(0.0)
-            continue
-        # pasts agreeing on their last m letters share the low m bits of the state
-        grouped = laws.reshape(2, 1 << (R - m), 1 << m, -1)
-        out.append(float(np.log(np.max(grouped.max(axis=1) / grouped.min(axis=1)))))
-    return out

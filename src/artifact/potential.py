@@ -340,9 +340,10 @@ def family(p: PairPotential) -> str:
     return "power_heavy"
 
 
-# Largest window [0, n] of the empirical column of ``bounds`` and of the
-# enumeration oracles that check it (2^(n+1) words), and largest range whose
-# Dobrushin sum ``criteria`` enumerates.
+# Largest depth of the exact var_n(log g) column of ``bounds`` (its
+# ``empirical_window``) and largest window [0, n] of the enumeration oracles
+# of the tests (2^(n+1) words); largest range whose Dobrushin sum
+# ``criteria`` enumerates.
 ENUMERATION_MAX_WINDOW = 12
 DOBRUSHIN_MAX_RANGE = 12
 

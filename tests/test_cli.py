@@ -1053,7 +1053,7 @@ def test_exact_experiments_name_an_overflowing_coupling(tmp_path, capsys):
         warnings.simplefilter("error")  # no NumPy overflow warnings on the way
         assert main(["report", "--config", str(write_config(tmp_path, doc))]) == 0
     results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
-    # bounds notes that its empirical column walks the same weights, then stops at the tail table
+    # bounds notes that its exact column walks the same weights, then stops at the tail table
     assert {name: doc["error"] for name, doc in results.items()} == {
         **dict.fromkeys(["gfun", "sample", "couple"], "coupling leaves the double range"),
         "bounds": "a coupling tail leaves the double range",
@@ -1070,9 +1070,9 @@ def test_bounds_records_a_vanishing_conditional_law(tmp_path, command):
         warnings.simplefilter("error")  # no NumPy divide warnings on the way
         assert main([command, "--config", str(write_config(tmp_path, doc))]) == 0
     bounds = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["bounds"]
-    # the guard of the empirical column is a note: the certified rows stay, beside an empty column
+    # the guard of the exact column is a note: the certified rows stay, beside an empty column
     assert "error" not in bounds
-    assert bounds["empirical_note"] == "conditional law of a letter at site 0 vanishes in the double range"
+    assert bounds["empirical_note"] == "Perron vector not strictly positive"
     rows = (tmp_path / "out" / "bounds.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["1", "2", "3", "4"]
     assert all(row.endswith(",") for row in rows)

@@ -1,7 +1,6 @@
 """Uniqueness criteria: closed-form verdicts, thresholds, and the report."""
 
 import math
-from fractions import Fraction
 import re
 import sys
 
@@ -196,15 +195,13 @@ def test_jop_blocksum_and_bcjo_thresholds_on_the_majorant(monkeypatch):
     jop = check_jop_blocksum(steep)
     assert jop.outcome == HOLDS and jop.margin.contains(0.2) and jop.margin.width < 1e-15
     assert check_bcjo(steep).outcome == HOLDS and check_bcjo(steep).margin == Interval.point(2.0)
-    # on the critical exponent 1/2 block sums are not certified to vanish, whatever the coefficient,
-    # and sqrt(n) * profile is at most the coefficient: bcjo holds strictly below 2 only
+    # on the critical exponent 1/2 neither check is certified, whatever the coefficient; the
+    # certified majorants never reach it (the critical family's exponent is 1 - c rounded down,
+    # its coefficient above 2)
     for coefficient in (1.9, 2.0):
         assert check_jop_blocksum(majorant_profile(monkeypatch, coefficient, 0.5)).outcome == INCONCLUSIVE
-    below = check_bcjo(majorant_profile(monkeypatch, 1.9, 0.5))
-    assert below.outcome == HOLDS and below.margin.hi == 2.0
-    assert 0.0 < Fraction(below.margin.lo) <= 2 - Fraction(1.9)
-    at = check_bcjo(majorant_profile(monkeypatch, 2.0, 0.5))
-    assert at.outcome == INCONCLUSIVE and at.margin is None
+        at = check_bcjo(majorant_profile(monkeypatch, coefficient, 0.5))
+        assert at.outcome == INCONCLUSIVE and at.margin is None
 
 
 # -- scaled limsup with budget pairs ----------------------------------------------------
@@ -445,7 +442,7 @@ def test_underflowing_floor_and_overflowing_cap_are_stated_in_log_space():
 def test_scaled_limsup_leaves_a_positive_tail_open_when_k_overflows(monkeypatch):
     # unreachable from the closed forms (an overflowing K means alpha = 1 on a
     # summable law, whose tail limsup is 0), so the tail limsup is replaced
-    positive = criteria._Limsup.finite(Interval(0.25, 0.5))
+    positive = Interval(0.25, 0.5)
     monkeypatch.setattr(criteria._ScaledFamily, "tail_limsup", lambda self, alpha: positive)
     v = check_scaled_limsup(UNDERFLOWING_FLOORS[0])
     assert v.outcome == INCONCLUSIVE and v.margin is None

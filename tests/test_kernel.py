@@ -13,7 +13,6 @@ from artifact import (
     TransferMatrix,
     Word,
     dobrushin_sum,
-    empirical_g_variation_profile,
     g_exact_markov,
     pi_window_at_zero,
 )
@@ -522,34 +521,88 @@ def test_rho_bounded_by_one_when_environments_differ():
         rho_bruteforce(p, 0, 3, x, y, m_grid=(-1,))
 
 
-# -- empirical variation of the exact conditional ---------------------------------
+# -- the variation var_n(log g) of the exact conditional -------------------------
 
 
-def test_empirical_variation_vanishes_beyond_the_range():
-    p = truncated(2.0, 0.4, 3)
-    for m in (3, 4, 5):
-        assert empirical_g_variation_profile(p, (m,), 8)[0] == 0.0
-    assert empirical_g_variation_profile(p, (1,), 8)[0] > 0.0
+def oracle_log_variation(want, n):
+    """var_n(log g) of the 60-digit conditional ``want``: the largest spread
+    of log g(s | past) over pasts that agree on their last n letters."""
+    groups = {}
+    for (past, s), value in want.items():
+        groups.setdefault((past[len(past) - n:] if n else (), s), []).append(math.log(value))
+    return max(max(v) - min(v) for v in groups.values())
 
 
-def test_empirical_variation_zero_coupling():
-    assert empirical_g_variation_profile(zero(), (0,), 6)[0] == 0.0
+VARIATION_LAWS = {
+    "[1]*6 beta 5": table((1.0,) * 6, 5.0),
+    "[1, .5, .25, .1] beta 0.7": table((1.0, 0.5, 0.25, 0.1), 0.7),
+    "q 1.2 beta 0.3 range 10": truncated(1.2, 0.3, 10),
+}
 
 
-def test_empirical_variation_decreases_with_agreement():
-    p = table((1.0, 0.6, 0.3, 0.1), 0.9)
-    vals = [empirical_g_variation_profile(p, (m,), 10)[0] for m in range(0, 4)]
-    assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+@pytest.mark.parametrize("name", VARIATION_LAWS)
+def test_log_variation_is_that_of_the_perron_conditional(name):
+    p = VARIATION_LAWS[name]
+    g, want = g_exact_markov(p), perron_conditional(p)
+    for n in range(p.finite_range + 1):
+        assert abs(g.log_variation(n) - oracle_log_variation(want, n)) <= 1e-13
 
 
-def test_empirical_variation_refuses_a_vanishing_conditional_law():
+def test_log_variation_vanishes_from_the_range_on():
+    g = g_exact_markov(truncated(2.0, 0.4, 3))
+    for n in (3, 4, 5, 40):
+        assert g.log_variation(n) == 0.0
+    assert g.log_variation(2) > 0.0
+    with pytest.raises(ValueError, match="agreement depth"):
+        g.log_variation(-1)
+
+
+def test_log_variation_zero_coupling():
+    for n in (0, 1, 7):
+        assert g_exact_markov(zero()).log_variation(n) == 0.0
+
+
+def test_log_variation_does_not_increase_with_agreement():
+    g = g_exact_markov(table((1.0, 0.6, 0.3, 0.1), 0.9))
+    vals = [g.log_variation(n) for n in range(6)]
+    assert vals[0] > 0.0 and all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def test_an_underflowing_g_is_refused_where_the_table_is_built():
     import warnings
 
-    # steps of e^(+-300) stay in the double range, but some letter laws underflow to 0
+    # g(+ | - -) is positive but lies below the smallest normal double: 0 once written
+    p = table((350.0, 250.0), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no log of 0 on the way
+        with pytest.raises(ArithmeticError, match=r"conditional g at \(-1, -1\) underflows the double range"):
+            g_exact_markov(p)
+
+
+def test_no_two_entry_table_gives_a_subnormal_g():
+    # strong two-entry tables: each either gives normal entries only or raises the guard
+    refused = 0
+    for first in range(250, 351, 10):
+        for second in np.linspace(0.0, 300.0, 8):
+            try:
+                g = g_exact_markov(table((float(first), float(second)), 1.0))
+            except ArithmeticError as exc:
+                assert "underflows the double range" in str(exc)
+                refused += 1
+                continue
+            assert g.table.min() >= 2.0**-1022
+            assert math.isfinite(g.log_variation(0))
+    assert 0 < refused < 88
+
+
+def test_log_variation_of_a_vanishing_conditional_law_is_refused():
+    import warnings
+
+    # steps of e^(+-300) stay in the double range, but the Perron vector leaves it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError, match="conditional law of a letter at site 0 vanishes"):
-            empirical_g_variation_profile(table((300.0, 200.0, 100.0), 1.0), (1, 2, 3), 10)
+        with pytest.raises(ArithmeticError, match="Perron vector not strictly positive"):
+            g_exact_markov(table((300.0, 200.0, 100.0), 1.0)).log_variation(1)
 
 
 # -- the scaled sliding-block passes -----------------------------------------------
@@ -623,7 +676,7 @@ def test_nonfinite_weights_raise():
     with pytest.raises(ArithmeticError):
         pi_window_at_zero(p, all_plus(-1, 5), 4, 1)
     with pytest.raises(ArithmeticError):
-        empirical_g_variation_profile(p, (0,), 4)[0]
+        g_exact_markov(p)
 
 
 def test_an_overflowing_coupling_is_refused_before_the_walk():
@@ -634,7 +687,6 @@ def test_an_overflowing_coupling_is_refused_before_the_walk():
         warnings.simplefilter("error")
         for run in (
             lambda: g_exact_markov(p),
-            lambda: empirical_g_variation_profile(p, (1,), 10)[0],
             lambda: pi_window_at_zero(p, Word(-2, (1,) * 15), 10, 1),
         ):
             with pytest.raises(ArithmeticError, match="coupling leaves the double range"):

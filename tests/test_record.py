@@ -10,7 +10,7 @@ import pytest
 import artifact
 from artifact import _record
 from artifact.cli import parse_config
-from artifact.criteria import HOLDS, UNIQUE_GIBBS, CriteriaReport, Verdict, _Limsup
+from artifact.criteria import HOLDS, UNIQUE_GIBBS, CriteriaReport, Verdict
 from artifact.fseq import Word
 from artifact.intervals import Interval
 from artifact.kernel import KernelResult, MarkovConditional, TransferMatrix
@@ -36,7 +36,6 @@ ROW = TauberianRow(4, I, I, None)
 SAMPLES = {
     "RunConfig": lambda: parse_config({"potential": {"kind": "zero", "beta": 1.0}}),
     "Verdict": lambda: VERDICT,
-    "_Limsup": lambda: _Limsup.finite(I),
     "CriteriaReport": lambda: CriteriaReport((VERDICT,), {"alpha": 0.5}),
     "Word": lambda: Word(-1, (1, 1, -1)),
     "Interval": lambda: I,
