@@ -3,10 +3,14 @@ when the corpus was written.  A change that moves them on purpose reruns
 ``python tests/golden/update.py`` and commits the diff.  The corpus laws of
 finite range also check the paper's bound against the exact variation."""
 
+import csv
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from artifact.cli import load_config, main, parse_config
 
 _spec = importlib.util.spec_from_file_location("golden_update", Path(__file__).parent / "golden" / "update.py")
 golden = importlib.util.module_from_spec(_spec)
@@ -40,8 +44,6 @@ ORACLE_LAWS = [
 def bounds_configs():
     """(name, config) of every corpus case that writes bounds.csv for a law
     of finite range at most 10, then of the oracle laws."""
-    from artifact.cli import load_config, parse_config
-
     for case in CASES:
         command = case.get("argv", [""])[0]
         if command not in ("bounds", "report") or "config_text" in case:
@@ -59,11 +61,6 @@ def bounds_configs():
 
 def test_the_exact_column_of_bounds_lies_below_the_certified_bound(tmp_path):
     # the paper's claim on every finite-range law the tests know, with no tolerance
-    import csv
-    import json
-
-    from artifact.cli import main
-
     filled = []
     for k, (name, doc) in enumerate(bounds_configs()):
         out = tmp_path / str(k)
