@@ -12,6 +12,7 @@ from artifact import (
     PairPotential,
     TransferMatrix,
     Word,
+    cesaro_estimate,
     dobrushin_sum,
     g_exact_markov,
     pi_window_at_zero,
@@ -389,6 +390,184 @@ def test_exact_conditional_matches_long_window_kernel():
         gaps.append(abs(got - want))
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[-1] <= 1e-8
+
+
+
+# -- the window engine, pinned bit for bit -------------------------------------------
+
+# float.hex of pi_window_at_zero and cesaro_estimate as the scaled passes first
+# computed them; a rewrite of the passes must keep every bit
+PIN_LAWS = {
+    "nn 1.0": nn(1.0),
+    "nn 0.4": nn(0.4),
+    "table 0.6 0.2 0.1": table((0.6, 0.2, 0.1), 1.1),
+    "q2 R6": truncated(2.0, 0.3, 6),
+    "q1.2 R10": truncated(1.2, 1.2, 10),
+    "zero": zero(),
+}
+PIN_CYLINDERS = {"+ + -": Word(0, (1, 1, -1)), "- + +": Word(-1, (-1, 1, 1))}
+
+
+def mixed_word(a, length):
+    """A boundary word that is neither constant nor periodic over a few sites."""
+    return Word(a, tuple(1 if (k * k + 3 * k) % 7 < 3 else -1 for k in range(length)))
+
+
+def minus_past_word(R, n):
+    """The past -1 at sites [-R, -1], then +1 on the window and the future."""
+    return Word(-R, (-1,) * R + (1,) * (n + 1 + R))
+
+
+def pinned_windows(name, boundary):
+    """pi_window_at_zero of both letters at n = 0, 7 and 1500, as float.hex."""
+    p = PIN_LAWS[name]
+    R = p.finite_range
+    got = []
+    for n in (0, 7, 1500):
+        word = mixed_word(-R, n + 2 * R + 1) if boundary == "mixed" else minus_past_word(R, n)
+        got += [pi_window_at_zero(p, word, n, s).value.hex() for s in (1, -1)]
+    return got
+
+
+def pinned_averages(name, cylinder):
+    """cesaro_estimate of the cylinder at n = 5 and 64, from a mixed and both
+    constant boundaries, as float.hex."""
+    p = PIN_LAWS[name]
+    R = p.finite_range
+    got = []
+    for n in (5, 64):
+        for b in ("mixed", 1, -1):
+            word = mixed_word(-R - 2, n + 2 * R + 4) if b == "mixed" else Word.constant(-R - 2, n + 2 * R + 4, b)
+            got.append(cesaro_estimate(p, PIN_CYLINDERS[cylinder], n, word).hex())
+    return got
+
+
+WINDOW_PINS = {
+    ("nn 1.0", "mixed"): [
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.75e2038cd2690p-1",
+        "0x1.143bf8e65b2e1p-2", "0x1.764d4f5d5a2bcp-1", "0x1.136561454ba86p-2",
+    ],
+    ("nn 1.0", "minus past"): [
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.143bf8e65b2e1p-2",
+        "0x1.75e2038cd2690p-1", "0x1.136561454ba86p-2", "0x1.764d4f5d5a2bcp-1",
+    ],
+    ("nn 0.4", "mixed"): [
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.32870b3e5b337p-1",
+        "0x1.9af1e98349993p-2", "0x1.32873061674b2p-1", "0x1.9af19f3d3169cp-2",
+    ],
+    ("nn 0.4", "minus past"): [
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.9af1e98349993p-2",
+        "0x1.32870b3e5b337p-1", "0x1.9af19f3d3169cp-2", "0x1.32873061674b2p-1",
+    ],
+    ("table 0.6 0.2 0.1", "mixed"): [
+        "0x1.91248b6dc9cabp-2", "0x1.376dba491b1abp-1", "0x1.28d3dd730a124p-2",
+        "0x1.6b9611467af6ep-1", "0x1.249c78f699154p-2", "0x1.6db1c384b3755p-1",
+    ],
+    ("table 0.6 0.2 0.1", "minus past"): [
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.010b74239cf0bp-2",
+        "0x1.7f7a45ee3187bp-1", "0x1.f1bd6aa7a77dfp-3", "0x1.8390a55616208p-1",
+    ],
+    ("q2 R6", "mixed"): [
+        "0x1.e55b7fde11324p-2", "0x1.0d524010f766fp-1", "0x1.b508c0bd243a5p-2",
+        "0x1.257b9fa16de2ep-1", "0x1.b4b216ee3074ap-2", "0x1.25a6f488e7c5ap-1",
+    ],
+    ("q2 R6", "minus past"): [
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.899cf8570a5abp-2",
+        "0x1.3b3183d47ad2bp-1", "0x1.882bc5ff96bcdp-2", "0x1.3bea1d0034a1ap-1",
+    ],
+    ("q1.2 R10", "mixed"): [
+        "0x1.2354942e0bc4ap-3", "0x1.b72adaf47d0edp-1", "0x1.e79fa9c474435p-7",
+        "0x1.f8618158ee2efp-1", "0x1.41fab5c27b503p-7", "0x1.faf81528f612dp-1",
+    ],
+    ("q1.2 R10", "minus past"): [
+        "0x1.ffffffffffffdp-2", "0x1.0000000000001p-1", "0x1.f56c7a7c25a4cp-4",
+        "0x1.c15270b07b4b6p-1", "0x1.c68befe343768p-9", "0x1.fe3974101cbc8p-1",
+    ],
+    ("zero", "mixed"): [
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+    ],
+    ("zero", "minus past"): [
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+        "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.0000000000000p-1",
+    ],
+}
+AVERAGE_PINS = {
+    ("nn 1.0", "+ + -"): [
+        "0x1.7c976b515bcc6p-4", "0x1.c8b5b3fb3af53p-5", "0x1.7c976b515bcc6p-4",
+        "0x1.aa0e1bf009dbfp-4", "0x1.8613fcc262976p-4", "0x1.92a946fa34394p-4",
+    ],
+    ("nn 1.0", "- + +"): [
+        "0x1.7c976b515bcc5p-4", "0x1.7c976b515bcc5p-4", "0x1.7c976b515bcc5p-4",
+        "0x1.aa0e1bf009dc0p-4", "0x1.92a946fa34394p-4", "0x1.92a946fa34392p-4",
+    ],
+    ("nn 0.4", "+ + -"): [
+        "0x1.eb4737db029a3p-4", "0x1.26c454b69b295p-4", "0x1.eb4737db029a3p-4",
+        "0x1.ff364671de02bp-4", "0x1.dcad64d069519p-4", "0x1.ec0dd36bc78e0p-4",
+    ],
+    ("nn 0.4", "- + +"): [
+        "0x1.eb4737db029a3p-4", "0x1.eb4737db029a3p-4", "0x1.eb4737db029a3p-4",
+        "0x1.ff364671de02ap-4", "0x1.ec0dd36bc78e0p-4", "0x1.ec0dd36bc78e0p-4",
+    ],
+    ("table 0.6 0.2 0.1", "+ + -"): [
+        "0x1.ef6b697b621adp-4", "0x1.cabd5d6d75da3p-5", "0x1.ea01d3e8a962ap-5",
+        "0x1.7a38314c88b9ep-4", "0x1.694b3c06eac8ap-4", "0x1.697de2ce0bccap-4",
+    ],
+    ("table 0.6 0.2 0.1", "- + +"): [
+        "0x1.5c4c269231d59p-5", "0x1.6707f45d5ba82p-4", "0x1.ea01d3e8a962ap-5",
+        "0x1.5ee2e5dd72344p-4", "0x1.75116657e25b2p-4", "0x1.697de2ce0bcc8p-4",
+    ],
+    ("q2 R6", "+ + -"): [
+        "0x1.fd34f8eb91775p-4", "0x1.329c7a0c7a04ap-4", "0x1.9b1d31ebb8350p-4",
+        "0x1.de331d135bab6p-4", "0x1.d008aa49d8d8ap-4", "0x1.d7e1dd7892810p-4",
+    ],
+    ("q2 R6", "- + +"): [
+        "0x1.f8155278666f6p-5", "0x1.eec01aeb5b3ddp-4", "0x1.9b1d31ebb8350p-4",
+        "0x1.c9a8d17948142p-4", "0x1.df284e5266d9cp-4", "0x1.d7e1dd7892811p-4",
+    ],
+    ("q1.2 R10", "+ + -"): [
+        "0x1.8a96863d88bb3p-7", "0x1.ab2c64108597dp-10", "0x1.1d6f5b82a0572p-14",
+        "0x1.0ca71b4feb54bp-11", "0x1.630aae7f0f954p-9", "0x1.7e76fd44745fdp-14",
+    ],
+    ("q1.2 R10", "- + +"): [
+        "0x1.9f82a4a0dcf3dp-9", "0x1.1e068681bdbb2p-9", "0x1.1d6f5b82a0573p-14",
+        "0x1.cab4a1a7d823dp-13", "0x1.68becb15ba431p-9", "0x1.7e76fd44745ffp-14",
+    ],
+    ("zero", "+ + -"): [
+        "0x1.6666666666666p-3", "0x1.3333333333333p-4", "0x1.0000000000000p-3",
+        "0x1.0000000000000p-3", "0x1.f000000000000p-4", "0x1.0000000000000p-3",
+    ],
+    ("zero", "- + +"): [
+        "0x1.6666666666666p-3", "0x1.0000000000000p-3", "0x1.0000000000000p-3",
+        "0x1.0000000000000p-3", "0x1.0000000000000p-3", "0x1.0000000000000p-3",
+    ],
+}
+# the library calls of the finite_range_exact benchmark: nearest-neighbour windows
+# from the past -1, letter +1, and the R = 6 single-site average from both boundaries
+BENCH_WINDOW_PINS = {
+    64: "0x1.136561454ba86p-2",
+    128: "0x1.136561454ba86p-2",
+    256: "0x1.136561454ba87p-2",
+    512: "0x1.136561454ba87p-2",
+    1024: "0x1.136561454ba86p-2",
+    2048: "0x1.136561454ba86p-2",
+    4096: "0x1.136561454ba86p-2",
+}
+BENCH_AVERAGE_PINS = {
+    1: "0x1.0102df9708d54p-1",
+    -1: "0x1.fdfa40d1ee556p-2",
+}
+
+
+def test_window_engine_is_pinned_bit_for_bit():
+    for (name, boundary), want in WINDOW_PINS.items():
+        assert pinned_windows(name, boundary) == want, (name, boundary)
+    for (name, cylinder), want in AVERAGE_PINS.items():
+        assert pinned_averages(name, cylinder) == want, (name, cylinder)
+    for n, want in BENCH_WINDOW_PINS.items():
+        assert pi_window_at_zero(nn(1.0), minus_past_word(1, n), n, 1).value.hex() == want, n
+    for b, want in BENCH_AVERAGE_PINS.items():
+        assert cesaro_estimate(truncated(2.0, 0.3, 6), Word(0, (1,)), 256, Word.constant(-6, 268, b)).hex() == want, b
 
 
 # -- interdependence sum -----------------------------------------------------------
