@@ -20,11 +20,13 @@ sum itself and reads only the decay envelope of ``ratiobound``, so it loads
 neither ``kernel`` nor the R_n rows and tail tables of ``rows``, which only
 ``bounds`` imports.  The command line imports ``kernel`` only for ``gfun``,
 the samplers and the measured var_n(log g) column of ``bounds``,
-``dynamics`` only to sample or couple, and ``diagnostics`` never.  Every
-enclosure and every R_n row is scalar interval arithmetic, and so are the
-diagnostics.  NumPy serves only ``kernel`` (the walks and the table of g)
-and ``dynamics`` (the samplers and their CSV writers); ``artifact.cli`` finds it at import and executes it on
-first use.
+``dynamics`` only to sample or couple, and ``diagnostics`` never; it imports
+either only for a law that passes the exact side's guards
+(``potential.transfer_range``).  Every enclosure and every R_n row is scalar
+interval arithmetic, and so are the diagnostics.  NumPy serves only
+``kernel`` (the walks and the table of g) and ``dynamics`` (the samplers and
+their CSV writers), which import it; ``artifact.cli`` only finds it, so that
+a missing NumPy fails at its import.
 """
 import importlib
 

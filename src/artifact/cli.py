@@ -55,11 +55,19 @@ criterion reporting Fails is a result, not an error, and still exits 0.
 The ``report`` subcommand records per-experiment guard messages in the
 report instead of aborting, so one infeasible experiment cannot sink a
 sweep.
+
+The exact experiments (``gfun``, ``sample``, ``couple`` and the measured
+column of ``bounds``) settle the exact side's guards
+(``potential.transfer_range``) before they import ``kernel`` or
+``dynamics``, and with them NumPy, so a refused law loads neither.  NumPy is
+only found at the import of this module, so that a missing NumPy fails
+there, on every command.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import sys
@@ -75,7 +83,7 @@ except ImportError:
     except ImportError:  # built without the builtin digests: hashlib maps OpenSSL's libcrypto instead
         from hashlib import sha256
 
-from . import __version__, _numpy  # _numpy: a missing NumPy fails here, at import
+from . import __version__
 from ._record import record
 from .criteria import Verdict, evaluate_all
 from .fseq import Word
@@ -83,11 +91,14 @@ from .potential import (
     ENUMERATION_MAX_WINDOW,
     CouplingLaw,
     PairPotential,
-    required_range,
     slope_certificate,
     tail_variation,
+    transfer_range,
 )
 from .ratiobound import DEFAULT_REL_WIDTH, log_r_bound_envelope
+
+if importlib.util.find_spec("numpy") is None:  # the exact side imports it
+    raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
 
 EXPERIMENTS = ("criteria", "gfun", "bounds", "sample", "couple")
 
@@ -448,6 +459,7 @@ def _past_string(letters) -> str:
 def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     import csv
 
+    transfer_range(p)  # the exact side's guards, settled before it loads
     from .kernel import g_exact_markov
 
     g = g_exact_markov(p)
@@ -483,7 +495,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     empirical_note = None
     if cfg.empirical_window > 0:
         try:
-            required_range(p)  # the kernels' own first guard, settled before they load
+            transfer_range(p)  # the exact side's guards, settled before it loads
             from .kernel import g_exact_markov
 
             g = g_exact_markov(p)
@@ -538,6 +550,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
+    transfer_range(p)  # the exact side's guards, settled before it loads
     from .dynamics import chain_blocks, write_chain_blocks
     from .kernel import g_exact_markov
 
@@ -559,6 +572,7 @@ def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_couple(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
+    transfer_range(p)  # the exact side's guards, settled before it loads
     from .dynamics import coupling_blocks, write_coupling_blocks
     from .kernel import g_exact_markov
 

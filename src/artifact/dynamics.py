@@ -15,7 +15,7 @@ event of a coupled pair; columns 1 and 2 feed the shared draw and the two
 residual draws.  Identical seeds therefore give identical paths on every
 platform numpy supports.
 
-Each sampler is one generator of the letter bits of blocks of 2^16 sites
+Each sampler is one generator of the letter bits of blocks of 2^14 sites
 (``chain_blocks``, ``coupling_blocks``).  Of its conditional law g it reads
 ``g.dependency_depth`` and row 0 of ``g.table``, P(-1 | state) by state
 index (see ``kernel``).  The block writers
@@ -28,7 +28,7 @@ and row codes) is allocated once per run; only the yielded blocks are new.
 
 A plain chain is a threshold chain: with u_t the last R letters as bits,
 letter t is +1 exactly when x_t >= P(-1 | u_t), x_t from column 0.  A block
-runs as 256 lanes of 256 sites side by side, each lane from a guessed start
+runs as 256 lanes of 64 sites side by side, each lane from a guessed start
 state; the lanes are then checked in order, and a lane that started wrong is
 walked again from its true start, one site at a time, only until its state
 meets the guessed path, which it follows from there on (``_threshold_chain``).
@@ -48,7 +48,8 @@ import itertools
 from functools import lru_cache
 from typing import Optional
 
-from ._numpy import np
+import numpy as np
+
 from .fseq import Word
 from .kernel import _letters_at, _past_state, _shift_state, _walk
 from .potential import PairPotential, required_range
@@ -59,11 +60,12 @@ CESARO_MAX_WINDOW = 1 << 15
 CESARO_MAX_CELLS = 1 << 23
 # rows of uniforms drawn at a time into a run's one buffer (three doubles each, 96 KiB)
 _CHUNK = 1 << 12
-# sites of a yielded block; the sampler's kernel runs a block's column of
-# uniforms (512 KiB) as _BLOCK // _LANE lanes of _LANE sites
-_BLOCK = 1 << 16
-_LANE = 256
-# sites a lane's start state is guessed from, at the end of the lane before
+# sites of a yielded block, a multiple of _CHUNK; the sampler's kernel runs a
+# block's column of uniforms (128 KiB) as _BLOCK // _LANE = 256 lanes of _LANE
+# sites, so each lane step is one vector operation over 256 lanes
+_BLOCK = 1 << 14
+_LANE = 64
+# sites a lane's start state is guessed from, at the end of the lane before; <= _LANE
 _WARM = 32
 
 
@@ -335,11 +337,15 @@ _PIECE_ROWS = 2500
 @lru_cache(maxsize=2)
 def _four_digits(leading: bool) -> np.ndarray:
     """ASCII digits of 0000 .. 9999 as one uint32 word each; unless leading,
-    leading zeros are zero bytes (0 keeps one digit)."""
-    n = np.arange(10000)[:, None]
-    digits = (n // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+    leading zeros are zero bytes (0 keeps one digit).  The digits are worked
+    out in uint16 and uint8, so no temporary is wider than 80 KB."""
+    n = np.arange(10000, dtype=np.uint16)[:, None]
+    place = n // np.array([1000, 100, 10, 1], dtype=np.uint16)
+    place %= 10
+    digits = place.astype(np.uint8)
+    digits += ord("0")
     if not leading:
-        digits *= n >= np.array([1000, 100, 10, 0])
+        digits *= n >= np.array([1000, 100, 10, 0], dtype=np.uint16)
     words = digits.view(np.uint32).ravel()
     words.flags.writeable = False  # one cached table serves every writer
     return words

@@ -26,7 +26,10 @@ site, as the forward-backward recursion of a hidden Markov chain (Rabiner
 site t-1 ending in each state, the backward vector beta_t the weight of
 every continuation from site t to the future boundary; the window weight
 is alpha_t . beta_t at any t, and a letter's conditional at site t is a
-ratio of two such products at one step.  Both passes rescale their vectors
+ratio of two such products at one step.  A forward step applies the
+transfer matrix from the left (``_Walk.push``), a backward step from the
+right (``_Walk.pull``), the same two products per state that the Perron
+iteration below takes.  Both passes rescale their vectors
 by powers of two and keep the integer log2 scales apart: scaling adds no
 rounding error, and the weights themselves, which grow exponentially in
 the window length, never have to fit in a double.  A non-finite or
@@ -62,13 +65,13 @@ import numbers
 from functools import lru_cache
 from typing import Optional
 
-from ._numpy import np
+import numpy as np
+
 from ._record import record
 from .fseq import Word
 from .intervals import EPS, _exp
-from .potential import PairPotential, SPINS, required_range
+from .potential import PairPotential, SPINS, required_range, transfer_range
 
-TRANSFER_MAX_RANGE = 10
 # The Perron iteration settles once no entry moves by more than PERRON_TOL
 # relatively and the largest move stops shrinking; it raises if it has not
 # settled after PERRON_MAX_STEPS steps (range 10 needs a few hundred).
@@ -190,11 +193,6 @@ class _Walk:
             u = self.nxt[b, u]
         return u, w, scale
 
-    def _terms(self, b: np.ndarray) -> np.ndarray:
-        """step[b', h, l] * b[2l + b']: the weight of leaving state (h, l) by
-        letter bit b' and going on as b, shape (2, 2, half)."""
-        return self.step * b.reshape(self.half, 2).T[:, None]
-
     def forward(self, start: int, n: int):
         """Scaled forward vectors alpha_t, t = 0 .. n+1, of the free walk on
         [0, n] from state ``start``: rows of (vectors, log2 scales)."""
@@ -224,23 +222,13 @@ class _Walk:
             scales = np.empty(n + 2 - stop, dtype=np.int64)
             rows[-1], scales[-1] = b, scale
         for t in range(n, stop - 1, -1):
-            b = self._terms(b).sum(axis=0).reshape(self.size)
+            b = self.pull(b)
             if t % self.every == 0:
                 b, scale = _rescale(b, scale)
             if keep:
                 rows[t - stop], scales[t - stop] = b, scale
         _require_finite(b)
         return (rows, scales) if keep else (b, scale)
-
-    def site_zero_laws(self, fut, n: int) -> np.ndarray:
-        """P(letter at site 0 | past state u, future ``fut``) under the [0, n]
-        kernel, shape (2, size) with letters in order (-1, +1).
-
-        Both letter weights share the scale of beta_1, which cancels.
-        """
-        b = self.backward(fut, n, stop=1)[0]
-        num = self._terms(b).reshape(2, self.size)
-        return num / num.sum(axis=0)
 
 
 @lru_cache(maxsize=64)
@@ -252,9 +240,10 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     """Conditional probability of letter s at site 0 under the [0, n] kernel.
 
     One scaled backward pass from the future boundary to site 1 gives the
-    weights of both letters at site 0 with the same scale, which cancels:
-    O(n * 2^R) instead of the 2^(n+1) of raw enumeration, finite at every n,
-    and equal to enumeration to 1e-12 wherever that is small enough to run.
+    weights of both letters at site 0 from the past state u with the same
+    scale, which cancels: O(n * 2^R) instead of the 2^(n+1) of raw
+    enumeration, finite at every n, and equal to enumeration to 1e-12
+    wherever that is small enough to run.
     """
     if n < 0:
         raise ValueError("window end must be >= 0")
@@ -262,8 +251,10 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     R = required_range(p)
     u = _past_state(boundary, R)
     fut = _letters_at(boundary, range(n + 1, n + R + 1))
-    laws = _walk(p).site_zero_laws(fut, n)
-    value = float(laws[b, u])
+    walk = _walk(p)
+    beta1 = walk.backward(fut, n, stop=1)[0]
+    weights = walk.wts[:, u] * beta1[walk.nxt[:, u]]
+    value = float(weights[b] / weights.sum())
     return KernelResult(value=value, dependency_window=(-R, n + R))
 
 
@@ -298,11 +289,9 @@ class TransferMatrix:
 
     @staticmethod
     def from_potential(p: PairPotential) -> "TransferMatrix":
-        R = required_range(p)
+        R = transfer_range(p)
         if R < 1:
             raise ValueError("transfer matrix needs range >= 1")
-        if R > TRANSFER_MAX_RANGE:
-            raise ValueError(f"transfer guard: R <= {TRANSFER_MAX_RANGE}")
         walk = _walk(p)
         lam, right = _perron_vector(walk.pull, walk.size)
         _, left = _perron_vector(walk.push, walk.size)
@@ -423,7 +412,7 @@ def g_exact_markov(p: PairPotential) -> MarkovConditional:
 
 @lru_cache(maxsize=64)  # as _walk's: a law holds a few arrays of 2^R doubles
 def _markov(p: PairPotential) -> MarkovConditional:
-    R = required_range(p)
+    R = transfer_range(p)
     g = MarkovConditional(potential=p, transfer=TransferMatrix.from_potential(p) if R >= 1 else None)
     rows = g.table.sum(axis=0)
     u = int(np.argmax(np.abs(rows - 1.0)))  # the row furthest from 1, or the first NaN

@@ -346,6 +346,8 @@ def family(p: PairPotential) -> str:
 # ``criteria`` enumerates.
 ENUMERATION_MAX_WINDOW = 12
 DOBRUSHIN_MAX_RANGE = 12
+# Largest range of the exact Markov conditional g (2^R sliding-block states).
+TRANSFER_MAX_RANGE = 10
 
 
 def required_range(p: PairPotential) -> int:
@@ -353,6 +355,16 @@ def required_range(p: PairPotential) -> int:
     R = p.finite_range
     if R is None:
         raise ValueError("exact kernels need a finite-range interaction; truncate first")
+    return R
+
+
+def transfer_range(p: PairPotential) -> int:
+    """The range of the exact Markov conditional g of p, insisting that it is
+    finite and within TRANSFER_MAX_RANGE: the guards of the exact side, which
+    callers settle before they load it."""
+    R = required_range(p)
+    if R > TRANSFER_MAX_RANGE:
+        raise ValueError(f"transfer guard: R <= {TRANSFER_MAX_RANGE}")
     return R
 
 

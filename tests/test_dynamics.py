@@ -333,14 +333,17 @@ def test_streamed_sampler_matches_the_one_block_path():
         assert np.array_equal(sample(g, past, N, seed=31, chain_id=2), oracle_chain(g, (1,) * R, N, 31, 2))
 
 
-# (law, depth, sites, seed), all from opposite pasts: the nearest-neighbour
-# pair at beta 12 meets only at site 97 999, in the second block, with seed 1
-# and not within the run with seed 6
+# sites of the nearest-neighbour pair at beta 12 from opposite pasts: with
+# seed 1 it meets only at site 97 999, past a block edge, and with seed 6 not
+# within the run
+LATE_MEETING_N = 131_077
+
+# (law, depth, sites, seed), all from opposite pasts
 COUPLER_CASES = [
     (truncated(1.2, 10), 10, _BLOCK + 1, 8),  # meets at site 11: the rest runs in lanes
     (truncated(1.2, 3), 3, STREAM_N, 8),  # strong coupling: long disagreement runs
-    (nn(12.0), 1, TWO_BLOCKS_N, 1),
-    (nn(12.0), 1, TWO_BLOCKS_N, 6),
+    (nn(12.0), 1, LATE_MEETING_N, 1),
+    (nn(12.0), 1, LATE_MEETING_N, 6),
     (truncated(0.3, 6), 6, _BLOCK + 1, 8),
     (nn(4.0), 1, _BLOCK - 1, 8),
     (nn(8.0), 1, 1, 8),
@@ -391,8 +394,9 @@ def test_chunked_uniforms_span_blocks():
 def test_coupler_pair_phase_crosses_a_block():
     # the premise of the beta 12 coupler cases above
     g = g_exact_markov(nn(12.0))
-    first = [tallies(g, plus_past(1), minus_past(1), TWO_BLOCKS_N, seed=s)[2] for s in (1, 6)]
+    first = [tallies(g, plus_past(1), minus_past(1), LATE_MEETING_N, seed=s)[2] for s in (1, 6)]
     assert first == [97999, None]
+    assert 97999 > _BLOCK  # past a block edge
 
 
 def test_coupler_of_equal_states_matches_the_one_block_path():

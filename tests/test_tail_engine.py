@@ -403,16 +403,24 @@ ORACLE_LAWS = {
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
-@pytest.mark.parametrize("name", sorted(ORACLE_LAWS))
+# terms of the 40-digit bracket at the rows the longrange_bounds benchmark measures,
+# where 3000 leave it wider than 1e-20 (q3 at n = 16 needs well above 30,000)
+RN_TERMS = {("q2", 16): 4000, ("q2", 100): 16000, ("q1.5", 3): 3000, ("exponential", 8): 3000}
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in sorted(ORACLE_LAWS) for n in (1, 2, 4)] + list(RN_TERMS))
 def test_rn_series_contains_the_40_digit_series(name, n):
     law, beta, last = ORACLE_LAWS[name]
-    rn = rn_series(PairPotential(law, beta, last), n)
+    gb = g_variation_bound(PairPotential(law, beta, last), n)
+    rn = gb.rn
     assert not rn.divergent and rn.enclosure.rel_width() <= 2e-10
     with mpmath.workdps(40):
-        lo, hi = exact_rn(beta, law, n, K=3000, last=last)
+        lo, hi = exact_rn(beta, law, n, K=RN_TERMS.get((name, n), 3000), last=last)
         assert hi - lo <= mpmath.mpf(10) ** -20 * lo  # ten digits finer than the enclosure
         assert mpmath.mpf(rn.enclosure.lo) <= lo and hi <= mpmath.mpf(rn.enclosure.hi)
+        # the bound is 2 log(1 + 1/R_n), which falls as R_n grows
+        assert mpmath.mpf(gb.bound.lo) <= 2 * mpmath.log1p(1 / hi)
+        assert 2 * mpmath.log1p(1 / lo) <= mpmath.mpf(gb.bound.hi)
 
 
 def test_inverse_square_rows_stop_on_the_sharper_remainder():
