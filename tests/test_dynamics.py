@@ -497,9 +497,10 @@ def test_streamed_coupling_memory_does_not_grow_with_the_sites(tmp_path):
 
 
 def test_streamed_runs_hold_a_small_working_set(tmp_path):
-    # 2^18 sites of the depth-6 law streamed into the CSVs peak at 1.04 MiB
-    # (chain) and 1.26 MiB (coupling) of NumPy and Python allocations; rows
-    # built 10,000 at a time with fresh codes and tail words took them to 1.31
+    # 2^18 sites of the depth-6 law streamed into the CSVs peak at 0.43 MiB
+    # (chain) and 0.51 MiB (coupling) of NumPy and Python allocations; blocks
+    # of 2^16 sites, with a 512 KiB column of uniforms, took them to 1.04 and
+    # 1.26, rows built 10,000 at a time with fresh codes and tail words to 1.31
     # and 1.63, and a block of uniforms drawn whole every 2^16 sites (1.5 MiB)
     # to 2.3 and 2.6
     g = g_exact_markov(truncated(0.3, 6))
