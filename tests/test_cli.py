@@ -1081,7 +1081,7 @@ def test_bounds_records_a_vanishing_conditional_law(tmp_path, command):
 
 def test_a_refused_exact_law_loads_no_exact_side(tmp_path):
     # the transfer guard is settled before the exact side is imported
-    code = CHECK_AND_LIST.replace('"artifact.dynamics", "dataclasses", "inspect"', '"artifact.dynamics", "artifact.kernel"')
+    code = CHECK_AND_LIST.replace('"dataclasses", "inspect"', '"artifact.kernel"')
     law = {"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 12}
     path = write_config(tmp_path, {"potential": law, "n_max": 3})
     proc = python(code, "report", "--config", str(path), "--out", str(tmp_path / "out"))
