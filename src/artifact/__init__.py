@@ -8,10 +8,10 @@ inequality they assert holds for the true real quantities: each criterion,
 R_n row and envelope is a closed form in the tails of the ``PairPotential``
 it takes.  ``fseq`` holds the ``Word``s that pasts and boundaries are.  ``kernel``
 computes exact finite-range conditionals, among them the g-measure's
-conditional g and its variation var_n(log g), and ``dynamics`` samples from
-them in streamed blocks; they exist to corroborate the certified half, never
-to replace it, as do the uncertified recursion table and growth fits of
-``diagnostics``.
+conditional g (one record with the transfer matrix's Perron data) and its
+variation var_n(log g), and ``dynamics`` samples from them in streamed
+blocks; they exist to corroborate the certified half, never to replace it,
+as do the uncertified recursion table and growth fits of ``diagnostics``.
 
 Nothing is loaded before it is used.  The public names below resolve on
 first access, so ``import artifact`` imports no submodule.  ``gibbs1d
@@ -44,7 +44,7 @@ _EXPORTS = {
         ("rows", "RnSeries rn_series g_variation_bound"),
         ("diagnostics", "RatioTable rb_limit_lower_bound berbee_series_partial_sums fit_growth_exponent "
                         "tauberian_diagnostic"),
-        ("kernel", "TransferMatrix MarkovConditional g_exact_markov pi_window_at_zero"),
+        ("kernel", "MarkovConditional g_exact_markov pi_window_at_zero"),
         ("dynamics", "chain_blocks coupling_blocks cesaro_estimate write_chain_blocks write_coupling_blocks"),
         ("criteria", "Verdict CriteriaReport HOLDS FAILS INCONCLUSIVE UNIQUE_GIBBS UNIQUE_GIBBS_BERNOULLI "
                      "UNIQUE_TINV_GIBBS DEFAULT_ALPHA_GRID dobrushin_sum check_dobrushin check_ruelle check_coelho_quas "

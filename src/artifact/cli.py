@@ -456,13 +456,19 @@ def _past_string(letters) -> str:
     return "".join("+" if s > 0 else "-" for s in letters)
 
 
+def _exact_g(p: PairPotential):
+    """The exact Markov conditional g of ``p``; the exact side's guards are
+    settled before ``kernel``, and with it NumPy, loads."""
+    transfer_range(p)
+    from .kernel import g_exact_markov
+
+    return g_exact_markov(p)
+
+
 def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     import csv
 
-    transfer_range(p)  # the exact side's guards, settled before it loads
-    from .kernel import g_exact_markov
-
-    g = g_exact_markov(p)
+    g = _exact_g(p)
     table = g.table
     path = out / "gfun.csv"
     with open(path, "w", newline="") as fh:
@@ -471,14 +477,12 @@ def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
         for state, minus, plus in zip(g.states, table[0].tolist(), table[1].tolist()):
             w.writerow([_past_string(state), _cell(minus), _cell(plus)])
     law = g.state_law()
-    tm = g.transfer
-    eigenvalue, residual = (None, None) if tm is None else (tm.eigenvalue, tm.residual)
     return {
         "csv": path.name,
         "dependency_depth": g.dependency_depth,
         "states": table.shape[1],
-        "eigenvalue": eigenvalue,
-        "perron_residual": residual,
+        "eigenvalue": g.eigenvalue,
+        "perron_residual": g.residual,
         "stationary_prob_plus": float(sum(law * table[1])),
     }
 
@@ -495,10 +499,7 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     empirical_note = None
     if cfg.empirical_window > 0:
         try:
-            transfer_range(p)  # the exact side's guards, settled before it loads
-            from .kernel import g_exact_markov
-
-            g = g_exact_markov(p)
+            g = _exact_g(p)
             empirical = {n: g.log_variation(n) for n in range(1, min(cfg.n_max, cfg.empirical_window) + 1)}
         except (ValueError, ArithmeticError) as exc:  # a guard of the exact side: the certified rows stay
             empirical_note = str(exc)
@@ -550,11 +551,9 @@ def _run_bounds(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
-    transfer_range(p)  # the exact side's guards, settled before it loads
+    g = _exact_g(p)
     from .dynamics import chain_blocks, write_chain_blocks
-    from .kernel import g_exact_markov
 
-    g = g_exact_markov(p)
     depth = max(g.dependency_depth, 1)
     past = Word.constant(-depth, depth, 1)
     N = cfg.sample_length
@@ -572,11 +571,9 @@ def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 
 
 def _run_couple(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
-    transfer_range(p)  # the exact side's guards, settled before it loads
+    g = _exact_g(p)
     from .dynamics import coupling_blocks, write_coupling_blocks
-    from .kernel import g_exact_markov
 
-    g = g_exact_markov(p)
     depth = max(g.dependency_depth, 1)
     past_a = Word.constant(-depth, depth, 1)
     past_b = Word.constant(-depth, depth, -1)

@@ -500,68 +500,47 @@ def check_bcjo(p: PairPotential) -> Verdict:
 
 
 # -- scaled limsup with an explicit (alpha, K) budget ------------------------------
+# The closed-form limsups of its two conditions on every family but the heavy
+# power law, which fails before either is asked: a finite enclosure, or None for
+# infinity.  The summable families are the finite, exponential and q > 2 ones; the
+# critical family's strength c is an exact rational, so every exponent-sign
+# decision is exact.
 
 
-class _ScaledFamily:
-    """Closed-form limsups for one family of the scaled-limsup check: each
-    is a finite enclosure, or None for infinity.
-
-    The critical family carries its tail strength c as an exact rational, so
-    every exponent-sign decision is exact.
-    """
-
-    def __init__(self, kind: str, c: Optional[Fraction] = None, q: Optional[float] = None,
-                 log_cap: Optional[Interval] = None, tail_amp: Optional[Interval] = None):
-        self.kind = kind  # "critical", "summable", "heavy"
-        self.c = c
-        self.q = q
-        self.log_cap = log_cap  # log of the summable families' product limsup
-        self.tail_amp = tail_amp
-
-    def product_limsup(self, alpha: Fraction) -> Optional[Interval]:
-        """limsup of n^(alpha-1) times the running sup-ratio product."""
-        if self.kind == "summable":
-            if alpha < 1:
-                return ZERO
-            return self.log_cap.exp()
-        if alpha - 1 + self.c < 0:
+def _product_limsup(p: PairPotential, fam: str, alpha: Fraction) -> Optional[Interval]:
+    """limsup of n^(alpha-1) times the running sup-ratio product."""
+    if fam != "power_critical":  # summable: the product is at most exp(ruelle_sum)
+        if alpha < 1:
             return ZERO
-        if alpha - 1 + self.c > 0:
-            return None
-        # the partial sums are c*H_n plus a window term increasing to c, both
-        # convergent after the n^(-c) scaling: the limit is exp(c*(gamma + 1))
-        return (fraction_interval(self.c) * (_EULER_GAMMA + 1.0)).exp()
-
-    def tail_limsup(self, alpha: Fraction) -> Optional[Interval]:
-        """limsup of sqrt(n) times the alpha-th power of the right-tail log-ratio."""
-        if self.kind == "critical":
-            if alpha > _HALF:
-                return ZERO
-            if alpha < _HALF:
-                return None
-            return fraction_interval(self.c).sqrt()
-        if self.q is None:
-            return ZERO  # finite range or exponential tails
-        edge = _HALF - alpha * (Fraction(self.q) - 1)
-        if edge < 0:
-            return ZERO
-        if edge > 0:
-            return None
-        return self.tail_amp.pow(float(alpha))
+        return ruelle_sum(p).enclosure.exp()
+    c = strength_fraction(p)
+    if alpha - 1 + c < 0:
+        return ZERO
+    if alpha - 1 + c > 0:
+        return None
+    # the partial sums are c*H_n plus a window term increasing to c, both
+    # convergent after the n^(-c) scaling: the limit is exp(c*(gamma + 1))
+    return (fraction_interval(c) * (_EULER_GAMMA + 1.0)).exp()
 
 
-def _scaled_family(p: PairPotential) -> _ScaledFamily:
-    fam = family(p)
+def _tail_limsup(p: PairPotential, fam: str, alpha: Fraction) -> Optional[Interval]:
+    """limsup of sqrt(n) times the alpha-th power of the right-tail log-ratio."""
     if fam == "power_critical":
-        return _ScaledFamily("critical", c=strength_fraction(p))
-    if fam == "power_heavy":
-        return _ScaledFamily("heavy")
-    log_cap = ruelle_sum(p).enclosure
-    if fam == "power_summable":
-        cc = p.coupling
-        amp = Interval.point(p.beta) * Interval.point(cc.amplitude) / (cc.q - 1.0)
-        return _ScaledFamily("summable", q=cc.q, log_cap=log_cap, tail_amp=amp)
-    return _ScaledFamily("summable", log_cap=log_cap)
+        if alpha > _HALF:
+            return ZERO
+        if alpha < _HALF:
+            return None
+        return fraction_interval(strength_fraction(p)).sqrt()
+    if fam != "power_summable":
+        return ZERO  # finite range or exponential tails
+    cc = p.coupling
+    edge = _HALF - alpha * (Fraction(cc.q) - 1)
+    if edge < 0:
+        return ZERO
+    if edge > 0:
+        return None
+    amp = Interval.point(p.beta) * Interval.point(cc.amplitude) / (cc.q - 1.0)
+    return amp.pow(float(alpha))
 
 
 @_criterion("scaled_limsup", UNIQUE_TINV_GIBBS)
@@ -580,9 +559,9 @@ def check_scaled_limsup(
     at the boundary, alpha = 1 for summable couplings) and the smallest
     certified K.  Both strict inequalities are evaluated on enclosures;
     an enclosure straddling equality yields Inconclusive, never a verdict.
-    A certified K past the double range is quoted as exp(log K); against it
-    only a tail limsup of exactly 0 is decided.  Uniqueness here is among
-    shift-invariant states only.
+    A certified K past the double range is quoted as exp(log K); it arises
+    only at alpha = 1 on a summable family, whose scaled tail limsup is
+    exactly 0.  Uniqueness here is among shift-invariant states only.
     """
     if K is not None and alpha is None:
         raise ValueError("alpha is required when K is supplied")
@@ -591,19 +570,19 @@ def check_scaled_limsup(
     if K is not None and not 0.0 < K < math.inf:
         raise ValueError("K must be positive and finite")
 
-    scaled = _scaled_family(p)
-    if scaled.kind == "heavy":
+    fam = family(p)
+    if fam == "power_heavy":
         certificate = (
             "running log-product grows polynomially fast in n^(2-q) for q < 2, "
             "so n^(alpha-1) times the product is unbounded for every alpha"
         )
         return FAILS, None, certificate
 
-    a, terminal = _natural_alpha(scaled) if alpha is None else (Fraction(alpha), None)
+    a, terminal = _natural_alpha(p, fam) if alpha is None else (Fraction(alpha), None)
     if terminal is not None:
         return terminal
 
-    prod = scaled.product_limsup(a)
+    prod = _product_limsup(p, fam, a)
     if prod is None:
         certificate = (
             f"alpha = {_quote(a)} exceeds the family's product exponent "
@@ -614,9 +593,9 @@ def check_scaled_limsup(
     if K is None:
         cap = max(prod.hi, 1.0)
         k_note = f"K = {cap:.10g} (the certified product limsup)"
-        if math.isinf(cap):  # exp(log_cap) overflowed; K is its upper end
+        if math.isinf(cap):  # exp(ruelle_sum) overflowed; K is its upper end
             k_note = (
-                f"K = exp({scaled.log_cap.hi:.10g}) (the certified product limsup, "
+                f"K = exp({ruelle_sum(p).enclosure.hi:.10g}) (the certified product limsup, "
                 "above the largest double)"
             )
     else:
@@ -635,24 +614,21 @@ def check_scaled_limsup(
             return INCONCLUSIVE, None, certificate
         k_note = f"K = {K:.10g} (supplied, dominates the product limsup)"
 
-    tail = scaled.tail_limsup(a)
+    tail = _tail_limsup(p, fam, a)
     if tail is None:
         certificate = (
             f"alpha = {_quote(a)} sits below the tail's critical exponent: "
             "the scaled tail limsup is infinite"
         )
         return FAILS, None, certificate
-    if math.isinf(cap):  # Gamma(alpha)/K underflows; only a limsup of 0 is decided
+    if math.isinf(cap):  # Gamma(alpha)/K underflows; K overflows only where the tail limsup is 0
         detail = (
             f"alpha = {_quote(a)}, {k_note}; scaled tail limsup in "
             f"[{tail.lo:.10g}, {tail.hi:.10g}] against Gamma(alpha)/K (strict); "
-            "uniqueness is among shift-invariant states"
+            "uniqueness is among shift-invariant states; "
+            "a limsup of exactly 0 lies below Gamma(alpha)/K > 0"
         )
-        if tail.hi == 0.0:
-            detail += "; a limsup of exactly 0 lies below Gamma(alpha)/K > 0"
-            return HOLDS, None, detail
-        detail += "; a positive limsup is not compared with an overflowed K"
-        return INCONCLUSIVE, None, detail
+        return HOLDS, None, detail
     rhs = _gamma_interval(float(a)) / Interval.point(cap)
     margin = rhs - tail
     detail = (
@@ -667,17 +643,18 @@ def check_scaled_limsup(
     return outcome, margin, detail
 
 
-def _natural_alpha(scaled: _ScaledFamily):
+def _natural_alpha(p: PairPotential, fam: str):
     """The family's own alpha when none is supplied, or a terminal outcome."""
-    if scaled.kind == "summable":
+    if fam != "power_critical":
         return Fraction(1), None
-    if scaled.c < _HALF:
+    c = strength_fraction(p)
+    if c < _HALF:
         # any exponent strictly between 1/2 and 1 - c gives zero limsups
-        return (_HALF + (1 - scaled.c)) / 2, None
-    if scaled.c == _HALF:
+        return (_HALF + (1 - c)) / 2, None
+    if c == _HALF:
         return _HALF, None
     certificate = (
-        f"strength c = {_quote(scaled.c)} > 1/2: alphas above 1 - c "
+        f"strength c = {_quote(c)} > 1/2: alphas above 1 - c "
         "blow up the product limsup and alphas at or below 1/2 >= 1 - c blow "
         "up the tail limsup, so no budget pair exists"
     )

@@ -36,19 +36,26 @@ the window length, never have to fit in a double.  A non-finite or
 vanishing intermediate raises ArithmeticError instead of returning NaN.
 
 The stationary Markov conditional g of the unique Gibbs state is the Doob
-transform of the transfer matrix by its Perron pair, computed once per
+transform of the transfer matrix M by its Perron pair, computed once per
 potential as one read-only (2, 2^R) array that ``prob``, ``gfun``, the
 samplers and the measured column of ``bounds`` all index.  g is positive,
 so an entry below the smallest normal double, which has lost its relative
-precision, is refused where the array is built, once for all of them.  The
-pair comes from power iteration on the walk's two-entry rows, O(2^R) work a
-step and no dense matrix: the matrix is primitive, so the iteration
-converges from any positive start (Seneta, Non-negative Matrices and Markov
-Chains, ch. 1); the start is uniform, hence flip-symmetric, and every step
-keeps that symmetry exactly, so the antisymmetric mode that nears the
-Perron root under strong coupling never slows it.  The iteration works on
-vectors scaled to maximum 1, so it resolves a vector whose entries span far
-more than 1/EPS, which a dense eigensolver cannot.
+precision, is refused where the array is built, once for all of them.  M is
+never formed: row u has two nonzero entries, the weights ``_Walk.wts[b, u]``
+at the states ``_Walk.nxt[b, u]``, so M v and v M are ``_Walk.pull`` and
+``_Walk.push``, and the pair comes from power iteration on those rows,
+O(2^R) work a step and no dense matrix.  M is primitive by its structure:
+every pair of states is joined by exactly one path of R steps, whose
+weights ``_Walk`` has checked finite and positive.  So the Perron pair is
+simple and positive, and the iteration converges from any positive start
+(Seneta, Non-negative Matrices and Markov Chains, ch. 1).  An even
+interaction commutes with the spin flip, and the uniform start is
+flip-symmetric; each step keeps that symmetry bit for bit (the two products
+of a row swap places under the flip), so the antisymmetric modes, whose top
+eigenvalue nears the Perron root as the coupling grows, are never excited,
+and the iteration runs at the rate of the symmetric spectral gap.  It works
+on vectors scaled to maximum 1, so it resolves a vector whose entries span
+far more than 1/EPS, which a dense eigensolver cannot.
 
 Window-size guards are hard errors, never silent fallbacks: an exact
 routine that quietly approximates would poison every validation built on
@@ -258,64 +265,6 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     return KernelResult(value=value, dependency_window=(-R, n + R))
 
 
-@record
-class TransferMatrix:
-    """Perron data of the sliding-block transfer matrix of a finite-range interaction.
-
-    The matrix M is never formed: row u has two nonzero entries, the weights
-    ``_Walk.wts[b, u]`` at the states ``_Walk.nxt[b, u]``, so M v and v M are
-    ``_Walk.pull`` and ``_Walk.push``.  M is primitive by its structure:
-    every pair of states is joined by exactly one path of R steps, whose
-    weights ``_Walk`` has checked finite and positive.  So the Perron pair is
-    simple and positive, and power iteration from any positive vector
-    converges to it (Seneta 1981, ch. 1).  An even interaction commutes with
-    the spin flip, and the uniform start is flip-symmetric; each step keeps
-    that symmetry bit for bit (the two products of a row swap places under
-    the flip), so the antisymmetric modes, whose top eigenvalue nears the
-    Perron root as the coupling grows, are never excited, and the iteration
-    runs at the rate of the symmetric spectral gap.  ``conditional`` is the
-    Doob transform g by the pair (see the module notes).
-    """
-
-    range_r: int
-    eigenvalue: float
-    right: np.ndarray
-    left: np.ndarray
-    conditional: np.ndarray
-    residual: float
-
-    __eq__ = object.__eq__  # by identity: an array has no single truth value to compare by
-    __hash__ = object.__hash__
-
-    @staticmethod
-    def from_potential(p: PairPotential) -> "TransferMatrix":
-        R = transfer_range(p)
-        if R < 1:
-            raise ValueError("transfer matrix needs range >= 1")
-        walk = _walk(p)
-        lam, right = _perron_vector(walk.pull, walk.size)
-        _, left = _perron_vector(walk.push, walk.size)
-        residual = max(
-            float(np.max(np.abs(walk.pull(right) - lam * right))),
-            float(np.max(np.abs(walk.push(left) - lam * left))),
-        )
-        if residual > 1e-12 * max(1.0, lam):
-            raise ArithmeticError(f"Perron residual {residual:.3e} too large")
-        left = left / float((left * right).sum())
-        # g(letter bit b | u) = M[u, v] right[v] / (lam right[u]), v = nxt[b, u]
-        conditional = walk.wts * right[walk.nxt] / (lam * right)
-        for a in (right, left, conditional):  # g_exact_markov shares one instance per potential
-            a.flags.writeable = False
-        return TransferMatrix(
-            range_r=R,
-            eigenvalue=lam,
-            right=right,
-            left=left,
-            conditional=conditional,
-            residual=residual,
-        )
-
-
 def _perron_vector(step, size: int):
     """Perron root and vector (maximum 1) of the matrix that ``step`` applies.
 
@@ -348,16 +297,21 @@ class MarkovConditional:
 
     For finite range the compatible conditional depends on exactly R past
     letters.  ``table`` holds it, read-only, at [letter bit, state index]:
-    the Doob transform of the transfer matrix, or at depth 0 one uniform
-    column.
+    the Doob transform of the transfer matrix by its Perron root
+    ``eigenvalue``, right vector ``right`` (maximum 1) and left vector
+    ``left`` (with left . right = 1), whose larger eigen-residual is
+    ``residual``; at depth 0, one uniform column and no Perron data.
     """
 
-    potential: PairPotential
-    transfer: Optional[TransferMatrix]
+    dependency_depth: int
+    table: np.ndarray
+    eigenvalue: Optional[float]
+    right: Optional[np.ndarray]
+    left: Optional[np.ndarray]
+    residual: Optional[float]
 
-    @property
-    def dependency_depth(self) -> int:
-        return self.transfer.range_r if self.transfer is not None else 0
+    __eq__ = object.__eq__  # by identity: an array has no single truth value to compare by
+    __hash__ = object.__hash__
 
     @property
     def states(self) -> tuple:
@@ -365,12 +319,6 @@ class MarkovConditional:
         index; at depth 0 the one empty state."""
         R = self.dependency_depth
         return tuple(tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R)) for u in range(1 << R))
-
-    @property
-    def table(self) -> np.ndarray:
-        if self.transfer is None:
-            return np.broadcast_to(1.0 / len(SPINS), (len(SPINS), 1))  # a read-only view
-        return self.transfer.conditional
 
     def prob(self, past, s: int) -> float:
         """g(s | past); past is a Word covering [-R, -1] or R letters in site order."""
@@ -396,30 +344,46 @@ class MarkovConditional:
 
     def state_law(self) -> np.ndarray:
         """Stationary law of the sliding-block state under the g-chain."""
-        tm = self.transfer
-        if tm is None:
+        if self.left is None:
             return np.array([1.0])
-        law = tm.left * tm.right
+        law = self.left * self.right
         return law / law.sum()
 
 
 def g_exact_markov(p: PairPotential) -> MarkovConditional:
     """Exact conditional g for a finite-range interaction via Perron eigendata.
 
-    Built once per potential and shared: its transfer arrays are read-only."""
+    Built once per potential and shared: its arrays are read-only."""
     return _markov(p)
 
 
 @lru_cache(maxsize=64)  # as _walk's: a law holds a few arrays of 2^R doubles
 def _markov(p: PairPotential) -> MarkovConditional:
     R = transfer_range(p)
-    g = MarkovConditional(potential=p, transfer=TransferMatrix.from_potential(p) if R >= 1 else None)
-    rows = g.table.sum(axis=0)
+    if R == 0:
+        uniform = np.broadcast_to(1.0 / len(SPINS), (len(SPINS), 1))  # a read-only view
+        return MarkovConditional(0, uniform, None, None, None, None)
+    walk = _walk(p)
+    lam, right = _perron_vector(walk.pull, walk.size)
+    _, left = _perron_vector(walk.push, walk.size)
+    residual = max(
+        float(np.max(np.abs(walk.pull(right) - lam * right))),
+        float(np.max(np.abs(walk.push(left) - lam * left))),
+    )
+    if residual > 1e-12 * max(1.0, lam):
+        raise ArithmeticError(f"Perron residual {residual:.3e} too large")
+    left = left / float((left * right).sum())
+    # g(letter bit b | u) = M[u, v] right[v] / (lam right[u]), v = nxt[b, u]
+    table = walk.wts * right[walk.nxt] / (lam * right)
+    for a in (right, left, table):  # g_exact_markov shares one instance per potential
+        a.flags.writeable = False
+    g = MarkovConditional(R, table, lam, right, left, residual)
+    rows = table.sum(axis=0)
     u = int(np.argmax(np.abs(rows - 1.0)))  # the row furthest from 1, or the first NaN
     if not abs(rows[u] - 1.0) <= 1e-12:
         raise ArithmeticError(f"conditional row at {g.states[u]} sums to {rows[u]}")
     # g is positive: an entry below the smallest normal double has lost its relative precision
-    low = g.table.min(axis=0)
+    low = table.min(axis=0)
     u = int(np.argmin(low))
     if low[u] < _TINY:
         raise ArithmeticError(f"conditional g at {g.states[u]} underflows the double range")

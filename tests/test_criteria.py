@@ -439,16 +439,6 @@ def test_underflowing_floor_and_overflowing_cap_are_stated_in_log_space():
             assert k is None and v.margin.lo > 0.0
 
 
-def test_scaled_limsup_leaves_a_positive_tail_open_when_k_overflows(monkeypatch):
-    # unreachable from the closed forms (an overflowing K means alpha = 1 on a
-    # summable law, whose tail limsup is 0), so the tail limsup is replaced
-    positive = Interval(0.25, 0.5)
-    monkeypatch.setattr(criteria._ScaledFamily, "tail_limsup", lambda self, alpha: positive)
-    v = check_scaled_limsup(UNDERFLOWING_FLOORS[0])
-    assert v.outcome == INCONCLUSIVE and v.margin is None
-    assert "above the largest double" in v.certificate and "overflowed K" in v.certificate
-
-
 def test_report_lookup_raises_on_unknown_name():
     rep = evaluate_all(zero())
     with pytest.raises(KeyError):

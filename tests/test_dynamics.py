@@ -502,7 +502,7 @@ def test_streamed_runs_hold_a_small_working_set(tmp_path):
     # of 2^16 sites, with a 512 KiB column of uniforms, took them to 1.04 and
     # 1.26, rows built 10,000 at a time with fresh codes and tail words to 1.31
     # and 1.63, and a block of uniforms drawn whole every 2^16 sites (1.5 MiB)
-    # to 2.3 and 2.6
+    # to 2.3 and 2.6.  A bound of 0.75 MiB on each fails every one of those
     g = g_exact_markov(truncated(0.3, 6))
     N = 1 << 18
 
@@ -517,8 +517,8 @@ def test_streamed_runs_hold_a_small_working_set(tmp_path):
     chain = peak(lambda: write_chain_blocks(tmp_path / "chain.csv", chain_blocks(g, plus_past(6), N, seed=7), N))
     pair = peak(lambda: write_coupling_blocks(
         tmp_path / "couple.csv", coupling_blocks(g, plus_past(6), minus_past(6), N, seed=7), N))
-    assert chain <= 1.5 * 2**20
-    assert pair <= 1.375 * 2**20
+    assert chain <= 0.75 * 2**20
+    assert pair <= 0.75 * 2**20
 
 
 # -- Cesàro averages against enumeration ------------------------------------------------

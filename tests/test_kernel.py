@@ -1,8 +1,11 @@
 """Finite-range window kernels, transfer-matrix conditionals, and their oracles."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +13,6 @@ import artifact.kernel
 from artifact import (
     CouplingLaw,
     PairPotential,
-    TransferMatrix,
     Word,
     cesaro_estimate,
     dobrushin_sum,
@@ -187,26 +189,30 @@ def test_a_letter_is_an_integer_spin():
 def test_transfer_matrix_nearest_neighbor_eigenvalue():
     # weights e^{+-beta/2} per step give the top eigenvalue 2 cosh(beta / 2)
     for beta in (0.3, 1.0, 2.0):
-        tm = TransferMatrix.from_potential(nn(beta))
-        assert tm.eigenvalue == pytest.approx(2.0 * math.cosh(beta / 2.0), abs=1e-12)
-        assert tm.residual <= 1e-12
-        assert np.all(tm.right > 0.0) and np.all(tm.left > 0.0)
+        g = g_exact_markov(nn(beta))
+        assert g.eigenvalue == pytest.approx(2.0 * math.cosh(beta / 2.0), abs=1e-12)
+        assert g.residual <= 1e-12
+        assert np.all(g.right > 0.0) and np.all(g.left > 0.0)
 
 
 def test_transfer_matrix_shape_and_guards():
     p = table((0.5, 0.25), 0.7)
-    tm = TransferMatrix.from_potential(p)
+    g = g_exact_markov(p)
     M = transfer_matrix(p)
-    assert tm.range_r == 2
+    assert g.dependency_depth == 2
     assert M.shape == (4, 4)
-    assert tm.right.shape == tm.left.shape == (4,)
-    assert tm.conditional.shape == (2, 4)
+    assert g.right.shape == g.left.shape == (4,)
+    assert g.table.shape == (2, 4)
     # two nonzero entries per row: shift in -1 or +1
     assert np.all((M > 0.0).sum(axis=1) == 2)
+    # depth 0: one uniform column and no Perron data
+    g = g_exact_markov(zero())
+    assert g.dependency_depth == 0
+    assert g.table.tolist() == [[0.5], [0.5]] and not g.table.flags.writeable
+    assert (g.eigenvalue, g.right, g.left, g.residual) == (None, None, None, None)
+    assert g.state_law().tolist() == [1.0]
     with pytest.raises(ValueError):
-        TransferMatrix.from_potential(zero())
-    with pytest.raises(ValueError):
-        TransferMatrix.from_potential(truncated(2.0, 0.2, 13))
+        g_exact_markov(truncated(2.0, 0.2, 13))
 
 
 @pytest.mark.parametrize("R", [1, 2, 3])
@@ -228,9 +234,8 @@ def test_table_is_the_doob_transform_bit_for_bit(R):
     # g(b | u) = M[u, v] right[v] / (lam right[u]), v the state after u and letter bit b
     p = truncated(2.0, 0.3, R)
     g = g_exact_markov(p)
-    tm = g.transfer
-    M, right, lam = transfer_matrix(p), tm.right, tm.eigenvalue
-    assert g.table is tm.conditional and g.table.shape == (2, 1 << R)
+    M, right, lam = transfer_matrix(p), g.right, g.eigenvalue
+    assert g.table.shape == (2, 1 << R)
     for u, letters in enumerate(g.states):
         for b, s in enumerate((-1, 1)):
             v = _encode_state(letters[1:] + (s,))
@@ -279,25 +284,24 @@ def test_g_is_built_without_a_dense_solver(R, monkeypatch):
     p = truncated(1.5, 0.45, R)  # a law no other test builds, so no cache serves it
     g = g_exact_markov(p)
     assert g.dependency_depth == R and g.table.shape == (2, 1 << R)
-    tm = TransferMatrix.from_potential(p)
-    assert tm.residual <= 1e-12 * tm.eigenvalue
-    assert np.all(tm.right > 0.0) and np.all(tm.left > 0.0)
+    assert g.residual <= 1e-12 * g.eigenvalue
+    assert np.all(g.right > 0.0) and np.all(g.left > 0.0)
 
 
 def test_a_perron_iteration_that_does_not_settle_raises(monkeypatch):
     monkeypatch.setattr(artifact.kernel, "PERRON_MAX_STEPS", 3)
     with pytest.raises(ArithmeticError, match="Perron iteration did not settle in 3 steps"):
-        TransferMatrix.from_potential(truncated(2.0, 0.3, 6))
+        artifact.kernel._markov.__wrapped__(truncated(2.0, 0.3, 6))  # uncached: the law is built anew
 
 
 def test_the_perron_vectors_are_those_of_the_dense_matrix():
     p = truncated(2.0, 2.0, 5)
-    tm, M = TransferMatrix.from_potential(p), transfer_matrix(p)
-    lam = tm.eigenvalue
-    assert np.max(np.abs(M @ tm.right - lam * tm.right)) <= 1e-12 * lam
-    assert np.max(np.abs(tm.left @ M - lam * tm.left)) <= 1e-12 * lam
-    assert tm.left @ tm.right == pytest.approx(1.0, abs=1e-15)
-    assert np.max(tm.right) == 1.0
+    g, M = g_exact_markov(p), transfer_matrix(p)
+    lam = g.eigenvalue
+    assert np.max(np.abs(M @ g.right - lam * g.right)) <= 1e-12 * lam
+    assert np.max(np.abs(g.left @ M - lam * g.left)) <= 1e-12 * lam
+    assert g.left @ g.right == pytest.approx(1.0, abs=1e-15)
+    assert np.max(g.right) == 1.0
 
 
 def test_table_of_depth_zero_is_uniform():
@@ -319,8 +323,7 @@ def test_exact_conditional_nearest_neighbor_value():
 def test_exact_conditional_is_built_once_and_read_only():
     g = g_exact_markov(table((0.5, 0.25), 0.7))
     assert g_exact_markov(table((0.5, 0.25), 0.7)) is g
-    tm = g.transfer
-    for a in (tm.right, tm.left, g.table):
+    for a in (g.right, g.left, g.table):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
@@ -568,6 +571,22 @@ def test_window_engine_is_pinned_bit_for_bit():
         assert pi_window_at_zero(nn(1.0), minus_past_word(1, n), n, 1).value.hex() == want, n
     for b, want in BENCH_AVERAGE_PINS.items():
         assert cesaro_estimate(truncated(2.0, 0.3, 6), Word(0, (1,)), 256, Word.constant(-6, 268, b)).hex() == want, b
+
+
+def test_the_benchmark_library_calls_run(monkeypatch):
+    # the library process of perfbench's finite_range_exact workload, at its smoke
+    # sizes: the calls it makes into kernel and dynamics, checked as it checks them
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setattr(mpmath.mp, "dps", mpmath.mp.dps)  # its checks set 40 digits
+    spec = importlib.util.spec_from_file_location("perfbench_child", bench / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    workloads = importlib.import_module("workloads")
+    (lib,) = [proc for proc in workloads.build("finite_range_exact", smoke=True) if proc.mode == "lib"]
+    checked = workloads.check_lib(lib, child._run_lib(artifact, lib.job))
+    assert len(checked) == len(lib.job["calls"])
+    assert [(name, errors) for name, errors, _ in checked if errors] == []
 
 
 # -- interdependence sum -----------------------------------------------------------

@@ -13,7 +13,7 @@ from artifact.cli import parse_config
 from artifact.criteria import HOLDS, UNIQUE_GIBBS, CriteriaReport, Verdict
 from artifact.fseq import Word
 from artifact.intervals import Interval
-from artifact.kernel import KernelResult, MarkovConditional, TransferMatrix
+from artifact.kernel import KernelResult, _markov
 from artifact.potential import CouplingLaw, PairPotential, SeriesValue
 from artifact.diagnostics import TauberianReport, TauberianRow
 from artifact.ratiobound import DecayEnvelope
@@ -27,7 +27,7 @@ P = PairPotential(LAW, 0.3, 12)
 NN = PairPotential(CouplingLaw.finite_table([1.0]), 1.0)
 I = Interval(1.0, 2.0)
 # records holding arrays: they compare and hash by identity
-IDENTITY_RECORDS = ("TransferMatrix",)
+IDENTITY_RECORDS = ("MarkovConditional",)
 VERDICT = Verdict("berbee", HOLDS, I, "certificate", UNIQUE_GIBBS)
 RN = RnSeries(3, I, False, "certificate", 7)
 ROW = TauberianRow(4, I, I, None)
@@ -40,8 +40,7 @@ SAMPLES = {
     "Word": lambda: Word(-1, (1, 1, -1)),
     "Interval": lambda: I,
     "KernelResult": lambda: KernelResult(0.25, (0, 3)),
-    "TransferMatrix": lambda: TransferMatrix.from_potential(NN),
-    "MarkovConditional": lambda: MarkovConditional(NN, None),
+    "MarkovConditional": lambda: _markov.__wrapped__(NN),
     "CouplingLaw": lambda: LAW,
     "PairPotential": lambda: P,
     "SeriesValue": lambda: SeriesValue(I, False, "certificate"),
@@ -153,9 +152,9 @@ def test_criteria_report_gets_a_fresh_dict_of_knobs():
     assert CriteriaReport((), knobs={"alpha": 0.5}).knobs == {"alpha": 0.5}
 
 
-def test_equal_transfer_matrices_are_distinct():
+def test_equal_markov_conditionals_are_distinct():
     # separately built arrays: value equality would have to ask an array for a truth value
-    a, b = (TransferMatrix.from_potential(NN) for _ in range(2))
+    a, b = (_markov.__wrapped__(NN) for _ in range(2))
     assert a != b and not (a == b) and a == a
     assert hash(a) != hash(b) and len({a, b}) == 2
 
