@@ -439,6 +439,28 @@ def test_underflowing_floor_and_overflowing_cap_are_stated_in_log_space():
             assert k is None and v.margin.lo > 0.0
 
 
+def test_scaled_limsup_k_overflows_only_where_the_tail_limsup_is_zero():
+    # the overflowed-K branch decides Holds without a comparison: it rests on
+    # the scaled tail limsup being exactly 0 wherever the certified K overflows
+    overflowed = 0
+    for p in SWEEP_LAWS + UNDERFLOWING_FLOORS:
+        fam = criteria.family(p)
+        if fam == "power_heavy":
+            continue
+        a, terminal = criteria._natural_alpha(p, fam)
+        if terminal is not None:
+            continue
+        prod = criteria._product_limsup(p, fam, a)
+        if prod is None or not math.isinf(prod.hi):
+            continue
+        overflowed += 1
+        tail = criteria._tail_limsup(p, fam, a)
+        assert a == 1 and tail is not None and tail.lo == tail.hi == 0.0, p
+        v = check_scaled_limsup(p)
+        assert v.outcome == HOLDS and "a limsup of exactly 0 lies below" in v.certificate
+    assert overflowed > 0
+
+
 def test_report_lookup_raises_on_unknown_name():
     rep = evaluate_all(zero())
     with pytest.raises(KeyError):
