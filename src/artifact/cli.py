@@ -44,9 +44,10 @@ experiment summaries), one CSV per series-producing experiment, and
 CSVs; the manifest alone carries the timestamp.  Its ``config_sha256`` is
 the SHA-256 of the config file's bytes, read once and parsed as hashed,
 from CPython's builtin SHA-256 module (``_sha2``, or ``_sha256`` before
-3.12): ``hashlib`` would map OpenSSL's libcrypto, about 3.6 MB, into every
-process.  Every float is emitted with 17 significant digits, and JSON
-objects are written with sorted keys.  Non-finite floats (possible only in
+3.12): ``hashlib`` would map OpenSSL's libcrypto, about 3.4 MB, into the
+process, and no ``gibbs1d`` process loads it (see the exact side below).
+Every float is emitted with 17 significant digits, and JSON objects are
+written with sorted keys.  Non-finite floats (possible only in
 diagnostic fields) appear as the JSON strings "inf", "-inf", "nan".
 
 Exit codes: 0 on success, 1 when a requested experiment trips a kernel
@@ -61,7 +62,14 @@ column of ``bounds``) settle the exact side's guards
 (``potential.transfer_range``) before they import ``kernel`` or
 ``dynamics``, and with them NumPy, so a refused law loads neither.  NumPy is
 only found at the import of this module, so that a missing NumPy fails
-there, on every command.
+there, on every command.  ``numpy.random`` imports ``secrets`` for unseeded
+entropy, and through ``hmac`` and ``hashlib`` OpenSSL's ``_hashlib``; every
+generator here is keyed (Philox on (seed, chain_id)), so nothing is hashed.
+So ``sample`` and ``couple`` import ``numpy.random`` before the first draw,
+and the exact experiments import ``kernel`` (NumPy 1 loads ``numpy.random``
+with ``numpy``), with ``_hashlib`` held out: ``hashlib`` and ``hmac`` take
+their builtin fallbacks.  This command owns its process; a library caller
+of ``dynamics`` keeps its own ``hashlib``.
 """
 
 from __future__ import annotations
@@ -456,13 +464,25 @@ def _past_string(letters) -> str:
     return "".join("+" if s > 0 else "-" for s in letters)
 
 
+def _import_without_openssl(name: str):
+    """Import module ``name`` (relative to this package when it starts with a
+    dot) with OpenSSL's ``_hashlib`` held out, as the module docstring says.
+    The block lasts for the import only, and a process that already holds
+    ``_hashlib`` keeps it."""
+    if "_hashlib" in sys.modules:
+        return importlib.import_module(name, __package__)
+    sys.modules["_hashlib"] = None
+    try:
+        return importlib.import_module(name, __package__)
+    finally:
+        del sys.modules["_hashlib"]
+
+
 def _exact_g(p: PairPotential):
     """The exact Markov conditional g of ``p``; the exact side's guards are
     settled before ``kernel``, and with it NumPy, loads."""
     transfer_range(p)
-    from .kernel import g_exact_markov
-
-    return g_exact_markov(p)
+    return _import_without_openssl(".kernel").g_exact_markov(p)
 
 
 def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
@@ -554,6 +574,10 @@ def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     g = _exact_g(p)
     from .dynamics import chain_blocks, write_chain_blocks
 
+    # the samplers' generator, which dynamics loads at the first draw; imported after dynamics
+    # rather than before it, the benchmark's range-6 report peaked about 0.6 MB lower
+    _import_without_openssl("numpy.random")
+
     depth = max(g.dependency_depth, 1)
     past = Word.constant(-depth, depth, 1)
     N = cfg.sample_length
@@ -573,6 +597,8 @@ def _run_sample(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
 def _run_couple(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     g = _exact_g(p)
     from .dynamics import coupling_blocks, write_coupling_blocks
+
+    _import_without_openssl("numpy.random")
 
     depth = max(g.dependency_depth, 1)
     past_a = Word.constant(-depth, depth, 1)

@@ -13,7 +13,12 @@ generator into one buffer, which yields exactly the rows of a single (N, 3)
 draw.  Column 0 decides the letter of a plain chain or the couple/split
 event of a coupled pair; columns 1 and 2 feed the shared draw and the two
 residual draws.  Identical seeds therefore give identical paths on every
-platform numpy supports.
+platform numpy supports.  ``numpy.random`` is loaded at the first draw, so a
+caller that never samples (``cesaro_estimate``) loads neither it nor the
+OpenSSL that its ``secrets`` imports through ``hashlib``; the ``gibbs1d``
+command imports it before its samplers run, with ``_hashlib`` held out (see
+``cli``).  A keyed Philox hashes nothing, so its stream is the same either
+way.
 
 Each sampler is one generator of the letter bits of blocks of 2^14 sites
 (``chain_blocks``, ``coupling_blocks``).  Of its conditional law g it reads

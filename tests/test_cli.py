@@ -1009,6 +1009,68 @@ def test_runs_without_samplers_leave_openssl_out(tmp_path, name, command):
     assert manifest["config_sha256"] == sha256(path.read_bytes()).hexdigest()
 
 
+OPENSSL_AND_LIST = CHECK_AND_LIST.replace('"numpy._core", "artifact.dynamics", "dataclasses", "inspect"', '"_hashlib",')
+
+# the exact laws of the benchmark's finite_range_exact and the CI's range-10 law
+EXACT_LAWS = {
+    "nearest_neighbour": {"kind": "finite_table", "beta": 1.0, "values": [1.0]},
+    "truncated q2 R6": {"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 6},
+    "truncated q1.2 R10": {"kind": "power_law", "beta": 0.3, "q": 1.2, "truncation_range": 10},
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_LAWS))
+def test_exact_reports_leave_openssl_out(tmp_path, name):
+    # numpy.random loads with the sampler, with _hashlib held out; the keyed Philox
+    # stream is the same as in a process that holds OpenSSL
+    doc = {"potential": EXACT_LAWS[name], "n_max": 4, "sample_length": 5000, "couple_length": 5000}
+    path = write_config(tmp_path, doc)
+    for out, preload, listed in (("held_out", "", "[]"), ("preloaded", "import _hashlib\n", "['_hashlib']")):
+        proc = python(preload + OPENSSL_AND_LIST, "report", "--config", str(path), "--out", str(tmp_path / out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == listed
+    for f in ("sample.csv", "couple.csv", "report.json"):
+        assert (tmp_path / "held_out" / f).read_bytes() == (tmp_path / "preloaded" / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("preload", ["", "import _hashlib\n"])
+def test_the_openssl_block_lasts_for_the_import_only(tmp_path, preload):
+    import hashlib
+    import hmac
+
+    code = "import sys\n" + preload + """
+from artifact.cli import main
+before = sys.modules.get("_hashlib")
+rc = main(sys.argv[1:])
+# no None entry is left behind, and a module loaded before is the same object after
+assert ("_hashlib" in sys.modules) == (before is not None) and sys.modules.get("_hashlib") is before
+import _hashlib, hashlib, hmac
+print(hashlib.sha256(b"gibbs").hexdigest(), hmac.new(b"k", b"m", "sha256").hexdigest())
+sys.exit(rc)
+"""
+    path = write_config(tmp_path, small_doc(experiments=["sample", "couple"]))
+    proc = python(code, "report", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    digests = [hashlib.sha256(b"gibbs").hexdigest(), hmac.new(b"k", b"m", "sha256").hexdigest()]
+    assert proc.stdout.splitlines()[-1].split() == digests
+
+
+def test_a_library_caller_that_never_samples_leaves_numpy_random_out():
+    # dynamics loads numpy.random, and with it OpenSSL, only at the first draw
+    code = """
+import sys
+from artifact.dynamics import cesaro_estimate
+from artifact.fseq import Word
+from artifact.potential import CouplingLaw, PairPotential
+p = PairPotential(beta=0.3, coupling=CouplingLaw.power_law(2.0, 1.0), truncation_range=6)
+assert 0.0 < cesaro_estimate(p, Word(0, (1,)), 8, Word.constant(-6, 20, 1)) < 1.0
+print(sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules))
+"""
+    proc = python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 LOAD_AND_LIST = CHECK_AND_LIST.replace('"numpy._core", "artifact.dynamics", "dataclasses", "inspect"', '"yaml",')
 
 
