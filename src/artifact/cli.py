@@ -29,7 +29,7 @@ Schema::
                          experiment reads it)
     sample_length:       int in [1, 2^24], default 65536
     couple_length:       int in [1, 2^24], default 65536
-    empirical_window:    int in [0, 12], default 10 (the exact var_n(log g)
+    empirical_window:    int in [0, 16], default 10 (the exact var_n(log g)
                          column of bounds, depths 1..window; 0 disables it)
     alpha:               float in (0, 1] or null, default null
     budget:              float > 0 or null, default null (requires alpha)
@@ -96,7 +96,7 @@ from ._record import record
 from .criteria import Verdict, evaluate_all
 from .fseq import Word
 from .potential import (
-    ENUMERATION_MAX_WINDOW,
+    TRANSFER_MAX_RANGE,
     CouplingLaw,
     PairPotential,
     slope_certificate,
@@ -290,8 +290,8 @@ def parse_config(doc: dict) -> RunConfig:
     _expect(1 <= couple_length <= 1 << 24, "couple_length must lie in [1, 2^24]")
     empirical_window = _as_int(merged, "empirical_window", "config")
     _expect(
-        0 <= empirical_window <= ENUMERATION_MAX_WINDOW,
-        f"empirical_window must lie in [0, {ENUMERATION_MAX_WINDOW}]",
+        0 <= empirical_window <= TRANSFER_MAX_RANGE,
+        f"empirical_window must lie in [0, {TRANSFER_MAX_RANGE}]",
     )
 
     alpha = merged["alpha"]
@@ -489,13 +489,14 @@ def _run_gfun(cfg: RunConfig, p: PairPotential, out: Path) -> dict:
     import csv
 
     g = _exact_g(p)
-    table = g.table
+    table, R, signs = g.table, g.dependency_depth, str.maketrans("01", "-+")
     path = out / "gfun.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["past", "prob_minus", "prob_plus"])
-        for state, minus, plus in zip(g.states, table[0].tolist(), table[1].tolist()):
-            w.writerow([_past_string(state), _cell(minus), _cell(plus)])
+        for u, (minus, plus) in enumerate(zip(table[0].tolist(), table[1].tolist())):
+            # the past of state u is its R low bits, the oldest letter the highest bit
+            w.writerow([format(u | 1 << R, "b")[1:].translate(signs), _cell(minus), _cell(plus)])
     law = g.state_law()
     return {
         "csv": path.name,

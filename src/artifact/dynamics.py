@@ -56,10 +56,9 @@ from typing import Optional
 import numpy as np
 
 from .fseq import Word
-from .kernel import _letters_at, _past_state, _shift_state, _walk
-from .potential import PairPotential, required_range
+from .kernel import _Walk, _letters_at, _past_state, _shift_state
+from .potential import TRANSFER_MAX_RANGE, PairPotential, required_range
 
-SAMPLER_MAX_DEPTH = 12
 CESARO_MAX_WINDOW = 1 << 15
 # cesaro_estimate keeps both passes, (n + 1) * 2^R doubles each
 CESARO_MAX_CELLS = 1 << 23
@@ -78,10 +77,10 @@ def _chain_tables(g):
     """The sampler's tables over sliding-block states: P(letter -1 | state)
     and the state after a letter bit 0 (the bit 1 state is one more).  A law
     of depth 0 is served on one-letter states, the same value for both.
-    States fit in uint16, since 2^R <= 2^SAMPLER_MAX_DEPTH."""
+    States fit in uint16, since 2^R <= 2^TRANSFER_MAX_RANGE = 2^16."""
     R = g.dependency_depth
-    if R > SAMPLER_MAX_DEPTH:
-        raise ValueError(f"sampler guard: dependency depth <= {SAMPLER_MAX_DEPTH}")
+    if R > TRANSFER_MAX_RANGE:
+        raise ValueError(f"sampler guard: dependency depth <= {TRANSFER_MAX_RANGE}")
     depth = max(R, 1)
     return np.resize(g.table[0], 1 << depth), _shift_state(np.arange(1 << depth), 0, depth).astype(np.uint16)
 
@@ -298,7 +297,7 @@ def cesaro_estimate(p: PairPotential, f: Optional[Word], n: int, boundary: Word)
     end = n - 1
     u = _past_state(boundary, R)
     fut = _letters_at(boundary, range(end + 1, end + R + 1))
-    walk = _walk(p)
+    walk = _Walk(p)
     if (n + 1) * walk.size > CESARO_MAX_CELLS:
         raise ValueError(f"pass guard: (n + 1) * 2^R <= {CESARO_MAX_CELLS}")
 

@@ -81,7 +81,7 @@ from .potential import PairPotential, SPINS, required_range, transfer_range
 
 # The Perron iteration settles once no entry moves by more than PERRON_TOL
 # relatively and the largest move stops shrinking; it raises if it has not
-# settled after PERRON_MAX_STEPS steps (range 10 needs a few hundred).
+# settled after PERRON_MAX_STEPS steps (six laws of range 16 took 20 to 128).
 PERRON_TOL = 8 * EPS
 PERRON_MAX_STEPS = 10000
 _TINY = 2.0**-1022  # the smallest normal double
@@ -117,6 +117,11 @@ def _encode_state(letters) -> int:
     for d, s in enumerate(reversed(letters), start=1):
         idx |= ((s + 1) // 2) << (d - 1)
     return int(idx)
+
+
+def _state_letters(u: int, R: int) -> tuple:
+    """The R letters of state index u in site order: its low R bits, oldest first."""
+    return tuple(1 if c == "1" else -1 for c in format(u | 1 << R, "b")[1:])
 
 
 def _past_state(word: Word, R: int) -> int:
@@ -238,11 +243,6 @@ class _Walk:
         return (rows, scales) if keep else (b, scale)
 
 
-@lru_cache(maxsize=64)
-def _walk(p: PairPotential) -> _Walk:
-    return _Walk(p)
-
-
 def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> KernelResult:
     """Conditional probability of letter s at site 0 under the [0, n] kernel.
 
@@ -258,7 +258,7 @@ def pi_window_at_zero(p: PairPotential, boundary: Word, n: int, s: int) -> Kerne
     R = required_range(p)
     u = _past_state(boundary, R)
     fut = _letters_at(boundary, range(n + 1, n + R + 1))
-    walk = _walk(p)
+    walk = _Walk(p)
     beta1 = walk.backward(fut, n, stop=1)[0]
     weights = walk.wts[:, u] * beta1[walk.nxt[:, u]]
     value = float(weights[b] / weights.sum())
@@ -318,7 +318,7 @@ class MarkovConditional:
         """The sliding-block states as R letters in site order, by state
         index; at depth 0 the one empty state."""
         R = self.dependency_depth
-        return tuple(tuple(int(2 * ((u >> (R - 1 - i)) & 1) - 1) for i in range(R)) for u in range(1 << R))
+        return tuple(_state_letters(u, R) for u in range(1 << R))
 
     def prob(self, past, s: int) -> float:
         """g(s | past); past is a Word covering [-R, -1] or R letters in site order."""
@@ -353,17 +353,17 @@ class MarkovConditional:
 def g_exact_markov(p: PairPotential) -> MarkovConditional:
     """Exact conditional g for a finite-range interaction via Perron eigendata.
 
-    Built once per potential and shared: its arrays are read-only."""
+    Kept for the last 8 potentials and shared: its arrays are read-only."""
     return _markov(p)
 
 
-@lru_cache(maxsize=64)  # as _walk's: a law holds a few arrays of 2^R doubles
+@lru_cache(maxsize=8)  # a law holds 4 * 2^R doubles, 2 MiB at TRANSFER_MAX_RANGE: 16 MiB at most
 def _markov(p: PairPotential) -> MarkovConditional:
     R = transfer_range(p)
     if R == 0:
         uniform = np.broadcast_to(1.0 / len(SPINS), (len(SPINS), 1))  # a read-only view
         return MarkovConditional(0, uniform, None, None, None, None)
-    walk = _walk(p)
+    walk = _Walk(p)
     lam, right = _perron_vector(walk.pull, walk.size)
     _, left = _perron_vector(walk.push, walk.size)
     residual = max(
@@ -377,14 +377,13 @@ def _markov(p: PairPotential) -> MarkovConditional:
     table = walk.wts * right[walk.nxt] / (lam * right)
     for a in (right, left, table):  # g_exact_markov shares one instance per potential
         a.flags.writeable = False
-    g = MarkovConditional(R, table, lam, right, left, residual)
     rows = table.sum(axis=0)
     u = int(np.argmax(np.abs(rows - 1.0)))  # the row furthest from 1, or the first NaN
     if not abs(rows[u] - 1.0) <= 1e-12:
-        raise ArithmeticError(f"conditional row at {g.states[u]} sums to {rows[u]}")
+        raise ArithmeticError(f"conditional row at {_state_letters(u, R)} sums to {rows[u]}")
     # g is positive: an entry below the smallest normal double has lost its relative precision
     low = table.min(axis=0)
     u = int(np.argmin(low))
     if low[u] < _TINY:
-        raise ArithmeticError(f"conditional g at {g.states[u]} underflows the double range")
-    return g
+        raise ArithmeticError(f"conditional g at {_state_letters(u, R)} underflows the double range")
+    return MarkovConditional(R, table, lam, right, left, residual)

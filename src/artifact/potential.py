@@ -340,14 +340,13 @@ def family(p: PairPotential) -> str:
     return "power_heavy"
 
 
-# Largest depth of the exact var_n(log g) column of ``bounds`` (its
-# ``empirical_window``) and largest window [0, n] of the enumeration oracles
-# of the tests (2^(n+1) words); largest range whose Dobrushin sum
-# ``criteria`` enumerates.
-ENUMERATION_MAX_WINDOW = 12
+# Largest range whose Dobrushin sum ``criteria`` enumerates.
 DOBRUSHIN_MAX_RANGE = 12
-# Largest range of the exact Markov conditional g (2^R sliding-block states).
-TRANSFER_MAX_RANGE = 10
+# The one depth limit of the exact side: the largest range of the exact
+# Markov conditional g (2^R sliding-block states), of the laws the samplers
+# run (their states are uint16) and of the exact var_n(log g) column of
+# ``bounds`` (its ``empirical_window``).
+TRANSFER_MAX_RANGE = 16
 
 
 def required_range(p: PairPotential) -> int:

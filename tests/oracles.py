@@ -24,8 +24,10 @@ import mpmath
 import numpy as np
 
 from artifact.fseq import Word
-from artifact.potential import ENUMERATION_MAX_WINDOW, PairPotential, SPINS
+from artifact.potential import PairPotential, SPINS
 
+# largest window [0, n] of the window enumerations (2^(n+1) words)
+ENUMERATION_MAX_WINDOW = 12
 APPLY_MAX_WIDTH = 14
 RHO_MAX_WINDOW = 6
 PERRON_DIGITS = 60

@@ -185,9 +185,10 @@ def test_scalar_ranges():
     for bad in ({"sample_length": 0}, {"couple_length": (1 << 24) + 1}):
         with pytest.raises(ConfigError, match="length"):
             parse_config(base_doc(**bad))
-    for bad in ({"empirical_window": -1}, {"empirical_window": 40}):
-        with pytest.raises(ConfigError, match="empirical_window"):
+    for bad in ({"empirical_window": -1}, {"empirical_window": 17}, {"empirical_window": 40}):
+        with pytest.raises(ConfigError, match=r"empirical_window must lie in \[0, 16\]"):
             parse_config(base_doc(**bad))
+    assert parse_config(base_doc(empirical_window=16)).empirical_window == 16
     with pytest.raises(ConfigError, match="alpha must lie"):
         parse_config(base_doc(alpha=1.5))
     with pytest.raises(ConfigError, match="out must be a nonempty string"):
@@ -1144,13 +1145,13 @@ def test_bounds_records_a_vanishing_conditional_law(tmp_path, command):
 def test_a_refused_exact_law_loads_no_exact_side(tmp_path):
     # the transfer guard is settled before the exact side is imported
     code = CHECK_AND_LIST.replace('"dataclasses", "inspect"', '"artifact.kernel"')
-    law = {"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 12}
+    law = {"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 17}
     path = write_config(tmp_path, {"potential": law, "n_max": 3})
     proc = python(code, "report", "--config", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     results = json.loads((tmp_path / "out" / "report.json").read_text())["results"]
-    guard = "transfer guard: R <= 10"
+    guard = "transfer guard: R <= 16"
     assert {name: doc.get("error") for name, doc in results.items()} == {
         **dict.fromkeys(["criteria", "bounds"]), **dict.fromkeys(["gfun", "sample", "couple"], guard)}
     assert results["bounds"]["empirical_note"] == guard

@@ -22,8 +22,9 @@ from artifact import (
     write_chain_blocks,
     write_coupling_blocks,
 )
-from artifact.dynamics import SAMPLER_MAX_DEPTH, _BLOCK, _part_edges, _uniform_chunks
+from artifact.dynamics import _BLOCK, _part_edges, _uniform_chunks
 from artifact.kernel import _encode_state
+from artifact.potential import TRANSFER_MAX_RANGE
 from oracles import disagreement_density, first_coalescence, phi_window
 
 GOLDEN_SEED_42 = [1, 1, -1, 1, -1, -1, -1, -1, 1, -1,
@@ -108,11 +109,11 @@ def test_sampling_validation():
 
 
 def test_sampler_depth_guard():
-    class Depth13:  # a conditional law one letter deeper than the sampler serves
-        dependency_depth = 13
+    class Depth17:  # a conditional law one letter deeper than the sampler serves
+        dependency_depth = 17
 
-    with pytest.raises(ValueError, match="sampler guard"):
-        chain_blocks(Depth13(), plus_past(13), 5, seed=1)
+    with pytest.raises(ValueError, match="sampler guard: dependency depth <= 16"):
+        chain_blocks(Depth17(), plus_past(17), 5, seed=1)
 
 
 # -- marginal statistics -------------------------------------------------------------
@@ -307,16 +308,18 @@ def test_chunked_uniforms_are_the_rows_of_one_block():
 # two blocks of uniforms and a short one
 TWO_BLOCKS_N = 2 * _BLOCK + 5
 
-# (law, depth, sites): block edges, one site, depths 0, 1, 3, 6 and 10 (the
-# transfer guard, 1024 states, which no 8-bit state holds), and the
-# nearest-neighbour chain at beta 4 and 8, whose lanes started from a wrong
-# state walk tens of sites (beta 4) or the whole lane (beta 8) before meeting
+# (law, depth, sites): block edges, one site, depths 0, 1, 3, 6, 10 (1024
+# states, which no 8-bit state holds) and 16 (TRANSFER_MAX_RANGE, the 65,536
+# states of a uint16), and the nearest-neighbour chain at beta 4 and 8, whose
+# lanes started from a wrong state walk tens of sites (beta 4) or the whole
+# lane (beta 8) before meeting
 SAMPLER_CASES = [
     (nn(1.0), 1, STREAM_N),
     (truncated(0.4, 3), 3, STREAM_N),
     (zero(), 0, STREAM_N),
     (truncated(0.3, 6), 6, TWO_BLOCKS_N),
     (truncated(1.2, 10), 10, TWO_BLOCKS_N),
+    (truncated(0.3, 16), 16, _BLOCK + 1),
     (nn(4.0), 1, TWO_BLOCKS_N),
     (nn(8.0), 1, _BLOCK + 1),
     (zero(), 0, _BLOCK - 1),
@@ -361,13 +364,13 @@ def test_streamed_coupler_matches_the_one_block_path():
 
 
 class DeepestLaw:
-    """A conditional law of depth SAMPLER_MAX_DEPTH (4096 states) that no
-    potential here reaches: P(-1 | past) is drawn once for each past, so every
-    letter of the past moves it.  Like an exact law, it gives g(letter | state)
-    as ``table`` and ``prob``."""
+    """A conditional law of depth TRANSFER_MAX_RANGE (65,536 states, as many as
+    the samplers' uint16 states hold) that no potential here reaches: P(-1 |
+    past) is drawn once for each past, so every letter of the past moves it.
+    Like an exact law, it gives g(letter | state) as ``table`` and ``prob``."""
 
-    dependency_depth = SAMPLER_MAX_DEPTH
-    minus = np.random.default_rng(12).uniform(0.05, 0.95, 1 << SAMPLER_MAX_DEPTH)
+    dependency_depth = TRANSFER_MAX_RANGE
+    minus = np.random.default_rng(12).uniform(0.05, 0.95, 1 << TRANSFER_MAX_RANGE)
     table = np.stack([minus, 1.0 - minus])
 
     def prob(self, letters, s):
@@ -375,7 +378,7 @@ class DeepestLaw:
 
 
 def test_streamed_runs_of_the_deepest_law_match_the_one_block_path():
-    g, R = DeepestLaw(), SAMPLER_MAX_DEPTH
+    g, R = DeepestLaw(), TRANSFER_MAX_RANGE
     assert np.array_equal(sample(g, plus_past(R), TWO_BLOCKS_N, seed=31, chain_id=2),
                           oracle_chain(g, (1,) * R, TWO_BLOCKS_N, 31, 2))
     a, b = couple(g, plus_past(R), minus_past(R), _BLOCK + 1, seed=8)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from artifact.cli import load_config, main, parse_config
+from artifact.potential import TRANSFER_MAX_RANGE
 
 _spec = importlib.util.spec_from_file_location("golden_update", Path(__file__).parent / "golden" / "update.py")
 golden = importlib.util.module_from_spec(_spec)
@@ -32,18 +33,20 @@ def test_case_reproduces_its_bytes(case, tmp_path):
     assert report == (stored.read_bytes() if stored.exists() else None)
 
 
-# Laws beyond the corpus whose exact var_n(log g) is checked against the
-# 60-digit oracle in test_kernel.py.
+# Laws beyond the corpus whose exact g is checked against an oracle in
+# test_kernel.py (the 60-digit Perron conditional up to range 10, the long
+# window at TRANSFER_MAX_RANGE), each with its n_max = empirical_window.
 ORACLE_LAWS = [
-    {"kind": "finite_table", "beta": 5.0, "values": [1.0] * 6},
-    {"kind": "finite_table", "beta": 0.7, "values": [1.0, 0.5, 0.25, 0.1]},
-    {"kind": "power_law", "beta": 0.3, "q": 1.2, "truncation_range": 10},
+    ({"kind": "finite_table", "beta": 5.0, "values": [1.0] * 6}, 12),
+    ({"kind": "finite_table", "beta": 0.7, "values": [1.0, 0.5, 0.25, 0.1]}, 12),
+    ({"kind": "power_law", "beta": 0.3, "q": 1.2, "truncation_range": 10}, 12),
+    ({"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": TRANSFER_MAX_RANGE}, TRANSFER_MAX_RANGE),
 ]
 
 
 def bounds_configs():
     """(name, config) of every corpus case that writes bounds.csv for a law
-    of finite range at most 10, then of the oracle laws."""
+    within TRANSFER_MAX_RANGE, then of the oracle laws."""
     for case in CASES:
         command = case.get("argv", [""])[0]
         if command not in ("bounds", "report") or "config_text" in case:
@@ -53,15 +56,16 @@ def bounds_configs():
         else:
             cfg = parse_config(case["config"])
         R = cfg.build_potential().finite_range
-        if R is not None and R <= 10 and (command == "bounds" or "bounds" in cfg.experiments):
+        if R is not None and R <= TRANSFER_MAX_RANGE and (command == "bounds" or "bounds" in cfg.experiments):
             yield case["name"], {**cfg.as_doc(), "experiments": ["bounds"]}
-    for law in ORACLE_LAWS:
-        yield f"oracle {law}", {"potential": law, "experiments": ["bounds"], "n_max": 12, "empirical_window": 12}
+    for law, window in ORACLE_LAWS:
+        yield f"oracle {law}", {"potential": law, "experiments": ["bounds"], "n_max": window,
+                                "empirical_window": window}
 
 
 def test_the_exact_column_of_bounds_lies_below_the_certified_bound(tmp_path):
     # the paper's claim on every finite-range law the tests know, with no tolerance
-    filled = []
+    filled, columns = [], {}
     for k, (name, doc) in enumerate(bounds_configs()):
         out = tmp_path / str(k)
         config = tmp_path / f"{k}.json"
@@ -75,4 +79,9 @@ def test_the_exact_column_of_bounds_lies_below_the_certified_bound(tmp_path):
             assert exact <= hi, (name, n)
         if column:
             filled.append(name)
+        columns[name] = column
     assert {"report-all-truncated_r6", "bounds-truncated_r8"} <= set(filled) and len(filled) >= 6
+    # the deepest law's column holds depths 1 .. 16: positive below its range, 0 at it
+    deepest = columns[f"oracle {ORACLE_LAWS[-1][0]}"]
+    assert [n for n, _, _ in deepest] == list(range(1, TRANSFER_MAX_RANGE + 1))
+    assert all(exact > 0.0 for _, exact, _ in deepest[:-1]) and deepest[-1][1] == 0.0

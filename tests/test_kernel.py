@@ -20,6 +20,7 @@ from artifact import (
     pi_window_at_zero,
 )
 from artifact.kernel import _encode_state
+from artifact.potential import TRANSFER_MAX_RANGE
 from oracles import (
     apply_L,
     perron_conditional,
@@ -211,8 +212,8 @@ def test_transfer_matrix_shape_and_guards():
     assert g.table.tolist() == [[0.5], [0.5]] and not g.table.flags.writeable
     assert (g.eigenvalue, g.right, g.left, g.residual) == (None, None, None, None)
     assert g.state_law().tolist() == [1.0]
-    with pytest.raises(ValueError):
-        g_exact_markov(truncated(2.0, 0.2, 13))
+    with pytest.raises(ValueError, match="transfer guard: R <= 16"):
+        g_exact_markov(truncated(2.0, 0.2, 17))
 
 
 @pytest.mark.parametrize("R", [1, 2, 3])
@@ -274,7 +275,24 @@ def test_table_of_the_deepest_law_is_the_perron_conditional():
             assert abs(g.table[b, u] - want[past, s]) <= 1e-15
 
 
-@pytest.mark.parametrize("R", range(1, 11))
+def test_table_at_the_deepest_range_is_the_long_window_conditional():
+    # at TRANSFER_MAX_RANGE, where a step of the 60-digit oracle (3 s in all at
+    # range 10) costs 2^6 times more: at a fixed spread of pasts, g(s | past) is
+    # the law of site 0 under the window [0, 256], whose far future no longer
+    # moves it in doubles
+    R, n = TRANSFER_MAX_RANGE, 256
+    p = truncated(2.0, 0.3, R)
+    g = g_exact_markov(p)
+    assert g.table.shape == (2, 1 << R)
+    future = tuple(int(x) for x in np.random.default_rng(5).choice((-1, 1), size=R))
+    for u in range(0, 1 << R, 4369):  # 16 states, 0 and 2^16 - 1 among them
+        past = tuple(2 * ((u >> (R - 1 - i)) & 1) - 1 for i in range(R))
+        boundary = Word(-R, past + (1,) * (n + 1) + future)
+        for s in (-1, 1):
+            assert abs(pi_window_at_zero(p, boundary, n, s).value - g.prob(past, s)) <= 1e-12, (u, s)
+
+
+@pytest.mark.parametrize("R", range(1, TRANSFER_MAX_RANGE + 1))
 def test_g_is_built_without_a_dense_solver(R, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the exact side called a dense solver")
