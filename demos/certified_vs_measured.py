@@ -13,7 +13,6 @@ Run:  python3 demos/certified_vs_measured.py
 
 from artifact import CouplingLaw, PairPotential
 from artifact.kernel import g_exact_markov
-from artifact.diagnostics import tauberian_diagnostic
 from artifact.rows import g_variation_bound
 
 BETA = 0.25
@@ -33,19 +32,6 @@ def main() -> None:
     for m, emp in zip(depths, measured):
         hi = g_variation_bound(p, m).bound.hi
         print(f"{m:>5}  {emp:>12.6g}  {hi:>12.6g}  {hi - emp:>10.3g}")
-
-    # the untruncated law decays polynomially; the diagnostic compares the
-    # bound against its predicted power-law shape on a doubling grid
-    full = PairPotential(beta=BETA, coupling=CouplingLaw.power_law(2.0))
-    report = tauberian_diagnostic(full, n_grid=tuple(2**e for e in range(4, 11)))
-    print(
-        f"\nfitted decay hypothesis: alpha = {report.alpha:.3f}, K = {report.K:.3f}"
-        f"  (asymptote {report.asymptote:.4f})"
-    )
-    print(f"{'n':>6}  {'bound hi':>12}  {'ratio mid':>12}")
-    for row in report.rows:
-        mid = "" if row.ratio is None else f"{row.ratio.mid:>12.4f}"
-        print(f"{row.n:>6}  {row.bound.hi:>12.6g}  {mid}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,7 @@ it takes.  ``fseq`` holds the ``Word``s that pasts and boundaries are.  ``kernel
 computes exact finite-range conditionals, among them the g-measure's
 conditional g (one record with the transfer matrix's Perron data) and its
 variation var_n(log g), and ``dynamics`` samples from them in streamed
-blocks; they exist to corroborate the certified half, never to replace it,
-as do the uncertified recursion table and growth fits of ``diagnostics``.
+blocks; they exist to corroborate the certified half, never to replace it.
 
 Nothing is loaded before it is used.  The public names below resolve on
 first access, so ``import artifact`` imports no submodule.  ``gibbs1d
@@ -19,11 +18,10 @@ check`` loads only the criteria path: ``criteria`` enumerates the Dobrushin
 sum itself and reads only the decay envelope of ``ratiobound``, so it loads
 neither ``kernel`` nor the R_n rows and tail tables of ``rows``, which only
 ``bounds`` imports.  The command line imports ``kernel`` only for ``gfun``,
-the samplers and the measured var_n(log g) column of ``bounds``,
-``dynamics`` only to sample or couple, and ``diagnostics`` never; it imports
-either only for a law that passes the exact side's guards
-(``potential.transfer_range``).  Every enclosure and every R_n row is scalar
-interval arithmetic, and so are the diagnostics.  NumPy serves only
+the samplers and the measured var_n(log g) column of ``bounds``, and
+``dynamics`` only to sample or couple; it imports either only for a law that
+passes the exact side's guards (``potential.transfer_range``).  Every
+enclosure and every R_n row is scalar interval arithmetic.  NumPy serves only
 ``kernel`` (the walks and the table of g) and ``dynamics`` (the samplers and
 their CSV writers), which import it; ``artifact.cli`` only finds it, so that
 a missing NumPy fails at its import.
@@ -42,8 +40,6 @@ _EXPORTS = {
         ("fseq", "Word"),
         ("ratiobound", "DecayEnvelope DEFAULT_REL_WIDTH log_r_bound_envelope"),
         ("rows", "RnSeries rn_series g_variation_bound"),
-        ("diagnostics", "RatioTable rb_limit_lower_bound berbee_series_partial_sums fit_growth_exponent "
-                        "tauberian_diagnostic"),
         ("kernel", "MarkovConditional g_exact_markov pi_window_at_zero"),
         ("dynamics", "chain_blocks coupling_blocks cesaro_estimate write_chain_blocks write_coupling_blocks"),
         ("criteria", "Verdict CriteriaReport HOLDS FAILS INCONCLUSIVE UNIQUE_GIBBS UNIQUE_GIBBS_BERNOULLI "

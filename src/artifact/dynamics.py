@@ -28,8 +28,9 @@ index (see ``kernel``).  The block writers
 and tally what a report says of the run as they go, so a run streamed from
 a sampler into a writer holds no array of N entries; a caller that wants
 the letters gathers the blocks itself.  The working set (the uniform
-buffer, one column of a block's uniforms, the lane matrices, the CSV rows
-and row codes) is allocated once per run; only the yielded blocks are new.
+buffer, one column of a block's uniforms, the lane matrices, the tables as
+Python lists, the CSV rows and row codes) is allocated once per run; only
+the yielded blocks are new.
 
 A plain chain is a threshold chain: with u_t the last R letters as bits,
 letter t is +1 exactly when x_t >= P(-1 | u_t), x_t from column 0.  A block
@@ -100,13 +101,14 @@ def _uniform_chunks(seed: int, chain_id: int, N: int):
     return (gen.random(out=buf[:min(_CHUNK, N - start)]) for start in range(0, N, _CHUNK))
 
 
-def _lane_matrices(N: int):
+def _lane_matrices(N: int, table: np.ndarray, steps: np.ndarray):
     """The lane state and bit matrices of _threshold_chain for a run of N
-    sites, and the lanes' current states, allocated once and reused by every
-    block.  The current states are intp, so they index the tables uncast."""
+    sites, the lanes' current states, and the tables as Python lists for the
+    site-by-site walks, built once and reused by every block.  The current
+    states are intp, so they index the tables uncast."""
     lanes = min(_BLOCK, N) // _LANE
     return (np.empty((_LANE + 1, lanes), dtype=np.uint16), np.empty((_LANE, lanes), dtype=bool),
-            np.empty(lanes, dtype=np.intp))
+            np.empty(lanes, dtype=np.intp), table.tolist(), steps.tolist())
 
 
 def _walk_lane(table: list, steps: list, u: int, xs: list, refs: list):
@@ -126,7 +128,8 @@ def _walk_lane(table: list, steps: list, u: int, xs: list, refs: list):
 def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray, out: np.ndarray, work) -> int:
     """Run bit_t = [x_t >= table[u_t]], u_(t+1) = steps[u_t] + bit_t over the
     uniforms x, at most _BLOCK of them, from state u; write the bits to out
-    and return the last state.  ``work`` holds the matrices of _lane_matrices.
+    and return the last state.  ``work`` holds the matrices and lists of
+    _lane_matrices.
 
     Pass one runs the full lanes of _LANE sites side by side.  Lane 0 starts
     from u, lane k > 0 from a guess: the state reached over the last _WARM
@@ -139,7 +142,7 @@ def _threshold_chain(table: np.ndarray, steps: np.ndarray, u: int, x: np.ndarray
     """
     lanes = len(x) // _LANE
     done = lanes * _LANE
-    tl, sl = table.tolist(), steps.tolist()
+    tl, sl = work[3], work[4]
     if lanes:
         xs = x[:done].reshape(lanes, _LANE).T
         states, bits, at = work[0][:, :lanes], work[1][:, :lanes], work[2][:lanes]
@@ -189,7 +192,7 @@ def chain_blocks(g, past: Word, N: int, seed: int, chain_id: int = 0):
 
 
 def _chain_blocks(table, steps, u: int, uniforms, N: int):
-    work, column = _lane_matrices(N), np.empty(min(_BLOCK, N))
+    work, column = _lane_matrices(N, table, steps), np.empty(min(_BLOCK, N))
     for start in range(0, N, _BLOCK):
         n = min(_BLOCK, N - start)
         for i, chunk in zip(range(0, n, _CHUNK), uniforms):
@@ -220,8 +223,8 @@ def coupling_blocks(g, past_a: Word, past_b: Word, N: int, seed: int):
 
 
 def _coupling_blocks(table, steps, ua: int, ub: int, uniforms, N: int):
-    tl, sl = table.tolist(), steps.tolist()
-    work, column = _lane_matrices(N), np.empty(min(_BLOCK, N))
+    work, column = _lane_matrices(N, table, steps), np.empty(min(_BLOCK, N))
+    tl, sl = work[3], work[4]
     for start in range(0, N, _BLOCK):
         n = min(_BLOCK, N - start)
         # letters of the pair before its states meet, in this block

@@ -5,8 +5,7 @@ g over pasts agreeing on n sites comes from the series R_n (``rows``).
 ``log_r_bound_envelope`` certifies a closed-form decay majorant of it for the
 infinite-range families; at finite range R the bound is exactly 0 from n = R
 on.  So the criteria read the envelope and the range without loading the R_n
-rows or the tail table.  The uncertified recursion table and growth fits are
-in ``diagnostics``.
+rows or the tail table.
 """
 
 from __future__ import annotations

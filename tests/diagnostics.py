@@ -1,12 +1,11 @@
 """Uncertified diagnostics of the contraction recursion and of the R_n series.
 
 The recursion table propagates per-step contraction coefficients v_k into
-pointwise lower bounds p(k, n) on two-sided ratio infima.  The growth fits
-estimate the exponents of the related partial-sum diagnostics, and the
-Tauberian diagnostic reads the g-variation bound (``rows``) against its
-predicted decay.  Nothing here is a certificate, and no command imports this
-module.  All of it is scalar Python, summed by TwoSum and ``math.fsum``, so
-it gives the same numbers on every platform.
+pointwise lower bounds p(k, n) on two-sided ratio infima, and the growth fits
+estimate the exponents of the related partial-sum diagnostics.  Nothing here
+is a certificate and no command runs it: acceptance gates 1, 2 and 4 and
+``test_ratiobound`` read it.  All of it is scalar Python, summed by TwoSum and
+``math.fsum``, so it gives the same numbers on every platform.
 """
 
 from __future__ import annotations
@@ -14,13 +13,10 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 from operator import mul, sub
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ._record import record
-from .intervals import ZERO, Interval
-from .potential import PairPotential, tail_variation
-from .ratiobound import DEFAULT_REL_WIDTH
-from .rows import _running_sums, g_variation_bound
+from artifact.potential import PairPotential
+from artifact.rows import _running_sums
 
 
 # -- the recursion table -------------------------------------------------------
@@ -142,74 +138,3 @@ def fit_growth_exponent(
     grid = (0.02 + i * 0.001 for i in range(1180))  # s = 0.02, 0.021, ..., 1.199
     return min(grid, key=lambda s: _line_fit([float(n) ** s for n in ns], y)[2])
 
-
-# -- Tauberian diagnostic ------------------------------------------------------
-
-
-@record
-class TauberianRow:
-    n: int
-    bound: Interval
-    denominator: Interval
-    ratio: Optional[Interval]
-
-
-@record
-class TauberianReport:
-    alpha: float
-    K: float
-    fitted: bool
-    asymptote: float  # 2 * K / Gamma(alpha)
-    rows: tuple
-
-
-def tauberian_diagnostic(
-    p: PairPotential,
-    alpha: Optional[float] = None,
-    K: Optional[float] = None,
-    n_grid: Optional[Sequence[int]] = None,
-    rel_width: float = DEFAULT_REL_WIDTH,
-) -> TauberianReport:
-    """Finite-grid comparison of the g-variation bound against its predicted decay.
-
-    Per grid point n the row carries bound(n) / (beta * T(n+1))^alpha,
-    to be read against the asymptote 2*K/Gamma(alpha).  When (alpha, K) are
-    not supplied they are fitted: the log of the cumulative one-sided ratio
-    product is regressed on log n, the slope b gives alpha = 1 - b and the
-    intercept gives K.  Asymptotic only; nothing here is a certificate.
-    """
-    if alpha is not None and not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if K is not None and not K > 0.0:
-        raise ValueError("K must be positive")
-    if n_grid is None:
-        n_grid = tuple(2**e for e in range(4, 13))
-    n_grid = tuple(sorted(set(int(n) for n in n_grid)))
-    if any(n < 1 for n in n_grid):
-        raise ValueError("grid windows must be >= 1")
-
-    fitted = alpha is None or K is None
-    if fitted:
-        fa, fK = _fit_hypothesis_pair(p, n_grid)
-        if alpha is None:
-            alpha = min(1.0, max(fa, 1e-6))
-        if K is None:
-            K = fK
-
-    rows = []
-    for n in n_grid:
-        b, lr = g_variation_bound(p, n, rel_width).bound, tail_variation(p, n + 1)
-        ok = lr.lo > 0.0 and (denom := lr.pow(alpha)).lo > 0.0
-        rows.append(TauberianRow(n=n, bound=b, denominator=denom if ok else ZERO, ratio=b / denom if ok else None))
-    asymptote = 2.0 * K / math.gamma(alpha)
-    return TauberianReport(alpha=alpha, K=K, fitted=fitted, asymptote=asymptote, rows=tuple(rows))
-
-
-def _fit_hypothesis_pair(p: PairPotential, n_grid):
-    """Least-squares (alpha, K) from the cumulative product of one-sided ratios."""
-    cum = list(accumulate(_tail_midpoints(p, max(n_grid) + 2)))  # entry i: sum of log-ratios for windows 0..i
-    ns = [n for n in n_grid if n >= 2]
-    if len(ns) < 2:
-        raise ValueError("fitting (alpha, K) needs two grid windows >= 2")
-    slope, intercept, _ = _line_fit([math.log(n) for n in ns], [p.beta * cum[n] for n in ns])
-    return 1.0 - slope, math.exp(intercept)

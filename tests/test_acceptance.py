@@ -8,6 +8,7 @@ import math
 import os
 import time
 
+import mpmath
 import numpy as np
 
 from artifact import (
@@ -30,15 +31,10 @@ from artifact import (
     g_exact_markov,
     write_coupling_blocks,
 )
+from artifact.criteria import _gamma_interval
 from artifact.kernel import pi_window_at_zero
-from artifact.diagnostics import (
-    RatioTable,
-    berbee_series_partial_sums,
-    fit_growth_exponent,
-    rb_limit_lower_bound,
-    tauberian_diagnostic,
-)
 from artifact.rows import g_variation_bound
+from diagnostics import RatioTable, berbee_series_partial_sums, fit_growth_exponent, rb_limit_lower_bound
 from oracles import phi_window, pi_window_enumeration, rho_bruteforce
 
 SPINS = (-1, 1)
@@ -241,12 +237,13 @@ def test_acceptance_7_window_law_converges_and_sampler_matches_it():
 def test_acceptance_8_special_constants_and_critical_straddle():
     t0 = time.perf_counter()
 
-    # the scaled-limsup machinery leans on Gamma(1/2) = sqrt(pi); recover the
-    # constant through the diagnostic's asymptote 2 K / Gamma(alpha)
-    p = PairPotential(beta=0.3, coupling=CouplingLaw.power_law(2.0))
-    report = tauberian_diagnostic(p, alpha=0.5, K=1.0, n_grid=(4, 8))
-    gamma_half = 2.0 * 1.0 / report.asymptote
-    assert abs(gamma_half - math.sqrt(math.pi)) <= 1e-12
+    # the scaled-limsup criterion compares against an enclosure of Gamma(alpha):
+    # it holds Gamma(1/2) = sqrt(pi) and Gamma(1) = 1, as mpmath computes them
+    with mpmath.workdps(40):
+        for a in (0.5, 1.0):
+            enclosure, exact = _gamma_interval(a), mpmath.gamma(a)
+            assert mpmath.mpf(enclosure.lo) <= exact <= mpmath.mpf(enclosure.hi)
+            assert enclosure.width <= 1e-12
 
     # the inverse square at strength exactly 1/2 certifies with a strictly
     # positive margin: alpha = 1/2 and K = exp((1 + gamma)/2) leave

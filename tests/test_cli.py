@@ -2,6 +2,7 @@
 
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -932,11 +933,11 @@ def python(code, *args):
     )
 
 
-# what check never loads: NumPy, the exact side, the R_n rows and tail tables, the
-# diagnostics and the csv module, besides dataclasses and inspect
+# what check never loads: NumPy, the exact side, the R_n rows and tail tables and
+# the csv module, besides dataclasses and inspect
 STRICT_CHECK_AND_LIST = CHECK_AND_LIST.replace(
     '"numpy._core", "artifact.dynamics",',
-    '"numpy._core", "artifact.dynamics", "artifact.kernel", "artifact.rows", "artifact.diagnostics", "csv",',
+    '"numpy._core", "artifact.dynamics", "artifact.kernel", "artifact.rows", "csv",',
 )
 
 
@@ -980,8 +981,7 @@ BOUNDS_LAWS = {
     "q1.5": {"kind": "power_law", "beta": 0.3, "q": 1.5},
     "exponential": {"kind": "exponential", "beta": 0.5, "rate": 0.5},
 }
-REPORT_AND_LIST = CHECK_AND_LIST.replace('"artifact.dynamics", "dataclasses", "inspect"',
-                                         '"artifact.kernel", "artifact.diagnostics"')
+REPORT_AND_LIST = CHECK_AND_LIST.replace('"artifact.dynamics", "dataclasses", "inspect"', '"artifact.kernel"')
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS_LAWS))
@@ -992,6 +992,25 @@ def test_bounds_report_runs_without_numpy_or_the_kernels(tmp_path, name):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "error" not in report["results"]["bounds"]
     assert report["results"]["bounds"]["empirical_note"].startswith("exact kernels need a finite-range")
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_report_all_loads_every_module_of_the_package(tmp_path):
+    # the package is what the commands run: one report of every experiment on a
+    # finite-range law loads each module but __main__
+    code = """
+import sys
+from artifact.cli import main
+rc = main(sys.argv[2:])
+print(sorted(m for m in sys.argv[1].split() if f"artifact.{m}" not in sys.modules))
+sys.exit(rc)
+"""
+    modules = " ".join(m.name for m in pkgutil.iter_modules(artifact.__path__) if m.name != "__main__")
+    doc = {"potential": {"kind": "power_law", "beta": 0.3, "q": 2.0, "truncation_range": 6}, "experiments": ["all"],
+           "n_max": 4, "sample_length": 5000, "couple_length": 5000}
+    path = write_config(tmp_path, doc)
+    proc = python(code, modules, "report", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
 

@@ -10,16 +10,12 @@ import pytest
 from artifact import (
     CouplingLaw,
     PairPotential,
-    RatioTable,
-    berbee_series_partial_sums,
-    fit_growth_exponent,
     g_variation_bound,
     log_r_bound_envelope,
-    rb_limit_lower_bound,
     rn_series,
-    tauberian_diagnostic,
 )
 from artifact.intervals import EPS
+from diagnostics import RatioTable, berbee_series_partial_sums, fit_growth_exponent, rb_limit_lower_bound
 
 
 def power(q, beta, amplitude=1.0, R=None):
@@ -347,50 +343,3 @@ def test_growth_exponent_tracks_the_contraction_budget():
     S = berbee_series_partial_sums(power(2.0, 0.2), 2**14)
     assert fit_growth_exponent(S) == pytest.approx(0.2, abs=0.05)
 
-
-# -- asymptotic comparison report ------------------------------------------------
-
-
-def test_diagnostic_gamma_values():
-    p = power(2.0, 0.3)
-    report = tauberian_diagnostic(p, alpha=0.5, K=1.0, n_grid=(4, 8))
-    assert not report.fitted
-    assert report.asymptote == pytest.approx(2.0 / math.sqrt(math.pi), abs=1e-12)
-    report = tauberian_diagnostic(p, alpha=1.0, K=2.5, n_grid=(4, 8))
-    assert report.asymptote == pytest.approx(5.0, abs=1e-12)
-
-
-def test_diagnostic_rows_carry_finite_ratios():
-    p = power(2.0, 0.3)
-    grid = (4, 8, 16)
-    report = tauberian_diagnostic(p, alpha=0.5, K=1.0, n_grid=grid)
-    assert len(report.rows) == len(grid)
-    for row in report.rows:
-        assert row.ratio is not None
-        assert row.ratio.lo > 0.0
-
-
-def test_diagnostic_fits_the_decay_pair():
-    report = tauberian_diagnostic(power(2.0, 0.3))
-    assert report.fitted
-    assert report.alpha == pytest.approx(0.7, abs=0.02)
-    assert report.K > 0.0
-
-
-def test_diagnostic_validation():
-    p = power(2.0, 0.3)
-    with pytest.raises(ValueError):
-        tauberian_diagnostic(p, alpha=1.5, K=1.0)
-    with pytest.raises(ValueError):
-        tauberian_diagnostic(p, alpha=0.0, K=1.0)
-    with pytest.raises(ValueError):
-        tauberian_diagnostic(p, alpha=0.5, K=-1.0)
-    with pytest.raises(ValueError):
-        tauberian_diagnostic(p, alpha=0.5, K=1.0, n_grid=(0, 4))
-
-
-def test_fitted_pair_needs_two_windows():
-    # a line through one point is not a fit: (alpha, K) are fitted on windows >= 2 only
-    with pytest.raises(ValueError):
-        tauberian_diagnostic(power(2.0, 0.3), n_grid=(1, 4))
-    assert tauberian_diagnostic(power(2.0, 0.3), n_grid=(2, 4)).fitted

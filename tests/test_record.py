@@ -15,7 +15,6 @@ from artifact.fseq import Word
 from artifact.intervals import Interval
 from artifact.kernel import KernelResult, _markov
 from artifact.potential import CouplingLaw, PairPotential, SeriesValue
-from artifact.diagnostics import TauberianReport, TauberianRow
 from artifact.ratiobound import DecayEnvelope
 from artifact.rows import GVariationBound, RnSeries, _tail_table
 
@@ -30,7 +29,6 @@ I = Interval(1.0, 2.0)
 IDENTITY_RECORDS = ("MarkovConditional",)
 VERDICT = Verdict("berbee", HOLDS, I, "certificate", UNIQUE_GIBBS)
 RN = RnSeries(3, I, False, "certificate", 7)
-ROW = TauberianRow(4, I, I, None)
 
 # one instance of every record class, built the way the package builds it
 SAMPLES = {
@@ -47,8 +45,6 @@ SAMPLES = {
     "RnSeries": lambda: RN,
     "GVariationBound": lambda: GVariationBound(3, RN, I),
     "DecayEnvelope": lambda: DecayEnvelope(1.0, 2.0, 1, "derivation"),
-    "TauberianRow": lambda: ROW,
-    "TauberianReport": lambda: TauberianReport(0.5, 0.25, True, 1.25, (ROW,)),
 }
 
 
