@@ -1,5 +1,6 @@
 """Config schema, deterministic artifacts, and exit codes of the front end."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -1012,6 +1013,22 @@ sys.exit(rc)
     proc = python(code, modules, "report", "--config", str(path), "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    # the package stands alone: no module of it imports a module that lives
+    # beside the tests, such as their diagnostics and oracles
+    beside = {path.stem for path in Path(__file__).parent.glob("*.py")}
+    assert {"diagnostics", "oracles"} <= beside
+    for path in sorted(Path(artifact.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert not beside & {name.split(".")[0] for name in names}, (path.name, names)
 
 
 @pytest.mark.parametrize("command", ["check", "report"])

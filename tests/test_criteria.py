@@ -253,6 +253,22 @@ def test_scaled_limsup_validation():
         check_scaled_limsup(p, alpha=0.5, K=math.inf)  # Gamma(alpha)/K would be 0
 
 
+@pytest.mark.parametrize("a", [1 / 16, 1 / 4, 1 / 3, 1 / 2, 2 / 3, 3 / 4, 1.0])
+def test_gamma_interval_holds_the_gamma_function(a):
+    # the enclosure the scaled-limsup criterion compares against holds Gamma(a),
+    # as mpmath computes it at the same double, and stays narrow
+    enclosure = criteria._gamma_interval(a)
+    with mpmath.workdps(40):
+        assert mpmath.mpf(enclosure.lo) < mpmath.gamma(mpmath.mpf(a)) < mpmath.mpf(enclosure.hi)
+    assert enclosure.width <= 1e-12 * enclosure.hi
+
+
+@pytest.mark.parametrize("a", [0.0, -0.5, 1.0 + 2**-52, math.inf, math.nan])
+def test_gamma_interval_is_only_defined_on_the_unit_interval(a):
+    with pytest.raises(ValueError):
+        criteria._gamma_interval(a)
+
+
 # -- single-site influence ----------------------------------------------------------
 
 

@@ -22,6 +22,7 @@ from artifact import (
     write_chain_blocks,
     write_coupling_blocks,
 )
+from artifact import dynamics
 from artifact.dynamics import _BLOCK, _part_edges, _uniform_chunks
 from artifact.kernel import _encode_state
 from artifact.potential import TRANSFER_MAX_RANGE
@@ -441,6 +442,34 @@ def test_block_generators_are_the_runs_a_block_at_a_time():
         assert [b.shape for b in pairs] == [(2, n) for n in sizes]
         want = oracle_couple(g, (1,) * 3, (-1,) * 3, N, 8)
         assert np.array_equal(2 * np.concatenate(pairs, axis=1).astype(np.int8) - 1, want)
+
+
+class ListedTable(np.ndarray):
+    """A sampler table that counts the Python lists made of it."""
+
+    lists = 0
+
+    def tolist(self):
+        ListedTable.lists += 1
+        return super().tolist()
+
+
+@pytest.mark.parametrize("run", ["chain", "couple"])
+def test_samplers_list_their_tables_once_per_run(monkeypatch, run):
+    # the site-by-site walks read the tables as Python lists, made once for a
+    # run of three blocks rather than once for each block
+    tables = dynamics._chain_tables
+    monkeypatch.setattr(dynamics, "_chain_tables", lambda g: tuple(t.view(ListedTable) for t in tables(g)))
+    monkeypatch.setattr(ListedTable, "lists", 0)
+    g = g_exact_markov(truncated(1.2, 3))
+    N = TWO_BLOCKS_N
+    if run == "chain":
+        got = 2 * np.concatenate(list(chain_blocks(g, plus_past(3), N, seed=5, chain_id=1))).astype(np.int8) - 1
+        assert np.array_equal(got, oracle_chain(g, (1,) * 3, N, 5, 1))
+    else:
+        got = 2 * np.concatenate(list(coupling_blocks(g, plus_past(3), minus_past(3), N, seed=8)), axis=1) - 1
+        assert np.array_equal(got.astype(np.int8), oracle_couple(g, (1,) * 3, (-1,) * 3, N, 8))
+    assert ListedTable.lists == 2  # P(-1 | state) and the steps
 
 
 def test_block_generators_check_their_arguments_before_any_block():
